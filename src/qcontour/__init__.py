@@ -29,8 +29,7 @@ from .linalg import (check_unitary, complete_basis, hermitian_exp, inner,
 from .measure import (DecompositionMode, DecompositionResult, HistoryMeasure,
                       MeasureReport, ToyBundle, born_probability, delta_psi,
                       delta_psi_line_integral, decompose_total_measure,
-                      measure_of_existence, measure_report, segment_amplitude,
-                      segment_amplitudes)
+                      measure_of_existence, measure_report, segment_amplitude)
 from .models import ModelSpec, load_model, model_from_dict, model_to_dict, save_model
 from .oracle import (FrequencyRow, FrequencyTable, OutcomeDistribution,
                      condition_on_final, enumerate_measures,

@@ -17,21 +17,20 @@ import sys
 import numpy as np
 
 from . import __version__, linalg
+from .contour import TimeGrid, same_time
 from .dynamics import HamiltonianSchedule, propagate
 from .envariance import BipartiteState, check_envariance
 from .errors import (EnumerationGuardError, ModelFormatError, ValidationError,
                      ZeroNormalizationError)
 from .histories import FixedPoint, enumerate_family
-from .measure import (DecompositionMode, decompose_total_measure,
-                      measure_of_existence, measure_report)
+from .measure import (DecompositionMode, decompose_total_measure, delta_psi,
+                      measure_report)
 from .models import (ModelSpec, load_model, matrix_from_json,
                      matrix_to_json, vector_from_json)
 from .oracle import (OutcomeDistribution, condition_on_final,
                      monte_carlo_sample, sequential_chain)
 from .sampling import (random_orthonormal_basis, random_schedule,
                        random_state, rng_from_seed)
-
-_TIME_EPS = 1e-12
 
 
 def _round15(value):
@@ -141,8 +140,6 @@ def cmd_decompose(args) -> int:
 
 def _builtin_verify_models(seed: int) -> list[tuple[str, ModelSpec]]:
     """Deterministic default suite: fixed qubit toy plus seeded random models."""
-    from .contour import TimeGrid
-
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     e0 = np.array([1.0, 0.0], dtype=complex)
     comp2 = tuple(np.eye(2, dtype=complex)[:, k] for k in range(2))
@@ -179,11 +176,9 @@ def _builtin_verify_models(seed: int) -> list[tuple[str, ModelSpec]]:
 def _constraint_layout(model: ModelSpec) -> str:
     times = model.grid.times
     ctimes = sorted(fp.time for fp in model.constraints)
-    if len(ctimes) == 1 and abs(ctimes[0] - times[0]) <= _TIME_EPS:
-        return "initial"
-    if (len(ctimes) == 2 and abs(ctimes[0] - times[0]) <= _TIME_EPS
-            and abs(ctimes[1] - times[-1]) <= _TIME_EPS):
-        return "endpoints"
+    ends = (times[0], times[-1])[:len(ctimes)]
+    if len(ctimes) in (1, 2) and all(map(same_time, ctimes, ends)):
+        return "initial" if len(ctimes) == 1 else "endpoints"
     raise ValidationError(
         "verification needs either one constraint at the first time or "
         "constraints at both endpoints")
@@ -213,8 +208,9 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
     by_choices = report.by_choices()
     chain_deviation = max(abs(by_choices[seq] - p)
                           for seq, p in dist.outcomes)
+    # each history's weight over the normalization, recomputed on its own
     direct_deviation = max(
-        abs(measure_of_existence(h, fam, model.schedule) - e.measure)
+        abs(delta_psi(h, model.schedule) / report.normalization - e.measure)
         for h, e in zip(fam.histories, report.entries))
 
     measures_dist = OutcomeDistribution(
@@ -314,18 +310,23 @@ def _load_json(path) -> dict:
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
-def _add_common(cmd) -> None:
-    cmd.add_argument("--tol", type=float, default=1e-10,
-                     help="comparison tolerance (default 1e-10)")
-    cmd.add_argument("--steps-per-segment", type=int, default=8,
-                     help="sub-steps per contour segment (default 8)")
-    cmd.add_argument("--seed", type=int, default=0,
-                     help="sampling seed (default 0)")
-    cmd.add_argument("--trials", type=int, default=100_000,
-                     help="Monte Carlo sample count (default 100000)")
-    cmd.add_argument("--format", choices=("text", "structured"),
-                     default="text",
-                     help="plain-text summary or machine-readable JSON")
+_FLAGS = {
+    "--tol": dict(type=float, default=1e-10,
+                  help="comparison tolerance (default 1e-10)"),
+    "--steps-per-segment": dict(
+        type=int, default=8, help="sub-steps per contour segment (default 8)"),
+    "--seed": dict(type=int, default=0, help="sampling seed (default 0)"),
+    "--trials": dict(type=int, default=100_000,
+                     help="Monte Carlo sample count (default 100000)"),
+    "--format": dict(choices=("text", "structured"), default="text",
+                     help="plain-text summary or machine-readable JSON"),
+}
+
+
+def _add_flags(cmd, *names) -> None:
+    """Declare the named flags, the ones the subcommand reads."""
+    for name in names:
+        cmd.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,32 +341,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("t_a", type=float)
     p.add_argument("t_b", type=float)
-    _add_common(p)
+    _add_flags(p, "--format")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("measure",
                        help="measures of existence for a constrained family")
     p.add_argument("model")
-    _add_common(p)
+    _add_flags(p, "--steps-per-segment", "--format")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("decompose",
                        help="four world decompositions of a branch bundle")
     p.add_argument("model")
-    _add_common(p)
+    _add_flags(p, "--format")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify",
                        help="cross-check measures against the oracles")
     p.add_argument("model", nargs="?", default=None)
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("envariance",
                        help="search for a counter-transformation on B")
     p.add_argument("state")
     p.add_argument("transform")
-    _add_common(p)
+    _add_flags(p, "--tol", "--format")
     p.set_defaults(func=cmd_envariance)
     return parser
 

@@ -14,6 +14,19 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 
+#: two times match when |a - b| <= TIME_EPS * max(1, |a|, |b|)
+TIME_EPS = 1e-12
+
+
+def same_time(a: float, b: float) -> bool:
+    """The one time matcher: absolute tolerance below 1, relative above."""
+    return abs(a - b) <= TIME_EPS * max(1.0, abs(a), abs(b))
+
+
+def grid_index(times, t: float) -> int | None:
+    """Index of the first grid time matching ``t``, or None."""
+    return next((i for i, g in enumerate(times) if same_time(g, t)), None)
+
 
 class Branch(enum.Enum):
     """Orientation tag: forward ('f') or backward ('b')."""

@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .contour import same_time
 from .errors import DimensionMismatchError, ValidationError
-
-#: tolerance when matching interval endpoints against segment boundaries
-_TIME_EPS = 1e-12
 
 
 class HamiltonianSchedule:
@@ -46,7 +44,7 @@ class HamiltonianSchedule:
             parsed.append((t0, t1, h))
         parsed.sort(key=lambda seg: seg[0])
         for (_, end, _), (start, _, _) in zip(parsed, parsed[1:]):
-            if abs(end - start) > _TIME_EPS:
+            if not same_time(end, start):
                 raise ValidationError(
                     f"segments are not contiguous at t = {end} vs {start}")
         self._segments = tuple(parsed)
@@ -76,7 +74,8 @@ class HamiltonianSchedule:
         return self._segments[-1][1]
 
     def _require_in_span(self, t: float):
-        if t < self.t_min - _TIME_EPS or t > self.t_max + _TIME_EPS:
+        if not (self.t_min <= t <= self.t_max or same_time(t, self.t_min)
+                or same_time(t, self.t_max)):
             raise ValidationError(
                 f"time {t} outside schedule span "
                 f"[{self.t_min}, {self.t_max}]")
@@ -106,12 +105,12 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     if t_b < t_a:
         return propagate(sched, t_b, t_a).conj().T
     u = np.eye(sched.dim, dtype=complex)
-    if t_b - t_a <= _TIME_EPS:
+    if same_time(t_a, t_b):
         return u
     for index, (s0, s1, _) in enumerate(sched.segments):
         lo = max(t_a, s0)
         hi = min(t_b, s1)
-        if hi - lo > _TIME_EPS:
+        if hi > lo and not same_time(hi, lo):
             u = sched._segment_exp(index, hi - lo) @ u
     return u
 

@@ -6,6 +6,10 @@ quantum history is an ordered sequence of at least two fixed points joined
 by unitary propagation.  Families collect histories over one time grid and
 are the arena for relative weights.
 
+Fixed points and histories compare and hash by identity (``histories_equal``
+compares values), so the family paths compute what each shared fixed point
+determines once per call, keyed on the object.
+
 Overlap convention: when two histories are compared, the backward-branch
 factor of each fixed point enters conjugated relative to the forward one,
 so a single fixed-point pair contributes |<l|k>|^2.  This makes families
@@ -15,13 +19,15 @@ validation basis-independent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
+from .contour import grid_index, same_time
 from .dynamics import HamiltonianSchedule, heisenberg_projector
 from .errors import (DimensionMismatchError, EnumerationGuardError,
                      ValidationError)
@@ -29,13 +35,10 @@ from .errors import (DimensionMismatchError, EnumerationGuardError,
 #: refuse exhaustive enumerations beyond this many histories
 MAX_ENUMERATION = 10 ** 6
 
-#: two grid times closer than this are treated as the same time
-_TIME_EPS = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPoint:
-    """A labeled state pinned at one time, equal on both branches."""
+    """A labeled state pinned at one time on both branches; == is identity."""
 
     time: float
     state: np.ndarray
@@ -52,7 +55,7 @@ class FixedPoint:
         return self.state.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumHistory:
     """Ordered sequence of N_t >= 2 fixed points at strictly increasing times."""
 
@@ -88,12 +91,12 @@ class QuantumHistory:
 
 def _same_times(a: QuantumHistory, b: QuantumHistory) -> bool:
     return a.n_times == b.n_times and all(
-        abs(x - y) <= _TIME_EPS for x, y in zip(a.times, b.times))
+        same_time(x, y) for x, y in zip(a.times, b.times))
 
 
 def histories_equal(a: QuantumHistory, b: QuantumHistory,
                     tol: float = linalg.DEFAULT_TOL) -> bool:
-    """Pointwise equality of two histories (times and states)."""
+    """Tolerance-based equality of times and states; ``==`` is identity."""
     if not _same_times(a, b) or a.dim != b.dim:
         return False
     return all(np.max(np.abs(p.state - q.state)) <= tol
@@ -127,7 +130,7 @@ class HistoryFamily:
                     "all histories in a family must share one dimension")
         times = first.times
         for t in self.constraint_times:
-            if not any(abs(t - g) <= _TIME_EPS for g in times):
+            if grid_index(times, t) is None:
                 raise ValidationError(
                     f"constraint time {t} is not a grid time")
         if len(self.constraint_times) > first.n_times:
@@ -183,13 +186,17 @@ def validate_family(fam: HistoryFamily,
                     tol: float = linalg.DEFAULT_TOL) -> FamilyReport:
     """Check mutual orthogonality of all distinct history pairs.
 
-    Returns the violating pairs as (index, index, |overlap|) triples.
+    Returns the violating pairs as (index, index, |overlap|) triples.  The
+    overlap factorizes over grid slots, as in ``history_inner``.
     """
+    slots = [np.array([h.points[k].state for h in fam.histories])
+             for k in range(fam.histories[0].n_times)]
     violations = []
-    for i, j in itertools.combinations(range(len(fam.histories)), 2):
-        overlap = abs(history_inner(fam.histories[i], fam.histories[j]))
-        if overlap > tol:
-            violations.append((i, j, overlap))
+    for i in range(len(fam.histories) - 1):
+        overlap = math.prod(np.abs(s[i + 1:].conj() @ s[i]) ** 2
+                            for s in slots)
+        violations.extend((i, i + 1 + int(j), float(overlap[j]))
+                          for j in np.flatnonzero(overlap > tol))
     return FamilyReport(valid=not violations, violations=tuple(violations))
 
 
@@ -233,7 +240,7 @@ def history_operator(fps, sched: HamiltonianSchedule,
     fps = list(fps)
     if any(b.time <= a.time for a, b in zip(fps, fps[1:])):
         raise ValidationError("fixed points must be time-ordered")
-    if fps and t_0 > fps[0].time + _TIME_EPS:
+    if fps and t_0 > fps[0].time and not same_time(t_0, fps[0].time):
         raise ValidationError("reference time must not exceed the first time")
     projs = [heisenberg_projector(p.state, sched, p.time, t_0)
              for p in fps[1:]]
@@ -302,17 +309,21 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     """Evaluate all pairwise decoherence functionals over the family.
 
     Chains are referred to the first grid time; ``psi1`` is the preparation
-    at that time.
+    at that time.  ``worst_pair`` is the first pair attaining the maximum.
     """
     t_0 = fam.times[0]
-    chains = [history_operator(h.points, sched, t_0) for h in fam.histories]
-    records = [record_state(c, psi1) for c in chains]
+    projector = functools.cache(
+        lambda fp: heisenberg_projector(fp.state, sched, fp.time, t_0))
+    chains = [HistoryOperator(tuple(map(projector, h.points[1:])))
+              for h in fam.histories]
+    records = np.array([record_state(c, psi1) for c in chains])
     worst = 0.0
     worst_pair = None
-    for i, j in itertools.combinations(range(len(records)), 2):
-        value = abs(np.vdot(records[j], records[i]))
-        if value > worst:
-            worst, worst_pair = value, (i, j)
+    for i in range(len(records) - 1):
+        values = np.abs(records[i + 1:].conj() @ records[i])
+        j = int(np.argmax(values))
+        if values[j] > worst:
+            worst, worst_pair = float(values[j]), (i, i + 1 + j)
     return DecoherenceReport(decoherent=worst <= tol,
                              max_offdiagonal=worst, worst_pair=worst_pair)
 
@@ -335,6 +346,8 @@ class FamilySpec:
     times: tuple[float, ...]
     bases: tuple[tuple[np.ndarray, ...], ...]
     constraints: tuple[FixedPoint, ...] = ()
+    #: grid index -> the constraint pinned there
+    pinned: dict[int, FixedPoint] = field(init=False, repr=False)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -353,22 +366,23 @@ class FamilySpec:
             if not linalg.is_orthonormal(basis, 1e-8):
                 raise ValidationError(
                     f"basis at time {times[i]} is not orthonormal")
-        seen = set()
+        pinned = {}
         for fp in self.constraints:
-            matches = [t for t in times if abs(t - fp.time) <= _TIME_EPS]
-            if not matches:
+            index = grid_index(times, fp.time)
+            if index is None:
                 raise ValidationError(
                     f"constraint time {fp.time} is not a grid time")
-            if matches[0] in seen:
+            if index in pinned:
                 raise ValidationError(
-                    f"duplicate constraint at time {matches[0]}")
-            seen.add(matches[0])
+                    f"duplicate constraint at time {times[index]}")
+            pinned[index] = fp
             if fp.dim != next(iter(dims)):
                 raise DimensionMismatchError(
                     "constraint state dimension does not match the bases")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "pinned", pinned)
 
     @property
     def dim(self) -> int:
@@ -380,13 +394,8 @@ class FamilySpec:
 
     def history_count(self) -> int:
         """Number of histories the recipe enumerates to."""
-        constrained = set()
-        for fp in self.constraints:
-            for i, t in enumerate(self.times):
-                if abs(t - fp.time) <= _TIME_EPS:
-                    constrained.add(i)
-        return math.prod(len(self.bases[i]) for i in range(len(self.times))
-                         if i not in constrained)
+        return math.prod(len(basis) for i, basis in enumerate(self.bases)
+                         if i not in self.pinned)
 
 
 def enumerate_family(spec: FamilySpec,
@@ -401,15 +410,10 @@ def enumerate_family(spec: FamilySpec,
     if count > guard:
         raise EnumerationGuardError(
             f"enumeration would produce {count} histories (guard: {guard})")
-    pinned = {}
-    for fp in spec.constraints:
-        for i, t in enumerate(spec.times):
-            if abs(t - fp.time) <= _TIME_EPS:
-                pinned[i] = fp
     slot_options = []
     for i, t in enumerate(spec.times):
-        if i in pinned:
-            slot_options.append([(None, pinned[i])])
+        if i in spec.pinned:
+            slot_options.append([(None, spec.pinned[i])])
         else:
             basis = spec.bases[i]
             if len(basis) != spec.dim:
@@ -419,11 +423,8 @@ def enumerate_family(spec: FamilySpec,
             slot_options.append([
                 (k, FixedPoint(t, v, label=str(k)))
                 for k, v in enumerate(basis)])
-    histories = []
-    choices = []
-    for combo in itertools.product(*slot_options):
-        histories.append(QuantumHistory(tuple(fp for _, fp in combo)))
-        choices.append(tuple(k for k, _ in combo if k is not None))
-    return HistoryFamily(histories=tuple(histories),
-                         constraint_times=spec.constrained_times,
-                         choices=tuple(choices))
+    combos = list(itertools.product(*slot_options))
+    return HistoryFamily(
+        histories=tuple(QuantumHistory(fp for _, fp in c) for c in combos),
+        constraint_times=spec.constrained_times,
+        choices=tuple(tuple(k for k, _ in c if k is not None) for c in combos))

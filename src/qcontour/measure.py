@@ -19,6 +19,8 @@ Born probability.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,19 +48,30 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
     return complex(forward.conjugate())
 
 
-def segment_amplitudes(h: QuantumHistory,
-                       sched: HamiltonianSchedule) -> list[complex]:
-    """Per-segment amplitudes along a history, earliest segment first."""
-    return [segment_amplitude(a, b, sched)
-            for a, b in zip(h.points, h.points[1:])]
+def _weights(histories, sched: HamiltonianSchedule) -> list[float]:
+    """Closed-form weights of ``histories``, in order.
+
+    Each segment amplitude is computed once per pair of fixed-point
+    objects, which the members of a family share.
+    """
+    amplitude = functools.cache(lambda a, b: segment_amplitude(a, b, sched))
+    return [float(abs(math.prod(amplitude(a, b) for a, b
+                                in zip(h.points, h.points[1:]))) ** 2)
+            for h in histories]
+
+
+def _normalization(weights) -> float:
+    """Summed weight of a family; raises when every weight is zero."""
+    total = float(sum(weights))
+    if total == 0.0:
+        raise ZeroNormalizationError(
+            "all histories consistent with the constraints have zero weight")
+    return total
 
 
 def delta_psi(h: QuantumHistory, sched: HamiltonianSchedule) -> float:
     """Squared magnitude of the product of segment amplitudes."""
-    product = 1.0 + 0.0j
-    for amp in segment_amplitudes(h, sched):
-        product *= amp
-    return float(abs(product) ** 2)
+    return _weights((h,), sched)[0]
 
 
 def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
@@ -97,12 +110,8 @@ def measure_of_existence(h: QuantumHistory, fam: HistoryFamily,
     """
     if h not in fam:
         raise ValidationError("history is not a member of the family")
-    numerator = delta_psi(h, sched)
-    denominator = sum(delta_psi(member, sched) for member in fam.histories)
-    if denominator == 0.0:
-        raise ZeroNormalizationError(
-            "all histories consistent with the constraints have zero weight")
-    return numerator / denominator
+    numerator, *weights = _weights((h, *fam.histories), sched)
+    return numerator / _normalization(weights)
 
 
 def born_probability(psi1, t1: float, phi, t2: float,
@@ -158,11 +167,8 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     When ``steps_per_segment`` is given, the contour-walk route is run
     alongside the closed form and recorded per entry.
     """
-    weights = [delta_psi(h, sched) for h in fam.histories]
-    normalization = float(sum(weights))
-    if normalization == 0.0:
-        raise ZeroNormalizationError(
-            "all histories consistent with the constraints have zero weight")
+    weights = _weights(fam.histories, sched)
+    normalization = _normalization(weights)
     entries = []
     for i, h in enumerate(fam.histories):
         alt = None

@@ -29,13 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .contour import TimeGrid
+from .contour import TimeGrid, grid_index
 from .dynamics import HamiltonianSchedule
 from .errors import ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
 from .measure import ToyBundle
-
-_TIME_EPS = 1e-12
 
 
 def _complex_from_pair(value, where: str) -> complex:
@@ -91,10 +89,8 @@ class ModelSpec:
         return self.grid.n_times
 
     def constraint_at(self, t: float) -> FixedPoint | None:
-        for fp in self.constraints:
-            if abs(fp.time - t) <= _TIME_EPS:
-                return fp
-        return None
+        index = grid_index([fp.time for fp in self.constraints], t)
+        return None if index is None else self.constraints[index]
 
     def preparation_state(self) -> np.ndarray:
         """The preparation, defaulting to the first-time constraint."""
@@ -170,8 +166,9 @@ def model_from_dict(doc: dict) -> ModelSpec:
                 f"{where}.matrix: dimension {h.shape[0]} does not match dim")
         segments.append((seg["t_start"], seg["t_end"], h))
     schedule = HamiltonianSchedule(segments)
-    if schedule.t_min > grid.t_min + _TIME_EPS or \
-            schedule.t_max < grid.t_max - _TIME_EPS:
+    span = (schedule.t_min, schedule.t_max)
+    if not all(span[0] <= t <= span[1] or grid_index(span, t) is not None
+               for t in (grid.t_min, grid.t_max)):
         raise ValidationError("schedule span does not cover the grid")
 
     raw_bases = doc.get("bases")
@@ -207,7 +204,7 @@ def model_from_dict(doc: dict) -> ModelSpec:
             raise ModelFormatError(
                 f"{where}: expected an object with time and state")
         t = entry["time"]
-        if not any(abs(t - g) <= _TIME_EPS for g in grid.times):
+        if grid_index(grid.times, t) is None:
             raise ValidationError(f"{where}: time {t} is not a grid time")
         state = vector_from_json(entry["state"], f"{where}.state")
         label = entry.get("label", f"c{i}")

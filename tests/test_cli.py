@@ -179,6 +179,30 @@ class TestVerify:
         assert doc["models"][0]["chain_deviation"] <= 1e-10
 
 
+class TestFlags:
+    """Each subcommand declares only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "MODEL", "--trials", "5"],
+        ["propagate", "MODEL", "0", "1", "--tol", "1e-9"],
+        ["measure", "MODEL", "--seed", "3"],
+        ["envariance", "STATE", "TRANSFORM", "--steps-per-segment", "2"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_verify_takes_all_five_flags(self, tmp_path, capsys):
+        code, doc = run_structured(
+            capsys, ["verify", born_model(tmp_path), "--tol", "1e-9",
+                     "--steps-per-segment", "2", "--seed", "3",
+                     "--trials", "2000"])
+        assert code == 0
+        assert (doc["tol"], doc["seed"], doc["trials"]) == (1e-9, 3, 2000)
+
+
 class TestEnvariance:
     def test_bell_swap(self, tmp_path, capsys):
         inv = 1 / math.sqrt(2)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qcontour import (Branch, ContourTime, TimeGrid, ValidationError,
                       contour_compare, contour_key, contour_path)
+from qcontour.contour import TIME_EPS, grid_index, same_time
 
 
 def ct(t, tag):
@@ -122,3 +123,23 @@ class TestContourPath:
         everything = [ContourTime(t, br) for br in (Branch.F, Branch.B)
                       for t in grid.times]
         assert visited == sorted(everything, key=contour_key)
+
+
+class TestTimeMatching:
+    def test_absolute_near_zero(self):
+        assert same_time(0.0, TIME_EPS)
+        assert not same_time(0.0, 3 * TIME_EPS)
+        assert same_time(0.1 + 0.2, 0.3)
+
+    def test_relative_far_from_zero(self):
+        # one ulp apart at 1e4 is 1.8e-12, above the absolute tolerance
+        assert same_time(1e4 + 0.1 + 0.2, 1e4 + 0.3)
+        assert same_time(-1e9, -1e9 - 1e-4)
+        assert not same_time(1e4, 1e4 + 1e-6)
+
+    def test_grid_index(self):
+        times = (0.0, 0.3, 1e4 + 0.3)
+        assert grid_index(times, 0.1 + 0.2) == 1
+        assert grid_index(times, 1e4 + 0.1 + 0.2) == 2
+        assert grid_index(times, 0.5) is None
+        assert grid_index((), 0.0) is None

@@ -30,6 +30,22 @@ class TestScheduleConstruction:
         assert (sched.t_min, sched.t_max) == (0.0, 2.5)
 
 
+class TestTimeTolerance:
+    """Interval ends match within one relative tolerance at any scale."""
+
+    def test_contiguity_far_from_origin(self):
+        sched = HamiltonianSchedule([(0.0, 1e4 + 0.1 + 0.2, SX),
+                                     (1e4 + 0.3, 2e4, SZ)])
+        assert len(sched.segments) == 2
+
+    def test_span_end_far_from_origin(self):
+        t_end = 1e4 + 0.3
+        two_ulps = math.nextafter(math.nextafter(t_end, math.inf), math.inf)
+        sched = HamiltonianSchedule.constant(SX, 0.0, t_end)
+        np.testing.assert_array_equal(propagate(sched, t_end, two_ulps),
+                                      np.eye(2))
+
+
 class TestPropagate:
     def test_zero_interval_is_identity(self):
         sched = sx_schedule()

@@ -1,16 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       ValidationError, chain_probability, decoherence_functional,
-                      decoherence_report, enumerate_family, history_inner,
-                      history_operator, is_decoherent_space, record_state,
-                      validate_family)
+                      decoherence_report, enumerate_family, histories_equal,
+                      history_inner, history_operator, is_decoherent_space,
+                      record_state, validate_family)
 from qcontour.errors import EnumerationGuardError
-from toys import (E0, E1, MINUS, PLUS, computational_basis,
-                  random_family_spec, sx_schedule, zero_schedule)
+from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
+                  family_variants, random_family_spec, sx_schedule,
+                  zero_schedule)
 
 
 def two_point(state1, state2, t1=0.0, t2=1.0):
@@ -34,6 +37,24 @@ class TestHistoryTypes:
         with pytest.raises(ValidationError):
             HistoryFamily(histories=(two_point(E0, E1),
                                      two_point(E0, E1, t2=2.0)))
+
+
+class TestIdentitySemantics:
+    def test_fixed_points_with_equal_values_are_not_equal(self):
+        fp = FixedPoint(0.0, E0)
+        assert fp == fp
+        assert FixedPoint(0.0, E0) != FixedPoint(0.0, E0.copy())
+
+    def test_fixed_points_hash_by_identity(self):
+        a, b = FixedPoint(0.0, E0), FixedPoint(0.0, E0)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+    def test_histories_compare_by_identity_values_by_histories_equal(self):
+        h, g = two_point(E0, PLUS), two_point(E0, PLUS)
+        assert h == h and h != g
+        assert len({h, g}) == 2
+        assert histories_equal(h, g)
 
 
 class TestHistoryInner:
@@ -76,6 +97,57 @@ class TestValidateFamily:
         report = validate_family(fam, 1e-10)
         assert not report.valid
         assert report.violations[0][2] == pytest.approx(0.5)
+
+
+def _brute_force_violations(fam, tol):
+    out = []
+    for i, j in itertools.combinations(range(len(fam.histories)), 2):
+        overlap = abs(history_inner(fam.histories[i], fam.histories[j]))
+        if overlap > tol:
+            out.append((i, j, overlap))
+    return out
+
+
+def _brute_force_decoherence(fam, sched, psi1):
+    """|D(i, j)| for every pair, in pair order."""
+    chains = [history_operator(h.points, sched, fam.times[0])
+              for h in fam.histories]
+    return {(i, j): abs(decoherence_functional(chains[i], chains[j], psi1))
+            for i, j in itertools.combinations(range(len(chains)), 2)}
+
+
+class TestAgainstPairwise:
+    """The family checks agree with the pairwise reference functions."""
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=15, deadline=None)
+    def test_validate_family_matches_history_inner(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, _ = random_family_spec(seed, dim, n_times, s_t)
+        for name, fam in family_variants(spec, seed).items():
+            got = validate_family(fam, 1e-10).violations
+            want = _brute_force_violations(fam, 1e-10)
+            assert [v[:2] for v in got] == [v[:2] for v in want], name
+            for g, w in zip(got, want):
+                assert g[2] == pytest.approx(w[2], abs=1e-12)
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=15, deadline=None)
+    def test_decoherence_report_matches_functional(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        psi1 = spec.constraints[0].state
+        for name, fam in family_variants(spec, seed).items():
+            report = decoherence_report(fam, sched, psi1, 1e-10)
+            values = _brute_force_decoherence(fam, sched, psi1)
+            worst = max(values.values(), default=0.0)
+            assert report.max_offdiagonal == pytest.approx(worst, abs=1e-12)
+            if not report.decoherent:
+                # a unique maximum gives the same pair; pairs tied up to
+                # rounding, such as D(00, 10) = -D(01, 11) in a qubit
+                # family, resolve by the last bit of either computation
+                tied = [p for p, v in values.items() if worst - v <= 1e-12]
+                assert report.worst_pair in tied, name
 
 
 class TestHistoryOperator:
@@ -225,6 +297,27 @@ class TestDecoherentSpace:
     def test_single_member_family_vacuous(self):
         fam = HistoryFamily(histories=(two_point(E0, E0),))
         assert is_decoherent_space(fam, zero_schedule(2), E0, 1e-10)
+
+
+class TestFamilySpec:
+    def test_constraint_time_matches_grid_far_from_origin(self):
+        # 1e4 + 0.1 + 0.2 and 1e4 + 0.3 differ by one ulp (1.8e-12)
+        for grid_t, t in ((0.3, 0.1 + 0.2), (1e4 + 0.3, 1e4 + 0.1 + 0.2)):
+            assert grid_t != t
+            spec = FamilySpec(times=(0.0, grid_t),
+                              bases=(computational_basis(2),) * 2,
+                              constraints=(FixedPoint(t, E0),))
+            assert spec.pinned == {1: spec.constraints[0]}
+            assert len(enumerate_family(spec).histories) == 2
+
+    def test_rejects_off_grid_and_duplicate_constraints(self):
+        bases = (computational_basis(2),) * 2
+        with pytest.raises(ValidationError, match="not a grid time"):
+            FamilySpec(times=(0.0, 1.0), bases=bases,
+                       constraints=(FixedPoint(0.5, E0),))
+        with pytest.raises(ValidationError, match="duplicate"):
+            FamilySpec(times=(0.0, 1.0), bases=bases,
+                       constraints=(FixedPoint(1.0, E0), FixedPoint(1.0, E1)))
 
 
 class TestEnumerateFamily:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcontour import (DecompositionMode, FamilySpec, FixedPoint,
                       HamiltonianSchedule, HistoryFamily, QuantumHistory,
@@ -13,8 +14,9 @@ from qcontour.dynamics import evolve_state
 from qcontour.sampling import (random_hermitian, random_orthonormal_basis,
                                random_state, random_schedule, rng_from_seed)
 
-from toys import (E0, E1, PLUS, computational_basis, random_family_spec,
-                  sx_schedule, zero_schedule)
+from toys import (E0, E1, FAMILY_SHAPES, PLUS, computational_basis,
+                  family_variants, random_family_spec, sx_schedule,
+                  zero_schedule)
 
 
 def fp(t, state, label="fp"):
@@ -172,6 +174,35 @@ class TestNormalization:
         for w, entry in zip(weights, report.entries):
             assert entry.measure == pytest.approx(w / sum(weights), abs=1e-12)
         assert report.measures.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _segment_loop_weight(h, sched):
+    """The weight as a plain loop over segment amplitudes."""
+    product = 1 + 0j
+    for a, b in zip(h.points, h.points[1:]):
+        product *= segment_amplitude(a, b, sched)
+    return abs(product) ** 2
+
+
+class TestSharedSegments:
+    """Family weights reuse shared segments without changing a bit."""
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=30, deadline=None)
+    def test_weights_bit_identical_to_segment_loop(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        for name, fam in family_variants(spec, seed).items():
+            report = measure_report(fam, sched)
+            weights = [_segment_loop_weight(h, sched) for h in fam.histories]
+            assert [e.delta_psi for e in report.entries] == weights, name
+            assert report.normalization == sum(weights)
+            for h, e in zip(fam.histories, report.entries):
+                assert delta_psi(h, sched) == e.delta_psi
+                assert delta_psi(h, sched) / report.normalization == e.measure
+            h = fam.histories[-1]
+            assert measure_of_existence(h, fam, sched) == \
+                report.entries[-1].measure
 
 
 class TestBornProbability:

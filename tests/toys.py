@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 
-from qcontour import FamilySpec, FixedPoint, HamiltonianSchedule
+from hypothesis import strategies as st
+
+from qcontour import (FamilySpec, FixedPoint, HamiltonianSchedule,
+                      HistoryFamily, QuantumHistory, enumerate_family)
 from qcontour.sampling import (random_orthonormal_basis, random_schedule,
                                random_state, rng_from_seed)
 
@@ -46,3 +49,35 @@ def random_family_spec(seed, dim, n_times, s_t):
     spec = FamilySpec(times=times, bases=bases,
                       constraints=tuple(constraints))
     return spec, sched
+
+
+#: (seed, d, N_t, S_t) for a random family: d 2-4, N_t 2-5, one or both
+#: endpoints pinned
+FAMILY_SHAPES = st.tuples(st.integers(0, 10 ** 6), st.integers(2, 4),
+                          st.integers(2, 5), st.sampled_from([1, 2]))
+
+
+def family_variants(spec, seed):
+    """The enumerated family and three hand-built relatives.
+
+    ``duplicated`` repeats one member, ``tampered`` replaces one member's
+    state at one slot by a random one, and ``fresh`` rebuilds every member
+    from new FixedPoint objects, so no two members share any.
+    """
+    fam = enumerate_family(spec)
+    hs = fam.histories
+    rng = rng_from_seed(seed)
+    k = int(rng.integers(len(hs)))
+    points = list(hs[k].points)
+    slot = int(rng.integers(len(points)))
+    points[slot] = FixedPoint(points[slot].time,
+                              random_state(rng, spec.dim), "tampered")
+    fresh = tuple(QuantumHistory(FixedPoint(p.time, p.state, p.label)
+                                 for p in h.points) for h in hs)
+    return {
+        "enumerated": fam,
+        "duplicated": HistoryFamily(histories=hs + (hs[k],)),
+        "tampered": HistoryFamily(
+            histories=hs[:k] + (QuantumHistory(points),) + hs[k + 1:]),
+        "fresh": HistoryFamily(histories=fresh),
+    }
