@@ -7,8 +7,10 @@ by unitary propagation.  Families collect histories over one time grid and
 are the arena for relative weights.
 
 Fixed points and histories compare and hash by identity (``histories_equal``
-compares values), so the family paths compute what each shared fixed point
-determines once per call, keyed on the object.
+compares values).  A family is stored as its distinct fixed points per grid
+slot plus an index of which one each member passes through, so the family
+paths compute what each slot fixed point determines once and read it
+through the index; member histories are built only on request.
 
 Overlap convention: when two histories are compared, the backward-branch
 factor of each fixed point enters conjugated relative to the forward one,
@@ -19,7 +21,6 @@ validation basis-independent.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -103,9 +104,15 @@ def histories_equal(a: QuantumHistory, b: QuantumHistory,
                for p, q in zip(a.points, b.points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HistoryFamily:
     """Histories over one shared time grid, with the constrained times marked.
+
+    A family is stored as its per-slot fixed points and an index:
+    ``slots[k]`` holds the distinct fixed points at grid time k, and
+    ``index[h][k]`` says which of them member h passes through.  The
+    members are built as ``QuantumHistory`` objects only when
+    ``histories`` is read.
 
     ``constraint_times`` lists the times at which the fixed point is known
     (there are S_t of them); the remaining times are free slots.  ``choices``
@@ -113,15 +120,19 @@ class HistoryFamily:
     slot, in time order.
     """
 
-    histories: tuple[QuantumHistory, ...]
-    constraint_times: tuple[float, ...] = ()
-    choices: tuple[tuple[int, ...], ...] | None = None
+    slots: tuple[tuple[FixedPoint, ...], ...]
+    index: tuple[tuple[int, ...], ...]
+    constraint_times: tuple[float, ...]
+    choices: tuple[tuple[int, ...], ...] | None
+    _histories: tuple[QuantumHistory, ...] | None = field(repr=False,
+                                                          compare=False)
 
-    def __post_init__(self):
-        if not self.histories:
+    def __init__(self, histories, constraint_times=(), choices=None):
+        histories = tuple(histories)
+        if not histories:
             raise ValidationError("family must contain at least one history")
-        first = self.histories[0]
-        for h in self.histories[1:]:
+        first = histories[0]
+        for h in histories[1:]:
             if not _same_times(first, h):
                 raise ValidationError(
                     "all histories in a family must share one time grid")
@@ -129,26 +140,75 @@ class HistoryFamily:
                 raise DimensionMismatchError(
                     "all histories in a family must share one dimension")
         times = first.times
-        for t in self.constraint_times:
+        for t in constraint_times:
             if grid_index(times, t) is None:
                 raise ValidationError(
                     f"constraint time {t} is not a grid time")
-        if len(self.constraint_times) > first.n_times:
+        if len(constraint_times) > first.n_times:
             raise ValidationError("more constraints than grid times")
-        object.__setattr__(self, "histories", tuple(self.histories))
+        if choices is not None:
+            choices = tuple(tuple(c) for c in choices)
+            if len(choices) != len(histories):
+                raise ValidationError(
+                    f"{len(choices)} choice rows for {len(histories)} "
+                    "histories")
+            free = first.n_times - len(constraint_times)
+            if any(len(c) != free for c in choices):
+                raise ValidationError(
+                    f"every choice row needs one index per free slot ({free})")
+        # each slot's distinct fixed points, by identity, in order of first use
+        positions = [{} for _ in times]
+        index = tuple(tuple(pos.setdefault(p, len(pos))
+                            for pos, p in zip(positions, h.points))
+                      for h in histories)
+        self._assign(tuple(map(tuple, positions)), index, constraint_times,
+                     choices, histories)
+
+    @classmethod
+    def _from_index(cls, slots, index, constraint_times=(),
+                    choices=None) -> HistoryFamily:
+        """A family given by per-slot fixed points and an index, unchecked.
+
+        The caller guarantees what ``__init__`` checks: the slots lie on one
+        strictly increasing grid in one dimension, every index row picks one
+        fixed point per slot, and ``choices`` has one row of free-slot
+        indices per member.  ``enumerate_family`` builds families this way.
+        """
+        fam = cls.__new__(cls)
+        fam._assign(slots, index, constraint_times, choices, None)
+        return fam
+
+    def _assign(self, slots, index, constraint_times, choices, histories):
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "constraint_times",
-                           tuple(float(t) for t in self.constraint_times))
-        if self.choices is not None:
-            object.__setattr__(self, "choices",
-                               tuple(tuple(c) for c in self.choices))
+                           tuple(float(t) for t in constraint_times))
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "_histories", histories)
+
+    @property
+    def histories(self) -> tuple[QuantumHistory, ...]:
+        """The members, built from the slots and the index on first read."""
+        if self._histories is None:
+            object.__setattr__(self, "_histories", tuple(
+                map(QuantumHistory, self.gather(self.slots))))
+        return self._histories
+
+    def gather(self, per_slot):
+        """Per member, the tuple of ``per_slot[k][index[h][k]]`` over slots k.
+
+        ``per_slot`` holds one sequence per slot, aligned with ``slots``.
+        """
+        return zip(*(map(values.__getitem__, column)
+                     for values, column in zip(per_slot, zip(*self.index))))
 
     @property
     def times(self) -> tuple[float, ...]:
-        return self.histories[0].times
+        return tuple(slot[0].time for slot in self.slots)
 
     @property
     def dim(self) -> int:
-        return self.histories[0].dim
+        return self.slots[0][0].dim
 
     def __contains__(self, h: QuantumHistory) -> bool:
         return any(g is h or histories_equal(g, h) for g in self.histories)
@@ -187,17 +247,27 @@ def validate_family(fam: HistoryFamily,
     """Check mutual orthogonality of all distinct history pairs.
 
     Returns the violating pairs as (index, index, |overlap|) triples.  The
-    overlap factorizes over grid slots, as in ``history_inner``.
+    overlap factorizes over grid slots, as in ``history_inner``, so it is
+    a product of per-slot Gram entries |<q|p>|^2 read through the index.
     """
-    slots = [np.array([h.points[k].state for h in fam.histories])
-             for k in range(fam.histories[0].n_times)]
+    grams = []
+    for slot in fam.slots:
+        states = np.array([fp.state for fp in slot])
+        grams.append(np.abs(states.conj() @ states.T) ** 2)
+    columns = np.array(fam.index).T
     violations = []
-    for i in range(len(fam.histories) - 1):
-        overlap = math.prod(np.abs(s[i + 1:].conj() @ s[i]) ** 2
-                            for s in slots)
+    for i in range(len(fam.index) - 1):
+        overlap = math.prod(g[c[i], c[i + 1:]] for g, c in zip(grams, columns))
         violations.extend((i, i + 1 + int(j), float(overlap[j]))
                           for j in np.flatnonzero(overlap > tol))
     return FamilyReport(valid=not violations, violations=tuple(violations))
+
+
+def _checked_projector(p) -> np.ndarray:
+    p = linalg.as_square(p)
+    if not linalg.is_projector(p, 1e-10):
+        raise ValidationError("chain entry is not a projector")
+    return p
 
 
 @dataclass(frozen=True)
@@ -208,10 +278,7 @@ class HistoryOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "projectors", tuple(
-            linalg.as_square(p) for p in self.projectors))
-        for p in self.projectors:
-            if not linalg.is_projector(p, 1e-10):
-                raise ValidationError("chain entry is not a projector")
+            map(_checked_projector, self.projectors)))
 
     @property
     def dim(self) -> int:
@@ -309,14 +376,21 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     """Evaluate all pairwise decoherence functionals over the family.
 
     Chains are referred to the first grid time; ``psi1`` is the preparation
-    at that time.  ``worst_pair`` is the first pair attaining the maximum.
+    at that time.  Each slot fixed point's Heisenberg projector is built and
+    checked once; every member's record state applies its projectors, read
+    through the index, in time order.  ``worst_pair`` is the first pair
+    attaining the maximum.
     """
     t_0 = fam.times[0]
-    projector = functools.cache(
-        lambda fp: heisenberg_projector(fp.state, sched, fp.time, t_0))
-    chains = [HistoryOperator(tuple(map(projector, h.points[1:])))
-              for h in fam.histories]
-    records = np.array([record_state(c, psi1) for c in chains])
+    psi = linalg.as_state(psi1)
+    if psi.size != fam.dim:
+        raise DimensionMismatchError("chain and state dimensions differ")
+    records = np.broadcast_to(psi, (len(fam.index), psi.size))
+    columns = np.array(fam.index).T
+    for slot, column in zip(fam.slots[1:], columns[1:]):
+        projectors = np.array([_checked_projector(heisenberg_projector(
+            fp.state, sched, fp.time, t_0)) for fp in slot])
+        records = np.einsum("hij,hj->hi", projectors[column], records)
     worst = 0.0
     worst_pair = None
     for i in range(len(records) - 1):
@@ -410,21 +484,21 @@ def enumerate_family(spec: FamilySpec,
     if count > guard:
         raise EnumerationGuardError(
             f"enumeration would produce {count} histories (guard: {guard})")
-    slot_options = []
+    slots = []
     for i, t in enumerate(spec.times):
         if i in spec.pinned:
-            slot_options.append([(None, spec.pinned[i])])
-        else:
-            basis = spec.bases[i]
-            if len(basis) != spec.dim:
-                raise ValidationError(
-                    f"basis at unconstrained time {t} must be complete "
-                    f"({len(basis)} of {spec.dim} vectors)")
-            slot_options.append([
-                (k, FixedPoint(t, v, label=str(k)))
-                for k, v in enumerate(basis)])
-    combos = list(itertools.product(*slot_options))
-    return HistoryFamily(
-        histories=tuple(QuantumHistory(fp for _, fp in c) for c in combos),
+            slots.append((spec.pinned[i],))
+            continue
+        basis = spec.bases[i]
+        if len(basis) != spec.dim:
+            raise ValidationError(
+                f"basis at unconstrained time {t} must be complete "
+                f"({len(basis)} of {spec.dim} vectors)")
+        slots.append(tuple(FixedPoint(t, v, label=str(k))
+                           for k, v in enumerate(basis)))
+    ranges = [range(len(slot)) for slot in slots]
+    return HistoryFamily._from_index(
+        tuple(slots), tuple(itertools.product(*ranges)),
         constraint_times=spec.constrained_times,
-        choices=tuple(tuple(k for k, _ in c if k is not None) for c in combos))
+        choices=tuple(itertools.product(*(
+            r for i, r in enumerate(ranges) if i not in spec.pinned))))

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +44,48 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
     if not fp_b.time > fp_a.time:
         raise ValidationError(
             f"segment endpoints out of order: {fp_a.time} !< {fp_b.time}")
-    forward = np.vdot(fp_b.state,
-                      propagate(sched, fp_a.time, fp_b.time) @ fp_a.state)
-    return complex(forward.conjugate())
+    return _amplitude(fp_a, fp_b, propagate(sched, fp_a.time, fp_b.time))
 
 
-def _weights(histories, sched: HamiltonianSchedule) -> list[float]:
-    """Closed-form weights of ``histories``, in order.
+def _amplitude(fp_a: FixedPoint, fp_b: FixedPoint, u: np.ndarray) -> complex:
+    """``segment_amplitude`` given the forward propagator u = U(t_b, t_a)."""
+    return complex(np.vdot(fp_b.state, u @ fp_a.state).conjugate())
 
-    Each segment amplitude is computed once per pair of fixed-point
-    objects, which the members of a family share.
+
+def _propagators(sched: HamiltonianSchedule):
+    """A call-local cache of ``propagate(sched, t_a, t_b)``.
+
+    A backward interval is the adjoint of the forward propagator, as
+    ``propagate`` itself computes it, without its nested call.
     """
-    amplitude = functools.cache(lambda a, b: segment_amplitude(a, b, sched))
-    return [float(abs(math.prod(amplitude(a, b) for a, b
-                                in zip(h.points, h.points[1:]))) ** 2)
-            for h in histories]
+    @functools.cache
+    def unitary(t_a: float, t_b: float) -> np.ndarray:
+        if t_b < t_a:
+            return propagate(sched, t_b, t_a).conj().T
+        return propagate(sched, t_a, t_b)
+    return unitary
+
+
+def _weights(fam: HistoryFamily, unitary) -> list[float]:
+    """Closed-form weights of the family members, in order.
+
+    Per segment, one amplitude table holds the amplitude of every pair of
+    slot fixed points that some member joins.  Each weight is the product
+    of its member's table entries in segment order, squared, in Python
+    complex arithmetic, so it matches the plain per-history loop bit for
+    bit.
+    """
+    columns = list(zip(*fam.index))
+    products = None
+    for left, right, a, b in zip(fam.slots, fam.slots[1:], columns,
+                                 columns[1:]):
+        table = {(i, j): _amplitude(left[i], right[j],
+                                    unitary(left[i].time, right[j].time))
+                 for i, j in set(zip(a, b))}
+        amplitudes = map(table.__getitem__, zip(a, b))
+        products = (list(amplitudes) if products is None
+                    else list(map(operator.mul, products, amplitudes)))
+    return [abs(p) ** 2 for p in products]
 
 
 def _normalization(weights) -> float:
@@ -71,7 +99,7 @@ def _normalization(weights) -> float:
 
 def delta_psi(h: QuantumHistory, sched: HamiltonianSchedule) -> float:
     """Squared magnitude of the product of segment amplitudes."""
-    return _weights((h,), sched)[0]
+    return _weights(HistoryFamily((h,)), _propagators(sched))[0]
 
 
 def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
@@ -86,15 +114,20 @@ def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
     branch, once conjugated, the accumulated product is real and equals the
     closed-form weight.
     """
+    return _line_integral(h.points, steps_per_segment, _propagators(sched))
+
+
+def _line_integral(points, steps_per_segment: int, unitary) -> float:
+    """The contour walk of ``delta_psi_line_integral`` over ``points``."""
     if steps_per_segment < 1:
         raise ValidationError("steps_per_segment must be at least 1")
-    states = {p.time: p.state for p in h.points}
+    states = {p.time: p.state for p in points}
     amp = 1.0 + 0.0j
-    for step in contour_path(TimeGrid(h.times)):
+    for step in contour_path(TimeGrid(p.time for p in points)):
         carried = states[step.start.t]
         ticks = np.linspace(step.start.t, step.end.t, steps_per_segment + 1)
         for u, v in zip(ticks, ticks[1:]):
-            carried = propagate(sched, u, v) @ carried
+            carried = unitary(u, v) @ carried
         amp *= np.vdot(states[step.end.t], carried)
     return float(abs(amp))
 
@@ -110,8 +143,8 @@ def measure_of_existence(h: QuantumHistory, fam: HistoryFamily,
     """
     if h not in fam:
         raise ValidationError("history is not a member of the family")
-    numerator, *weights = _weights((h, *fam.histories), sched)
-    return numerator / _normalization(weights)
+    return delta_psi(h, sched) / _normalization(
+        _weights(fam, _propagators(sched)))
 
 
 def born_probability(psi1, t1: float, phi, t2: float,
@@ -123,7 +156,7 @@ def born_probability(psi1, t1: float, phi, t2: float,
     return float(abs(linalg.inner(phi, evolve_state(psi1, sched, t1, t2))) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryMeasure:
     """Weight and relative measure of one history in a family."""
 
@@ -157,7 +190,10 @@ class MeasureReport:
         """Measures keyed by the basis indices chosen at free slots."""
         if any(e.choices is None for e in self.entries):
             raise ValidationError("report entries carry no choice indices")
-        return {e.choices: e.measure for e in self.entries}
+        lookup = {e.choices: e.measure for e in self.entries}
+        if len(lookup) != len(self.entries):
+            raise ValidationError("report entries repeat a choice key")
+        return lookup
 
 
 def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
@@ -165,22 +201,24 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     """Measures of existence for every member of a family.
 
     When ``steps_per_segment`` is given, the contour-walk route is run
-    alongside the closed form and recorded per entry.
+    alongside the closed form and recorded per entry; both routes share one
+    call-local propagator cache.
     """
-    weights = _weights(fam.histories, sched)
+    unitary = _propagators(sched)
+    weights = _weights(fam, unitary)
     normalization = _normalization(weights)
-    entries = []
-    for i, h in enumerate(fam.histories):
-        alt = None
-        if steps_per_segment is not None:
-            alt = delta_psi_line_integral(h, sched, steps_per_segment)
-        entries.append(HistoryMeasure(
-            labels=h.labels,
-            delta_psi=weights[i],
-            measure=weights[i] / normalization,
-            choices=fam.choices[i] if fam.choices is not None else None,
-            delta_psi_contour=alt))
-    return MeasureReport(entries=tuple(entries), normalization=normalization,
+    alts = itertools.repeat(None)
+    if steps_per_segment is not None:
+        alts = [_line_integral(points, steps_per_segment, unitary)
+                for points in fam.gather(fam.slots)]
+    labels = fam.gather([[p.label for p in slot] for slot in fam.slots])
+    choices = (itertools.repeat(None) if fam.choices is None
+               else fam.choices)
+    entries = tuple(
+        HistoryMeasure(labels=label, delta_psi=w, measure=w / normalization,
+                       choices=choice, delta_psi_contour=alt)
+        for label, w, choice, alt in zip(labels, weights, choices, alts))
+    return MeasureReport(entries=entries, normalization=normalization,
                          constraint_times=fam.constraint_times)
 
 

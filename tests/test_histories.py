@@ -340,3 +340,71 @@ class TestEnumerateFamily:
                 times=(0.0, 1.0),
                 bases=(computational_basis(2), (E0,)),
                 constraints=(FixedPoint(0.0, E0),)))
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=20, deadline=None)
+    def test_members_built_on_request_match_brute_force(self, shape):
+        # against the plain product enumeration the index replaces
+        seed, dim, n_times, s_t = shape
+        spec, _ = random_family_spec(seed, dim, n_times, s_t)
+        options = []
+        for i, t in enumerate(spec.times):
+            if i in spec.pinned:
+                options.append([(None, spec.pinned[i])])
+            else:
+                options.append([(k, FixedPoint(t, v, str(k)))
+                                for k, v in enumerate(spec.bases[i])])
+        fam = enumerate_family(spec)
+        combos = list(itertools.product(*options))
+        assert len(fam.histories) == len(combos)
+        for h, choice, combo in zip(fam.histories, fam.choices, combos):
+            want = QuantumHistory(p for _, p in combo)
+            assert h.times == want.times
+            assert h.labels == want.labels
+            assert choice == tuple(k for k, _ in combo if k is not None)
+            assert histories_equal(h, want, tol=0.0)
+
+
+class TestFamilyIndex:
+    """A family is its per-slot fixed points plus an index of members."""
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=15, deadline=None)
+    def test_hand_built_family_derives_the_enumerated_index(self, shape):
+        seed, dim, n_times, s_t = shape
+        fam = enumerate_family(random_family_spec(seed, dim, n_times, s_t)[0])
+        rebuilt = HistoryFamily(histories=fam.histories,
+                                constraint_times=fam.constraint_times,
+                                choices=fam.choices)
+        assert rebuilt.index == fam.index
+        assert all(a is b for sa, sb in zip(rebuilt.slots, fam.slots)
+                   for a, b in zip(sa, sb, strict=True))
+        assert rebuilt.histories is fam.histories
+
+    def test_shared_fixed_points_fill_one_slot_entry(self):
+        a, b = FixedPoint(0.0, E0), FixedPoint(1.0, E1)
+        c = FixedPoint(1.0, E0)
+        fam = HistoryFamily(histories=(QuantumHistory((a, b)),
+                                       QuantumHistory((a, c)),
+                                       QuantumHistory((a, b))))
+        assert fam.slots == ((a,), (b, c))
+        assert fam.index == ((0, 0), (0, 1), (0, 0))
+
+    def test_choice_rows_must_match_the_members(self):
+        spec, _ = random_family_spec(35, dim=2, n_times=3, s_t=1)
+        fam = enumerate_family(spec)
+        with pytest.raises(ValidationError):
+            HistoryFamily(histories=fam.histories,
+                          constraint_times=fam.constraint_times,
+                          choices=fam.choices[:-1])
+
+    def test_choice_rows_need_one_index_per_free_slot(self):
+        spec, _ = random_family_spec(36, dim=2, n_times=3, s_t=1)
+        fam = enumerate_family(spec)
+        with pytest.raises(ValidationError):
+            HistoryFamily(histories=fam.histories,
+                          constraint_times=fam.constraint_times,
+                          choices=tuple(c[:1] for c in fam.choices))
+        with pytest.raises(ValidationError):
+            HistoryFamily(histories=fam.histories,
+                          choices=fam.choices)

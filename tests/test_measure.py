@@ -10,7 +10,9 @@ from qcontour import (DecompositionMode, FamilySpec, FixedPoint,
                       born_probability, decompose_total_measure, delta_psi,
                       delta_psi_line_integral, enumerate_family,
                       measure_of_existence, measure_report, segment_amplitude)
-from qcontour.dynamics import evolve_state
+from qcontour import dynamics, measure
+from qcontour.contour import TimeGrid, contour_path
+from qcontour.dynamics import evolve_state, propagate
 from qcontour.sampling import (random_hermitian, random_orthonormal_basis,
                                random_state, random_schedule, rng_from_seed)
 
@@ -203,6 +205,98 @@ class TestSharedSegments:
             h = fam.histories[-1]
             assert measure_of_existence(h, fam, sched) == \
                 report.entries[-1].measure
+
+
+def _plain_walk(h, sched, steps):
+    """The contour walk with one propagate call per sub-step."""
+    states = {p.time: p.state for p in h.points}
+    amp = 1.0 + 0.0j
+    for step in contour_path(TimeGrid(h.times)):
+        carried = states[step.start.t]
+        ticks = np.linspace(step.start.t, step.end.t, steps + 1)
+        for u, v in zip(ticks, ticks[1:]):
+            carried = propagate(sched, u, v) @ carried
+        amp *= np.vdot(states[step.end.t], carried)
+    return float(abs(amp))
+
+
+class TestSharedPropagators:
+    """The contour walks of one report share propagators bit for bit."""
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=10, deadline=None)
+    def test_contour_weights_bit_identical_to_plain_walk(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        steps = 1 + seed % 3
+        for name, fam in family_variants(spec, seed).items():
+            report = measure_report(fam, sched, steps_per_segment=steps)
+            want = [_plain_walk(h, sched, steps) for h in fam.histories]
+            assert [e.delta_psi_contour for e in report.entries] == want, name
+            assert delta_psi_line_integral(fam.histories[0], sched,
+                                           steps) == want[0]
+
+
+def _count_calls(monkeypatch, owner, name, *also):
+    """Record the arguments of every call to ``owner.name`` from now on;
+    the same spy replaces the name in each module of ``also`` too."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for target in (owner, *also):
+        monkeypatch.setattr(target, name, spy)
+    return calls
+
+
+class TestCountGuards:
+    """An enumerated family is weighed from its slots and index: counts of
+    objects and propagators, not timings."""
+
+    def test_no_histories_built_to_weigh_an_enumerated_family(
+            self, monkeypatch):
+        spec, sched = random_family_spec(41, dim=3, n_times=4, s_t=1)
+        built = _count_calls(monkeypatch, QuantumHistory, "__init__")
+        fam = enumerate_family(spec)
+        measure_report(fam, sched)
+        measure_report(fam, sched, steps_per_segment=2)
+        assert built == []
+        assert len(fam.histories) == 27
+        assert len(built) == 27
+
+    def test_closed_form_propagates_once_per_segment(self, monkeypatch):
+        spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)
+        fam = enumerate_family(spec)
+        calls = _count_calls(monkeypatch, dynamics, "propagate", measure)
+        measure_report(fam, sched)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_contour_walk_propagates_independently_of_history_count(
+            self, monkeypatch, steps):
+        calls = _count_calls(monkeypatch, dynamics, "propagate", measure)
+        counts = []
+        for s_t in (1, 2):  # H = 27 and H = 9 on one grid and schedule
+            spec, sched = random_family_spec(43, dim=3, n_times=4, s_t=s_t)
+            fam = enumerate_family(spec)
+            calls.clear()
+            measure_report(fam, sched, steps_per_segment=steps)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3 * (4 - 1) * steps
+
+
+class TestByChoices:
+    def test_repeated_choice_keys_are_an_error(self):
+        spec, sched = random_family_spec(44, dim=4, n_times=2, s_t=1)
+        fam = enumerate_family(spec)
+        copied = HistoryFamily(histories=fam.histories,
+                               constraint_times=fam.constraint_times,
+                               choices=((0,),) * 4)
+        assert len(measure_report(fam, sched).by_choices()) == 4
+        with pytest.raises(ValidationError):
+            measure_report(copied, sched).by_choices()
 
 
 class TestBornProbability:
