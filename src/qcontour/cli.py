@@ -3,8 +3,7 @@
 Subcommands: ``propagate``, ``measure``, ``decompose``, ``verify``,
 ``envariance``.  All reports are deterministic given the input files, the
 flags and the seed.  Exit codes: 0 success, 1 verification checks failed,
-2 file parse error, 3 numerical validation failure, 4 zero normalization,
-5 enumeration guard triggered.
+otherwise the ``exit_code`` of the package error raised (see ``errors``).
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from . import __version__, linalg
 from .contour import TimeGrid, same_time
 from .dynamics import HamiltonianSchedule, propagate
 from .envariance import BipartiteState, check_envariance
-from .errors import (EnumerationGuardError, ModelFormatError, ValidationError,
-                     ZeroNormalizationError)
+from .errors import ModelFormatError, QContourError, ValidationError
 from .histories import FixedPoint, enumerate_family
 from .measure import (DecompositionMode, decompose_total_measure, delta_psi,
                       measure_report)
@@ -131,10 +129,8 @@ def cmd_decompose(args) -> int:
         lines.append(f"{mode.value}: total={r.total:.15g}  terms=[{terms}]")
     lines.append(f"max total spread: {spread:.3e}")
     _emit(doc, lines, args.format)
-    if spread > 1e-12:
-        print(f"error: decomposition totals disagree by {spread:.3e}",
-              file=sys.stderr)
-        return 3
+    if spread > linalg.ROUNDING_TOL:
+        raise ValidationError(f"decomposition totals disagree by {spread:.3e}")
     return 0
 
 
@@ -274,6 +270,10 @@ def cmd_envariance(args) -> int:
     for key in ("dim_a", "dim_b", "amplitudes"):
         if key not in state_doc:
             raise ModelFormatError(f"state file is missing key {key!r}")
+    for key in ("dim_a", "dim_b"):
+        if type(state_doc[key]) is not int:
+            raise ModelFormatError(
+                f"{key}: expected an integer, got {state_doc[key]!r}")
     psi = BipartiteState(
         state_doc["dim_a"], state_doc["dim_b"],
         vector_from_json(state_doc["amplitudes"], "amplitudes"))
@@ -311,8 +311,8 @@ def _load_json(path) -> dict:
 
 
 _FLAGS = {
-    "--tol": dict(type=float, default=1e-10,
-                  help="comparison tolerance (default 1e-10)"),
+    "--tol": dict(type=float, default=linalg.DEFAULT_TOL,
+                  help="comparison tolerance (default %(default)g)"),
     "--steps-per-segment": dict(
         type=int, default=8, help="sub-steps per contour segment (default 8)"),
     "--seed": dict(type=int, default=0, help="sampling seed (default 0)"),
@@ -375,18 +375,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelFormatError as exc:
+    except QContourError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ZeroNormalizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EnumerationGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

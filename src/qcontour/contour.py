@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ValidationError
-
-#: two times match when |a - b| <= TIME_EPS * max(1, |a|, |b|)
-TIME_EPS = 1e-12
+from .linalg import TIME_EPS
 
 
 def same_time(a: float, b: float) -> bool:

@@ -25,7 +25,7 @@ class HamiltonianSchedule:
     cache, so they are safe to share.
     """
 
-    def __init__(self, segments, *, hermitian_tol: float = linalg.HERMITIAN_TOL):
+    def __init__(self, segments):
         if not segments:
             raise ValidationError("schedule needs at least one segment")
         parsed = []
@@ -35,7 +35,7 @@ class HamiltonianSchedule:
             if not t1 > t0:
                 raise ValidationError(
                     f"segment [{t0}, {t1}] has non-positive duration")
-            h = linalg.require_hermitian(h, hermitian_tol)
+            h = linalg.require_hermitian(h)
             if dim is None:
                 dim = h.shape[0]
             elif h.shape[0] != dim:

@@ -17,9 +17,6 @@ import numpy as np
 from . import linalg
 from .errors import ValidationError
 
-#: Schmidt coefficients below this count as zero (no support)
-_SUPPORT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BipartiteState:
@@ -65,7 +62,7 @@ class SchmidtForm:
 
     @property
     def rank(self) -> int:
-        return sum(1 for c in self.coefficients if c > _SUPPORT_TOL)
+        return sum(1 for c in self.coefficients if c > linalg.SUPPORT_TOL)
 
     def reconstruct(self) -> np.ndarray:
         """Sum of c_k |a_k>|b_k> as a flat amplitude vector."""
@@ -106,7 +103,7 @@ def check_envariance(psi: BipartiteState, u_a,
     counter always satisfies (I x U_B)(U_A x I)|psi> = |psi> within tol.
     """
     u_a = linalg.as_square(u_a, psi.dim_a)
-    if not linalg.check_unitary(u_a, 1e-8):
+    if not linalg.check_unitary(u_a, linalg.INPUT_TOL):
         raise ValidationError("transformation on A must be unitary")
     form = schmidt_decompose(psi)
     coeffs = np.array(form.coefficients)
@@ -117,7 +114,7 @@ def check_envariance(psi: BipartiteState, u_a,
     perm: dict[int, int] = {}
     phases: dict[int, float] = {}
     for m in range(psi.dim_a):
-        if m >= coeffs.size or coeffs[m] <= _SUPPORT_TOL:
+        if m >= coeffs.size or coeffs[m] <= linalg.SUPPORT_TOL:
             continue
         j = int(np.argmax(np.abs(w[:, m])))
         entry = w[j, m]
@@ -131,16 +128,20 @@ def check_envariance(psi: BipartiteState, u_a,
         perm[m] = j
         phases[m] = -float(np.angle(entry))
 
+    # a coefficient within tol of zero can match an A direction outside the
+    # support, possibly one with no B partner: drop the matches that have
+    # none and map the unmatched B directions onto the unused ones in order,
+    # so the counter is unitary and the residual decides
+    perm = {m: j for m, j in perm.items() if j < psi.dim_b}
+    unused = iter(sorted(set(range(psi.dim_b)) - set(perm.values())))
     b_cols = np.column_stack(form.basis_b)
     u_b = np.zeros((psi.dim_b, psi.dim_b), dtype=complex)
-    countered = set()
     for m, j in perm.items():
         u_b += np.exp(1j * phases[m]) * np.outer(b_cols[:, j],
                                                  b_cols[:, m].conj())
-        countered.add(m)
     for m in range(psi.dim_b):
-        if m not in countered:
-            u_b += np.outer(b_cols[:, m], b_cols[:, m].conj())
+        if m not in perm:
+            u_b += np.outer(b_cols[:, next(unused)], b_cols[:, m].conj())
 
     moved = linalg.tensor(u_a, np.eye(psi.dim_b)) @ psi.amplitudes
     restored = linalg.tensor(np.eye(psi.dim_a), u_b) @ moved

@@ -265,7 +265,7 @@ def validate_family(fam: HistoryFamily,
 
 def _checked_projector(p) -> np.ndarray:
     p = linalg.as_square(p)
-    if not linalg.is_projector(p, 1e-10):
+    if not linalg.is_projector(p):
         raise ValidationError("chain entry is not a projector")
     return p
 
@@ -338,11 +338,11 @@ def decoherence_functional(chain_a: HistoryOperator, chain_b: HistoryOperator,
 
 def _require_density_matrix(rho, dim: int) -> np.ndarray:
     rho = linalg.as_square(rho, dim)
-    if not linalg.is_hermitian(rho, 1e-8):
+    if not linalg.is_hermitian(rho, linalg.INPUT_TOL):
         raise ValidationError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if abs(np.trace(rho).real - 1.0) > linalg.INPUT_TOL:
         raise ValidationError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -1e-8:
+    if np.linalg.eigvalsh(rho).min() < -linalg.INPUT_TOL:
         raise ValidationError("density matrix must be positive semidefinite")
     return rho
 
@@ -436,10 +436,8 @@ class FamilySpec:
         dims = {v.size for basis in bases for v in basis}
         if len(dims) != 1:
             raise DimensionMismatchError("basis vectors must share one dimension")
-        for i, basis in enumerate(bases):
-            if not linalg.is_orthonormal(basis, 1e-8):
-                raise ValidationError(
-                    f"basis at time {times[i]} is not orthonormal")
+        for t, basis in zip(times, bases):
+            linalg.require_orthonormal(basis, f"basis at time {t}")
         pinned = {}
         for fp in self.constraints:
             index = grid_index(times, fp.time)

@@ -14,16 +14,23 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
-#: default absolute tolerance for equality checks
+# the tolerance table: every threshold the package applies is named here
+#: equality of computed values (norms, projectors, probability sums, --tol)
 DEFAULT_TOL = 1e-10
-#: tolerance for unitarity of freshly constructed matrices
+#: unitarity of freshly constructed matrices
 UNITARY_TOL = 1e-12
-#: tolerance for hermiticity of externally supplied generators
-HERMITIAN_TOL = 1e-8
+#: outside input: hermiticity, orthonormal sets, A-side unitarity, densities
+INPUT_TOL = 1e-8
+#: values equal up to rounding: decomposition totals, a probability's sign
+ROUNDING_TOL = 1e-12
+#: two times match when |a - b| <= TIME_EPS * max(1, |a|, |b|)
+TIME_EPS = 1e-12
+#: Schmidt coefficients at or below this count as zero (no support)
+SUPPORT_TOL = 1e-12
 
 
-def as_state(vec, dim: int | None = None, *, normalized: bool = True,
-             tol: float = DEFAULT_TOL) -> np.ndarray:
+def as_state(vec, dim: int | None = None, *,
+             normalized: bool = True) -> np.ndarray:
     """Coerce ``vec`` to a complex state vector and validate it.
 
     Checks finiteness, optional dimension and (by default) unit L2 norm.
@@ -37,7 +44,7 @@ def as_state(vec, dim: int | None = None, *, normalized: bool = True,
     if dim is not None and psi.size != dim:
         raise DimensionMismatchError(
             f"expected dimension {dim}, got {psi.size}")
-    if normalized and abs(norm(psi) - 1.0) > tol:
+    if normalized and abs(norm(psi) - 1.0) > DEFAULT_TOL:
         raise ValidationError(
             f"state vector is not normalized (norm = {norm(psi)!r})")
     return psi
@@ -103,23 +110,23 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate hermiticity and return the matrix."""
+def require_hermitian(m) -> np.ndarray:
+    """Validate hermiticity within ``INPUT_TOL`` and return the matrix."""
     m = as_square(m)
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
+    if defect > INPUT_TOL:
         raise ValidationError(
             f"matrix is not Hermitian (max |M - M^dag| = {defect:.3e})")
     return m
 
 
-def hermitian_exp(h, theta: float, *, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_exp(h, theta: float) -> np.ndarray:
     """exp(-i * theta * H) for Hermitian H, via eigendecomposition.
 
     The result is unitary to machine precision because the eigenvector
     matrix of a Hermitian operator is unitary.
     """
-    h = require_hermitian(h, tol)
+    h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * theta * w)
     return (v * phases) @ v.conj().T
@@ -148,6 +155,12 @@ def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(gram - np.eye(len(vectors)))) <= tol)
 
 
+def require_orthonormal(vectors, what: str) -> None:
+    """Raise ValidationError naming ``what`` unless orthonormal (INPUT_TOL)."""
+    if not is_orthonormal(vectors, INPUT_TOL):
+        raise ValidationError(f"{what} is not orthonormal")
+
+
 def complete_basis(first) -> list[np.ndarray]:
     """Orthonormal basis whose first element is the given unit vector.
 
@@ -163,7 +176,7 @@ def complete_basis(first) -> list[np.ndarray]:
         for b in basis:
             cand = cand - np.vdot(b, cand) * b
         n = np.linalg.norm(cand)
-        if n > 1e-8:
+        if n > INPUT_TOL:
             basis.append(cand / n)
         if len(basis) == dim:
             break

@@ -262,8 +262,8 @@ class ToyBundle:
         if len(dims) != 1:
             raise ValidationError("bundle states must share one dimension")
         for name, group in (("past", past), ("future", future)):
-            if not linalg.is_orthonormal([p.state for p in group], 1e-8):
-                raise ValidationError(f"{name} branch set is not orthonormal")
+            linalg.require_orthonormal([p.state for p in group],
+                                       f"{name} branch set")
         object.__setattr__(self, "past", past)
         object.__setattr__(self, "future", future)
 

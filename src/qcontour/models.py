@@ -17,12 +17,13 @@ Schema (complex numbers are [re, im] pairs, matrices are row-major):
 ``bases`` may be omitted or contain null entries; missing bases default to
 the computational basis.  ``preparation`` is optional and defaults to the
 constraint at the first grid time when present.  Matrices must be Hermitian
-within 1e-8 on load.
+within ``linalg.INPUT_TOL`` on load.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,9 +37,26 @@ from .histories import FamilySpec, FixedPoint
 from .measure import ToyBundle
 
 
+def _is_number(x) -> bool:
+    """A JSON number; booleans are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _time_from_json(value, where: str) -> float:
+    """A grid, segment or constraint time: a finite JSON number."""
+    try:
+        t = float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        t = math.inf
+    if not math.isfinite(t):
+        raise ModelFormatError(
+            f"{where}: expected a finite number, got {value!r}")
+    return t
+
+
 def _complex_from_pair(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+            or not all(map(_is_number, value))):
         raise ModelFormatError(
             f"{where}: expected a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
@@ -140,13 +158,14 @@ def model_from_dict(doc: dict) -> ModelSpec:
         if key not in doc:
             raise ModelFormatError(f"model is missing required key {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ModelFormatError(f"dim: expected a positive integer, got {dim!r}")
-    if (not isinstance(doc["grid"], list) or len(doc["grid"]) < 1
-            or not all(isinstance(t, (int, float)) for t in doc["grid"])):
+    if not isinstance(doc["grid"], list) or len(doc["grid"]) < 1:
         raise ModelFormatError("grid: expected a list of times")
+    times = [_time_from_json(t, f"grid[{k}]")
+             for k, t in enumerate(doc["grid"])]
     try:
-        grid = TimeGrid(doc["grid"])
+        grid = TimeGrid(times)
     except ValidationError as exc:
         raise ModelFormatError(f"grid: {exc}") from exc
 
@@ -164,7 +183,8 @@ def model_from_dict(doc: dict) -> ModelSpec:
         if h.shape[0] != dim:
             raise ModelFormatError(
                 f"{where}.matrix: dimension {h.shape[0]} does not match dim")
-        segments.append((seg["t_start"], seg["t_end"], h))
+        segments.append((_time_from_json(seg["t_start"], f"{where}.t_start"),
+                         _time_from_json(seg["t_end"], f"{where}.t_end"), h))
     schedule = HamiltonianSchedule(segments)
     span = (schedule.t_min, schedule.t_max)
     if not all(span[0] <= t <= span[1] or grid_index(span, t) is not None
@@ -191,9 +211,8 @@ def model_from_dict(doc: dict) -> ModelSpec:
             if v.size != dim:
                 raise ModelFormatError(
                     f"{where}[{k}]: dimension {v.size} does not match dim")
-        if not linalg.is_orthonormal(vecs, 1e-8):
-            raise ValidationError(f"basis at grid time {grid.times[i]} "
-                                  "is not orthonormal")
+        linalg.require_orthonormal(vecs,
+                                   f"basis at grid time {grid.times[i]}")
         bases.append(vecs)
 
     constraints = []
@@ -203,13 +222,13 @@ def model_from_dict(doc: dict) -> ModelSpec:
                 or "state" not in entry:
             raise ModelFormatError(
                 f"{where}: expected an object with time and state")
-        t = entry["time"]
+        t = _time_from_json(entry["time"], f"{where}.time")
         if grid_index(grid.times, t) is None:
             raise ValidationError(f"{where}: time {t} is not a grid time")
         state = vector_from_json(entry["state"], f"{where}.state")
         label = entry.get("label", f"c{i}")
         try:
-            constraints.append(FixedPoint(float(t), state, label=str(label)))
+            constraints.append(FixedPoint(t, state, label=str(label)))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 

@@ -32,10 +32,10 @@ class OutcomeDistribution:
         outs = tuple((tuple(seq), float(p)) for seq, p in self.outcomes)
         if not outs:
             raise ValidationError("distribution must have at least one outcome")
-        if any(p < -1e-12 for _, p in outs):
+        if any(p < -linalg.ROUNDING_TOL for _, p in outs):
             raise ValidationError("probabilities must be non-negative")
         total = sum(p for _, p in outs)
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > linalg.DEFAULT_TOL:
             raise ValidationError(
                 f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "outcomes", outs)
@@ -74,9 +74,9 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     checked = []
     for t, basis in zip(times, bases):
         vecs = [linalg.as_state(v, sched.dim) for v in basis]
-        if len(vecs) != sched.dim or not linalg.is_orthonormal(vecs, 1e-8):
-            raise ValidationError(
-                f"basis at time {t} must be complete and orthonormal")
+        if len(vecs) != sched.dim:
+            raise ValidationError(f"basis at time {t} must be complete")
+        linalg.require_orthonormal(vecs, f"basis at time {t}")
         checked.append(vecs)
 
     # each branch carries (outcome indices, unnormalized collapsed state);

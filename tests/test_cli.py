@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from qcontour import linalg
 from qcontour.cli import main
 
 SX_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -247,3 +248,54 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "measure=" in proc.stdout
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("key, value", [
+        ("dim", True), ("grid", [False, True]), ("grid", [0.0, math.inf])])
+    def test_model_file_exit_2(self, tmp_path, capsys, key, value):
+        doc = {"dim": 1, "grid": [0.0, 1.0],
+               "hamiltonian": [{"t_start": 0, "t_end": 1,
+                                "matrix": [[[1, 0]]]}]}
+        doc[key] = value
+        assert main(["measure", write(tmp_path, "bad.json", doc)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim_a", ["2", 2.0, True])
+    def test_state_file_dimension_exit_2(self, tmp_path, capsys, dim_a):
+        inv = 1 / math.sqrt(2)
+        state = write(tmp_path, "bell.json", {
+            "dim_a": dim_a, "dim_b": 2,
+            "amplitudes": [[inv, 0], [0, 0], [0, 0], [inv, 0]]})
+        transform = write(tmp_path, "eye.json", {
+            "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
+        assert main(["envariance", state, transform]) == 2
+        assert "dim_a" in capsys.readouterr().err
+
+
+class TestEnvarianceSupportEdge:
+    def test_coefficient_between_thresholds(self, tmp_path, capsys):
+        # 3x2 state with Schmidt coefficients proportional to (1, 5e-11);
+        # the transform swaps A directions 1 and 2
+        norm = math.sqrt(1 + 5e-11 ** 2)
+        state = write(tmp_path, "edge.json", {
+            "dim_a": 3, "dim_b": 2,
+            "amplitudes": [[1 / norm, 0], [0, 0], [0, 0], [5e-11 / norm, 0],
+                           [0, 0], [0, 0]]})
+        one, zero = [1, 0], [0, 0]
+        transform = write(tmp_path, "swap12.json", {
+            "matrix": [[one, zero, zero], [zero, zero, one],
+                       [zero, one, zero]]})
+        code, doc = run_structured(capsys, ["envariance", state, transform])
+        assert code == 0
+        assert doc["residual"] <= 1e-10
+
+
+class TestDecomposeSpread:
+    def test_disagreeing_totals_exit_3_after_the_report(self, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "ROUNDING_TOL", -1.0)
+        assert main(["decompose", bundle_model(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "max total spread" in captured.out
+        assert "decomposition totals disagree" in captured.err

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qcontour import (BipartiteState, ValidationError, check_envariance,
-                      schmidt_decompose)
+from qcontour import (BipartiteState, EnvarianceResult, ValidationError,
+                      check_envariance, schmidt_decompose)
 from qcontour.linalg import is_orthonormal, tensor
 from qcontour.sampling import (random_orthonormal_basis, random_state,
                                rng_from_seed)
@@ -141,3 +141,23 @@ class TestCheckEnvariance:
              + np.outer(form.basis_a[0] - form.basis_a[1],
                         form.basis_a[1].conj())) / math.sqrt(2)
         assert not check_envariance(psi, h).envariant
+
+
+class TestSupportEdge:
+    """A Schmidt coefficient above the support cut but within tol of zero."""
+
+    @pytest.mark.parametrize("dim_b", [2, 3])
+    def test_counter_is_unitary_and_restores_the_state(self, dim_b):
+        grid = np.zeros((3, dim_b), dtype=complex)
+        grid[0, 0], grid[1, 1] = 1.0, 5e-11
+        psi = BipartiteState.from_matrix(grid / np.linalg.norm(grid))
+        u_a = np.eye(3, dtype=complex)[[0, 2, 1]]
+        result = check_envariance(psi, u_a)
+        assert isinstance(result, EnvarianceResult)
+        if result.counter is not None:
+            u_b = result.counter
+            np.testing.assert_allclose(u_b.conj().T @ u_b, np.eye(dim_b),
+                                       atol=1e-12)
+            restored = tensor(np.eye(3), u_b) @ tensor(u_a, np.eye(dim_b)) \
+                @ psi.amplitudes
+            assert np.linalg.norm(restored - psi.amplitudes) <= 1e-10

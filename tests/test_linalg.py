@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qcontour import (DimensionMismatchError, ValidationError, check_unitary,
                       complete_basis, hermitian_exp, inner, is_orthonormal,
                       is_projector, projector, tensor)
-from qcontour.linalg import as_state
+from qcontour.linalg import as_state, require_orthonormal
 from qcontour.sampling import random_hermitian, random_state, rng_from_seed
 
 from toys import E0, E1, SX, SZ
@@ -156,3 +156,13 @@ class TestValidationHelpers:
         assert len(basis) == 4
         np.testing.assert_allclose(basis[0], first)
         assert is_orthonormal(basis)
+
+
+class TestRequireOrthonormal:
+    def test_accepts_within_input_tol(self):
+        require_orthonormal([E0, E1 + 1e-9 * E0], "basis at time 0.5")
+
+    def test_rejects_naming_the_set(self):
+        with pytest.raises(ValidationError,
+                           match="basis at time 0.5 is not orthonormal"):
+            require_orthonormal([E0, E1 + 1e-7 * E0], "basis at time 0.5")

@@ -97,3 +97,49 @@ class TestRoundTrip:
     def test_preparation_defaults_to_first_constraint(self):
         model = model_from_dict(born_model_dict())
         np.testing.assert_allclose(model.preparation_state(), [1, 0])
+
+
+def _set(path, value):
+    """A Born model document with the entry at ``path`` replaced."""
+    doc = born_model_dict()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("path, value, field", [
+        (("dim",), True, "^dim: "),
+        (("dim",), 2.0, "^dim: "),
+        (("grid",), [False, True], r"grid\[0\]"),
+        (("grid",), [0.0, math.inf], r"grid\[1\]"),
+        (("grid",), [math.nan, 1.0], r"grid\[0\]"),
+        (("grid",), [0.0, "1"], r"grid\[1\]"),
+        (("grid",), [0.0, 10 ** 400], r"grid\[1\]"),
+        (("hamiltonian", 0, "t_start"), False, r"hamiltonian\[0\]\.t_start"),
+        (("hamiltonian", 0, "t_end"), math.inf, r"hamiltonian\[0\]\.t_end"),
+        (("constraints", 0, "time"), True, r"constraints\[0\]\.time"),
+        (("constraints", 0, "time"), -math.inf, r"constraints\[0\]\.time"),
+        (("constraints", 0, "state"), [[True, 0], [0, 0]],
+         r"constraints\[0\]\.state\[0\]"),
+    ])
+    def test_rejected_naming_the_field(self, path, value, field):
+        with pytest.raises(ModelFormatError, match=field):
+            model_from_dict(_set(path, value))
+
+    def test_json_infinity_in_file(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(_set(("grid",), [0.0, math.inf])))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
+    def test_integer_times_still_read(self):
+        doc = _set(("grid",), [0, 1])
+        doc["hamiltonian"][0].update(t_start=0, t_end=1)
+        doc["constraints"][0]["time"] = 0
+        model = model_from_dict(doc)
+        assert model.grid.times == (0.0, 1.0)
+        assert model.constraints[0].time == 0.0

@@ -1,0 +1,64 @@
+"""The tolerance table in ``linalg`` is the one place a threshold is written."""
+
+import ast
+import io
+import pathlib
+import tokenize
+
+import qcontour
+
+SOURCES = sorted(pathlib.Path(qcontour.__file__).parent.glob("*.py"))
+
+
+def _is_table_assignment(path, line_tokens) -> bool:
+    """``NAME = NUMBER`` at module level in ``linalg``."""
+    kinds = [(t.type, t.string) for t in line_tokens]
+    return (path.name == "linalg.py" and len(kinds) == 3
+            and kinds[0][0] == tokenize.NAME and kinds[1] == (tokenize.OP, "=")
+            and kinds[2][0] == tokenize.NUMBER and line_tokens[0].start[1] == 0)
+
+
+def _small_float_literals(path):
+    """Positive float literals <= 1e-6 outside the table, with line numbers.
+
+    Comments and docstrings are COMMENT and STRING tokens, so they never
+    count."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    lines: dict[int, list] = {}
+    for tok in tokens:
+        if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT,
+                            tokenize.INDENT, tokenize.DEDENT):
+            lines.setdefault(tok.start[0], []).append(tok)
+    found = []
+    for line_tokens in lines.values():
+        if _is_table_assignment(path, line_tokens):
+            continue
+        for tok in line_tokens:
+            if tok.type != tokenize.NUMBER or tok.string[-1] in "jJ":
+                continue
+            value = float(tok.string.replace("_", ""))
+            if 0.0 < value <= 1e-6:
+                found.append((path.name, tok.start[0], tok.string))
+    return found
+
+
+def test_no_threshold_literal_outside_the_table():
+    found = [hit for path in SOURCES for hit in _small_float_literals(path)]
+    assert found == []
+
+
+def test_orthonormality_tolerance_only_inside_linalg():
+    """Outside ``linalg``, orthonormal sets are checked by
+    ``require_orthonormal``, never by ``is_orthonormal`` with a tolerance."""
+    offenders = []
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr",
+                                getattr(node.func, "id", None))
+                    == "is_orthonormal"
+                    and (len(node.args) > 1 or node.keywords)):
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
