@@ -102,17 +102,15 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     t_a, t_b = float(t_a), float(t_b)
     sched._require_in_span(t_a)
     sched._require_in_span(t_b)
-    if t_b < t_a:
-        return propagate(sched, t_b, t_a).conj().T
+    t_lo, t_hi = sorted((t_a, t_b))
     u = np.eye(sched.dim, dtype=complex)
-    if same_time(t_a, t_b):
+    if same_time(t_lo, t_hi):
         return u
     for index, (s0, s1, _) in enumerate(sched.segments):
-        lo = max(t_a, s0)
-        hi = min(t_b, s1)
+        lo, hi = max(t_lo, s0), min(t_hi, s1)
         if hi > lo and not same_time(hi, lo):
             u = sched._segment_exp(index, hi - lo) @ u
-    return u
+    return u.conj().T if t_b < t_a else u
 
 
 def evolve_state(psi, sched: HamiltonianSchedule, t_a: float,

@@ -55,7 +55,7 @@ def as_square(mat, dim: int | None = None) -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains NaN or Inf entries")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatchError(

@@ -10,6 +10,10 @@ The weight of a history is computed by two independent routes:
   of the per-branch amplitude product.  The two routes agree to rounding
   for any sub-step count because the dynamics is piecewise constant.
 
+Both routes are one table product: per step, the amplitudes between the
+slot fixed points that family members join, read through the family
+index.  A single history is weighed as a one-member family.
+
 The measure of existence of a history is its weight divided by the summed
 weight of every history consistent with the same fixed-point constraints;
 for a two-point history with the earlier state known, this reduces to the
@@ -19,7 +23,6 @@ Born probability.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -52,40 +55,54 @@ def _amplitude(fp_a: FixedPoint, fp_b: FixedPoint, u: np.ndarray) -> complex:
     return complex(np.vdot(fp_b.state, u @ fp_a.state).conjugate())
 
 
-def _propagators(sched: HamiltonianSchedule):
-    """A call-local cache of ``propagate(sched, t_a, t_b)``.
+def _products(fam: HistoryFamily, steps) -> list[complex]:
+    """Per member, the product of its step amplitudes in step order.
 
-    A backward interval is the adjoint of the forward propagator, as
-    ``propagate`` itself computes it, without its nested call.
-    """
-    @functools.cache
-    def unitary(t_a: float, t_b: float) -> np.ndarray:
-        if t_b < t_a:
-            return propagate(sched, t_b, t_a).conj().T
-        return propagate(sched, t_a, t_b)
-    return unitary
-
-
-def _weights(fam: HistoryFamily, unitary) -> list[float]:
-    """Closed-form weights of the family members, in order.
-
-    Per segment, one amplitude table holds the amplitude of every pair of
-    slot fixed points that some member joins.  Each weight is the product
-    of its member's table entries in segment order, squared, in Python
-    complex arithmetic, so it matches the plain per-history loop bit for
-    bit.
+    ``steps`` lists ``(k, l, amplitude)``: a step joins grid slot k to slot
+    l, and its table holds ``amplitude(a, b)`` once for every pair of slot
+    fixed points that some member joins.  Each member's entries are read
+    through the index and multiplied in Python complex arithmetic, so the
+    product matches the plain per-history loop bit for bit.
     """
     columns = list(zip(*fam.index))
     products = None
-    for left, right, a, b in zip(fam.slots, fam.slots[1:], columns,
-                                 columns[1:]):
-        table = {(i, j): _amplitude(left[i], right[j],
-                                    unitary(left[i].time, right[j].time))
+    for k, l, amplitude in steps:
+        left, right, a, b = fam.slots[k], fam.slots[l], columns[k], columns[l]
+        table = {(i, j): amplitude(left[i], right[j])
                  for i, j in set(zip(a, b))}
         amplitudes = map(table.__getitem__, zip(a, b))
         products = (list(amplitudes) if products is None
                     else list(map(operator.mul, products, amplitudes)))
-    return [abs(p) ** 2 for p in products]
+    return products
+
+
+def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> list[float]:
+    """Closed-form weights, in order: one step per segment of the grid."""
+    steps = []
+    for k, (t_a, t_b) in enumerate(zip(fam.times, fam.times[1:])):
+        u = propagate(sched, t_a, t_b)
+        steps.append((k, k + 1, lambda a, b, u=u: _amplitude(a, b, u)))
+    return [abs(p) ** 2 for p in _products(fam, steps)]
+
+
+def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
+                     steps_per_segment: int) -> list[float]:
+    """Contour-walk weights, in order: one step per ``contour_path`` step."""
+    if steps_per_segment < 1:
+        raise ValidationError("steps_per_segment must be at least 1")
+    slot = {t: k for k, t in enumerate(fam.times)}
+    steps = []
+    for step in contour_path(TimeGrid(fam.times)):
+        ticks = np.linspace(step.start.t, step.end.t, steps_per_segment + 1)
+        subs = [propagate(sched, u, v) for u, v in zip(ticks, ticks[1:])]
+
+        def amplitude(a, b, subs=subs):
+            carried = a.state
+            for u in subs:
+                carried = u @ carried
+            return complex(np.vdot(b.state, carried))
+        steps.append((slot[step.start.t], slot[step.end.t], amplitude))
+    return [abs(p) for p in _products(fam, steps)]
 
 
 def _normalization(weights) -> float:
@@ -99,7 +116,7 @@ def _normalization(weights) -> float:
 
 def delta_psi(h: QuantumHistory, sched: HamiltonianSchedule) -> float:
     """Squared magnitude of the product of segment amplitudes."""
-    return _weights(HistoryFamily((h,)), _propagators(sched))[0]
+    return _weights(HistoryFamily((h,)), sched)[0]
 
 
 def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
@@ -114,22 +131,7 @@ def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
     branch, once conjugated, the accumulated product is real and equals the
     closed-form weight.
     """
-    return _line_integral(h.points, steps_per_segment, _propagators(sched))
-
-
-def _line_integral(points, steps_per_segment: int, unitary) -> float:
-    """The contour walk of ``delta_psi_line_integral`` over ``points``."""
-    if steps_per_segment < 1:
-        raise ValidationError("steps_per_segment must be at least 1")
-    states = {p.time: p.state for p in points}
-    amp = 1.0 + 0.0j
-    for step in contour_path(TimeGrid(p.time for p in points)):
-        carried = states[step.start.t]
-        ticks = np.linspace(step.start.t, step.end.t, steps_per_segment + 1)
-        for u, v in zip(ticks, ticks[1:]):
-            carried = unitary(u, v) @ carried
-        amp *= np.vdot(states[step.end.t], carried)
-    return float(abs(amp))
+    return _contour_weights(HistoryFamily((h,)), sched, steps_per_segment)[0]
 
 
 def measure_of_existence(h: QuantumHistory, fam: HistoryFamily,
@@ -143,8 +145,7 @@ def measure_of_existence(h: QuantumHistory, fam: HistoryFamily,
     """
     if h not in fam:
         raise ValidationError("history is not a member of the family")
-    return delta_psi(h, sched) / _normalization(
-        _weights(fam, _propagators(sched)))
+    return delta_psi(h, sched) / _normalization(_weights(fam, sched))
 
 
 def born_probability(psi1, t1: float, phi, t2: float,
@@ -201,16 +202,14 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     """Measures of existence for every member of a family.
 
     When ``steps_per_segment`` is given, the contour-walk route is run
-    alongside the closed form and recorded per entry; both routes share one
-    call-local propagator cache.
+    alongside the closed form and recorded per entry; both routes are one
+    table product (``_products``) read through the family index.
     """
-    unitary = _propagators(sched)
-    weights = _weights(fam, unitary)
+    weights = _weights(fam, sched)
     normalization = _normalization(weights)
     alts = itertools.repeat(None)
     if steps_per_segment is not None:
-        alts = [_line_integral(points, steps_per_segment, unitary)
-                for points in fam.gather(fam.slots)]
+        alts = _contour_weights(fam, sched, steps_per_segment)
     labels = fam.gather([[p.label for p in slot] for slot in fam.slots])
     choices = (itertools.repeat(None) if fam.choices is None
                else fam.choices)
@@ -285,9 +284,11 @@ def decompose_total_measure(bundle: ToyBundle, sched: HamiltonianSchedule,
     multiply.  All four modes therefore produce the same total, organized
     into different term lists.
     """
-    w_past = [abs(segment_amplitude(p, bundle.pivot, sched)) ** 2
-              for p in bundle.past]
-    w_future = [abs(segment_amplitude(bundle.pivot, f, sched)) ** 2
+    pivot = bundle.pivot
+    u_past = propagate(sched, bundle.past[0].time, pivot.time)
+    u_future = propagate(sched, pivot.time, bundle.future[0].time)
+    w_past = [abs(_amplitude(p, pivot, u_past)) ** 2 for p in bundle.past]
+    w_future = [abs(_amplitude(pivot, f, u_future)) ** 2
                 for f in bundle.future]
     sum_past, sum_future = sum(w_past), sum(w_future)
     if mode is DecompositionMode.MORW:

@@ -215,8 +215,11 @@ def model_from_dict(doc: dict) -> ModelSpec:
                                    f"basis at grid time {grid.times[i]}")
         bases.append(vecs)
 
+    raw_constraints = doc.get("constraints", [])
+    if not isinstance(raw_constraints, list):
+        raise ModelFormatError("constraints: expected a list of objects")
     constraints = []
-    for i, entry in enumerate(doc.get("constraints", [])):
+    for i, entry in enumerate(raw_constraints):
         where = f"constraints[{i}]"
         if not isinstance(entry, dict) or "time" not in entry \
                 or "state" not in entry:

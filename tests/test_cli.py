@@ -131,6 +131,18 @@ class TestMeasure:
         })
         assert main(["measure", model]) == 5
 
+    def test_constraints_not_a_list_exit_2(self, tmp_path, capsys):
+        with open(born_model(tmp_path)) as f:
+            doc = json.load(f)
+        doc["constraints"] = None
+        assert main(["measure", write(tmp_path, "null.json", doc)]) == 2
+        assert "constraints" in capsys.readouterr().err
+
+    def test_zero_steps_per_segment_exit_3(self, tmp_path, capsys):
+        model = born_model(tmp_path)
+        assert main(["measure", model, "--steps-per-segment", "0"]) == 3
+        assert "steps_per_segment" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_bundle_report(self, tmp_path, capsys):

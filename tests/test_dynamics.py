@@ -30,6 +30,16 @@ class TestScheduleConstruction:
         assert (sched.t_min, sched.t_max) == (0.0, 2.5)
 
 
+class TestNonContiguousInput:
+    def test_transposed_hermitian_generator(self):
+        h = random_hermitian(rng_from_seed(12), 3)
+        sched = HamiltonianSchedule.constant(h.T, 0, 1)
+        np.testing.assert_array_equal(sched.segments[0][2], h.T)
+        expected = scipy.linalg.expm(-1j * 0.5 * h.T)
+        np.testing.assert_allclose(propagate(sched, 0.0, 0.5), expected,
+                                   atol=1e-12)
+
+
 class TestTimeTolerance:
     """Interval ends match within one relative tolerance at any scale."""
 
@@ -88,6 +98,14 @@ class TestPropagate:
         forward = propagate(sched, 0.1, 0.9)
         backward = propagate(sched, 0.9, 0.1)
         assert np.max(np.abs(backward - forward.conj().T)) <= 1e-12
+
+    def test_backward_is_the_adjoint_bit_for_bit(self):
+        rng = rng_from_seed(11)
+        sched = HamiltonianSchedule(
+            [(0.0, 0.6, random_hermitian(rng, 3)),
+             (0.6, 1.0, random_hermitian(rng, 3))])
+        np.testing.assert_array_equal(propagate(sched, 0.9, 0.1),
+                                      propagate(sched, 0.1, 0.9).conj().T)
 
     def test_unitary_within_tolerance(self):
         rng = rng_from_seed(10)

@@ -142,6 +142,14 @@ class TestCheckEnvariance:
                         form.basis_a[1].conj())) / math.sqrt(2)
         assert not check_envariance(psi, h).envariant
 
+    def test_non_contiguous_transform(self):
+        psi = BipartiteState.from_matrix(np.eye(3) / math.sqrt(3))
+        u_a = np.eye(3)[:, [0, 2, 1]]
+        assert not u_a.flags.c_contiguous
+        result = check_envariance(psi, u_a)
+        assert result.envariant
+        assert result.residual <= 1e-10
+
 
 class TestSupportEdge:
     """A Schmidt coefficient above the support cut but within tol of zero."""

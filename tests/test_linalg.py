@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qcontour import (DimensionMismatchError, ValidationError, check_unitary,
                       complete_basis, hermitian_exp, inner, is_orthonormal,
                       is_projector, projector, tensor)
-from qcontour.linalg import as_state, require_orthonormal
+from qcontour.linalg import as_square, as_state, require_orthonormal
 from qcontour.sampling import random_hermitian, random_state, rng_from_seed
 
 from toys import E0, E1, SX, SZ
@@ -156,6 +156,17 @@ class TestValidationHelpers:
         assert len(basis) == 4
         np.testing.assert_allclose(basis[0], first)
         assert is_orthonormal(basis)
+
+    def test_as_square_reads_non_contiguous_input(self):
+        m = np.arange(9, dtype=complex).reshape(3, 3)
+        np.testing.assert_array_equal(as_square(m.T), m.T)
+        np.testing.assert_array_equal(as_square(m[:, ::2][:2]), m[:2, ::2])
+
+    def test_as_square_rejects_non_finite_non_contiguous_input(self):
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = np.nan
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            as_square(m.T)
 
 
 class TestRequireOrthonormal:

@@ -236,6 +236,18 @@ class TestSharedPropagators:
             assert delta_psi_line_integral(fam.histories[0], sched,
                                            steps) == want[0]
 
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=10, deadline=None)
+    def test_single_history_walk_equals_the_report(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        steps = 1 + seed % 3
+        for name, fam in family_variants(spec, seed).items():
+            report = measure_report(fam, sched, steps_per_segment=steps)
+            for h, e in zip(fam.histories, report.entries):
+                assert delta_psi_line_integral(h, sched, steps) == \
+                    e.delta_psi_contour, name
+
 
 def _count_calls(monkeypatch, owner, name, *also):
     """Record the arguments of every call to ``owner.name`` from now on;
@@ -285,6 +297,20 @@ class TestCountGuards:
             measure_report(fam, sched, steps_per_segment=steps)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 3 * (4 - 1) * steps
+
+    def test_report_rejects_zero_steps(self):
+        spec, sched = random_family_spec(45, dim=2, n_times=3, s_t=1)
+        with pytest.raises(ValidationError, match="steps_per_segment"):
+            measure_report(enumerate_family(spec), sched, steps_per_segment=0)
+
+    def test_decomposition_propagates_once_per_bundle_segment(
+            self, monkeypatch):
+        bundle, sched = random_bundle(63, dim=3, n_past=3, n_future=2)
+        calls = _count_calls(monkeypatch, dynamics, "propagate", measure)
+        for mode in DecompositionMode:
+            calls.clear()
+            decompose_total_measure(bundle, sched, mode)
+            assert len(calls) == 2
 
 
 class TestByChoices:
@@ -378,6 +404,19 @@ class TestDecomposition:
         for i in range(len(bundle.past)):
             regrouped = sum(mdrw.terms[i * n_future:(i + 1) * n_future])
             assert regrouped == pytest.approx(mmwf.terms[i], abs=1e-12)
+
+    def test_terms_bit_identical_to_segment_amplitudes(self):
+        for seed in range(20):
+            bundle, sched = random_bundle(1200 + seed, dim=3, n_past=2,
+                                          n_future=3)
+            w_past = [abs(segment_amplitude(p, bundle.pivot, sched)) ** 2
+                      for p in bundle.past]
+            w_future = [abs(segment_amplitude(bundle.pivot, f, sched)) ** 2
+                        for f in bundle.future]
+            mdrw = decompose_total_measure(bundle, sched,
+                                           DecompositionMode.MDRW)
+            assert mdrw.terms == tuple(wp * wf for wp in w_past
+                                       for wf in w_future)
 
     def test_non_orthonormal_branch_set_rejected(self):
         with pytest.raises(ValidationError):

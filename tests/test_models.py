@@ -59,6 +59,13 @@ class TestParsing:
         with pytest.raises(ValidationError, match="orthonormal"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [None, {}, {"time": 0.0}, "c0", 3])
+    def test_constraints_not_a_list_rejected(self, value):
+        doc = born_model_dict()
+        doc["constraints"] = value
+        with pytest.raises(ModelFormatError, match="^constraints: "):
+            model_from_dict(doc)
+
     def test_parse_error_is_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2,\n  "grid": [0.0,]\n}')
