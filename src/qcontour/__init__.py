@@ -29,10 +29,10 @@ from .linalg import (check_unitary, complete_basis, hermitian_exp, inner,
 from .measure import (DecompositionMode, DecompositionResult, HistoryMeasure,
                       MeasureReport, ToyBundle, born_probability, delta_psi,
                       delta_psi_line_integral, decompose_total_measure,
-                      measure_of_existence, measure_report, segment_amplitude)
+                      measure_report, segment_amplitude, transfer_chain)
 from .models import ModelSpec, load_model, model_from_dict, model_to_dict, save_model
 from .oracle import (FrequencyRow, FrequencyTable, OutcomeDistribution,
-                     condition_on_final, enumerate_measures,
-                     monte_carlo_sample, sequential_chain)
+                     condition_on_final, monte_carlo_sample,
+                     sequential_chain)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,8 +21,8 @@ from .dynamics import HamiltonianSchedule, propagate
 from .envariance import BipartiteState, check_envariance
 from .errors import ModelFormatError, QContourError, ValidationError
 from .histories import FixedPoint, enumerate_family
-from .measure import (DecompositionMode, decompose_total_measure, delta_psi,
-                      measure_report)
+from .measure import (DecompositionMode, decompose_total_measure,
+                      measure_report, transfer_chain)
 from .models import (ModelSpec, load_model, matrix_from_json,
                      matrix_to_json, vector_from_json)
 from .oracle import (OutcomeDistribution, condition_on_final,
@@ -80,15 +80,10 @@ def cmd_measure(args) -> int:
     fam = enumerate_family(model.family_spec())
     report = measure_report(fam, model.schedule,
                             steps_per_segment=args.steps_per_segment)
-    entries = []
-    for e in report.entries:
-        entries.append({
-            "labels": list(e.labels),
-            "choices": None if e.choices is None else list(e.choices),
-            "delta_psi": e.delta_psi,
-            "delta_psi_contour": e.delta_psi_contour,
-            "measure": e.measure,
-        })
+    rows = list(report.rows())
+    entries = [{"labels": labels, "choices": choice, "delta_psi": w,
+                "delta_psi_contour": alt, "measure": m}
+               for labels, w, m, choice, alt in rows]
     doc = {
         "command": "measure",
         "constraint_times": list(report.constraint_times),
@@ -100,10 +95,10 @@ def cmd_measure(args) -> int:
     lines = [f"{len(entries)} histories, "
              f"constraints at {list(report.constraint_times)}",
              f"normalization: {report.normalization:.15g}"]
-    for e in report.entries:
-        lines.append(f"  {'.'.join(e.labels):<24} "
-                     f"delta_psi={e.delta_psi:.15g}  "
-                     f"measure={e.measure:.15g}")
+    for labels, w, m, _, _ in rows:
+        lines.append(f"  {'.'.join(labels):<24} "
+                     f"delta_psi={w:.15g}  "
+                     f"measure={m:.15g}")
     lines.append(f"route max discrepancy: "
                  f"{report.route_max_discrepancy:.3e}")
     _emit(doc, lines, args.format)
@@ -183,7 +178,8 @@ def _constraint_layout(model: ModelSpec) -> str:
 def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
                 steps: int, tol: float) -> dict:
     layout = _constraint_layout(model)
-    fam = enumerate_family(model.family_spec())
+    spec = model.family_spec()
+    fam = enumerate_family(spec)
     report = measure_report(fam, model.schedule, steps_per_segment=steps)
     normalization_error = abs(float(report.measures.sum()) - 1.0)
     route_discrepancy = report.route_max_discrepancy
@@ -204,13 +200,16 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
     by_choices = report.by_choices()
     chain_deviation = max(abs(by_choices[seq] - p)
                           for seq, p in dist.outcomes)
-    # each history's weight over the normalization, recomputed on its own
+    # the normalization and each slot's marginal measures from the transfer
+    # chain, which weighs no member, against the report's columns
+    normalization, marginals = transfer_chain(spec, model.schedule)
     direct_deviation = max(
-        abs(delta_psi(h, model.schedule) / report.normalization - e.measure)
-        for h, e in zip(fam.histories, report.entries))
+        abs(normalization / report.normalization - 1.0),
+        *(float(np.max(np.abs(marginal - np.bincount(
+            column, report.measures, minlength=marginal.size))))
+          for marginal, column in zip(marginals, fam.index.T)))
 
-    measures_dist = OutcomeDistribution(
-        tuple((e.choices, e.measure) for e in report.entries))
+    measures_dist = OutcomeDistribution(tuple(by_choices.items()))
     table = monte_carlo_sample(measures_dist, trials, seed)
 
     passed = (normalization_error <= tol and route_discrepancy <= tol
@@ -221,7 +220,7 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
         "dim": model.dim,
         "n_times": model.n_times,
         "s_t": len(model.constraints),
-        "n_histories": len(fam.histories),
+        "n_histories": len(fam.index),
         "normalization_error": normalization_error,
         "route_discrepancy": route_discrepancy,
         "chain_deviation": chain_deviation,

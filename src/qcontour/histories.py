@@ -8,9 +8,10 @@ are the arena for relative weights.
 
 Fixed points and histories compare and hash by identity (``histories_equal``
 compares values).  A family is stored as its distinct fixed points per grid
-slot plus an index of which one each member passes through, so the family
-paths compute what each slot fixed point determines once and read it
-through the index; member histories are built only on request.
+slot plus a read-only integer array saying which one each member passes
+through, so the family paths compute what each slot fixed point determines
+once and read it through the index; member histories are built only on
+request.
 
 Overlap convention: when two histories are compared, the backward-branch
 factor of each fixed point enters conjugated relative to the forward one,
@@ -21,7 +22,6 @@ validation basis-independent.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -104,28 +104,28 @@ def histories_equal(a: QuantumHistory, b: QuantumHistory,
                for p, q in zip(a.points, b.points))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class HistoryFamily:
     """Histories over one shared time grid, with the constrained times marked.
 
     A family is stored as its per-slot fixed points and an index:
     ``slots[k]`` holds the distinct fixed points at grid time k, and
-    ``index[h][k]`` says which of them member h passes through.  The
-    members are built as ``QuantumHistory`` objects only when
-    ``histories`` is read.
+    ``index`` is a read-only (H, N_t) integer array whose entry ``[h, k]``
+    says which of them member h passes through.  The members are built as
+    ``QuantumHistory`` objects only when ``histories`` is read.  ``==`` is
+    identity, as for fixed points.
 
     ``constraint_times`` lists the times at which the fixed point is known
     (there are S_t of them); the remaining times are free slots.  ``choices``
     optionally records, per history, the basis index chosen at each free
-    slot, in time order.
+    slot, in time order, as a read-only (H, N_t - S_t) integer array.
     """
 
     slots: tuple[tuple[FixedPoint, ...], ...]
-    index: tuple[tuple[int, ...], ...]
+    index: np.ndarray
     constraint_times: tuple[float, ...]
-    choices: tuple[tuple[int, ...], ...] | None
-    _histories: tuple[QuantumHistory, ...] | None = field(repr=False,
-                                                          compare=False)
+    choices: np.ndarray | None
+    _histories: tuple[QuantumHistory, ...] | None = field(repr=False)
 
     def __init__(self, histories, constraint_times=(), choices=None):
         histories = tuple(histories)
@@ -156,11 +156,15 @@ class HistoryFamily:
             if any(len(c) != free for c in choices):
                 raise ValidationError(
                     f"every choice row needs one index per free slot ({free})")
+            choices = np.array(choices).reshape(len(histories), free)
+            if choices.size and choices.dtype.kind not in "iu":
+                raise ValidationError("choice indices must be integers")
+            choices = choices.astype(np.intp)
         # each slot's distinct fixed points, by identity, in order of first use
         positions = [{} for _ in times]
-        index = tuple(tuple(pos.setdefault(p, len(pos))
-                            for pos, p in zip(positions, h.points))
-                      for h in histories)
+        index = np.array([[pos.setdefault(p, len(pos))
+                           for pos, p in zip(positions, h.points)]
+                          for h in histories], dtype=np.intp)
         self._assign(tuple(map(tuple, positions)), index, constraint_times,
                      choices, histories)
 
@@ -179,6 +183,9 @@ class HistoryFamily:
         return fam
 
     def _assign(self, slots, index, constraint_times, choices, histories):
+        for array in (index, choices):
+            if array is not None:
+                array.setflags(write=False)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "constraint_times",
@@ -195,12 +202,13 @@ class HistoryFamily:
         return self._histories
 
     def gather(self, per_slot):
-        """Per member, the tuple of ``per_slot[k][index[h][k]]`` over slots k.
+        """Per member, the tuple of ``per_slot[k][index[h, k]]`` over slots k.
 
         ``per_slot`` holds one sequence per slot, aligned with ``slots``.
         """
         return zip(*(map(values.__getitem__, column)
-                     for values, column in zip(per_slot, zip(*self.index))))
+                     for values, column in zip(per_slot,
+                                               self.index.T.tolist())))
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -209,9 +217,6 @@ class HistoryFamily:
     @property
     def dim(self) -> int:
         return self.slots[0][0].dim
-
-    def __contains__(self, h: QuantumHistory) -> bool:
-        return any(g is h or histories_equal(g, h) for g in self.histories)
 
 
 def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
@@ -254,7 +259,7 @@ def validate_family(fam: HistoryFamily,
     for slot in fam.slots:
         states = np.array([fp.state for fp in slot])
         grams.append(np.abs(states.conj() @ states.T) ** 2)
-    columns = np.array(fam.index).T
+    columns = fam.index.T
     violations = []
     for i in range(len(fam.index) - 1):
         overlap = math.prod(g[c[i], c[i + 1:]] for g, c in zip(grams, columns))
@@ -386,8 +391,7 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     if psi.size != fam.dim:
         raise DimensionMismatchError("chain and state dimensions differ")
     records = np.broadcast_to(psi, (len(fam.index), psi.size))
-    columns = np.array(fam.index).T
-    for slot, column in zip(fam.slots[1:], columns[1:]):
+    for slot, column in zip(fam.slots[1:], fam.index.T[1:]):
         projectors = np.array([_checked_projector(heisenberg_projector(
             fp.state, sched, fp.time, t_0)) for fp in slot])
         records = np.einsum("hij,hj->hi", projectors[column], records)
@@ -494,9 +498,9 @@ def enumerate_family(spec: FamilySpec,
                 f"({len(basis)} of {spec.dim} vectors)")
         slots.append(tuple(FixedPoint(t, v, label=str(k))
                            for k, v in enumerate(basis)))
-    ranges = [range(len(slot)) for slot in slots]
+    shape = tuple(map(len, slots))
+    index = np.indices(shape, dtype=np.intp).reshape(len(shape), -1).T
+    free = [i for i in range(len(shape)) if i not in spec.pinned]
     return HistoryFamily._from_index(
-        tuple(slots), tuple(itertools.product(*ranges)),
-        constraint_times=spec.constrained_times,
-        choices=tuple(itertools.product(*(
-            r for i, r in enumerate(ranges) if i not in spec.pinned))))
+        tuple(slots), index, constraint_times=spec.constrained_times,
+        choices=index[:, free])

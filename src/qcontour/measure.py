@@ -11,21 +11,24 @@ The weight of a history is computed by two independent routes:
   for any sub-step count because the dynamics is piecewise constant.
 
 Both routes are one table product: per step, the amplitudes between the
-slot fixed points that family members join, read through the family
-index.  A single history is weighed as a one-member family.
+slot fixed points that family members join, read through the family index
+and multiplied as real and imaginary arrays.  A single history is weighed
+as a one-member family.
 
 The measure of existence of a history is its weight divided by the summed
 weight of every history consistent with the same fixed-point constraints;
 for a two-point history with the earlier state known, this reduces to the
-Born probability.
+Born probability.  ``transfer_chain`` computes that sum, and each grid
+slot's marginal measures, from the family recipe alone, without the
+per-member product.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from . import linalg
 from .contour import TimeGrid, contour_path
 from .dynamics import HamiltonianSchedule, evolve_state, propagate
 from .errors import ValidationError, ZeroNormalizationError
-from .histories import FixedPoint, HistoryFamily, QuantumHistory
+from .histories import FamilySpec, FixedPoint, HistoryFamily, QuantumHistory
 
 
 def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
@@ -55,38 +58,52 @@ def _amplitude(fp_a: FixedPoint, fp_b: FixedPoint, u: np.ndarray) -> complex:
     return complex(np.vdot(fp_b.state, u @ fp_a.state).conjugate())
 
 
-def _products(fam: HistoryFamily, steps) -> list[complex]:
+def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
     """Per member, the product of its step amplitudes in step order.
 
     ``steps`` lists ``(k, l, amplitude)``: a step joins grid slot k to slot
     l, and its table holds ``amplitude(a, b)`` once for every pair of slot
-    fixed points that some member joins.  Each member's entries are read
-    through the index and multiplied in Python complex arithmetic, so the
-    product matches the plain per-history loop bit for bit.
+    fixed points that some member joins (keyed ``a * n_right + b`` and
+    found by ``np.unique``; no amplitude is computed for a pair that no
+    member joins).  Each member's entries are read through the index and
+    multiplied as separate real and imaginary arrays with the textbook
+    formula, which rounds exactly as Python complex arithmetic does, so the
+    product matches the plain per-history loop bit for bit.  Returns the
+    real and imaginary parts.
     """
-    columns = list(zip(*fam.index))
-    products = None
+    re = im = None
     for k, l, amplitude in steps:
-        left, right, a, b = fam.slots[k], fam.slots[l], columns[k], columns[l]
-        table = {(i, j): amplitude(left[i], right[j])
-                 for i, j in set(zip(a, b))}
-        amplitudes = map(table.__getitem__, zip(a, b))
-        products = (list(amplitudes) if products is None
-                    else list(map(operator.mul, products, amplitudes)))
-    return products
+        left, right = fam.slots[k], fam.slots[l]
+        n = len(right)
+        pairs, at = np.unique(fam.index[:, k] * n + fam.index[:, l],
+                              return_inverse=True)
+        table = np.array([amplitude(left[i // n], right[i % n])
+                          for i in pairs.tolist()], dtype=complex)
+        step_re, step_im = table.real[at], table.imag[at]
+        if re is None:
+            re, im = step_re, step_im
+        else:
+            re, im = (re * step_re - im * step_im,
+                      re * step_im + im * step_re)
+    return re, im
 
 
 def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> list[float]:
-    """Closed-form weights, in order: one step per segment of the grid."""
+    """Closed-form weights, in order: one step per segment of the grid.
+
+    ``np.hypot`` is ``abs`` of a Python complex, and the square is taken
+    by Python's ``pow`` (libm), whose rounding ``x * x`` does not share.
+    """
     steps = []
     for k, (t_a, t_b) in enumerate(zip(fam.times, fam.times[1:])):
         u = propagate(sched, t_a, t_b)
         steps.append((k, k + 1, lambda a, b, u=u: _amplitude(a, b, u)))
-    return [abs(p) ** 2 for p in _products(fam, steps)]
+    return list(map(pow, np.hypot(*_products(fam, steps)).tolist(),
+                    itertools.repeat(2.0)))
 
 
 def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
-                     steps_per_segment: int) -> list[float]:
+                     steps_per_segment: int) -> np.ndarray:
     """Contour-walk weights, in order: one step per ``contour_path`` step."""
     if steps_per_segment < 1:
         raise ValidationError("steps_per_segment must be at least 1")
@@ -102,7 +119,7 @@ def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
                 carried = u @ carried
             return complex(np.vdot(b.state, carried))
         steps.append((slot[step.start.t], slot[step.end.t], amplitude))
-    return [abs(p) for p in _products(fam, steps)]
+    return np.hypot(*_products(fam, steps))
 
 
 def _normalization(weights) -> float:
@@ -131,21 +148,38 @@ def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
     branch, once conjugated, the accumulated product is real and equals the
     closed-form weight.
     """
-    return _contour_weights(HistoryFamily((h,)), sched, steps_per_segment)[0]
+    return float(_contour_weights(HistoryFamily((h,)), sched,
+                                  steps_per_segment)[0])
 
 
-def measure_of_existence(h: QuantumHistory, fam: HistoryFamily,
-                         sched: HamiltonianSchedule) -> float:
-    """Fraction of the constrained wavefunction occupied by ``h``.
+def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
+                   ) -> tuple[float, list[np.ndarray]]:
+    """Normalization and per-slot marginal measures of an enumerated family.
 
-    The denominator sums the weights of every family member, i.e. every
-    history consistent with the family's fixed-point constraints.  A zero
-    denominator leaves the ratio undefined and raises rather than
-    returning a silent zero.
+    Grid slot k holds the pinned state or the basis at its time, as the
+    rows of S_k.  The transfer matrix T_k = |S_{k+1}^* U_k S_k^T|^2
+    (elementwise) holds the squared amplitude of every step from slot k to
+    slot k+1, so summing the product weights over all members is the
+    matrix chain 1^T T_{N-1} ... T_0 1.  The forward-backward recursion
+    alpha_{k+1} = T_k alpha_k, beta_k = T_k^T beta_{k+1} gives each slot
+    state's share of that sum, alpha_k beta_k / Z (Rabiner 1989).  The cost
+    is O(N_t d^3), independent of the family size; no member is weighed.
+    Returns Z and the marginals, one array per slot in basis order.
     """
-    if h not in fam:
-        raise ValidationError("history is not a member of the family")
-    return delta_psi(h, sched) / _normalization(_weights(fam, sched))
+    states = [np.array([spec.pinned[k].state]) if k in spec.pinned
+              else np.array(basis) for k, basis in enumerate(spec.bases)]
+    transfers = [np.abs(b.conj() @ propagate(sched, t_a, t_b) @ a.T) ** 2
+                 for a, b, t_a, t_b in zip(states, states[1:], spec.times,
+                                           spec.times[1:])]
+    alphas = [np.ones(len(states[0]))]
+    for t in transfers:
+        alphas.append(t @ alphas[-1])
+    betas = [np.ones(len(states[-1]))]
+    for t in reversed(transfers):
+        betas.append(t.T @ betas[-1])
+    normalization = _normalization(alphas[-1].tolist())
+    return normalization, [a * b / normalization
+                           for a, b in zip(alphas, reversed(betas))]
 
 
 def born_probability(psi1, t1: float, phi, t2: float,
@@ -168,57 +202,87 @@ class HistoryMeasure:
     delta_psi_contour: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureReport:
-    """Per-history weights, their normalization, and the constrained times."""
+    """Weights and measures of a family's members, as columns.
 
-    entries: tuple[HistoryMeasure, ...]
+    Row h of ``weights`` (closed form), ``measures`` (weight over
+    ``normalization``) and ``contour_weights`` (the contour walk, or None
+    when it was not run) belongs to member h of ``family``, whose index and
+    choices give the member's labels and free-slot choices.  The columns
+    are read-only float arrays.  ``rows()``, ``entries`` (one
+    ``HistoryMeasure`` per member, cached on first read) and
+    ``by_choices()`` are views derived from the columns.
+    """
+
+    weights: np.ndarray
+    measures: np.ndarray
+    contour_weights: np.ndarray | None
     normalization: float
     constraint_times: tuple[float, ...]
+    family: HistoryFamily = field(repr=False)
 
-    @property
-    def measures(self) -> np.ndarray:
-        return np.array([e.measure for e in self.entries])
+    def __post_init__(self):
+        for column in (self.weights, self.measures, self.contour_weights):
+            if column is not None:
+                column.setflags(write=False)
 
     @property
     def route_max_discrepancy(self) -> float | None:
         """Largest gap between the two weight routes, if both were run."""
-        gaps = [abs(e.delta_psi - e.delta_psi_contour) for e in self.entries
-                if e.delta_psi_contour is not None]
-        return max(gaps) if gaps else None
+        if self.contour_weights is None:
+            return None
+        return float(np.max(np.abs(self.weights - self.contour_weights)))
+
+    def rows(self):
+        """Per member, in family order: labels, weight, measure, free-slot
+        choices (or None) and contour weight (or None), as Python values in
+        the field order of ``HistoryMeasure``."""
+        fam = self.family
+        choices = (itertools.repeat(None) if fam.choices is None
+                   else map(tuple, fam.choices.tolist()))
+        alts = (itertools.repeat(None) if self.contour_weights is None
+                else self.contour_weights.tolist())
+        labels = fam.gather([[p.label for p in slot] for slot in fam.slots])
+        return zip(labels, self.weights.tolist(), self.measures.tolist(),
+                   choices, alts)
+
+    @cached_property
+    def entries(self) -> tuple[HistoryMeasure, ...]:
+        """One ``HistoryMeasure`` per member, in family order."""
+        return tuple(itertools.starmap(HistoryMeasure, self.rows()))
 
     def by_choices(self) -> dict[tuple[int, ...], float]:
-        """Measures keyed by the basis indices chosen at free slots."""
-        if any(e.choices is None for e in self.entries):
+        """Measures keyed by the basis indices chosen at free slots, in
+        family order; a new dict on every call."""
+        choices = self.family.choices
+        if choices is None:
             raise ValidationError("report entries carry no choice indices")
-        lookup = {e.choices: e.measure for e in self.entries}
-        if len(lookup) != len(self.entries):
+        lookup = dict(zip(map(tuple, choices.tolist()),
+                          self.measures.tolist()))
+        if len(lookup) != len(choices):
             raise ValidationError("report entries repeat a choice key")
         return lookup
 
 
 def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
                    steps_per_segment: int | None = None) -> MeasureReport:
-    """Measures of existence for every member of a family.
+    """Measures of existence for every member of a family, as columns.
 
-    When ``steps_per_segment`` is given, the contour-walk route is run
-    alongside the closed form and recorded per entry; both routes are one
-    table product (``_products``) read through the family index.
+    Both routes are one table product (``_products``) read through the
+    family index; when ``steps_per_segment`` is given, the contour-walk
+    route is run alongside the closed form.  Every column equals the plain
+    per-history loop bit for bit, and no per-member object is built: the
+    report's ``entries`` builds them on request.
     """
     weights = _weights(fam, sched)
     normalization = _normalization(weights)
-    alts = itertools.repeat(None)
-    if steps_per_segment is not None:
-        alts = _contour_weights(fam, sched, steps_per_segment)
-    labels = fam.gather([[p.label for p in slot] for slot in fam.slots])
-    choices = (itertools.repeat(None) if fam.choices is None
-               else fam.choices)
-    entries = tuple(
-        HistoryMeasure(labels=label, delta_psi=w, measure=w / normalization,
-                       choices=choice, delta_psi_contour=alt)
-        for label, w, choice, alt in zip(labels, weights, choices, alts))
-    return MeasureReport(entries=entries, normalization=normalization,
-                         constraint_times=fam.constraint_times)
+    weights = np.array(weights)
+    contour = (None if steps_per_segment is None
+               else _contour_weights(fam, sched, steps_per_segment))
+    return MeasureReport(weights=weights, measures=weights / normalization,
+                         contour_weights=contour, normalization=normalization,
+                         constraint_times=fam.constraint_times, family=fam)
 
 
 class DecompositionMode(enum.Enum):

@@ -1,12 +1,11 @@
 """Independent brute-force verifiers.
 
-Three cross-checks for the history-weight machinery: a sequential
-projective-measurement simulation (evolve, project, renormalize), an
-exhaustive enumeration of constrained families, and reproducible Monte
-Carlo frequency sampling.  The collapse simulation tracks pure-state
-branches with unnormalized amplitudes, whose squared norms are exactly the
-joint outcome probabilities, avoiding any division by zero along dead
-branches.
+Two cross-checks for the history-weight machinery: a sequential
+projective-measurement simulation (evolve, project, renormalize) and
+reproducible Monte Carlo frequency sampling.  The collapse simulation
+tracks pure-state branches with unnormalized amplitudes, whose squared
+norms are exactly the joint outcome probabilities, avoiding any division
+by zero along dead branches.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import numpy as np
 from . import linalg
 from .dynamics import HamiltonianSchedule, propagate
 from .errors import ValidationError, ZeroNormalizationError
-from .histories import MAX_ENUMERATION, FamilySpec, enumerate_family
-from .measure import MeasureReport, measure_report
 
 
 @dataclass(frozen=True)
@@ -107,13 +104,6 @@ def condition_on_final(dist: OutcomeDistribution,
         raise ZeroNormalizationError(
             f"conditioning outcome {final_index} has zero probability")
     return OutcomeDistribution(tuple((seq, p / total) for seq, p in kept))
-
-
-def enumerate_measures(spec: FamilySpec, sched: HamiltonianSchedule,
-                       guard: int = MAX_ENUMERATION) -> MeasureReport:
-    """Measures for every index combination consistent with the constraints."""
-    fam = enumerate_family(spec, guard)
-    return measure_report(fam, sched)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcontour import linalg
+from qcontour import cli, linalg, measure_report
 from qcontour.cli import main
 
 SX_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -190,6 +191,34 @@ class TestVerify:
             capsys, ["verify", born_model(tmp_path), "--trials", "20000"])
         assert code == 0
         assert doc["models"][0]["chain_deviation"] <= 1e-10
+
+    def test_direct_deviation_catches_a_tampered_report(
+            self, tmp_path, capsys, monkeypatch):
+        # two free slots; rows 0 and 1 differ at the last one
+        model = write(tmp_path, "three.json", {
+            "dim": 2, "grid": [0.0, 0.6, 1.3],
+            "hamiltonian": [{"t_start": 0.0, "t_end": 1.3,
+                             "matrix": SX_PAIRS}],
+            "constraints": [{"time": 0.0, "state": [[1, 0], [0, 0]],
+                             "label": "prep"}],
+        })
+        argv = ["verify", model, "--trials", "2000"]
+        code, doc = run_structured(capsys, argv)
+        assert code == 0
+        assert doc["models"][0]["direct_deviation"] <= 1e-14
+
+        def tampered(fam, sched, **kwargs):
+            report = measure_report(fam, sched, **kwargs)
+            assert fam.choices[0].tolist() != fam.choices[1].tolist()
+            measures = report.measures.copy()
+            measures[[0, 1]] = measures[[1, 0]]
+            assert abs(measures[0] - measures[1]) > 1e-3
+            return dataclasses.replace(report, measures=measures)
+        monkeypatch.setattr(cli, "measure_report", tampered)
+        code, doc = run_structured(capsys, argv)
+        row = doc["models"][0]
+        assert code == 1 and row["pass"] is False
+        assert row["direct_deviation"] > doc["tol"]
 
 
 class TestFlags:

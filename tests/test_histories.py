@@ -361,7 +361,8 @@ class TestEnumerateFamily:
             want = QuantumHistory(p for _, p in combo)
             assert h.times == want.times
             assert h.labels == want.labels
-            assert choice == tuple(k for k, _ in combo if k is not None)
+            assert tuple(choice) == tuple(k for k, _ in combo
+                                          if k is not None)
             assert histories_equal(h, want, tol=0.0)
 
 
@@ -376,7 +377,7 @@ class TestFamilyIndex:
         rebuilt = HistoryFamily(histories=fam.histories,
                                 constraint_times=fam.constraint_times,
                                 choices=fam.choices)
-        assert rebuilt.index == fam.index
+        assert np.array_equal(rebuilt.index, fam.index)
         assert all(a is b for sa, sb in zip(rebuilt.slots, fam.slots)
                    for a, b in zip(sa, sb, strict=True))
         assert rebuilt.histories is fam.histories
@@ -388,7 +389,7 @@ class TestFamilyIndex:
                                        QuantumHistory((a, c)),
                                        QuantumHistory((a, b))))
         assert fam.slots == ((a,), (b, c))
-        assert fam.index == ((0, 0), (0, 1), (0, 0))
+        assert fam.index.tolist() == [[0, 0], [0, 1], [0, 0]]
 
     def test_choice_rows_must_match_the_members(self):
         spec, _ = random_family_spec(35, dim=2, n_times=3, s_t=1)
@@ -408,3 +409,20 @@ class TestFamilyIndex:
         with pytest.raises(ValidationError):
             HistoryFamily(histories=fam.histories,
                           choices=fam.choices)
+
+    def test_choice_indices_must_be_integers(self):
+        spec, _ = random_family_spec(37, dim=2, n_times=3, s_t=1)
+        fam = enumerate_family(spec)
+        rows = fam.choices.tolist()
+        for bad in (0.7, 1.0, "a", None, 2 ** 70):
+            choices = [row[:] for row in rows]
+            choices[-1][0] = bad
+            with pytest.raises(ValidationError):
+                HistoryFamily(histories=fam.histories,
+                              constraint_times=fam.constraint_times,
+                              choices=choices)
+        kept = HistoryFamily(histories=fam.histories,
+                             constraint_times=fam.constraint_times,
+                             choices=[[np.int64(c) for c in row]
+                                      for row in rows])
+        assert kept.choices.tolist() == rows

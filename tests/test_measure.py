@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from qcontour import (DecompositionMode, FamilySpec, FixedPoint,
-                      HamiltonianSchedule, HistoryFamily, QuantumHistory,
-                      ToyBundle, ValidationError, ZeroNormalizationError,
-                      born_probability, decompose_total_measure, delta_psi,
+                      HamiltonianSchedule, HistoryFamily, HistoryMeasure,
+                      QuantumHistory, ToyBundle, ValidationError,
+                      ZeroNormalizationError, born_probability,
+                      decompose_total_measure, delta_psi,
                       delta_psi_line_integral, enumerate_family,
-                      measure_of_existence, measure_report, segment_amplitude)
+                      measure_report, segment_amplitude, transfer_chain)
 from qcontour import dynamics, measure
 from qcontour.contour import TimeGrid, contour_path
 from qcontour.dynamics import evolve_state, propagate
@@ -102,15 +103,17 @@ class TestLineIntegralRoute:
 
 
 class TestMeasureOfExistence:
+    """Each member's measure is its weight over the family's summed weight:
+    the ``measures`` column of ``measure_report``."""
+
     def test_null_hamiltonian_deterministic(self):
         spec = FamilySpec(times=(0.0, 1.0),
                           bases=(computational_basis(2),
                                  computational_basis(2)),
                           constraints=(fp(0.0, E0, "prep"),))
         fam = enumerate_family(spec)
-        sched = zero_schedule(2)
-        values = [measure_of_existence(h, fam, sched) for h in fam.histories]
-        assert values == pytest.approx([1.0, 0.0])
+        values = measure_report(fam, zero_schedule(2)).measures
+        assert values.tolist() == pytest.approx([1.0, 0.0])
 
     def test_qubit_rotation_even_split(self):
         spec = FamilySpec(times=(0.0, math.pi / 4),
@@ -118,9 +121,8 @@ class TestMeasureOfExistence:
                                  computational_basis(2)),
                           constraints=(fp(0.0, E0, "prep"),))
         fam = enumerate_family(spec)
-        sched = sx_schedule()
-        values = [measure_of_existence(h, fam, sched) for h in fam.histories]
-        assert values == pytest.approx([0.5, 0.5])
+        values = measure_report(fam, sx_schedule()).measures
+        assert values.tolist() == pytest.approx([0.5, 0.5])
 
     def test_two_point_with_initial_constraint_is_born_rule(self):
         for seed in range(20):
@@ -128,33 +130,25 @@ class TestMeasureOfExistence:
                                              s_t=1)
             fam = enumerate_family(spec)
             psi1 = spec.constraints[0].state
-            for h in fam.histories:
+            measures = measure_report(fam, sched).measures
+            assert len(measures) == 3
+            for h, value in zip(fam.histories, measures):
                 born = born_probability(psi1, spec.times[0],
                                         h.points[1].state, spec.times[1],
                                         sched)
-                assert measure_of_existence(h, fam, sched) == \
-                    pytest.approx(born, abs=1e-12)
+                assert value == pytest.approx(born, abs=1e-12)
 
     def test_fully_constrained_single_history(self):
         h = QuantumHistory((fp(0.0, E0, "a"), fp(1.0, E0, "b")))
         fam = HistoryFamily(histories=(h,), constraint_times=(0.0, 1.0))
-        assert measure_of_existence(h, fam, zero_schedule(2)) == 1.0
+        assert measure_report(fam, zero_schedule(2)).measures.tolist() == \
+            [1.0]
 
     def test_zero_normalization_is_an_error(self):
         h = QuantumHistory((fp(0.0, E0), fp(1.0, E1)))
         fam = HistoryFamily(histories=(h,), constraint_times=(0.0, 1.0))
         with pytest.raises(ZeroNormalizationError):
-            measure_of_existence(h, fam, zero_schedule(2))
-
-    def test_membership_required(self):
-        spec = FamilySpec(times=(0.0, 1.0),
-                          bases=(computational_basis(2),
-                                 computational_basis(2)),
-                          constraints=(fp(0.0, E0, "prep"),))
-        fam = enumerate_family(spec)
-        outsider = QuantumHistory((fp(0.0, PLUS), fp(1.0, E0)))
-        with pytest.raises(ValidationError):
-            measure_of_existence(outsider, fam, zero_schedule(2))
+            measure_report(fam, zero_schedule(2))
 
 
 class TestNormalization:
@@ -202,9 +196,6 @@ class TestSharedSegments:
             for h, e in zip(fam.histories, report.entries):
                 assert delta_psi(h, sched) == e.delta_psi
                 assert delta_psi(h, sched) / report.normalization == e.measure
-            h = fam.histories[-1]
-            assert measure_of_existence(h, fam, sched) == \
-                report.entries[-1].measure
 
 
 def _plain_walk(h, sched, steps):
@@ -249,6 +240,100 @@ class TestSharedPropagators:
                     e.delta_psi_contour, name
 
 
+class TestColumnarReport:
+    """The report's columns and its ``entries`` view equal the plain
+    per-history loops bit for bit."""
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=20, deadline=None)
+    def test_columns_and_entries_equal_the_plain_loops(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        steps = 1 + seed % 3
+        for name, fam in family_variants(spec, seed).items():
+            report = measure_report(fam, sched, steps_per_segment=steps)
+            weights = [_segment_loop_weight(h, sched) for h in fam.histories]
+            walks = [_plain_walk(h, sched, steps) for h in fam.histories]
+            normalization = sum(weights)
+            measures = [w / normalization for w in weights]
+            assert report.weights.tolist() == weights, name
+            assert report.contour_weights.tolist() == walks, name
+            assert report.normalization == normalization, name
+            assert report.measures.tolist() == measures, name
+            assert report.route_max_discrepancy == max(
+                abs(w - a) for w, a in zip(weights, walks)), name
+            choices = ([None] * len(weights) if fam.choices is None
+                       else [tuple(c) for c in fam.choices.tolist()])
+            assert report.entries == tuple(
+                HistoryMeasure(labels=h.labels, delta_psi=w, measure=m,
+                               choices=c, delta_psi_contour=a)
+                for h, w, m, c, a in zip(fam.histories, weights, measures,
+                                         choices, walks)), name
+            closed = measure_report(fam, sched)
+            assert closed.contour_weights is None, name
+            assert closed.route_max_discrepancy is None, name
+            assert [e.delta_psi_contour for e in closed.entries] == \
+                [None] * len(weights), name
+            assert closed.measures.tolist() == measures, name
+
+    def test_columns_are_read_only(self):
+        spec, sched = random_family_spec(46, dim=2, n_times=3, s_t=1)
+        report = measure_report(enumerate_family(spec), sched,
+                                steps_per_segment=2)
+        for column in (report.weights, report.measures,
+                       report.contour_weights):
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+
+
+class TestTransferChain:
+    """The chain's normalization and per-slot marginals, computed from the
+    recipe without weighing any member, against the report."""
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=30, deadline=None)
+    def test_chain_matches_the_report(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        fam = enumerate_family(spec)
+        report = measure_report(fam, sched)
+        normalization, marginals = transfer_chain(spec, sched)
+        assert abs(normalization / report.normalization - 1.0) <= 1e-13
+        assert len(marginals) == n_times
+        for k, marginal in enumerate(marginals):
+            assert marginal.shape == (len(fam.slots[k]),)
+            summed = np.bincount(fam.index[:, k], report.measures,
+                                 minlength=marginal.size)
+            np.testing.assert_allclose(marginal, summed, rtol=1e-13,
+                                       atol=1e-13)
+
+    def test_post_selected_middle_slot_is_the_abl_rule(self):
+        # pre- and post-selected, one free middle slot: the marginal there
+        # is the Aharonov-Bergmann-Lebowitz rule
+        # |<f|U(t2,t1)|b><b|U(t1,t0)|psi>|^2 / sum over b
+        for seed in range(10):
+            spec, sched = random_family_spec(1600 + seed, dim=3, n_times=3,
+                                             s_t=2)
+            (t0, t1, t2), (psi, f) = spec.times, spec.constraints
+            abl = np.array([
+                abs(np.vdot(f.state, evolve_state(b, sched, t1, t2))
+                    * np.vdot(b, evolve_state(psi.state, sched, t0, t1))) ** 2
+                for b in spec.bases[1]])
+            normalization, marginals = transfer_chain(spec, sched)
+            assert normalization == pytest.approx(abl.sum(), rel=1e-13)
+            np.testing.assert_allclose(marginals[1], abl / abl.sum(),
+                                       rtol=1e-13, atol=1e-15)
+            assert marginals[0].tolist() == pytest.approx([1.0], rel=1e-13)
+            assert marginals[2].tolist() == pytest.approx([1.0], rel=1e-13)
+
+    def test_zero_normalization_is_an_error(self):
+        spec = FamilySpec(times=(0.0, 0.5, 1.0),
+                          bases=(computational_basis(2),) * 3,
+                          constraints=(fp(0.0, E0), fp(1.0, E1)))
+        with pytest.raises(ZeroNormalizationError):
+            transfer_chain(spec, zero_schedule(2))
+
+
 def _count_calls(monkeypatch, owner, name, *also):
     """Record the arguments of every call to ``owner.name`` from now on;
     the same spy replaces the name in each module of ``also`` too."""
@@ -277,6 +362,27 @@ class TestCountGuards:
         assert built == []
         assert len(fam.histories) == 27
         assert len(built) == 27
+
+    def test_no_per_history_objects_until_entries_are_read(
+            self, monkeypatch):
+        spec, sched = random_family_spec(41, dim=3, n_times=4, s_t=1)
+        built = _count_calls(monkeypatch, QuantumHistory, "__init__")
+        made = _count_calls(monkeypatch, HistoryMeasure, "__init__")
+        fam = enumerate_family(spec)
+        assert isinstance(fam.index, np.ndarray)
+        assert np.issubdtype(fam.index.dtype, np.integer)
+        assert fam.index.shape == (27, 4)
+        assert not fam.index.flags.writeable
+        assert fam.choices.shape == (27, 3)
+        assert not fam.choices.flags.writeable
+        reports = [measure_report(fam, sched),
+                   measure_report(fam, sched, steps_per_segment=2)]
+        assert built == [] and made == []
+        for report in reports:
+            assert len(report.entries) == 27
+            assert report.entries is report.entries
+        assert len(made) == 54
+        assert built == []
 
     def test_closed_form_propagates_once_per_segment(self, monkeypatch):
         spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)

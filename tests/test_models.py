@@ -84,7 +84,8 @@ class TestRoundTrip:
                                model.schedule, steps_per_segment=8)
         second = measure_report(enumerate_family(reloaded.family_spec()),
                                 reloaded.schedule, steps_per_segment=8)
-        assert first == second
+        assert (first.entries, first.normalization, first.constraint_times) \
+            == (second.entries, second.normalization, second.constraint_times)
 
     def test_dict_round_trip_stable(self):
         doc = born_model_dict()

@@ -4,8 +4,8 @@ import pytest
 
 from qcontour import (OutcomeDistribution, ValidationError,
                       ZeroNormalizationError, condition_on_final,
-                      enumerate_family, enumerate_measures,
-                      measure_report, monte_carlo_sample, sequential_chain)
+                      enumerate_family, measure_report, monte_carlo_sample,
+                      sequential_chain)
 from qcontour.errors import EnumerationGuardError
 from qcontour.linalg import complete_basis
 from toys import (E0, computational_basis, random_family_spec,
@@ -52,16 +52,21 @@ class TestSequentialChain:
 
 
 class TestEnumerateMeasures:
+    """Measures of every index combination consistent with the constraints:
+    ``measure_report`` on ``enumerate_family``."""
+
     def test_history_counts(self):
         spec, sched = random_family_spec(6200, dim=2, n_times=2, s_t=1)
-        assert len(enumerate_measures(spec, sched).entries) == 2
+        report = measure_report(enumerate_family(spec), sched)
+        assert len(report.measures) == len(report.entries) == 2
         spec, sched = random_family_spec(6201, dim=2, n_times=3, s_t=1)
-        assert len(enumerate_measures(spec, sched).entries) == 4
+        report = measure_report(enumerate_family(spec), sched)
+        assert len(report.measures) == len(report.entries) == 4
 
     def test_guard_trips(self):
         spec, sched = random_family_spec(6202, dim=4, n_times=4, s_t=1)
         with pytest.raises(EnumerationGuardError):
-            enumerate_measures(spec, sched, guard=5)
+            enumerate_family(spec, guard=5)
 
     def test_post_selected_matches_conditioned_chain(self):
         # both endpoints pinned: measures equal chain probabilities Bayes
@@ -69,7 +74,7 @@ class TestEnumerateMeasures:
         for seed in range(10):
             spec, sched = random_family_spec(6300 + seed, dim=3, n_times=4,
                                              s_t=2)
-            report = enumerate_measures(spec, sched)
+            report = measure_report(enumerate_family(spec), sched)
             final = next(fp for fp in spec.constraints
                          if fp.time == spec.times[-1])
             final_basis = complete_basis(final.state)
