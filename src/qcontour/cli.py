@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, linalg
-from .contour import TimeGrid, same_time
+from .contour import TimeGrid
 from .dynamics import HamiltonianSchedule, propagate
 from .envariance import BipartiteState, check_envariance
 from .errors import ModelFormatError, QContourError, ValidationError
@@ -24,7 +24,7 @@ from .histories import FixedPoint, enumerate_family
 from .measure import (DecompositionMode, decompose_total_measure,
                       measure_report, transfer_chain)
 from .models import (ModelSpec, load_model, matrix_from_json,
-                     matrix_to_json, vector_from_json)
+                     matrix_to_json, read_json, vector_from_json)
 from .oracle import (OutcomeDistribution, condition_on_final,
                      monte_carlo_sample, sequential_chain)
 from .sampling import (random_orthonormal_basis, random_schedule,
@@ -164,35 +164,27 @@ def _builtin_verify_models(seed: int) -> list[tuple[str, ModelSpec]]:
     return models
 
 
-def _constraint_layout(model: ModelSpec) -> str:
-    times = model.grid.times
-    ctimes = sorted(fp.time for fp in model.constraints)
-    ends = (times[0], times[-1])[:len(ctimes)]
-    if len(ctimes) in (1, 2) and all(map(same_time, ctimes, ends)):
-        return "initial" if len(ctimes) == 1 else "endpoints"
-    raise ValidationError(
-        "verification needs either one constraint at the first time or "
-        "constraints at both endpoints")
-
-
 def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
                 steps: int, tol: float) -> dict:
-    layout = _constraint_layout(model)
     spec = model.family_spec()
+    last = len(spec.times) - 1
+    if sorted(spec.pinned) not in ([0], [0, last]):
+        raise ValidationError(
+            "verification needs either one constraint at the first time or "
+            "constraints at both endpoints")
     fam = enumerate_family(spec)
     report = measure_report(fam, model.schedule, steps_per_segment=steps)
     normalization_error = abs(float(report.measures.sum()) - 1.0)
     route_discrepancy = report.route_max_discrepancy
 
-    times = model.grid.times
-    psi1 = model.constraint_at(times[0]).state
-    if layout == "initial":
+    times = spec.times
+    psi1 = spec.pinned[0].state
+    if last not in spec.pinned:
         dist = sequential_chain(psi1, model.bases[1:], times[1:],
                                 model.schedule, t_prep=times[0])
     else:
-        final = model.constraint_at(times[-1])
         mid_bases = list(model.bases[1:-1])
-        final_basis = linalg.complete_basis(final.state)
+        final_basis = linalg.complete_basis(spec.pinned[last].state)
         full = sequential_chain(psi1, mid_bases + [final_basis], times[1:],
                                 model.schedule, t_prep=times[0])
         dist = condition_on_final(full, 0)
@@ -265,7 +257,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_envariance(args) -> int:
-    state_doc = _load_json(args.state)
+    state_doc = read_json(args.state)
     for key in ("dim_a", "dim_b", "amplitudes"):
         if key not in state_doc:
             raise ModelFormatError(f"state file is missing key {key!r}")
@@ -276,7 +268,7 @@ def cmd_envariance(args) -> int:
     psi = BipartiteState(
         state_doc["dim_a"], state_doc["dim_b"],
         vector_from_json(state_doc["amplitudes"], "amplitudes"))
-    transform_doc = _load_json(args.transform)
+    transform_doc = read_json(args.transform)
     if "matrix" not in transform_doc:
         raise ModelFormatError("transform file is missing key 'matrix'")
     u_a = matrix_from_json(transform_doc["matrix"], "matrix")
@@ -297,16 +289,6 @@ def cmd_envariance(args) -> int:
         lines.append(f"residual: {result.residual:.3e}")
     _emit(doc, lines, args.format)
     return 0
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 _FLAGS = {

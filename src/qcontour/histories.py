@@ -418,7 +418,11 @@ class FamilySpec:
 
     ``bases`` holds one orthonormal set per grid time (complete sets are
     required wherever the time is unconstrained); ``constraints`` pins fixed
-    points at a subset of the grid times.
+    points at a subset of the grid times.  ``slots`` is the recipe's slot
+    table, built once here: at a pinned time the constraint alone, elsewhere
+    one ``FixedPoint`` per basis vector, labeled by its position.  Each
+    input vector is validated once; at free times ``bases`` holds the slot
+    fixed points' read-only states.
     """
 
     times: tuple[float, ...]
@@ -426,6 +430,8 @@ class FamilySpec:
     constraints: tuple[FixedPoint, ...] = ()
     #: grid index -> the constraint pinned there
     pinned: dict[int, FixedPoint] = field(init=False, repr=False)
+    #: per grid time, the fixed points an enumerated member may pass through
+    slots: tuple[tuple[FixedPoint, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -435,13 +441,6 @@ class FamilySpec:
             raise ValidationError("grid times must strictly increase")
         if len(self.bases) != len(times):
             raise ValidationError("need exactly one basis per grid time")
-        bases = tuple(tuple(linalg.as_state(v) for v in basis)
-                      for basis in self.bases)
-        dims = {v.size for basis in bases for v in basis}
-        if len(dims) != 1:
-            raise DimensionMismatchError("basis vectors must share one dimension")
-        for t, basis in zip(times, bases):
-            linalg.require_orthonormal(basis, f"basis at time {t}")
         pinned = {}
         for fp in self.constraints:
             index = grid_index(times, fp.time)
@@ -452,13 +451,28 @@ class FamilySpec:
                 raise ValidationError(
                     f"duplicate constraint at time {times[index]}")
             pinned[index] = fp
-            if fp.dim != next(iter(dims)):
-                raise DimensionMismatchError(
-                    "constraint state dimension does not match the bases")
+        slots, bases = [], []
+        for i, (t, basis) in enumerate(zip(times, self.bases)):
+            if i in pinned:
+                slots.append((pinned[i],))
+                bases.append(tuple(map(linalg.as_state, basis)))
+            else:
+                slots.append(tuple(FixedPoint(t, v, label=str(k))
+                                   for k, v in enumerate(basis)))
+                bases.append(tuple(fp.state for fp in slots[-1]))
+        dims = {v.size for basis in bases for v in basis}
+        if len(dims) != 1:
+            raise DimensionMismatchError("basis vectors must share one dimension")
+        for t, basis in zip(times, bases):
+            linalg.require_orthonormal(basis, f"basis at time {t}")
+        if any(fp.dim not in dims for fp in self.constraints):
+            raise DimensionMismatchError(
+                "constraint state dimension does not match the bases")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "bases", tuple(bases))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "pinned", pinned)
+        object.__setattr__(self, "slots", tuple(slots))
 
     @property
     def dim(self) -> int:
@@ -470,37 +484,30 @@ class FamilySpec:
 
     def history_count(self) -> int:
         """Number of histories the recipe enumerates to."""
-        return math.prod(len(basis) for i, basis in enumerate(self.bases)
-                         if i not in self.pinned)
+        return math.prod(map(len, self.slots))
 
 
 def enumerate_family(spec: FamilySpec,
                      guard: int = MAX_ENUMERATION) -> HistoryFamily:
     """All histories consistent with the recipe's fixed-point constraints.
 
-    Free slots range over the full basis at their time; constrained slots
-    are pinned.  Raises EnumerationGuardError when the combination count
-    exceeds ``guard``.
+    The family shares the recipe's slot table, ``spec.slots``: free slots
+    range over the full basis at their time, constrained slots are pinned,
+    and only the index is built here.  Raises EnumerationGuardError when
+    the combination count exceeds ``guard``.
     """
     count = spec.history_count()
     if count > guard:
         raise EnumerationGuardError(
             f"enumeration would produce {count} histories (guard: {guard})")
-    slots = []
-    for i, t in enumerate(spec.times):
-        if i in spec.pinned:
-            slots.append((spec.pinned[i],))
-            continue
-        basis = spec.bases[i]
-        if len(basis) != spec.dim:
+    free = [i for i in range(len(spec.slots)) if i not in spec.pinned]
+    for i in free:
+        if len(spec.slots[i]) != spec.dim:
             raise ValidationError(
-                f"basis at unconstrained time {t} must be complete "
-                f"({len(basis)} of {spec.dim} vectors)")
-        slots.append(tuple(FixedPoint(t, v, label=str(k))
-                           for k, v in enumerate(basis)))
-    shape = tuple(map(len, slots))
+                f"basis at unconstrained time {spec.times[i]} must be "
+                f"complete ({len(spec.slots[i])} of {spec.dim} vectors)")
+    shape = tuple(map(len, spec.slots))
     index = np.indices(shape, dtype=np.intp).reshape(len(shape), -1).T
-    free = [i for i in range(len(shape)) if i not in spec.pinned]
     return HistoryFamily._from_index(
-        tuple(slots), index, constraint_times=spec.constrained_times,
+        spec.slots, index, constraint_times=spec.constrained_times,
         choices=index[:, free])

@@ -156,8 +156,9 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
                    ) -> tuple[float, list[np.ndarray]]:
     """Normalization and per-slot marginal measures of an enumerated family.
 
-    Grid slot k holds the pinned state or the basis at its time, as the
-    rows of S_k.  The transfer matrix T_k = |S_{k+1}^* U_k S_k^T|^2
+    The recipe's slot k, ``spec.slots[k]``, holds the pinned state or
+    the basis at its time, as the rows of S_k.  The transfer matrix
+    T_k = |S_{k+1}^* U_k S_k^T|^2
     (elementwise) holds the squared amplitude of every step from slot k to
     slot k+1, so summing the product weights over all members is the
     matrix chain 1^T T_{N-1} ... T_0 1.  The forward-backward recursion
@@ -166,8 +167,7 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     is O(N_t d^3), independent of the family size; no member is weighed.
     Returns Z and the marginals, one array per slot in basis order.
     """
-    states = [np.array([spec.pinned[k].state]) if k in spec.pinned
-              else np.array(basis) for k, basis in enumerate(spec.bases)]
+    states = [np.array([fp.state for fp in slot]) for slot in spec.slots]
     transfers = [np.abs(b.conj() @ propagate(sched, t_a, t_b) @ a.T) ** 2
                  for a, b, t_a, t_b in zip(states, states[1:], spec.times,
                                            spec.times[1:])]

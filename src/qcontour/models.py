@@ -128,21 +128,18 @@ class ModelSpec:
         """Read the model as past branches, one pivot, future branches.
 
         Requires exactly three grid times with the single constraint at the
-        middle one; the bases at the outer times are the branch sets.
+        middle one; the recipe's outer slots, one fixed point per basis
+        vector there, are the branch sets.
         """
         if self.grid.n_times != 3:
             raise ValidationError(
                 "bundle decomposition needs exactly three grid times")
-        t1, t, t2 = self.grid.times
-        pivot = self.constraint_at(t)
-        if pivot is None or len(self.constraints) != 1:
+        spec = self.family_spec()
+        if list(spec.pinned) != [1]:
             raise ValidationError(
                 "bundle decomposition needs exactly one constraint, "
                 "at the middle time")
-        past = tuple(FixedPoint(t1, v, label=str(k))
-                     for k, v in enumerate(self.bases[0]))
-        future = tuple(FixedPoint(t2, v, label=str(k))
-                       for k, v in enumerate(self.bases[2]))
+        past, (pivot,), future = spec.slots
         return ToyBundle(past=past, pivot=pivot, future=future)
 
 
@@ -264,14 +261,26 @@ def model_to_dict(model: ModelSpec) -> dict:
     }
 
 
-def load_model(path) -> ModelSpec:
-    """Parse a model file; parse problems carry line-anchored messages."""
-    text = Path(path).read_text(encoding="utf-8")
+def read_json(path) -> dict:
+    """Parse a JSON object from a file.
+
+    Any failure to read or parse it, and a top-level value that is not an
+    object, raises ModelFormatError naming the file; parse problems carry
+    line-anchored messages.
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    return model_from_dict(doc)
+    if not isinstance(doc, dict):
+        raise ModelFormatError(
+            f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_model(path) -> ModelSpec:
+    """Parse and validate a model file."""
+    return model_from_dict(read_json(path))
 
 
 def save_model(model: ModelSpec, path) -> None:

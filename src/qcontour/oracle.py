@@ -17,6 +17,7 @@ import numpy as np
 from . import linalg
 from .dynamics import HamiltonianSchedule, propagate
 from .errors import ValidationError, ZeroNormalizationError
+from .sampling import rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,6 @@ class OutcomeDistribution:
     @property
     def total(self) -> float:
         return float(sum(p for _, p in self.outcomes))
-
-    def probability(self, seq) -> float:
-        key = tuple(seq)
-        for out, p in self.outcomes:
-            if out == key:
-                return p
-        raise KeyError(key)
 
 
 def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
@@ -147,7 +141,7 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
                        seed: int) -> FrequencyTable:
     """Draw ``n`` outcome sequences and tabulate their frequencies.
 
-    Sampling uses the counter-based Philox generator keyed by ``seed``, so
+    Sampling uses the Philox generator of ``rng_from_seed(seed)``, so
     tables are bit-identical across reruns.  Each frequency is compared
     against the five-sigma binomial band around its probability; rows
     outside the band are flagged, not fatal.
@@ -156,7 +150,7 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
         raise ValidationError("sample count must be positive")
     probs = np.array([p for _, p in dist.outcomes])
     probs = np.clip(probs, 0.0, None)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = rng_from_seed(seed)
     draws = rng.choice(len(probs), size=n, p=probs / probs.sum())
     counts = np.bincount(draws, minlength=len(probs))
     rows = []

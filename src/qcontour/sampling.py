@@ -9,10 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import HamiltonianSchedule
+from .errors import ValidationError
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(int(seed)))
+    """Philox generator keyed by a non-negative integer seed."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -340,3 +340,79 @@ class TestDecomposeSpread:
         captured = capsys.readouterr()
         assert "max total spread" in captured.out
         assert "decomposition totals disagree" in captured.err
+
+
+def bell_files(tmp_path):
+    inv = 1 / math.sqrt(2)
+    state = write(tmp_path, "bell.json", {
+        "dim_a": 2, "dim_b": 2,
+        "amplitudes": [[inv, 0], [0, 0], [0, 0], [inv, 0]]})
+    transform = write(tmp_path, "eye.json", {
+        "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
+    return state, transform
+
+
+def unreadable(tmp_path, kind):
+    """A path that cannot be read as JSON text: missing, a directory, or
+    bytes that are not UTF-8."""
+    path = tmp_path / f"unreadable-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin1":
+        path.write_bytes(b'{"dim": 2, "label": "\xe9"}')
+    return str(path)
+
+
+class TestUnreadableInput:
+    """Every JSON input is read one way: any failure is exit 2, naming the
+    file, without a traceback."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin1"])
+    @pytest.mark.parametrize("command", [
+        ["measure"], ["verify"], ["decompose"], ["propagate", "0", "1"]])
+    def test_model_file_exit_2(self, tmp_path, capsys, command, kind):
+        path = unreadable(tmp_path, kind)
+        assert main([command[0], path, *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("doc", [None, 5, ["dim", "grid"]])
+    def test_model_file_not_an_object_exit_2(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "model.json", doc)
+        assert main(["measure", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin1"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_envariance_file_exit_2(self, tmp_path, capsys, which, kind):
+        paths = list(bell_files(tmp_path))
+        paths[which] = unreadable(tmp_path, kind)
+        assert main(["envariance", *paths]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {paths[which]}: ")
+
+    @pytest.mark.parametrize("doc", [
+        None, 5, ["dim_a", "dim_b", "amplitudes"], ["matrix"]])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_envariance_file_not_an_object_exit_2(self, tmp_path, capsys,
+                                                  which, doc):
+        paths = list(bell_files(tmp_path))
+        paths[which] = write(tmp_path, "not-an-object.json", doc)
+        assert main(["envariance", *paths]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {paths[which]}: ")
+
+
+class TestVerifyInputs:
+    @pytest.mark.parametrize("model", [False, True])
+    def test_negative_seed_exit_3(self, tmp_path, capsys, model):
+        argv = ["verify", "--seed", "-1", "--trials", "200"]
+        if model:
+            argv.insert(1, born_model(tmp_path))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be non-negative")
+        assert "Traceback" not in err
+
+    def test_model_pinned_at_a_middle_time_exit_3(self, tmp_path, capsys):
+        assert main(["verify", bundle_model(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: verification needs either one constraint at the first "
+            "time or constraints at both endpoints\n")

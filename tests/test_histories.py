@@ -10,10 +10,11 @@ from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       decoherence_report, enumerate_family, histories_equal,
                       history_inner, history_operator, is_decoherent_space,
                       record_state, validate_family)
+from qcontour import linalg
 from qcontour.errors import EnumerationGuardError
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
-                  family_variants, random_family_spec, sx_schedule,
-                  zero_schedule)
+                  count_calls, family_variants, random_family_spec,
+                  sx_schedule, zero_schedule)
 
 
 def two_point(state1, state2, t1=0.0, t2=1.0):
@@ -318,6 +319,52 @@ class TestFamilySpec:
         with pytest.raises(ValidationError, match="duplicate"):
             FamilySpec(times=(0.0, 1.0), bases=bases,
                        constraints=(FixedPoint(1.0, E0), FixedPoint(1.0, E1)))
+
+
+class TestSlotTable:
+    """A recipe builds its slot fixed points once; enumeration reuses them."""
+
+    def test_enumeration_builds_no_fixed_points_and_validates_nothing(
+            self, monkeypatch):
+        spec, _ = random_family_spec(51, dim=3, n_times=4, s_t=1)
+        made = count_calls(monkeypatch, FixedPoint, "__init__")
+        checked = count_calls(monkeypatch, linalg, "as_state")
+        fam = enumerate_family(spec)
+        assert made == [] and checked == []
+        assert len(fam.slots) == len(spec.slots) == 4
+        assert all(a is b for a, b in zip(fam.slots, spec.slots))
+
+    def test_two_enumerations_share_slots_but_are_distinct_families(self):
+        spec, _ = random_family_spec(52, dim=2, n_times=3, s_t=2)
+        first, second = enumerate_family(spec), enumerate_family(spec)
+        assert first != second
+        assert first.slots is second.slots is spec.slots
+        assert np.array_equal(first.index, second.index)
+
+    def test_slots_pin_constraints_and_label_basis_positions(self):
+        spec, _ = random_family_spec(53, dim=3, n_times=3, s_t=1)
+        assert spec.slots[0] == (spec.constraints[0],)
+        for k in (1, 2):
+            assert [fp.label for fp in spec.slots[k]] == ["0", "1", "2"]
+            assert all(fp.time == spec.times[k] for fp in spec.slots[k])
+            assert all(v is fp.state and not v.flags.writeable
+                       for v, fp in zip(spec.bases[k], spec.slots[k],
+                                        strict=True))
+        assert spec.history_count() == 9
+
+    def test_raw_vectors_are_validated_once_and_constraints_never(
+            self, monkeypatch):
+        raw = [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+        constraints = (FixedPoint(0.0, E0), FixedPoint(2.0, E1))
+        checked = count_calls(monkeypatch, linalg, "as_state")
+        spec = FamilySpec(times=(0.0, 1.0, 2.0), bases=raw,
+                          constraints=constraints)
+        vectors = [v for basis in raw for v in basis]
+        assert len(checked) == len(vectors)
+        assert all(args[0] is v for args, v in zip(checked, vectors))
+        assert spec.slots[0] == (constraints[0],)
+        assert spec.slots[2] == (constraints[1],)
+        np.testing.assert_array_equal(spec.slots[1][1].state, [0, 1])
 
 
 class TestEnumerateFamily:

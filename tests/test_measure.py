@@ -18,8 +18,8 @@ from qcontour.sampling import (random_hermitian, random_orthonormal_basis,
                                random_state, random_schedule, rng_from_seed)
 
 from toys import (E0, E1, FAMILY_SHAPES, PLUS, computational_basis,
-                  family_variants, random_family_spec, sx_schedule,
-                  zero_schedule)
+                  count_calls, family_variants, random_family_spec,
+                  sx_schedule, zero_schedule)
 
 
 def fp(t, state, label="fp"):
@@ -334,20 +334,6 @@ class TestTransferChain:
             transfer_chain(spec, zero_schedule(2))
 
 
-def _count_calls(monkeypatch, owner, name, *also):
-    """Record the arguments of every call to ``owner.name`` from now on;
-    the same spy replaces the name in each module of ``also`` too."""
-    calls = []
-    original = getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-    for target in (owner, *also):
-        monkeypatch.setattr(target, name, spy)
-    return calls
-
-
 class TestCountGuards:
     """An enumerated family is weighed from its slots and index: counts of
     objects and propagators, not timings."""
@@ -355,7 +341,7 @@ class TestCountGuards:
     def test_no_histories_built_to_weigh_an_enumerated_family(
             self, monkeypatch):
         spec, sched = random_family_spec(41, dim=3, n_times=4, s_t=1)
-        built = _count_calls(monkeypatch, QuantumHistory, "__init__")
+        built = count_calls(monkeypatch, QuantumHistory, "__init__")
         fam = enumerate_family(spec)
         measure_report(fam, sched)
         measure_report(fam, sched, steps_per_segment=2)
@@ -366,8 +352,8 @@ class TestCountGuards:
     def test_no_per_history_objects_until_entries_are_read(
             self, monkeypatch):
         spec, sched = random_family_spec(41, dim=3, n_times=4, s_t=1)
-        built = _count_calls(monkeypatch, QuantumHistory, "__init__")
-        made = _count_calls(monkeypatch, HistoryMeasure, "__init__")
+        built = count_calls(monkeypatch, QuantumHistory, "__init__")
+        made = count_calls(monkeypatch, HistoryMeasure, "__init__")
         fam = enumerate_family(spec)
         assert isinstance(fam.index, np.ndarray)
         assert np.issubdtype(fam.index.dtype, np.integer)
@@ -387,14 +373,14 @@ class TestCountGuards:
     def test_closed_form_propagates_once_per_segment(self, monkeypatch):
         spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)
         fam = enumerate_family(spec)
-        calls = _count_calls(monkeypatch, dynamics, "propagate", measure)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
         measure_report(fam, sched)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_contour_walk_propagates_independently_of_history_count(
             self, monkeypatch, steps):
-        calls = _count_calls(monkeypatch, dynamics, "propagate", measure)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
         counts = []
         for s_t in (1, 2):  # H = 27 and H = 9 on one grid and schedule
             spec, sched = random_family_spec(43, dim=3, n_times=4, s_t=s_t)
@@ -412,7 +398,7 @@ class TestCountGuards:
     def test_decomposition_propagates_once_per_bundle_segment(
             self, monkeypatch):
         bundle, sched = random_bundle(63, dim=3, n_past=3, n_future=2)
-        calls = _count_calls(monkeypatch, dynamics, "propagate", measure)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
         for mode in DecompositionMode:
             calls.clear()
             decompose_total_measure(bundle, sched, mode)

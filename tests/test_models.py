@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from qcontour import (ModelFormatError, ValidationError, enumerate_family,
-                      load_model, measure_report, model_from_dict,
-                      model_to_dict, save_model)
+from qcontour import (FixedPoint, ModelFormatError, ModelSpec, TimeGrid,
+                      ValidationError, enumerate_family, load_model,
+                      measure_report, model_from_dict, model_to_dict,
+                      save_model)
+from qcontour.sampling import (random_orthonormal_basis, random_schedule,
+                               random_state, rng_from_seed)
 
 SX_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
@@ -105,6 +108,33 @@ class TestRoundTrip:
     def test_preparation_defaults_to_first_constraint(self):
         model = model_from_dict(born_model_dict())
         np.testing.assert_allclose(model.preparation_state(), [1, 0])
+
+
+class TestToyBundle:
+    @staticmethod
+    def model(pivot_time):
+        rng = rng_from_seed(61)
+        times = (0.0, 0.5, 1.2)
+        bases = tuple(tuple(random_orthonormal_basis(rng, 3)) for _ in times)
+        pivot = FixedPoint(pivot_time, random_state(rng, 3), label="pivot")
+        return ModelSpec(dim=3, grid=TimeGrid(times),
+                         schedule=random_schedule(rng, times, 3),
+                         bases=bases, constraints=(pivot,))
+
+    def test_branches_are_the_outer_basis_fixed_points(self):
+        model = self.model(0.5)
+        bundle = model.toy_bundle()
+        assert bundle.pivot is model.constraints[0]
+        for branches, t, basis in ((bundle.past, 0.0, model.bases[0]),
+                                   (bundle.future, 1.2, model.bases[2])):
+            assert [b.label for b in branches] == ["0", "1", "2"]
+            assert all(b.time == t for b in branches)
+            for b, v in zip(branches, basis, strict=True):
+                np.testing.assert_array_equal(b.state, v)
+
+    def test_pivot_must_sit_at_the_middle_time(self):
+        with pytest.raises(ValidationError, match="at the middle time"):
+            self.model(0.0).toy_bundle()
 
 
 def _set(path, value):

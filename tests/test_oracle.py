@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qcontour import (OutcomeDistribution, ValidationError,
@@ -8,6 +9,7 @@ from qcontour import (OutcomeDistribution, ValidationError,
                       sequential_chain)
 from qcontour.errors import EnumerationGuardError
 from qcontour.linalg import complete_basis
+from qcontour.sampling import rng_from_seed
 from toys import (E0, computational_basis, random_family_spec,
                   sx_schedule, zero_schedule)
 
@@ -127,6 +129,22 @@ class TestMonteCarloSample:
         dist = OutcomeDistribution((((0,), 1.0),))
         with pytest.raises(ValidationError):
             monte_carlo_sample(dist, 0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
+        with pytest.raises(ValidationError, match="non-negative"):
+            monte_carlo_sample(dist, 10, -1)
+        with pytest.raises(ValidationError, match="non-negative"):
+            rng_from_seed(-1)
+
+    def test_draws_follow_the_philox_stream_of_the_seed(self):
+        probs = np.array([0.2, 0.3, 0.5])
+        dist = OutcomeDistribution(tuple(((k,), p)
+                                         for k, p in enumerate(probs)))
+        table = monte_carlo_sample(dist, 1000, seed=9)
+        draws = np.random.Generator(np.random.Philox(9)).choice(
+            3, size=1000, p=probs / probs.sum())
+        assert [r.count for r in table.rows] == np.bincount(draws).tolist()
 
 
 class TestOutcomeDistribution:

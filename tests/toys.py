@@ -20,6 +20,20 @@ PLUS = (E0 + E1) / math.sqrt(2)
 MINUS = (E0 - E1) / math.sqrt(2)
 
 
+def count_calls(monkeypatch, owner, name, *also):
+    """Record the arguments of every call to ``owner.name`` from now on;
+    the same spy replaces the name in each module of ``also`` too."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for target in (owner, *also):
+        monkeypatch.setattr(target, name, spy)
+    return calls
+
+
 def computational_basis(dim):
     return tuple(np.eye(dim, dtype=complex)[:, k].copy() for k in range(dim))
 
