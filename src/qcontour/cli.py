@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import __version__, linalg
-from .contour import TimeGrid
 from .dynamics import HamiltonianSchedule, propagate
 from .envariance import BipartiteState, check_envariance
 from .errors import ModelFormatError, QContourError, ValidationError
@@ -77,7 +76,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_measure(args) -> int:
     model = load_model(args.model)
-    fam = enumerate_family(model.family_spec())
+    fam = enumerate_family(model)
     report = measure_report(fam, model.schedule,
                             steps_per_segment=args.steps_per_segment)
     rows = list(report.rows())
@@ -135,8 +134,7 @@ def _builtin_verify_models(seed: int) -> list[tuple[str, ModelSpec]]:
     e0 = np.array([1.0, 0.0], dtype=complex)
     comp2 = tuple(np.eye(2, dtype=complex)[:, k] for k in range(2))
     born = ModelSpec(
-        dim=2,
-        grid=TimeGrid((0.0, math.pi / 4)),
+        times=(0.0, math.pi / 4),
         schedule=HamiltonianSchedule.constant(sx, 0.0, math.pi / 4),
         bases=(comp2, comp2),
         constraints=(FixedPoint(0.0, e0, label="prep"),))
@@ -159,32 +157,31 @@ def _builtin_verify_models(seed: int) -> list[tuple[str, ModelSpec]]:
             constraints.append(FixedPoint(times[-1], random_state(rng, dim),
                                           label="final"))
         models.append((name, ModelSpec(
-            dim=dim, grid=TimeGrid(times), schedule=sched, bases=bases,
+            times=times, schedule=sched, bases=bases,
             constraints=tuple(constraints))))
     return models
 
 
 def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
                 steps: int, tol: float) -> dict:
-    spec = model.family_spec()
-    last = len(spec.times) - 1
-    if sorted(spec.pinned) not in ([0], [0, last]):
+    last = len(model.times) - 1
+    if sorted(model.pinned) not in ([0], [0, last]):
         raise ValidationError(
             "verification needs either one constraint at the first time or "
             "constraints at both endpoints")
-    fam = enumerate_family(spec)
+    fam = enumerate_family(model)
     report = measure_report(fam, model.schedule, steps_per_segment=steps)
     normalization_error = abs(float(report.measures.sum()) - 1.0)
     route_discrepancy = report.route_max_discrepancy
 
-    times = spec.times
-    psi1 = spec.pinned[0].state
-    if last not in spec.pinned:
+    times = model.times
+    psi1 = model.pinned[0].state
+    if last not in model.pinned:
         dist = sequential_chain(psi1, model.bases[1:], times[1:],
                                 model.schedule, t_prep=times[0])
     else:
         mid_bases = list(model.bases[1:-1])
-        final_basis = linalg.complete_basis(spec.pinned[last].state)
+        final_basis = linalg.complete_basis(model.pinned[last].state)
         full = sequential_chain(psi1, mid_bases + [final_basis], times[1:],
                                 model.schedule, t_prep=times[0])
         dist = condition_on_final(full, 0)
@@ -194,7 +191,7 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
                           for seq, p in dist.outcomes)
     # the normalization and each slot's marginal measures from the transfer
     # chain, which weighs no member, against the report's columns
-    normalization, marginals = transfer_chain(spec, model.schedule)
+    normalization, marginals = transfer_chain(model, model.schedule)
     direct_deviation = max(
         abs(normalization / report.normalization - 1.0),
         *(float(np.max(np.abs(marginal - np.bincount(
@@ -210,7 +207,7 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
     return {
         "name": name,
         "dim": model.dim,
-        "n_times": model.n_times,
+        "n_times": len(model.times),
         "s_t": len(model.constraints),
         "n_histories": len(fam.index),
         "normalization_error": normalization_error,

@@ -116,9 +116,10 @@ class HistoryFamily:
     identity, as for fixed points.
 
     ``constraint_times`` lists the times at which the fixed point is known
-    (there are S_t of them); the remaining times are free slots.  ``choices``
-    optionally records, per history, the basis index chosen at each free
-    slot, in time order, as a read-only (H, N_t - S_t) integer array.
+    (there are S_t of them); the remaining times are free slots.  An
+    enumerated family (``enumerate_family``) also records ``choices``, per
+    history the basis index chosen at each free slot, in time order, as a
+    read-only (H, N_t - S_t) integer array; a hand-built one has none.
     """
 
     slots: tuple[tuple[FixedPoint, ...], ...]
@@ -127,7 +128,7 @@ class HistoryFamily:
     choices: np.ndarray | None
     _histories: tuple[QuantumHistory, ...] | None = field(repr=False)
 
-    def __init__(self, histories, constraint_times=(), choices=None):
+    def __init__(self, histories, constraint_times=()):
         histories = tuple(histories)
         if not histories:
             raise ValidationError("family must contain at least one history")
@@ -146,27 +147,13 @@ class HistoryFamily:
                     f"constraint time {t} is not a grid time")
         if len(constraint_times) > first.n_times:
             raise ValidationError("more constraints than grid times")
-        if choices is not None:
-            choices = tuple(tuple(c) for c in choices)
-            if len(choices) != len(histories):
-                raise ValidationError(
-                    f"{len(choices)} choice rows for {len(histories)} "
-                    "histories")
-            free = first.n_times - len(constraint_times)
-            if any(len(c) != free for c in choices):
-                raise ValidationError(
-                    f"every choice row needs one index per free slot ({free})")
-            choices = np.array(choices).reshape(len(histories), free)
-            if choices.size and choices.dtype.kind not in "iu":
-                raise ValidationError("choice indices must be integers")
-            choices = choices.astype(np.intp)
         # each slot's distinct fixed points, by identity, in order of first use
         positions = [{} for _ in times]
         index = np.array([[pos.setdefault(p, len(pos))
                            for pos, p in zip(positions, h.points)]
                           for h in histories], dtype=np.intp)
         self._assign(tuple(map(tuple, positions)), index, constraint_times,
-                     choices, histories)
+                     None, histories)
 
     @classmethod
     def _from_index(cls, slots, index, constraint_times=(),
@@ -174,9 +161,10 @@ class HistoryFamily:
         """A family given by per-slot fixed points and an index, unchecked.
 
         The caller guarantees what ``__init__`` checks: the slots lie on one
-        strictly increasing grid in one dimension, every index row picks one
-        fixed point per slot, and ``choices`` has one row of free-slot
-        indices per member.  ``enumerate_family`` builds families this way.
+        strictly increasing grid in one dimension and every index row picks
+        one fixed point per slot; ``choices`` has one distinct row of
+        free-slot indices per member.  ``enumerate_family`` builds families
+        this way.
         """
         fam = cls.__new__(cls)
         fam._assign(slots, index, constraint_times, choices, None)
@@ -412,7 +400,7 @@ def is_decoherent_space(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     return decoherence_report(fam, sched, psi1, tol).decoherent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySpec:
     """Recipe for an enumerated family: grid, per-time bases, constraints.
 
@@ -422,7 +410,7 @@ class FamilySpec:
     table, built once here: at a pinned time the constraint alone, elsewhere
     one ``FixedPoint`` per basis vector, labeled by its position.  Each
     input vector is validated once; at free times ``bases`` holds the slot
-    fixed points' read-only states.
+    fixed points' read-only states.  ``==`` is identity.
     """
 
     times: tuple[float, ...]
@@ -453,13 +441,16 @@ class FamilySpec:
             pinned[index] = fp
         slots, bases = [], []
         for i, (t, basis) in enumerate(zip(times, self.bases)):
-            if i in pinned:
-                slots.append((pinned[i],))
-                bases.append(tuple(map(linalg.as_state, basis)))
-            else:
-                slots.append(tuple(FixedPoint(t, v, label=str(k))
-                                   for k, v in enumerate(basis)))
-                bases.append(tuple(fp.state for fp in slots[-1]))
+            try:
+                if i in pinned:
+                    slots.append((pinned[i],))
+                    bases.append(tuple(map(linalg.as_state, basis)))
+                else:
+                    slots.append(tuple(FixedPoint(t, v, label=str(k))
+                                       for k, v in enumerate(basis)))
+                    bases.append(tuple(fp.state for fp in slots[-1]))
+            except ValidationError as exc:
+                raise ValidationError(f"basis at time {t}: {exc}") from exc
         dims = {v.size for basis in bases for v in basis}
         if len(dims) != 1:
             raise DimensionMismatchError("basis vectors must share one dimension")
@@ -476,7 +467,7 @@ class FamilySpec:
 
     @property
     def dim(self) -> int:
-        return self.bases[0][0].size
+        return next(v.size for basis in self.bases for v in basis)
 
     @property
     def constrained_times(self) -> tuple[float, ...]:

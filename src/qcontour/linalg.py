@@ -148,7 +148,10 @@ def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the given vectors form an orthonormal set."""
+    """True iff the given vectors form an orthonormal set (the empty set
+    does)."""
+    if len(vectors) == 0:
+        return True
     stack = np.array([np.asarray(v, dtype=complex).reshape(-1)
                       for v in vectors])
     gram = stack.conj() @ stack.T

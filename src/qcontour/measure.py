@@ -258,11 +258,7 @@ class MeasureReport:
         choices = self.family.choices
         if choices is None:
             raise ValidationError("report entries carry no choice indices")
-        lookup = dict(zip(map(tuple, choices.tolist()),
-                          self.measures.tolist()))
-        if len(lookup) != len(choices):
-            raise ValidationError("report entries repeat a choice key")
-        return lookup
+        return dict(zip(map(tuple, choices.tolist()), self.measures.tolist()))
 
 
 def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,

@@ -1,5 +1,9 @@
 """Model files: a JSON description of a grid, schedule, bases and constraints.
 
+A model (``ModelSpec``) is a family recipe (``FamilySpec``: per-time bases
+and fixed-point constraints over a grid) plus the Hamiltonian schedule of
+the dynamics between the grid times.
+
 Schema (complex numbers are [re, im] pairs, matrices are row-major):
 
     {
@@ -10,14 +14,16 @@ Schema (complex numbers are [re, im] pairs, matrices are row-major):
          "matrix": [[[0,0],[1,0]], [[1,0],[0,0]]]}
       ],
       "bases": [null, [[[1,0],[0,0]], [[0,0],[1,0]]]],
-      "constraints": [{"time": 0.0, "state": [[1,0],[0,0]], "label": "prep"}],
-      "preparation": [[1,0],[0,0]]
+      "constraints": [{"time": 0.0, "state": [[1,0],[0,0]], "label": "prep"}]
     }
 
-``bases`` may be omitted or contain null entries; missing bases default to
-the computational basis.  ``preparation`` is optional and defaults to the
-constraint at the first grid time when present.  Matrices must be Hermitian
-within ``linalg.INPUT_TOL`` on load.
+``grid`` holds at least two increasing times.  ``bases`` may be omitted or
+contain null entries; missing bases default to the computational basis.
+Unknown keys are ignored.  ``model_from_dict`` checks the format
+(``ModelFormatError``); the values are checked once, by ``ModelSpec``:
+orthonormal bases, constraints at distinct grid times, one dimension, and a
+schedule covering the grid.  Matrices must be Hermitian within
+``linalg.INPUT_TOL`` on load.
 """
 
 from __future__ import annotations
@@ -29,10 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .contour import TimeGrid, grid_index
 from .dynamics import HamiltonianSchedule
-from .errors import ModelFormatError, ValidationError
+from .errors import DimensionMismatchError, ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
 from .measure import ToyBundle
 
@@ -91,38 +96,27 @@ def matrix_to_json(mat) -> list:
     return [vector_to_json(row) for row in np.asarray(mat, dtype=complex)]
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Parsed model: grid, schedule, per-time bases, constraints, preparation."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ModelSpec(FamilySpec):
+    """A model: a family recipe (grid, bases, constraints) and the schedule
+    of the dynamics between its times.
 
-    dim: int
-    grid: TimeGrid
+    ``FamilySpec`` validates the recipe; here the schedule must share its
+    dimension and cover its grid.
+    """
+
     schedule: HamiltonianSchedule
-    bases: tuple[tuple[np.ndarray, ...], ...]
-    constraints: tuple[FixedPoint, ...]
-    preparation: np.ndarray | None = None
 
-    @property
-    def n_times(self) -> int:
-        return self.grid.n_times
-
-    def constraint_at(self, t: float) -> FixedPoint | None:
-        index = grid_index([fp.time for fp in self.constraints], t)
-        return None if index is None else self.constraints[index]
-
-    def preparation_state(self) -> np.ndarray:
-        """The preparation, defaulting to the first-time constraint."""
-        if self.preparation is not None:
-            return self.preparation
-        fp = self.constraint_at(self.grid.t_min)
-        if fp is None:
-            raise ValidationError(
-                "model has no preparation and no constraint at the first time")
-        return fp.state
-
-    def family_spec(self) -> FamilySpec:
-        return FamilySpec(times=self.grid.times, bases=self.bases,
-                          constraints=self.constraints)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.schedule.dim != self.dim:
+            raise DimensionMismatchError(
+                f"schedule dimension {self.schedule.dim} does not match "
+                f"the bases ({self.dim})")
+        span = (self.schedule.t_min, self.schedule.t_max)
+        if not all(span[0] <= t <= span[1] or grid_index(span, t) is not None
+                   for t in (self.times[0], self.times[-1])):
+            raise ValidationError("schedule span does not cover the grid")
 
     def toy_bundle(self) -> ToyBundle:
         """Read the model as past branches, one pivot, future branches.
@@ -131,15 +125,14 @@ class ModelSpec:
         middle one; the recipe's outer slots, one fixed point per basis
         vector there, are the branch sets.
         """
-        if self.grid.n_times != 3:
+        if len(self.times) != 3:
             raise ValidationError(
                 "bundle decomposition needs exactly three grid times")
-        spec = self.family_spec()
-        if list(spec.pinned) != [1]:
+        if list(self.pinned) != [1]:
             raise ValidationError(
                 "bundle decomposition needs exactly one constraint, "
                 "at the middle time")
-        past, (pivot,), future = spec.slots
+        past, (pivot,), future = self.slots
         return ToyBundle(past=past, pivot=pivot, future=future)
 
 
@@ -157,12 +150,12 @@ def model_from_dict(doc: dict) -> ModelSpec:
     dim = doc["dim"]
     if type(dim) is not int or dim < 1:
         raise ModelFormatError(f"dim: expected a positive integer, got {dim!r}")
-    if not isinstance(doc["grid"], list) or len(doc["grid"]) < 1:
-        raise ModelFormatError("grid: expected a list of times")
+    if not isinstance(doc["grid"], list) or len(doc["grid"]) < 2:
+        raise ModelFormatError("grid: expected a list of at least two times")
     times = [_time_from_json(t, f"grid[{k}]")
              for k, t in enumerate(doc["grid"])]
     try:
-        grid = TimeGrid(times)
+        times = TimeGrid(times).times
     except ValidationError as exc:
         raise ModelFormatError(f"grid: {exc}") from exc
 
@@ -183,15 +176,11 @@ def model_from_dict(doc: dict) -> ModelSpec:
         segments.append((_time_from_json(seg["t_start"], f"{where}.t_start"),
                          _time_from_json(seg["t_end"], f"{where}.t_end"), h))
     schedule = HamiltonianSchedule(segments)
-    span = (schedule.t_min, schedule.t_max)
-    if not all(span[0] <= t <= span[1] or grid_index(span, t) is not None
-               for t in (grid.t_min, grid.t_max)):
-        raise ValidationError("schedule span does not cover the grid")
 
     raw_bases = doc.get("bases")
     if raw_bases is None:
-        raw_bases = [None] * grid.n_times
-    if not isinstance(raw_bases, list) or len(raw_bases) != grid.n_times:
+        raw_bases = [None] * len(times)
+    if not isinstance(raw_bases, list) or len(raw_bases) != len(times):
         raise ModelFormatError(
             "bases: expected one entry per grid time (or null)")
     bases = []
@@ -208,8 +197,6 @@ def model_from_dict(doc: dict) -> ModelSpec:
             if v.size != dim:
                 raise ModelFormatError(
                     f"{where}[{k}]: dimension {v.size} does not match dim")
-        linalg.require_orthonormal(vecs,
-                                   f"basis at grid time {grid.times[i]}")
         bases.append(vecs)
 
     raw_constraints = doc.get("constraints", [])
@@ -223,8 +210,6 @@ def model_from_dict(doc: dict) -> ModelSpec:
             raise ModelFormatError(
                 f"{where}: expected an object with time and state")
         t = _time_from_json(entry["time"], f"{where}.time")
-        if grid_index(grid.times, t) is None:
-            raise ValidationError(f"{where}: time {t} is not a grid time")
         state = vector_from_json(entry["state"], f"{where}.state")
         label = entry.get("label", f"c{i}")
         try:
@@ -232,21 +217,15 @@ def model_from_dict(doc: dict) -> ModelSpec:
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
-    preparation = None
-    if doc.get("preparation") is not None:
-        preparation = linalg.as_state(
-            vector_from_json(doc["preparation"], "preparation"), dim)
-
-    return ModelSpec(dim=dim, grid=grid, schedule=schedule,
-                     bases=tuple(bases), constraints=tuple(constraints),
-                     preparation=preparation)
+    return ModelSpec(times=times, bases=tuple(bases),
+                     constraints=tuple(constraints), schedule=schedule)
 
 
 def model_to_dict(model: ModelSpec) -> dict:
     """Serialize a ModelSpec back to the JSON schema (round-trip exact)."""
     return {
         "dim": model.dim,
-        "grid": list(model.grid.times),
+        "grid": list(model.times),
         "hamiltonian": [
             {"t_start": t0, "t_end": t1, "matrix": matrix_to_json(h)}
             for t0, t1, h in model.schedule.segments],
@@ -256,8 +235,6 @@ def model_to_dict(model: ModelSpec) -> dict:
             {"time": fp.time, "state": vector_to_json(fp.state),
              "label": fp.label}
             for fp in model.constraints],
-        "preparation": (None if model.preparation is None
-                        else vector_to_json(model.preparation)),
     }
 
 

@@ -10,6 +10,7 @@ by zero along dead branches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,13 @@ def condition_on_final(dist: OutcomeDistribution,
     return OutcomeDistribution(tuple((seq, p / total) for seq, p in kept))
 
 
+def _binomial_sigma(p: float, n: int) -> tuple[float, float]:
+    """``p`` clipped to [0, 1], as the draws read it, and one binomial
+    standard error of a frequency over ``n`` draws there."""
+    p = min(max(p, 0.0), 1.0)
+    return p, math.sqrt(p * (1.0 - p) / n)
+
+
 @dataclass(frozen=True)
 class FrequencyRow:
     """Observed counts for one outcome, against its binomial band."""
@@ -129,12 +137,12 @@ class FrequencyTable:
         """Largest deviation in units of one binomial standard error."""
         worst = 0.0
         for r in self.rows:
-            sigma = np.sqrt(r.probability * (1.0 - r.probability) / self.n)
+            p, sigma = _binomial_sigma(r.probability, self.n)
             if sigma > 0:
-                worst = max(worst, abs(r.frequency - r.probability) / sigma)
-            elif r.frequency != r.probability:
-                worst = np.inf
-        return float(worst)
+                worst = max(worst, abs(r.frequency - p) / sigma)
+            elif r.frequency != p:
+                worst = math.inf
+        return worst
 
 
 def monte_carlo_sample(dist: OutcomeDistribution, n: int,
@@ -143,8 +151,9 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
 
     Sampling uses the Philox generator of ``rng_from_seed(seed)``, so
     tables are bit-identical across reruns.  Each frequency is compared
-    against the five-sigma binomial band around its probability; rows
-    outside the band are flagged, not fatal.
+    against the five-sigma binomial band around its probability, clipped
+    to [0, 1] as the draws read it; rows outside the band are flagged, not
+    fatal.
     """
     if n < 1:
         raise ValidationError("sample count must be positive")
@@ -154,10 +163,11 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     draws = rng.choice(len(probs), size=n, p=probs / probs.sum())
     counts = np.bincount(draws, minlength=len(probs))
     rows = []
-    for (key, p), count in zip(dist.outcomes, counts):
+    for (key, p), count in zip(dist.outcomes, counts.tolist()):
         freq = count / n
-        band = 5.0 * float(np.sqrt(p * (1.0 - p) / n))
-        rows.append(FrequencyRow(key=key, probability=p, count=int(count),
+        clipped, sigma = _binomial_sigma(p, n)
+        band = 5.0 * sigma
+        rows.append(FrequencyRow(key=key, probability=p, count=count,
                                  frequency=freq, band=band,
-                                 within_band=abs(freq - p) <= band))
+                                 within_band=abs(freq - clipped) <= band))
     return FrequencyTable(n=n, seed=seed, rows=tuple(rows))

@@ -416,3 +416,25 @@ class TestVerifyInputs:
         assert capsys.readouterr().err == (
             "error: verification needs either one constraint at the first "
             "time or constraints at both endpoints\n")
+
+
+class TestModelChecksAtLoad:
+    """Every subcommand reading a model gets the same recipe checks."""
+
+    @pytest.mark.parametrize("command", [
+        ["propagate", "0", "0.5"], ["measure"], ["verify"]])
+    def test_duplicate_constraint_exit_3(self, tmp_path, capsys, command):
+        doc = json.loads(open(born_model(tmp_path)).read())
+        doc["constraints"].append({"time": 0.0, "state": [[0, 0], [1, 0]]})
+        path = write(tmp_path, "duplicate.json", doc)
+        assert main([command[0], path, *command[1:]]) == 3
+        assert capsys.readouterr().err \
+            == "error: duplicate constraint at time 0.0\n"
+
+    def test_one_time_grid_exit_2(self, tmp_path, capsys):
+        doc = json.loads(open(born_model(tmp_path)).read())
+        doc["grid"] = [0.0]
+        path = write(tmp_path, "one_time.json", doc)
+        assert main(["propagate", path, "0", "0.5"]) == 2
+        assert capsys.readouterr().err \
+            == "error: grid: expected a list of at least two times\n"

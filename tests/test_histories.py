@@ -9,7 +9,7 @@ from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       ValidationError, chain_probability, decoherence_functional,
                       decoherence_report, enumerate_family, histories_equal,
                       history_inner, history_operator, is_decoherent_space,
-                      record_state, validate_family)
+                      measure_report, record_state, validate_family)
 from qcontour import linalg
 from qcontour.errors import EnumerationGuardError
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
@@ -321,6 +321,34 @@ class TestFamilySpec:
                        constraints=(FixedPoint(1.0, E0), FixedPoint(1.0, E1)))
 
 
+    @pytest.mark.parametrize("constraints", [(), (FixedPoint(1.0, E0),)])
+    def test_unnormalized_basis_vector_names_its_time(self, constraints):
+        with pytest.raises(ValidationError, match=r"^basis at time 1\.0: "
+                           "state vector is not normalized"):
+            FamilySpec(times=(0.0, 1.0),
+                       bases=(computational_basis(2), (E0, 2 * E1)),
+                       constraints=constraints)
+
+    def test_empty_basis_at_a_pinned_time(self):
+        # the constraint is the pinned slot whatever the basis there
+        constraint = FixedPoint(0.0, E0)
+        specs = [FamilySpec(times=(0.0, 1.0),
+                            bases=(basis, computational_basis(2)),
+                            constraints=(constraint,))
+                 for basis in ((), computational_basis(2))]
+        assert [spec.dim for spec in specs] == [2, 2]
+        empty, full = map(enumerate_family, specs)
+        assert empty.slots[0] == full.slots[0] == (constraint,)
+        np.testing.assert_array_equal(empty.index, full.index)
+        np.testing.assert_array_equal(empty.choices, full.choices)
+        for a, b in zip(empty.slots[1], full.slots[1], strict=True):
+            assert (a.time, a.label) == (b.time, b.label)
+            np.testing.assert_array_equal(a.state, b.state)
+        sched = sx_schedule(t_end=1.0)
+        np.testing.assert_array_equal(measure_report(empty, sched).weights,
+                                      measure_report(full, sched).weights)
+
+
 class TestSlotTable:
     """A recipe builds its slot fixed points once; enumeration reuses them."""
 
@@ -422,12 +450,12 @@ class TestFamilyIndex:
         seed, dim, n_times, s_t = shape
         fam = enumerate_family(random_family_spec(seed, dim, n_times, s_t)[0])
         rebuilt = HistoryFamily(histories=fam.histories,
-                                constraint_times=fam.constraint_times,
-                                choices=fam.choices)
+                                constraint_times=fam.constraint_times)
         assert np.array_equal(rebuilt.index, fam.index)
         assert all(a is b for sa, sb in zip(rebuilt.slots, fam.slots)
                    for a, b in zip(sa, sb, strict=True))
         assert rebuilt.histories is fam.histories
+        assert rebuilt.choices is None
 
     def test_shared_fixed_points_fill_one_slot_entry(self):
         a, b = FixedPoint(0.0, E0), FixedPoint(1.0, E1)
@@ -437,39 +465,3 @@ class TestFamilyIndex:
                                        QuantumHistory((a, b))))
         assert fam.slots == ((a,), (b, c))
         assert fam.index.tolist() == [[0, 0], [0, 1], [0, 0]]
-
-    def test_choice_rows_must_match_the_members(self):
-        spec, _ = random_family_spec(35, dim=2, n_times=3, s_t=1)
-        fam = enumerate_family(spec)
-        with pytest.raises(ValidationError):
-            HistoryFamily(histories=fam.histories,
-                          constraint_times=fam.constraint_times,
-                          choices=fam.choices[:-1])
-
-    def test_choice_rows_need_one_index_per_free_slot(self):
-        spec, _ = random_family_spec(36, dim=2, n_times=3, s_t=1)
-        fam = enumerate_family(spec)
-        with pytest.raises(ValidationError):
-            HistoryFamily(histories=fam.histories,
-                          constraint_times=fam.constraint_times,
-                          choices=tuple(c[:1] for c in fam.choices))
-        with pytest.raises(ValidationError):
-            HistoryFamily(histories=fam.histories,
-                          choices=fam.choices)
-
-    def test_choice_indices_must_be_integers(self):
-        spec, _ = random_family_spec(37, dim=2, n_times=3, s_t=1)
-        fam = enumerate_family(spec)
-        rows = fam.choices.tolist()
-        for bad in (0.7, 1.0, "a", None, 2 ** 70):
-            choices = [row[:] for row in rows]
-            choices[-1][0] = bad
-            with pytest.raises(ValidationError):
-                HistoryFamily(histories=fam.histories,
-                              constraint_times=fam.constraint_times,
-                              choices=choices)
-        kept = HistoryFamily(histories=fam.histories,
-                             constraint_times=fam.constraint_times,
-                             choices=[[np.int64(c) for c in row]
-                                      for row in rows])
-        assert kept.choices.tolist() == rows

@@ -177,3 +177,7 @@ class TestRequireOrthonormal:
         with pytest.raises(ValidationError,
                            match="basis at time 0.5 is not orthonormal"):
             require_orthonormal([E0, E1 + 1e-7 * E0], "basis at time 0.5")
+
+    def test_empty_set_is_orthonormal(self):
+        assert is_orthonormal([]) and is_orthonormal(())
+        require_orthonormal((), "basis at time 0.0")

@@ -406,15 +406,16 @@ class TestCountGuards:
 
 
 class TestByChoices:
-    def test_repeated_choice_keys_are_an_error(self):
+    def test_keys_are_the_free_slot_choices(self):
         spec, sched = random_family_spec(44, dim=4, n_times=2, s_t=1)
         fam = enumerate_family(spec)
-        copied = HistoryFamily(histories=fam.histories,
-                               constraint_times=fam.constraint_times,
-                               choices=((0,),) * 4)
-        assert len(measure_report(fam, sched).by_choices()) == 4
-        with pytest.raises(ValidationError):
-            measure_report(copied, sched).by_choices()
+        report = measure_report(fam, sched)
+        assert report.by_choices() == dict(zip([(k,) for k in range(4)],
+                                               report.measures.tolist()))
+        hand_built = HistoryFamily(histories=fam.histories,
+                                   constraint_times=fam.constraint_times)
+        with pytest.raises(ValidationError, match="no choice indices"):
+            measure_report(hand_built, sched).by_choices()
 
 
 class TestBornProbability:

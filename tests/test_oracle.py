@@ -137,6 +137,24 @@ class TestMonteCarloSample:
         with pytest.raises(ValidationError, match="non-negative"):
             rng_from_seed(-1)
 
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_rounding_edge_probabilities_keep_a_finite_band(self, n):
+        # accepted: p >= -ROUNDING_TOL and a total within DEFAULT_TOL of 1
+        dist = OutcomeDistribution((((0,), 1 + 1e-13), ((1,), -1e-13)))
+        table = monte_carlo_sample(dist, n, seed=0)
+        assert [r.count for r in table.rows] == [n, 0]
+        assert [r.band for r in table.rows] == [0.0, 0.0]
+        assert table.all_within_band
+        assert table.max_sigma == 0.0
+
+    def test_rows_hold_python_scalars(self):
+        dist = OutcomeDistribution((((0,), 0.3), ((1,), 0.7)))
+        table = monte_carlo_sample(dist, 100, seed=1)
+        for row in table.rows:
+            assert (type(row.count), type(row.frequency), type(row.band),
+                    type(row.within_band)) == (int, float, float, bool)
+        assert type(table.max_sigma) is float
+
     def test_draws_follow_the_philox_stream_of_the_seed(self):
         probs = np.array([0.2, 0.3, 0.5])
         dist = OutcomeDistribution(tuple(((k,), p)
