@@ -13,16 +13,28 @@ Run it in two checkouts and compare the output:
 
     python3 scripts/cli_digests.py > after.txt
 
+or let it compare against a git revision of this repository:
+
+    python3 scripts/cli_digests.py --against REF
+
+which checks REF out with ``git worktree add`` into a temporary directory,
+runs this script's command list there on REF's ``src/``, demos and models,
+prints each pair of lines that differ (``-`` REF, ``+`` this checkout) and
+exits 1 if any line differs.
+
 The program is imported from ``src/`` of the checkout holding this script.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -82,25 +94,64 @@ def bench_commands():
         yield name, seed, ["verify", name]
 
 
-def main() -> int:
+def digest_lines():
+    """One line per command, as described above."""
     os.chdir(ROOT)
     for argv in commands():
-        print(cli_line(argv), flush=True)
+        yield cli_line(argv)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, seed, argv in bench_commands():
             Path(name).write_text(json.dumps(model_document(
                 VerifyCli.raw(seed))), encoding="utf-8")
-            print(cli_line(argv), flush=True)
+            yield cli_line(argv)
         os.chdir(ROOT)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for demo in sorted((ROOT / "demos").glob("[0-9]*.py")):
         done = subprocess.run([sys.executable, str(demo.relative_to(ROOT))],
                               cwd=ROOT, env=env, capture_output=True,
                               text=True, timeout=600)
-        print(f"demos/{demo.name}  exit {done.returncode}  "
-              f"{digest(done.stdout)}", flush=True)
-    return 0
+        yield f"demos/{demo.name}  exit {done.returncode}  " \
+            f"{digest(done.stdout)}"
+
+
+def lines_at(ref: str) -> list[str]:
+    """The digest lines of this script's command list, run at ``ref``."""
+    git = ["git", "-C", str(ROOT)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "ref"
+        subprocess.run(git + ["worktree", "add", "--detach", "--quiet",
+                              str(tree), ref], check=True)
+        try:
+            shutil.copy(__file__, tree / "scripts" / Path(__file__).name)
+            done = subprocess.run(
+                [sys.executable, str(tree / "scripts" / Path(__file__).name)],
+                cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+        finally:
+            subprocess.run(git + ["worktree", "remove", "--force", str(tree)],
+                           check=True)
+    return done.stdout.splitlines()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="REF",
+                        help="print the lines that differ from those at "
+                             "git revision REF; exit 1 if any does")
+    args = parser.parse_args()
+    if args.against is None:
+        for line in digest_lines():
+            print(line, flush=True)
+        return 0
+    theirs = lines_at(args.against)
+    ours = list(digest_lines())
+    differ = [(a, b) for a, b in itertools.zip_longest(theirs, ours,
+                                                       fillvalue="")
+              if a != b]
+    for a, b in differ:
+        print(f"- {a}\n+ {b}")
+    print(f"{len(differ)} of {len(ours)} lines differ from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

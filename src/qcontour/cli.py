@@ -288,8 +288,21 @@ def cmd_envariance(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number that ``linalg.require_tolerance``
+    accepts; anything else is a usage error (exit 2)."""
+    try:
+        tol = linalg.require_tolerance(text)
+        if math.isfinite(tol):
+            return tol
+    except (ValueError, ValidationError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite, non-negative number, got {text!r}")
+
+
 _FLAGS = {
-    "--tol": dict(type=float, default=linalg.DEFAULT_TOL,
+    "--tol": dict(type=_tolerance, default=linalg.DEFAULT_TOL,
                   help="comparison tolerance (default %(default)g)"),
     "--steps-per-segment": dict(
         type=int, default=8, help="sub-steps per contour segment (default 8)"),

@@ -29,12 +29,14 @@ import numpy as np
 
 from . import linalg
 from .contour import grid_index, same_time
-from .dynamics import HamiltonianSchedule, heisenberg_projector
+from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
 from .errors import (DimensionMismatchError, EnumerationGuardError,
                      ValidationError)
 
 #: refuse exhaustive enumerations beyond this many histories
 MAX_ENUMERATION = 10 ** 6
+#: entries per row block of a pairwise family check (64 KB of float64)
+_PAIR_BLOCK_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +229,26 @@ def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
     return complex(out)
 
 
+def _pair_blocks(n: int, pair_block):
+    """The pairs i < j of n members, as row blocks of an n x n table.
+
+    Yields ``(lo, block)`` for consecutive row ranges [lo, hi):
+    ``pair_block(lo, hi)`` returns the (hi - lo, n - lo - 1) table of rows
+    lo .. hi - 1 against columns lo + 1 .. n - 1, and ``block`` is that
+    table with the entries on or below the diagonal (j <= i) set to 0.
+    Block heights are chosen so that a block holds about
+    ``_PAIR_BLOCK_ENTRIES`` entries (at least one row).
+    """
+    lo = 0
+    while lo < n - 1:
+        width = n - lo - 1
+        hi = min(n - 1, lo + max(1, _PAIR_BLOCK_ENTRIES // width))
+        block = pair_block(lo, hi)
+        block[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 0
+        yield lo, block
+        lo = hi
+
+
 @dataclass(frozen=True)
 class FamilyReport:
     """Outcome of a family consistency check."""
@@ -239,20 +261,33 @@ def validate_family(fam: HistoryFamily,
                     tol: float = linalg.DEFAULT_TOL) -> FamilyReport:
     """Check mutual orthogonality of all distinct history pairs.
 
-    Returns the violating pairs as (index, index, |overlap|) triples.  The
-    overlap factorizes over grid slots, as in ``history_inner``, so it is
-    a product of per-slot Gram entries |<q|p>|^2 read through the index.
+    Returns the violating pairs as (index, index, |overlap|) triples in
+    row-major order.  The overlap factorizes over grid slots, as in
+    ``history_inner``, so it is a product of per-slot Gram entries
+    |<q|p>|^2 read through the index.  The pairs are formed in row blocks
+    (``_pair_blocks``): each block multiplies its Gram entries in place, in
+    slot order, so memory stays flat at any family size.  Raises
+    ValidationError on a NaN or negative ``tol``.
     """
+    tol = linalg.require_tolerance(tol)
     grams = []
     for slot in fam.slots:
         states = np.array([fp.state for fp in slot])
         grams.append(np.abs(states.conj() @ states.T) ** 2)
     columns = fam.index.T
+
+    def overlaps(lo, hi):
+        block = np.ones((hi - lo, len(fam.index) - lo - 1))
+        for gram, column in zip(grams, columns):
+            block *= gram.take(column[lo:hi], axis=0).take(
+                column[lo + 1:], axis=1)
+        return block
+
     violations = []
-    for i in range(len(fam.index) - 1):
-        overlap = math.prod(g[c[i], c[i + 1:]] for g, c in zip(grams, columns))
-        violations.extend((i, i + 1 + int(j), float(overlap[j]))
-                          for j in np.flatnonzero(overlap > tol))
+    for lo, block in _pair_blocks(len(fam.index), overlaps):
+        rows, cols = np.nonzero(block > tol)
+        violations.extend(zip((rows + lo).tolist(), (cols + lo + 1).tolist(),
+                              block[rows, cols].tolist()))
     return FamilyReport(valid=not violations, violations=tuple(violations))
 
 
@@ -369,27 +404,40 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     """Evaluate all pairwise decoherence functionals over the family.
 
     Chains are referred to the first grid time; ``psi1`` is the preparation
-    at that time.  Each slot fixed point's Heisenberg projector is built and
+    at that time.  Each later slot builds one propagator from the first
+    grid time, and from it each of its fixed points' Heisenberg projectors,
     checked once; every member's record state applies its projectors, read
-    through the index, in time order.  ``worst_pair`` is the first pair
-    attaining the maximum.
+    through the index, in time order.  The pairwise overlaps are formed in
+    row blocks (``_pair_blocks``), one matrix product per block.
+    ``worst_pair`` is the first pair, in row-major order, attaining the
+    maximum.  Raises ValidationError on a NaN or negative ``tol``.
     """
+    tol = linalg.require_tolerance(tol)
+    if sched.dim != fam.dim:
+        raise DimensionMismatchError(
+            f"schedule dimension {sched.dim} differs from the family's "
+            f"{fam.dim}")
     t_0 = fam.times[0]
     psi = linalg.as_state(psi1)
     if psi.size != fam.dim:
         raise DimensionMismatchError("chain and state dimensions differ")
     records = np.broadcast_to(psi, (len(fam.index), psi.size))
     for slot, column in zip(fam.slots[1:], fam.index.T[1:]):
-        projectors = np.array([_checked_projector(heisenberg_projector(
-            fp.state, sched, fp.time, t_0)) for fp in slot])
+        u_dag = propagate(sched, t_0, slot[0].time).conj().T
+        rotated = [u_dag @ fp.state for fp in slot]
+        projectors = np.array([_checked_projector(np.outer(r, r.conj()))
+                               for r in rotated])
         records = np.einsum("hij,hj->hi", projectors[column], records)
+    bras = records.conj()
     worst = 0.0
     worst_pair = None
-    for i in range(len(records) - 1):
-        values = np.abs(records[i + 1:].conj() @ records[i])
-        j = int(np.argmax(values))
-        if values[j] > worst:
-            worst, worst_pair = float(values[j]), (i, i + 1 + j)
+    for lo, block in _pair_blocks(
+            len(records),
+            lambda lo, hi: np.abs(records[lo:hi] @ bras[lo + 1:].T)):
+        k = int(np.argmax(block))
+        if block.flat[k] > worst:
+            row, col = divmod(k, block.shape[1])
+            worst, worst_pair = float(block.flat[k]), (lo + row, lo + 1 + col)
     return DecoherenceReport(decoherent=worst <= tol,
                              max_offdiagonal=worst, worst_pair=worst_pair)
 

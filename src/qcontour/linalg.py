@@ -29,6 +29,19 @@ TIME_EPS = 1e-12
 SUPPORT_TOL = 1e-12
 
 
+def require_tolerance(tol) -> float:
+    """Return ``tol`` as a float; raise ValidationError if NaN or negative.
+
+    NaN compares false both ways, so a NaN tolerance would let a
+    ``value > tol`` violation test pass everything.
+    """
+    tol = float(tol)
+    if not tol >= 0.0:
+        raise ValidationError(
+            f"tolerance must be a non-negative number, got {tol!r}")
+    return tol
+
+
 def as_state(vec, dim: int | None = None, *,
              normalized: bool = True) -> np.ndarray:
     """Coerce ``vec`` to a complex state vector and validate it.

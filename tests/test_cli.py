@@ -236,6 +236,23 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "MODEL"], ["envariance", "STATE", "TRANSFORM"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-12",
+                                     "tiny"])
+    def test_tol_must_be_finite_and_non_negative(self, command, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "expected a finite, non-negative number" in \
+            capsys.readouterr().err
+
+    def test_zero_tol_is_accepted(self, tmp_path, capsys):
+        code, doc = run_structured(
+            capsys, ["verify", born_model(tmp_path), "--tol", "0",
+                     "--trials", "2000"])
+        assert doc["tol"] == 0.0 and code in (0, 1)
+
     def test_verify_takes_all_five_flags(self, tmp_path, capsys):
         code, doc = run_structured(
             capsys, ["verify", born_model(tmp_path), "--tol", "1e-9",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       decoherence_report, enumerate_family, histories_equal,
                       history_inner, history_operator, is_decoherent_space,
                       measure_report, record_state, validate_family)
-from qcontour import linalg
-from qcontour.errors import EnumerationGuardError
+from qcontour import histories, linalg
+from qcontour.errors import DimensionMismatchError, EnumerationGuardError
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
                   count_calls, family_variants, random_family_spec,
                   sx_schedule, zero_schedule)
@@ -149,6 +150,129 @@ class TestAgainstPairwise:
                 # family, resolve by the last bit of either computation
                 tied = [p for p, v in values.items() if worst - v <= 1e-12]
                 assert report.worst_pair in tied, name
+
+
+def _row_loop_violations(fam, tol):
+    """The per-row product the blocked check must reproduce bit for bit."""
+    grams = []
+    for slot in fam.slots:
+        states = np.array([fp.state for fp in slot])
+        grams.append(np.abs(states.conj() @ states.T) ** 2)
+    out = []
+    for i in range(len(fam.index) - 1):
+        overlap = math.prod(g[c[i], c[i + 1:]]
+                            for g, c in zip(grams, fam.index.T))
+        out.extend((i, i + 1 + int(j), float(overlap[j]))
+                   for j in np.flatnonzero(overlap > tol))
+    return tuple(out)
+
+
+class TestRowBlocks:
+    """The pairwise checks give the same answer at any block height."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 64, 10 ** 6])
+    def test_blocks_tile_the_pairs_once_in_row_major_order(self, monkeypatch,
+                                                           budget):
+        monkeypatch.setattr(histories, "_PAIR_BLOCK_ENTRIES", budget)
+        for n in range(1, 30):
+            pairs = []
+            for lo, block in histories._pair_blocks(
+                    n, lambda lo, hi: np.ones((hi - lo, n - lo - 1))):
+                assert block.shape[1] == n - lo - 1
+                rows, cols = np.nonzero(block)
+                pairs.extend(zip((rows + lo).tolist(),
+                                 (cols + lo + 1).tolist()))
+            assert pairs == list(itertools.combinations(range(n), 2))
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=15, deadline=None)
+    def test_one_to_three_row_blocks_match_one_block(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        psi1 = spec.constraints[0].state
+        for name, fam in family_variants(spec, seed).items():
+            n = len(fam.index)
+            one_block = validate_family(fam, 1e-10).violations
+            assert one_block == _row_loop_violations(fam, 1e-10), name
+            want = _brute_force_violations(fam, 1e-10)
+            values = _brute_force_decoherence(fam, sched, psi1)
+            worst = max(values.values(), default=0.0)
+            tied = [p for p, v in values.items() if worst - v <= 1e-12]
+            for rows in (1, 2, 3):
+                # the first block holds `rows` rows; n - 1 rows have pairs
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(histories, "_PAIR_BLOCK_ENTRIES",
+                               rows * (n - 1))
+                    got = validate_family(fam, 1e-10).violations
+                    report = decoherence_report(fam, sched, psi1, 1e-10)
+                assert got == one_block, (name, rows)
+                assert [v[:2] for v in got] == [v[:2] for v in want]
+                assert report.max_offdiagonal == pytest.approx(
+                    worst, abs=1e-12)
+                if not report.decoherent:
+                    assert report.worst_pair in tied, (name, rows)
+
+
+    @pytest.mark.parametrize("budget", [1, 10 ** 6])
+    def test_exact_tie_keeps_the_first_pair(self, monkeypatch, budget):
+        monkeypatch.setattr(histories, "_PAIR_BLOCK_ENTRIES", budget)
+        h = two_point(E0, PLUS)
+        fam = HistoryFamily(histories=(h, h, h))
+        report = decoherence_report(fam, zero_schedule(2), E0)
+        assert report.worst_pair == (0, 1)
+        assert report.max_offdiagonal == pytest.approx(0.5)
+
+
+class TestFamilyCheckCosts:
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_one_propagator_per_later_slot(self, monkeypatch, dim):
+        spec, sched = random_family_spec(61, dim, n_times=4, s_t=1)
+        fam = enumerate_family(spec)
+        propagated = count_calls(monkeypatch, histories, "propagate")
+        checked = count_calls(monkeypatch, histories, "_checked_projector")
+        decoherence_report(fam, sched, spec.constraints[0].state)
+        assert len(propagated) == 3
+        assert len(checked) == sum(map(len, fam.slots[1:])) == 3 * dim
+
+    def test_schedule_of_another_dimension_rejected(self):
+        spec, _ = random_family_spec(62, dim=2, n_times=3, s_t=1)
+        _, sched = random_family_spec(62, dim=3, n_times=3, s_t=1)
+        with pytest.raises(DimensionMismatchError):
+            decoherence_report(enumerate_family(spec), sched,
+                               spec.constraints[0].state)
+
+    def test_validate_memory_stays_flat(self):
+        spec, _ = random_family_spec(63, dim=8, n_times=5, s_t=1)
+        fam = enumerate_family(spec)
+        assert len(fam.index) == 4096
+        tracemalloc.start()
+        try:
+            report = validate_family(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.valid
+        # a full H x H float64 table would take 134 MB
+        assert peak < 8 * 2 ** 20
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        spec, sched = random_family_spec(64, dim=2, n_times=3, s_t=1)
+        fam = family_variants(spec, 64)["duplicated"]
+        psi1 = spec.constraints[0].state
+        with pytest.raises(ValidationError, match="non-negative"):
+            validate_family(fam, tol)
+        with pytest.raises(ValidationError, match="non-negative"):
+            decoherence_report(fam, sched, psi1, tol)
+
+    def test_duplicated_family_is_invalid_at_any_finite_tol(self):
+        spec, _ = random_family_spec(64, dim=2, n_times=3, s_t=1)
+        fam = family_variants(spec, 64)["duplicated"]
+        assert not validate_family(fam, 1e-10).valid
+        assert not validate_family(fam, 0.5).valid
+        assert validate_family(fam, math.inf).valid
 
 
 class TestHistoryOperator:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from qcontour import (DimensionMismatchError, ValidationError, check_unitary,
                       complete_basis, hermitian_exp, inner, is_orthonormal,
                       is_projector, projector, tensor)
-from qcontour.linalg import as_square, as_state, require_orthonormal
+from qcontour.linalg import (as_square, as_state, require_orthonormal,
+                             require_tolerance)
 from qcontour.sampling import random_hermitian, random_state, rng_from_seed
 
 from toys import E0, E1, SX, SZ
@@ -167,6 +168,17 @@ class TestValidationHelpers:
         m[0, 2] = np.nan
         with pytest.raises(ValidationError, match="NaN or Inf"):
             as_square(m.T)
+
+
+class TestRequireTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -0.0, 1e-10, 1, "1e-9", math.inf])
+    def test_accepts_non_negative_numbers(self, tol):
+        assert require_tolerance(tol) == float(tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf, "nan"])
+    def test_rejects_nan_and_negative(self, tol):
+        with pytest.raises(ValidationError, match="non-negative"):
+            require_tolerance(tol)
 
 
 class TestRequireOrthonormal:
