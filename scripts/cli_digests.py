@@ -1,13 +1,18 @@
 """Digests of the seeded command-line output, for byte-identity checks.
 
-Prints one line per command: the command, its exit code, and the first 12
-hex digits of the sha256 of its stdout with ``--format text`` and with
-``--format structured``.  A demo prints one digest, of its stdout.  The
-commands are ``measure``, ``verify`` and ``decompose`` on the three demo
-models, the built-in ``verify`` suite at seeds 0, 7 and 13, ``measure``
-(also with ``--steps-per-segment 3`` and ``8``) and ``verify`` on the two
-``verify_cli``-shaped benchmark models (seeds 1 and 271828, written to a
-temporary directory and run there by bare file name), and the seven demos.
+Prints one line per command: the command, its exit codes, and the first
+12 hex digits of the sha256 of its stdout (``out``) and of its stderr
+(``err``), each with ``--format text`` and with ``--format structured``.
+A demo prints one digest of each stream.  The commands are ``measure``,
+``verify`` and ``decompose`` on the three demo models, the built-in
+``verify`` suite at seeds 0, 7 and 13, ``measure`` (also with
+``--steps-per-segment 3`` and ``8``) and ``verify`` on the two
+``verify_cli``-shaped benchmark models (seeds 1 and 271828), the seven
+demos, and, last, ``measure`` and ``verify`` on three malformed models
+(``ERROR_MODELS``: coincident grid times, a non-increasing grid, an
+off-grid constraint), whose lines digest the error message and exit code.
+The benchmark and malformed models are written to a temporary directory
+and run there by bare file name.
 
 Run it in two checkouts and compare the output:
 
@@ -17,8 +22,8 @@ or let it compare against a git revision of this repository:
 
     python3 scripts/cli_digests.py --against REF
 
-which checks REF out with ``git worktree add`` into a temporary directory,
-runs this script's command list there on REF's ``src/``, demos and models,
+which extracts REF with ``git archive`` into a temporary directory, runs
+this script's command list there on REF's ``src/``, demos and models,
 prints each pair of lines that differ (``-`` REF, ``+`` this checkout) and
 exits 1 if any line differs.
 
@@ -49,30 +54,51 @@ from perfbench.workloads import VerifyCli, model_document  # noqa: E402
 
 DEMO_MODELS = ("born_qubit", "bundle_2x2", "post_selected_qubit")
 BENCH_SEEDS = (1, 271828)
+_E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
+
+
+def _qubit_model(grid, constraints):
+    """A qubit model over ``grid`` with the X generator on [0, 2] and the
+    given (time, state) constraints."""
+    return {"dim": 2, "grid": grid,
+            "hamiltonian": [{"t_start": 0.0, "t_end": 2.0,
+                             "matrix": [_E1, _E0]}],
+            "constraints": [{"time": t, "state": state}
+                            for t, state in constraints]}
+
+
+#: malformed models by file name: each error path's message and exit code
+ERROR_MODELS = {
+    "coincident-grid.json": _qubit_model(
+        [0.0, 1.0, 1.0 + 1e-13], [(0.0, _E0), (1.0 + 1e-13, _E1)]),
+    "non-increasing-grid.json": _qubit_model([0.0, 1.5, 1.0], [(0.0, _E0)]),
+    "off-grid-constraint.json": _qubit_model([0.0, 1.0], [(0.5, _E0)]),
+}
 
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``qcontour ARGV``, run in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``qcontour ARGV``, run in this
+    process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def cli_line(argv: list[str]) -> str:
     runs = [run_cli(argv + ["--format", fmt])
             for fmt in ("text", "structured")]
-    codes = "/".join(str(code) for code, _ in runs)
-    return f"{' '.join(argv)}  exit {codes}  " \
-        + " ".join(digest(text) for _, text in runs)
+    codes = "/".join(str(code) for code, _, _ in runs)
+    return f"{' '.join(argv)}  exit {codes}" \
+        f"  out {' '.join(digest(out) for _, out, _ in runs)}" \
+        f"  err {' '.join(digest(err) for _, _, err in runs)}"
 
 
 def commands():
@@ -86,12 +112,32 @@ def commands():
 
 
 def bench_commands():
+    """(file name, model document, argv) of each command on a model that
+    is written to the temporary directory."""
     for seed in BENCH_SEEDS:
         name = f"verify_cli-{seed}.json"
-        yield name, seed, ["measure", name]
+        doc = model_document(VerifyCli.raw(seed))
+        yield name, doc, ["measure", name]
         for steps in ("3", "8"):
-            yield name, seed, ["measure", name, "--steps-per-segment", steps]
-        yield name, seed, ["verify", name]
+            yield name, doc, ["measure", name, "--steps-per-segment", steps]
+        yield name, doc, ["verify", name]
+
+
+def error_commands():
+    for name, doc in ERROR_MODELS.items():
+        for command in ("measure", "verify"):
+            yield name, doc, [command, name]
+
+
+def temp_lines(commands):
+    """``cli_line`` of each command, run in a temporary directory holding
+    its model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, doc, argv in commands:
+            Path(name).write_text(json.dumps(doc), encoding="utf-8")
+            yield cli_line(argv)
+        os.chdir(ROOT)
 
 
 def digest_lines():
@@ -99,37 +145,28 @@ def digest_lines():
     os.chdir(ROOT)
     for argv in commands():
         yield cli_line(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        for name, seed, argv in bench_commands():
-            Path(name).write_text(json.dumps(model_document(
-                VerifyCli.raw(seed))), encoding="utf-8")
-            yield cli_line(argv)
-        os.chdir(ROOT)
+    yield from temp_lines(bench_commands())
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for demo in sorted((ROOT / "demos").glob("[0-9]*.py")):
         done = subprocess.run([sys.executable, str(demo.relative_to(ROOT))],
                               cwd=ROOT, env=env, capture_output=True,
                               text=True, timeout=600)
-        yield f"demos/{demo.name}  exit {done.returncode}  " \
-            f"{digest(done.stdout)}"
+        yield f"demos/{demo.name}  exit {done.returncode}" \
+            f"  out {digest(done.stdout)}  err {digest(done.stderr)}"
+    yield from temp_lines(error_commands())
 
 
 def lines_at(ref: str) -> list[str]:
     """The digest lines of this script's command list, run at ``ref``."""
-    git = ["git", "-C", str(ROOT)]
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "ref"
-        subprocess.run(git + ["worktree", "add", "--detach", "--quiet",
-                              str(tree), ref], check=True)
-        try:
-            shutil.copy(__file__, tree / "scripts" / Path(__file__).name)
-            done = subprocess.run(
-                [sys.executable, str(tree / "scripts" / Path(__file__).name)],
-                cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
-        finally:
-            subprocess.run(git + ["worktree", "remove", "--force", str(tree)],
-                           check=True)
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                                 stdout=subprocess.PIPE, check=True)
+        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout,
+                       check=True)
+        script = Path(tree) / "scripts" / Path(__file__).name
+        shutil.copy(__file__, script)
+        done = subprocess.run([sys.executable, str(script)], cwd=tree,
+                              stdout=subprocess.PIPE, text=True, check=True)
     return done.stdout.splitlines()
 
 

@@ -21,6 +21,16 @@ def same_time(a: float, b: float) -> bool:
     return abs(a - b) <= TIME_EPS * max(1.0, abs(a), abs(b))
 
 
+def require_increasing(times, what: str) -> tuple[float, ...]:
+    """The one time-order rule: ``times`` as floats, each after the one
+    before it and not ``same_time`` as it; else ValidationError."""
+    values = tuple(map(float, times))
+    if any(not b > a or same_time(a, b) for a, b in zip(values, values[1:])):
+        raise ValidationError(
+            f"{what} must increase and be distinct, got {values}")
+    return values
+
+
 def grid_index(times, t: float) -> int | None:
     """Index of the first grid time matching ``t``, or None."""
     return next((i for i, g in enumerate(times) if same_time(g, t)), None)
@@ -49,17 +59,14 @@ class ContourTime:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing physical times t_1 < ... < t_{N_t}."""
+    """Increasing, distinct physical times t_1 < ... < t_{N_t}."""
 
     times: tuple[float, ...]
 
     def __init__(self, times):
-        values = tuple(float(t) for t in times)
+        values = require_increasing(times, "grid times")
         if len(values) < 1:
             raise ValidationError("time grid must contain at least one time")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValidationError(
-                f"grid times must be strictly increasing, got {values}")
         object.__setattr__(self, "times", values)
 
     @property

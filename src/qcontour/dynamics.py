@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .contour import same_time
+from .contour import require_increasing, same_time
 from .errors import DimensionMismatchError, ValidationError
 
 
@@ -31,10 +31,7 @@ class HamiltonianSchedule:
         parsed = []
         dim = None
         for t0, t1, h in segments:
-            t0, t1 = float(t0), float(t1)
-            if not t1 > t0:
-                raise ValidationError(
-                    f"segment [{t0}, {t1}] has non-positive duration")
+            t0, t1 = require_increasing((t0, t1), "segment times")
             h = linalg.require_hermitian(h)
             if dim is None:
                 dim = h.shape[0]
@@ -73,12 +70,10 @@ class HamiltonianSchedule:
     def t_max(self) -> float:
         return self._segments[-1][1]
 
-    def _require_in_span(self, t: float):
-        if not (self.t_min <= t <= self.t_max or same_time(t, self.t_min)
-                or same_time(t, self.t_max)):
-            raise ValidationError(
-                f"time {t} outside schedule span "
-                f"[{self.t_min}, {self.t_max}]")
+    def covers(self, t: float) -> bool:
+        """True iff ``t`` lies in the span or matches one of its ends."""
+        return (self.t_min <= t <= self.t_max or same_time(t, self.t_min)
+                or same_time(t, self.t_max))
 
     def _segment_exp(self, index: int, dt: float) -> np.ndarray:
         """exp(-i * H_index * dt), from the cached eigendecomposition."""
@@ -100,8 +95,10 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     ordering on the backward branch.
     """
     t_a, t_b = float(t_a), float(t_b)
-    sched._require_in_span(t_a)
-    sched._require_in_span(t_b)
+    for t in (t_a, t_b):
+        if not sched.covers(t):
+            raise ValidationError(f"time {t} outside schedule span "
+                                  f"[{sched.t_min}, {sched.t_max}]")
     t_lo, t_hi = sorted((t_a, t_b))
     u = np.eye(sched.dim, dtype=complex)
     if same_time(t_lo, t_hi):

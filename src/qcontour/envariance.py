@@ -101,7 +101,9 @@ def check_envariance(psi: BipartiteState, u_a,
     A-Schmidt vector with the same coefficient; the phases are then solved
     from the matching conditions rather than searched.  The returned
     counter always satisfies (I x U_B)(U_A x I)|psi> = |psi> within tol.
+    Raises ValidationError on a NaN or negative ``tol``.
     """
+    tol = linalg.require_tolerance(tol)
     u_a = linalg.as_square(u_a, psi.dim_a)
     if not linalg.check_unitary(u_a, linalg.INPUT_TOL):
         raise ValidationError("transformation on A must be unitary")

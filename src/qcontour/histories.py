@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .contour import grid_index, same_time
+from .contour import grid_index, require_increasing, same_time
 from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
 from .errors import (DimensionMismatchError, EnumerationGuardError,
                      ValidationError)
@@ -60,7 +60,7 @@ class FixedPoint:
 
 @dataclass(frozen=True, eq=False)
 class QuantumHistory:
-    """Ordered sequence of N_t >= 2 fixed points at strictly increasing times."""
+    """Sequence of N_t >= 2 fixed points at increasing, distinct times."""
 
     points: tuple[FixedPoint, ...]
 
@@ -68,12 +68,19 @@ class QuantumHistory:
         pts = tuple(points)
         if len(pts) < 2:
             raise ValidationError("a history needs at least two fixed points")
-        if any(b.time <= a.time for a, b in zip(pts, pts[1:])):
-            raise ValidationError("fixed-point times must strictly increase")
+        require_increasing((p.time for p in pts), "fixed-point times")
         if len({p.dim for p in pts}) != 1:
             raise DimensionMismatchError(
                 "all fixed points in a history must share one dimension")
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _from_points(cls, points) -> QuantumHistory:
+        """Unchecked: the caller guarantees what ``__init__`` checks, as
+        ``HistoryFamily.histories`` does for the members of checked slots."""
+        h = cls.__new__(cls)
+        object.__setattr__(h, "points", tuple(points))
+        return h
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -162,11 +169,10 @@ class HistoryFamily:
                     choices=None) -> HistoryFamily:
         """A family given by per-slot fixed points and an index, unchecked.
 
-        The caller guarantees what ``__init__`` checks: the slots lie on one
-        strictly increasing grid in one dimension and every index row picks
-        one fixed point per slot; ``choices`` has one distinct row of
-        free-slot indices per member.  ``enumerate_family`` builds families
-        this way.
+        The caller guarantees what ``__init__`` checks: slot times that keep
+        the order rule, one dimension, and index rows that pick one fixed
+        point per slot; ``choices`` has one distinct row of free-slot
+        indices per member.  ``enumerate_family`` builds families this way.
         """
         fam = cls.__new__(cls)
         fam._assign(slots, index, constraint_times, choices, None)
@@ -188,7 +194,7 @@ class HistoryFamily:
         """The members, built from the slots and the index on first read."""
         if self._histories is None:
             object.__setattr__(self, "_histories", tuple(
-                map(QuantumHistory, self.gather(self.slots))))
+                map(QuantumHistory._from_points, self.gather(self.slots))))
         return self._histories
 
     def gather(self, per_slot):
@@ -333,8 +339,7 @@ def history_operator(fps, sched: HamiltonianSchedule,
     its time, referred back to t_0.
     """
     fps = list(fps)
-    if any(b.time <= a.time for a, b in zip(fps, fps[1:])):
-        raise ValidationError("fixed points must be time-ordered")
+    require_increasing((p.time for p in fps), "fixed-point times")
     if fps and t_0 > fps[0].time and not same_time(t_0, fps[0].time):
         raise ValidationError("reference time must not exceed the first time")
     projs = [heisenberg_projector(p.state, sched, p.time, t_0)
@@ -470,11 +475,9 @@ class FamilySpec:
     slots: tuple[tuple[FixedPoint, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = require_increasing(self.times, "grid times")
         if len(times) < 2:
             raise ValidationError("family spec needs at least two grid times")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("grid times must strictly increase")
         if len(self.bases) != len(times):
             raise ValidationError("need exactly one basis per grid time")
         pinned = {}
@@ -487,6 +490,9 @@ class FamilySpec:
                 raise ValidationError(
                     f"duplicate constraint at time {times[index]}")
             pinned[index] = fp
+        # a constraint may sit within TIME_EPS of its grid time
+        require_increasing([pinned[i].time if i in pinned else t
+                            for i, t in enumerate(times)], "slot times")
         slots, bases = [], []
         for i, (t, basis) in enumerate(zip(times, self.bases)):
             try:
@@ -517,10 +523,6 @@ class FamilySpec:
     def dim(self) -> int:
         return next(v.size for basis in self.bases for v in basis)
 
-    @property
-    def constrained_times(self) -> tuple[float, ...]:
-        return tuple(sorted(fp.time for fp in self.constraints))
-
     def history_count(self) -> int:
         """Number of histories the recipe enumerates to."""
         return math.prod(map(len, self.slots))
@@ -548,5 +550,6 @@ def enumerate_family(spec: FamilySpec,
     shape = tuple(map(len, spec.slots))
     index = np.indices(shape, dtype=np.intp).reshape(len(shape), -1).T
     return HistoryFamily._from_index(
-        spec.slots, index, constraint_times=spec.constrained_times,
+        spec.slots, index,
+        constraint_times=sorted(fp.time for fp in spec.constraints),
         choices=index[:, free])

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .contour import TimeGrid, contour_path
+from .contour import TimeGrid, contour_path, require_increasing, same_time
 from .dynamics import HamiltonianSchedule, evolve_state, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .histories import FamilySpec, FixedPoint, HistoryFamily, QuantumHistory
@@ -47,9 +47,7 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
     to the earlier one; this equals the conjugate of the forward matrix
     element, and only magnitudes enter the weights.
     """
-    if not fp_b.time > fp_a.time:
-        raise ValidationError(
-            f"segment endpoints out of order: {fp_a.time} !< {fp_b.time}")
+    require_increasing((fp_a.time, fp_b.time), "segment endpoint times")
     return _amplitude(fp_a, fp_b, propagate(sched, fp_a.time, fp_b.time))
 
 
@@ -185,8 +183,7 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
 def born_probability(psi1, t1: float, phi, t2: float,
                      sched: HamiltonianSchedule) -> float:
     """Single-measurement probability |<phi| U(t2, t1) |psi1>|^2."""
-    if not t2 > t1:
-        raise ValidationError("final time must exceed the preparation time")
+    require_increasing((t1, t2), "preparation and final times")
     phi = linalg.as_state(phi, sched.dim)
     return float(abs(linalg.inner(phi, evolve_state(psi1, sched, t1, t2))) ** 2)
 
@@ -311,12 +308,11 @@ class ToyBundle:
         past, future = tuple(self.past), tuple(self.future)
         if not past or not future:
             raise ValidationError("bundle needs past and future branches")
-        t_past = {p.time for p in past}
-        t_future = {p.time for p in future}
-        if len(t_past) != 1 or len(t_future) != 1:
+        if not all(same_time(p.time, group[0].time)
+                   for group in (past, future) for p in group):
             raise ValidationError("branch sets must each live at one time")
-        if not (next(iter(t_past)) < self.pivot.time < next(iter(t_future))):
-            raise ValidationError("bundle times must be past < pivot < future")
+        require_increasing((past[0].time, self.pivot.time, future[0].time),
+                           "past, pivot and future times")
         dims = {p.dim for p in past + future} | {self.pivot.dim}
         if len(dims) != 1:
             raise ValidationError("bundle states must share one dimension")

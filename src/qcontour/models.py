@@ -17,12 +17,12 @@ Schema (complex numbers are [re, im] pairs, matrices are row-major):
       "constraints": [{"time": 0.0, "state": [[1,0],[0,0]], "label": "prep"}]
     }
 
-``grid`` holds at least two increasing times.  ``bases`` may be omitted or
-contain null entries; missing bases default to the computational basis.
-Unknown keys are ignored.  ``model_from_dict`` checks the format
+``grid`` holds at least two increasing, distinct times.  ``bases`` may be
+omitted or contain null entries; missing bases default to the computational
+basis.  Unknown keys are ignored.  ``model_from_dict`` checks the format
 (``ModelFormatError``); the values are checked once, by ``ModelSpec``:
-orthonormal bases, constraints at distinct grid times, one dimension, and a
-schedule covering the grid.  Matrices must be Hermitian within
+the grid, orthonormal bases, constraints at distinct grid times, one
+dimension, and a schedule covering the grid.  Matrices must be Hermitian within
 ``linalg.INPUT_TOL`` on load.
 """
 
@@ -35,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .contour import TimeGrid, grid_index
 from .dynamics import HamiltonianSchedule
 from .errors import DimensionMismatchError, ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
@@ -113,9 +112,7 @@ class ModelSpec(FamilySpec):
             raise DimensionMismatchError(
                 f"schedule dimension {self.schedule.dim} does not match "
                 f"the bases ({self.dim})")
-        span = (self.schedule.t_min, self.schedule.t_max)
-        if not all(span[0] <= t <= span[1] or grid_index(span, t) is not None
-                   for t in (self.times[0], self.times[-1])):
+        if not all(map(self.schedule.covers, self.times)):
             raise ValidationError("schedule span does not cover the grid")
 
     def toy_bundle(self) -> ToyBundle:
@@ -154,10 +151,6 @@ def model_from_dict(doc: dict) -> ModelSpec:
         raise ModelFormatError("grid: expected a list of at least two times")
     times = [_time_from_json(t, f"grid[{k}]")
              for k, t in enumerate(doc["grid"])]
-    try:
-        times = TimeGrid(times).times
-    except ValidationError as exc:
-        raise ModelFormatError(f"grid: {exc}") from exc
 
     segments = []
     if not isinstance(doc["hamiltonian"], list) or not doc["hamiltonian"]:

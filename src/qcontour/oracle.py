@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .contour import require_increasing
 from .dynamics import HamiltonianSchedule, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .sampling import rng_from_seed
@@ -31,8 +32,9 @@ class OutcomeDistribution:
         outs = tuple((tuple(seq), float(p)) for seq, p in self.outcomes)
         if not outs:
             raise ValidationError("distribution must have at least one outcome")
-        if any(p < -linalg.ROUNDING_TOL for _, p in outs):
-            raise ValidationError("probabilities must be non-negative")
+        if not all(math.isfinite(p) and p >= -linalg.ROUNDING_TOL
+                   for _, p in outs):
+            raise ValidationError("probabilities must be finite, non-negative")
         total = sum(p for _, p in outs)
         if abs(total - 1.0) > linalg.DEFAULT_TOL:
             raise ValidationError(
@@ -55,11 +57,9 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     Born probabilities and sum to one by completeness.
     """
     psi1 = linalg.as_state(psi1, sched.dim)
-    times = [float(t) for t in times]
+    times = require_increasing(times, "measurement times")
     if len(bases) != len(times):
         raise ValidationError("need exactly one basis per measurement time")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValidationError("measurement times must strictly increase")
     start = sched.t_min if t_prep is None else float(t_prep)
     if times and times[0] < start:
         raise ValidationError("measurements must not precede the preparation")

@@ -90,6 +90,16 @@ class TestCheckEnvariance:
         assert not result.envariant
         assert result.counter is None
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_rejects_nan_or_negative_tol(self, tol):
+        # a NaN tol used to return envariant=True, residual 0.632, here
+        psi = BipartiteState(2, 2, np.array(
+            [math.sqrt(0.8), 0, 0, math.sqrt(0.2)], dtype=complex))
+        u_a = perm_phase_on_basis(schmidt_decompose(psi).basis_a, (1, 0))
+        with pytest.raises(ValidationError, match="tolerance"):
+            check_envariance(psi, u_a, tol=tol)
+        assert not check_envariance(psi, u_a, tol=1e-10).envariant
+
     def test_rejects_non_unitary_transform(self):
         with pytest.raises(ValidationError):
             check_envariance(bell_state(), 2 * np.eye(2))

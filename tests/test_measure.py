@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontour import (DecompositionMode, FamilySpec, FixedPoint,
                       HamiltonianSchedule, HistoryFamily, HistoryMeasure,
@@ -10,10 +11,13 @@ from qcontour import (DecompositionMode, FamilySpec, FixedPoint,
                       ZeroNormalizationError, born_probability,
                       decompose_total_measure, delta_psi,
                       delta_psi_line_integral, enumerate_family,
-                      measure_report, segment_amplitude, transfer_chain)
+                      measure_report, segment_amplitude, sequential_chain,
+                      transfer_chain)
 from qcontour import dynamics, measure
 from qcontour.contour import TimeGrid, contour_path
 from qcontour.dynamics import evolve_state, propagate
+from qcontour.linalg import complete_basis
+from qcontour.oracle import condition_on_final
 from qcontour.sampling import (random_hermitian, random_orthonormal_basis,
                                random_state, random_schedule, rng_from_seed)
 
@@ -341,7 +345,9 @@ class TestCountGuards:
     def test_no_histories_built_to_weigh_an_enumerated_family(
             self, monkeypatch):
         spec, sched = random_family_spec(41, dim=3, n_times=4, s_t=1)
-        built = count_calls(monkeypatch, QuantumHistory, "__init__")
+        # members are built through the unchecked constructor, from the
+        # slots the recipe checked
+        built = count_calls(monkeypatch, QuantumHistory, "_from_points")
         fam = enumerate_family(spec)
         measure_report(fam, sched)
         measure_report(fam, sched, steps_per_segment=2)
@@ -353,6 +359,7 @@ class TestCountGuards:
             self, monkeypatch):
         spec, sched = random_family_spec(41, dim=3, n_times=4, s_t=1)
         built = count_calls(monkeypatch, QuantumHistory, "__init__")
+        members = count_calls(monkeypatch, QuantumHistory, "_from_points")
         made = count_calls(monkeypatch, HistoryMeasure, "__init__")
         fam = enumerate_family(spec)
         assert isinstance(fam.index, np.ndarray)
@@ -368,7 +375,7 @@ class TestCountGuards:
             assert len(report.entries) == 27
             assert report.entries is report.entries
         assert len(made) == 54
-        assert built == []
+        assert built == [] and members == []
 
     def test_closed_form_propagates_once_per_segment(self, monkeypatch):
         spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)
@@ -559,3 +566,40 @@ class TestPhysicalInvariances:
             report = measure_report(enumerate_family(spec), sched)
             assert all(0.0 <= e.measure <= 1.0 + 1e-12
                        for e in report.entries)
+
+
+class TestShiftedGrids:
+    """Far from zero the time matcher's tolerance is relative, so a recipe
+    shifted there must keep every route in agreement."""
+
+    @given(FAMILY_SHAPES, st.floats(1e3, 1e6))
+    @settings(max_examples=30, deadline=None)
+    def test_routes_agree_on_a_shifted_grid(self, shape, offset):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        spec = FamilySpec(
+            times=[t + offset for t in spec.times], bases=spec.bases,
+            constraints=tuple(fp(c.time + offset, c.state, c.label)
+                              for c in spec.constraints))
+        sched = HamiltonianSchedule([(a + offset, b + offset, h)
+                                     for a, b, h in sched.segments])
+        fam = enumerate_family(spec)
+        report = measure_report(fam, sched, steps_per_segment=3)
+        assert report.route_max_discrepancy <= 1e-10
+        normalization, marginals = transfer_chain(spec, sched)
+        assert abs(normalization / report.normalization - 1.0) <= 1e-10
+        for marginal, column in zip(marginals, fam.index.T):
+            summed = np.bincount(column, report.measures,
+                                 minlength=marginal.size)
+            assert np.max(np.abs(marginal - summed)) <= 1e-10
+        psi1, bases = spec.pinned[0].state, list(spec.bases[1:])
+        if s_t == 2:
+            bases[-1] = complete_basis(spec.pinned[n_times - 1].state)
+        dist = sequential_chain(psi1, bases, spec.times[1:], sched,
+                                t_prep=spec.times[0])
+        if s_t == 2:
+            dist = condition_on_final(dist, 0)
+        by_choices = report.by_choices()
+        assert len(dist.outcomes) == len(by_choices)
+        for choices, p in dist.outcomes:
+            assert abs(by_choices[choices] - p) <= 1e-10

@@ -137,6 +137,12 @@ class TestMonteCarloSample:
         with pytest.raises(ValidationError, match="non-negative"):
             rng_from_seed(-1)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, p):
+        # a NaN used to pass, and the draws then failed inside numpy
+        with pytest.raises(ValidationError, match="finite"):
+            OutcomeDistribution((((0,), p), ((1,), 1.0)))
+
     @pytest.mark.parametrize("n", [1, 1000])
     def test_rounding_edge_probabilities_keep_a_finite_band(self, n):
         # accepted: p >= -ROUNDING_TOL and a total within DEFAULT_TOL of 1
