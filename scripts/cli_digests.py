@@ -102,11 +102,9 @@ def cli_line(argv: list[str]) -> str:
 
 
 def commands():
-    for name in DEMO_MODELS:
-        path = f"demos/models/{name}.json"
-        yield ["measure", path]
-        yield ["verify", path]
-    yield ["decompose", "demos/models/bundle_2x2.json"]
+    for command in ("measure", "verify", "decompose"):
+        for name in DEMO_MODELS:
+            yield [command, f"demos/models/{name}.json"]
     for seed in (0, 7, 13):
         yield ["verify", "--seed", str(seed)]
 

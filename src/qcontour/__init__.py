@@ -21,11 +21,10 @@ from .histories import (FamilyReport, FamilySpec, FixedPoint, HistoryFamily,
                         HistoryOperator, QuantumHistory, chain_probability,
                         decoherence_functional, decoherence_report,
                         enumerate_family, histories_equal, history_inner,
-                        history_operator, is_decoherent_space, record_state,
-                        validate_family)
+                        history_operator, record_state, validate_family)
 from .linalg import (check_unitary, complete_basis, hermitian_exp, inner,
-                     is_hermitian, is_orthonormal, is_projector, normalize,
-                     projector, tensor)
+                     is_hermitian, is_orthonormal, is_projector, projector,
+                     tensor)
 from .measure import (DecompositionMode, DecompositionResult, HistoryMeasure,
                       MeasureReport, ToyBundle, born_probability, delta_psi,
                       delta_psi_line_integral, decompose_total_measure,

@@ -106,8 +106,7 @@ def cmd_measure(args) -> int:
 
 def cmd_decompose(args) -> int:
     model = load_model(args.model)
-    bundle = model.toy_bundle()
-    results = {mode: decompose_total_measure(bundle, model.schedule, mode)
+    results = {mode: decompose_total_measure(model, model.schedule, mode)
                for mode in DecompositionMode}
     totals = [r.total for r in results.values()]
     spread = max(totals) - min(totals)

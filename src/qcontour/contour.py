@@ -9,6 +9,7 @@ and on the backward branch later physical times come first.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,18 +18,29 @@ from .linalg import TIME_EPS
 
 
 def same_time(a: float, b: float) -> bool:
-    """The one time matcher: absolute tolerance below 1, relative above."""
-    return abs(a - b) <= TIME_EPS * max(1.0, abs(a), abs(b))
+    """The one time matcher: absolute tolerance below 1, relative above;
+    an infinite time matches none."""
+    gap = abs(a - b)
+    return gap <= TIME_EPS * max(1.0, abs(a), abs(b)) and math.isfinite(gap)
 
 
 def require_increasing(times, what: str) -> tuple[float, ...]:
-    """The one time-order rule: ``times`` as floats, each after the one
-    before it and not ``same_time`` as it; else ValidationError."""
+    """The one time-order rule: ``times`` as finite floats, each after the
+    one before it and not ``same_time`` as it; else ValidationError."""
     values = tuple(map(float, times))
-    if any(not b > a or same_time(a, b) for a, b in zip(values, values[1:])):
+    if not all(map(math.isfinite, values)) or any(
+            not b > a or same_time(a, b) for a, b in zip(values, values[1:])):
         raise ValidationError(
             f"{what} must increase and be distinct, got {values}")
     return values
+
+
+def require_not_before(t: float, start: float, what: str) -> None:
+    """The one "not before" rule: ValidationError if ``t`` is earlier than
+    ``start`` and not ``same_time`` as it."""
+    t, start = float(t), float(start)
+    if not (t >= start or same_time(t, start)):
+        raise ValidationError(f"{what} {t} must not precede {start}")
 
 
 def grid_index(times, t: float) -> int | None:

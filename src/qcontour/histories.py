@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .contour import grid_index, require_increasing, same_time
+from .contour import (grid_index, require_increasing, require_not_before,
+                      same_time)
 from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
 from .errors import (DimensionMismatchError, EnumerationGuardError,
                      ValidationError)
@@ -340,8 +341,8 @@ def history_operator(fps, sched: HamiltonianSchedule,
     """
     fps = list(fps)
     require_increasing((p.time for p in fps), "fixed-point times")
-    if fps and t_0 > fps[0].time and not same_time(t_0, fps[0].time):
-        raise ValidationError("reference time must not exceed the first time")
+    if fps:
+        require_not_before(fps[0].time, t_0, "first fixed-point time")
     projs = [heisenberg_projector(p.state, sched, p.time, t_0)
              for p in fps[1:]]
     return HistoryOperator(tuple(projs))
@@ -445,12 +446,6 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
             worst, worst_pair = float(block.flat[k]), (lo + row, lo + 1 + col)
     return DecoherenceReport(decoherent=worst <= tol,
                              max_offdiagonal=worst, worst_pair=worst_pair)
-
-
-def is_decoherent_space(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
-                        tol: float = linalg.DEFAULT_TOL) -> bool:
-    """True iff every distinct pair of family chains decoheres within tol."""
-    return decoherence_report(fam, sched, psi1, tol).decoherent
 
 
 @dataclass(frozen=True, eq=False)

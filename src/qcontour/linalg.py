@@ -80,14 +80,6 @@ def norm(psi) -> float:
     return float(np.linalg.norm(np.asarray(psi, dtype=complex)))
 
 
-def normalize(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    n = norm(psi)
-    if n == 0.0:
-        raise ValidationError("cannot normalize the zero vector")
-    return psi / n
-
-
 def inner(bra, ket) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
     b = np.asarray(bra, dtype=complex).reshape(-1)

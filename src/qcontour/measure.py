@@ -292,35 +292,28 @@ class DecompositionMode(enum.Enum):
     MDRW = "MDRW"
 
 
-@dataclass(frozen=True)
-class ToyBundle:
-    """Branch sets at two outer times joined through one pivot fixed point.
+class ToyBundle(FamilySpec):
+    """Branch sets at two outer times joined through one pivot fixed point:
+    the three-slot recipe that ``decompose_total_measure`` reads.
 
-    The past and future branch sets must each be orthonormal; they need not
-    be complete bases.
+    Each branch set lives at one time; ``FamilySpec`` checks the rest (past
+    < pivot < future, one dimension, orthonormal sets, which need not be
+    complete bases) and builds the slots, whose branch fixed points are
+    labeled by position.  ``==`` is identity.
     """
 
-    past: tuple[FixedPoint, ...]
-    pivot: FixedPoint
-    future: tuple[FixedPoint, ...]
-
-    def __post_init__(self):
-        past, future = tuple(self.past), tuple(self.future)
+    def __init__(self, past, pivot: FixedPoint, future):
+        past, future = tuple(past), tuple(future)
         if not past or not future:
             raise ValidationError("bundle needs past and future branches")
         if not all(same_time(p.time, group[0].time)
                    for group in (past, future) for p in group):
             raise ValidationError("branch sets must each live at one time")
-        require_increasing((past[0].time, self.pivot.time, future[0].time),
-                           "past, pivot and future times")
-        dims = {p.dim for p in past + future} | {self.pivot.dim}
-        if len(dims) != 1:
-            raise ValidationError("bundle states must share one dimension")
-        for name, group in (("past", past), ("future", future)):
-            linalg.require_orthonormal([p.state for p in group],
-                                       f"{name} branch set")
-        object.__setattr__(self, "past", past)
-        object.__setattr__(self, "future", future)
+        super().__init__(
+            times=(past[0].time, pivot.time, future[0].time),
+            bases=(tuple(p.state for p in past), (pivot.state,),
+                   tuple(f.state for f in future)),
+            constraints=(pivot,))
 
 
 @dataclass(frozen=True)
@@ -332,20 +325,29 @@ class DecompositionResult:
     terms: tuple[float, ...]
 
 
-def decompose_total_measure(bundle: ToyBundle, sched: HamiltonianSchedule,
+def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
                             mode: DecompositionMode) -> DecompositionResult:
-    """Total weight of the bundle, decomposed according to ``mode``.
+    """Total weight of a bundle, decomposed according to ``mode``.
 
-    Segment weights that run in parallel add; consecutive segment weights
-    multiply.  All four modes therefore produce the same total, organized
-    into different term lists.
+    The bundle is any recipe (a ``ToyBundle`` or a model) with exactly
+    three grid times and one constraint, the pivot, at the middle one; its
+    outer slots are the past and future branches.  Segment weights that
+    run in parallel add; consecutive segment weights multiply.  All four
+    modes therefore produce the same total, organized into different term
+    lists.
     """
-    pivot = bundle.pivot
-    u_past = propagate(sched, bundle.past[0].time, pivot.time)
-    u_future = propagate(sched, pivot.time, bundle.future[0].time)
-    w_past = [abs(_amplitude(p, pivot, u_past)) ** 2 for p in bundle.past]
-    w_future = [abs(_amplitude(pivot, f, u_future)) ** 2
-                for f in bundle.future]
+    if len(bundle.times) != 3:
+        raise ValidationError(
+            "bundle decomposition needs exactly three grid times")
+    if list(bundle.pinned) != [1]:
+        raise ValidationError(
+            "bundle decomposition needs exactly one constraint, "
+            "at the middle time")
+    past, (pivot,), future = bundle.slots
+    u_past = propagate(sched, past[0].time, pivot.time)
+    u_future = propagate(sched, pivot.time, future[0].time)
+    w_past = [abs(_amplitude(p, pivot, u_past)) ** 2 for p in past]
+    w_future = [abs(_amplitude(pivot, f, u_future)) ** 2 for f in future]
     sum_past, sum_future = sum(w_past), sum(w_future)
     if mode is DecompositionMode.MORW:
         terms = (sum_past * sum_future,)

@@ -38,7 +38,6 @@ import numpy as np
 from .dynamics import HamiltonianSchedule
 from .errors import DimensionMismatchError, ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
-from .measure import ToyBundle
 
 
 def _is_number(x) -> bool:
@@ -114,23 +113,6 @@ class ModelSpec(FamilySpec):
                 f"the bases ({self.dim})")
         if not all(map(self.schedule.covers, self.times)):
             raise ValidationError("schedule span does not cover the grid")
-
-    def toy_bundle(self) -> ToyBundle:
-        """Read the model as past branches, one pivot, future branches.
-
-        Requires exactly three grid times with the single constraint at the
-        middle one; the recipe's outer slots, one fixed point per basis
-        vector there, are the branch sets.
-        """
-        if len(self.times) != 3:
-            raise ValidationError(
-                "bundle decomposition needs exactly three grid times")
-        if list(self.pinned) != [1]:
-            raise ValidationError(
-                "bundle decomposition needs exactly one constraint, "
-                "at the middle time")
-        past, (pivot,), future = self.slots
-        return ToyBundle(past=past, pivot=pivot, future=future)
 
 
 def _computational_basis(dim: int) -> tuple[np.ndarray, ...]:

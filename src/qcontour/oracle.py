@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .contour import require_increasing
+from .contour import require_increasing, require_not_before
 from .dynamics import HamiltonianSchedule, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .sampling import rng_from_seed
@@ -61,8 +61,8 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     if len(bases) != len(times):
         raise ValidationError("need exactly one basis per measurement time")
     start = sched.t_min if t_prep is None else float(t_prep)
-    if times and times[0] < start:
-        raise ValidationError("measurements must not precede the preparation")
+    if times:
+        require_not_before(times[0], start, "first measurement time")
     checked = []
     for t, basis in zip(times, bases):
         vecs = [linalg.as_state(v, sched.dim) for v in basis]

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       ValidationError, chain_probability, decoherence_functional,
                       decoherence_report, enumerate_family, histories_equal,
-                      history_inner, history_operator, is_decoherent_space,
-                      measure_report, record_state, validate_family)
+                      history_inner, history_operator, measure_report,
+                      record_state, validate_family)
 from qcontour import histories, linalg
 from qcontour.errors import DimensionMismatchError, EnumerationGuardError
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
@@ -405,7 +405,8 @@ class TestDecoherentSpace:
                                  computational_basis(2)),
                           constraints=(FixedPoint(0.0, PLUS, "prep"),))
         fam = enumerate_family(spec)
-        assert is_decoherent_space(fam, zero_schedule(2), PLUS, 1e-10)
+        report = decoherence_report(fam, zero_schedule(2), PLUS, 1e-10)
+        assert report.decoherent
 
     def test_noncommuting_two_time_family_fails(self):
         # projectors onto {|+>,|->} then {|0>,|1>} with H = 0 interfere
@@ -421,7 +422,7 @@ class TestDecoherentSpace:
 
     def test_single_member_family_vacuous(self):
         fam = HistoryFamily(histories=(two_point(E0, E0),))
-        assert is_decoherent_space(fam, zero_schedule(2), E0, 1e-10)
+        assert decoherence_report(fam, zero_schedule(2), E0, 1e-10).decoherent
 
 
 class TestFamilySpec:

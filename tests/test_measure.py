@@ -500,8 +500,9 @@ class TestDecomposition:
         mdrw = decompose_total_measure(bundle, sched, DecompositionMode.MDRW)
         assert sum(mdrw.terms) == pytest.approx(morw.terms[0], abs=1e-12)
         mmwf = decompose_total_measure(bundle, sched, DecompositionMode.MMWF)
-        n_future = len(bundle.future)
-        for i in range(len(bundle.past)):
+        past, _, future = bundle.slots
+        n_future = len(future)
+        for i in range(len(past)):
             regrouped = sum(mdrw.terms[i * n_future:(i + 1) * n_future])
             assert regrouped == pytest.approx(mmwf.terms[i], abs=1e-12)
 
@@ -509,20 +510,92 @@ class TestDecomposition:
         for seed in range(20):
             bundle, sched = random_bundle(1200 + seed, dim=3, n_past=2,
                                           n_future=3)
-            w_past = [abs(segment_amplitude(p, bundle.pivot, sched)) ** 2
-                      for p in bundle.past]
-            w_future = [abs(segment_amplitude(bundle.pivot, f, sched)) ** 2
-                        for f in bundle.future]
+            past, (pivot,), future = bundle.slots
+            w_past = [abs(segment_amplitude(p, pivot, sched)) ** 2
+                      for p in past]
+            w_future = [abs(segment_amplitude(pivot, f, sched)) ** 2
+                        for f in future]
             mdrw = decompose_total_measure(bundle, sched,
                                            DecompositionMode.MDRW)
             assert mdrw.terms == tuple(wp * wf for wp in w_past
                                        for wf in w_future)
 
     def test_non_orthonormal_branch_set_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not orthonormal"):
             ToyBundle(past=(fp(0.0, E0), fp(0.0, PLUS)),
                       pivot=fp(1.0, E0),
                       future=(fp(2.0, E0), fp(2.0, E1)))
+
+
+class TestBundleRecipe:
+    """A bundle is the three-slot ``FamilySpec`` that
+    ``decompose_total_measure`` reads."""
+
+    def test_is_a_family_spec(self):
+        bundle, _ = random_bundle(64, dim=3, n_past=2, n_future=1)
+        assert isinstance(bundle, FamilySpec)
+        assert bundle.times == (0.0, 1.0, 2.0)
+        assert list(bundle.pinned) == [1]
+        assert [len(slot) for slot in bundle.slots] == [2, 1, 1]
+
+    def test_branches_are_positional_slot_fixed_points(self):
+        pivot = fp(1.0, PLUS, "psi")
+        bundle = ToyBundle(past=(fp(0.0, E0, "a"), fp(0.0, E1, "b")),
+                           pivot=pivot, future=(fp(2.0, E1, "c"),))
+        past, (slot_pivot,), future = bundle.slots
+        assert slot_pivot is pivot
+        assert [p.label for p in past] == ["0", "1"]
+        assert [f.label for f in future] == ["0"]
+        np.testing.assert_array_equal(future[0].state, E1)
+
+    def test_equality_is_identity(self):
+        first, second = (ToyBundle(past=(fp(0.0, E0),), pivot=fp(1.0, E0),
+                                   future=(fp(2.0, E0),)) for _ in range(2))
+        assert first == first and first != second
+
+    def test_morw_total_is_the_transfer_chain_normalization(self):
+        for seed in range(40):
+            rng = rng_from_seed(1400 + seed)
+            dim = int(rng.integers(2, 5))
+            bundle, sched = random_bundle(
+                1400 + seed, dim=dim, n_past=int(rng.integers(1, dim + 1)),
+                n_future=int(rng.integers(1, dim + 1)))
+            morw = decompose_total_measure(bundle, sched,
+                                           DecompositionMode.MORW)
+            assert transfer_chain(bundle, sched)[0] == \
+                pytest.approx(morw.total, abs=1e-12)
+
+    @pytest.mark.parametrize("past, pivot, future, match", [
+        ((), fp(1.0, E0), (fp(2.0, E0),), "past and future branches"),
+        ((fp(0.0, E0),), fp(1.0, E0), (), "past and future branches"),
+        ((fp(0.0, E0), fp(0.5, E1)), fp(1.0, E0), (fp(2.0, E0),),
+         "one time"),
+        ((fp(0.0, E0),), fp(1.0, E0), (fp(2.0, np.array([1, 0, 0])),),
+         "one dimension"),
+        ((fp(0.0, E0),), fp(1.0, np.array([1, 0, 0])), (fp(2.0, E0),),
+         "one dimension"),
+        ((fp(1.0, E0),), fp(1.0, E0), (fp(2.0, E0),), "increase"),
+        ((fp(0.0, E0),), fp(3.0, E0), (fp(2.0, E0),), "increase"),
+    ])
+    def test_rejected(self, past, pivot, future, match):
+        with pytest.raises(ValidationError, match=match):
+            ToyBundle(past=past, pivot=pivot, future=future)
+
+    @pytest.mark.parametrize("n_times, pinned, match", [
+        (2, (0,), "three grid times"),
+        (4, (1,), "three grid times"),
+        (3, (0,), "at the middle time"),
+        (3, (0, 1), "at the middle time"),
+        (3, (), "at the middle time"),
+    ])
+    def test_layout_is_checked(self, n_times, pinned, match):
+        times = tuple(map(float, range(n_times)))
+        spec = FamilySpec(times=times,
+                          bases=(computational_basis(2),) * n_times,
+                          constraints=tuple(fp(times[k], E0) for k in pinned))
+        with pytest.raises(ValidationError, match=match):
+            decompose_total_measure(spec, zero_schedule(2, 0.0, 3.0),
+                                    DecompositionMode.MORW)
 
 
 class TestPhysicalInvariances:

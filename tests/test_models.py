@@ -5,11 +5,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qcontour import (DimensionMismatchError, FamilySpec, FixedPoint,
-                      ModelFormatError, ModelSpec, ValidationError,
+from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
+                      FixedPoint, ModelFormatError, ModelSpec, ToyBundle,
+                      ValidationError, decompose_total_measure,
                       enumerate_family, linalg, load_model, measure_report,
                       model_from_dict, model_to_dict, save_model,
-                      transfer_chain)
+                      segment_amplitude, transfer_chain)
 from qcontour.sampling import (random_orthonormal_basis, random_schedule,
                                random_state, rng_from_seed)
 from toys import E0, E1, computational_basis, count_calls, zero_schedule
@@ -145,18 +146,37 @@ class TestToyBundle:
 
     def test_branches_are_the_outer_basis_fixed_points(self):
         model = self.model(0.5)
-        bundle = model.toy_bundle()
-        assert bundle.pivot is model.constraints[0]
-        for branches, t, basis in ((bundle.past, 0.0, model.bases[0]),
-                                   (bundle.future, 1.2, model.bases[2])):
+        past, (pivot,), future = model.slots
+        assert pivot is model.constraints[0]
+        for branches, t, basis in ((past, 0.0, model.bases[0]),
+                                   (future, 1.2, model.bases[2])):
             assert [b.label for b in branches] == ["0", "1", "2"]
             assert all(b.time == t for b in branches)
             for b, v in zip(branches, basis, strict=True):
                 np.testing.assert_array_equal(b.state, v)
+        w_past = [abs(segment_amplitude(p, pivot, model.schedule)) ** 2
+                  for p in past]
+        w_future = [abs(segment_amplitude(pivot, f, model.schedule)) ** 2
+                    for f in future]
+        mdrw = decompose_total_measure(model, model.schedule,
+                                       DecompositionMode.MDRW)
+        assert mdrw.terms == tuple(wp * wf for wp in w_past
+                                   for wf in w_future)
 
     def test_pivot_must_sit_at_the_middle_time(self):
+        model = self.model(0.0)
         with pytest.raises(ValidationError, match="at the middle time"):
-            self.model(0.0).toy_bundle()
+            decompose_total_measure(model, model.schedule,
+                                    DecompositionMode.MORW)
+
+    @pytest.mark.parametrize("mode", list(DecompositionMode))
+    def test_model_decomposes_as_its_toy_bundle(self, mode):
+        model = self.model(0.5)
+        past, _, future = model.slots
+        bundle = ToyBundle(past=past, pivot=model.constraints[0],
+                           future=future)
+        assert decompose_total_measure(model, model.schedule, mode) \
+            == decompose_total_measure(bundle, model.schedule, mode)
 
 
 class TestModelSpec:
@@ -184,10 +204,9 @@ class TestModelSpec:
         enumerate_family(model)
         transfer_chain(model, model.schedule)
         assert checked == []
-        # the bundle checks its own two branch sets, not the model's bases
-        model.toy_bundle()
-        assert [args[1] for args in checked] \
-            == ["past branch set", "future branch set"]
+        for mode in DecompositionMode:
+            decompose_total_measure(model, model.schedule, mode)
+        assert checked == []
 
     def test_direct_build_checks_the_schedule(self):
         recipe = dict(times=(0.0, 1.0), bases=(computational_basis(2),) * 2,

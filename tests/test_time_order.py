@@ -1,5 +1,6 @@
 """The one time-order rule, ``contour.require_increasing``, at every entry
-point that takes a sequence of times."""
+point that takes a sequence of times, and the one "not before" rule,
+``contour.require_not_before``, at both entry points that take a start."""
 
 import json
 import math
@@ -12,7 +13,8 @@ from qcontour import (FamilySpec, FixedPoint, HamiltonianSchedule,
                       born_probability, history_operator, segment_amplitude,
                       sequential_chain)
 from qcontour.cli import main
-from qcontour.contour import require_increasing
+from qcontour.contour import (require_increasing, require_not_before,
+                              same_time)
 from qcontour.linalg import TIME_EPS
 
 from toys import E0, E1, SX, computational_basis
@@ -89,7 +91,7 @@ class TestRequireIncreasing:
 
     @pytest.mark.parametrize("times", [
         (0.0, 0.0), (1.0, 0.5), (0.0, 1.0, 1.0 + 1e-13), (0.0, math.nan),
-        (math.nan, 1.0), (0.0, math.inf)])
+        (math.nan, 1.0), (0.0, math.inf), (math.inf,), (-math.inf, 0.0)])
     def test_rejects(self, times):
         with pytest.raises(ValidationError, match="^grid times must"):
             require_increasing(times, "grid times")
@@ -99,6 +101,37 @@ class TestRequireIncreasing:
             require_increasing((0, 1, 1 + 1e-13), "grid times")
         assert str(exc.value) == ("grid times must increase and be distinct, "
                                   "got (0.0, 1.0, 1.0000000000001)")
+
+
+NOT_BEFORE = {
+    "sequential_chain": lambda start, t, sched: sequential_chain(
+        E0, (BASIS,), (t,), sched, t_prep=start),
+    "history_operator": lambda start, t, sched: history_operator(
+        (FixedPoint(t, E0), FixedPoint(t + 1.0, E1)), sched, start),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("entry", sorted(NOT_BEFORE))
+def test_not_before_uses_the_time_matcher(entry, scale):
+    call, start = NOT_BEFORE[entry], scale
+    sched = HamiltonianSchedule.constant(SX, 0.0, 2.0 * scale)
+    for t in (start - 0.5 * TIME_EPS * scale, start + 0.5 * TIME_EPS * scale):
+        call(start, t, sched)
+    with pytest.raises(ValidationError, match="must not precede"):
+        call(start, start - 1e-6 * scale, sched)
+
+
+class TestRequireNotBefore:
+    @pytest.mark.parametrize("t", [2, 1.0, 1.0 - 1e-13, math.inf])
+    def test_accepts(self, t):
+        require_not_before(t, 1.0, "first time")
+
+    @pytest.mark.parametrize("t", [0.5, math.nan, -math.inf])
+    def test_rejects(self, t):
+        with pytest.raises(ValidationError, match="^first time .* must not "
+                                                  "precede 1.0$"):
+            require_not_before(t, 1.0, "first time")
 
 
 class TestGridAsWritten:
@@ -146,6 +179,14 @@ class TestSlotTimes:
         spec = FamilySpec(times=(0.0, 1.0, 2.0), bases=(BASIS,) * 3,
                           constraints=(FixedPoint(1.0 + 0.5 * TIME_EPS, E0),))
         assert list(spec.pinned) == [1]
+
+
+def test_an_infinite_time_matches_none():
+    for t in (0.0, 1.0, 1e300):
+        assert not same_time(math.inf, t) and not same_time(t, -math.inf)
+    assert not same_time(math.inf, math.inf)
+    sched = HamiltonianSchedule.constant(SX, 0.0, 1.0)
+    assert not sched.covers(math.inf) and not sched.covers(-math.inf)
 
 
 class TestCovers:
