@@ -6,26 +6,19 @@ renormalize), and Monte Carlo sampling of the resulting distribution.
 All three must tell one story.
 """
 
-from qcontour import (FamilySpec, FixedPoint, condition_on_final,
-                      enumerate_family, measure_report, monte_carlo_sample,
-                      sequential_chain)
+from qcontour import (condition_on_final, enumerate_family, measure_report,
+                      monte_carlo_sample, sequential_chain)
 from qcontour.linalg import complete_basis
 from qcontour.oracle import OutcomeDistribution
-from qcontour.sampling import (random_orthonormal_basis, random_schedule,
-                               random_state, rng_from_seed)
+from qcontour.sampling import random_model, rng_from_seed
 
 
 def random_family_spec(seed, dim, n_times, s_t):
+    """A random model over a random grid of ``n_times`` times in [0, 2]."""
     rng = rng_from_seed(seed)
-    times = tuple(float(t) for t in sorted(rng.uniform(0.0, 2.0, n_times)))
-    sched = random_schedule(rng, times, dim)
-    bases = tuple(tuple(random_orthonormal_basis(rng, dim)) for _ in times)
-    constraints = [FixedPoint(times[0], random_state(rng, dim), "prep")]
-    if s_t == 2:
-        constraints.append(FixedPoint(times[-1], random_state(rng, dim),
-                                      "final"))
-    return FamilySpec(times=times, bases=bases,
-                      constraints=tuple(constraints)), sched
+    times = [float(t) for t in sorted(rng.uniform(0.0, 2.0, n_times))]
+    model = random_model(rng, times, dim, s_t)
+    return model, model.schedule
 
 
 def main():

@@ -4,15 +4,19 @@ Prints one line per command: the command, its exit codes, and the first
 12 hex digits of the sha256 of its stdout (``out``) and of its stderr
 (``err``), each with ``--format text`` and with ``--format structured``.
 A demo prints one digest of each stream.  The commands are ``measure``,
-``verify`` and ``decompose`` on the three demo models, the built-in
+``verify`` and ``decompose`` on the three demo models, ``propagate`` on
+each demo model over one forward and one backward interval, the built-in
 ``verify`` suite at seeds 0, 7 and 13, ``measure`` (also with
 ``--steps-per-segment 3`` and ``8``) and ``verify`` on the two
 ``verify_cli``-shaped benchmark models (seeds 1 and 271828), the seven
-demos, and, last, ``measure`` and ``verify`` on three malformed models
+demos, ``measure`` and ``verify`` on three malformed models
 (``ERROR_MODELS``: coincident grid times, a non-increasing grid, an
-off-grid constraint), whose lines digest the error message and exit code.
-The benchmark and malformed models are written to a temporary directory
-and run there by bare file name.
+off-grid constraint), whose lines digest the error message and exit code,
+and, last, ``envariance`` of the swap on A for each state in
+``STATE_FILES`` (an equal-amplitude pair, a lopsided pair, and a state
+file missing its amplitudes, which exits 2).  The benchmark models, the
+malformed models and the envariance inputs are written to a temporary
+directory and run there by bare file name.
 
 Run it in two checkouts and compare the output:
 
@@ -38,6 +42,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -75,6 +80,23 @@ ERROR_MODELS = {
     "off-grid-constraint.json": _qubit_model([0.0, 1.0], [(0.5, _E0)]),
 }
 
+#: the X (swap) transformation on A, for the envariance commands
+SWAP_FILE = {"swap.json": {"matrix": [_E1, _E0]}}
+
+
+def _pair_state(a, b):
+    """The two-qubit state a|00> + b|11>, as a state file."""
+    return {"dim_a": 2, "dim_b": 2,
+            "amplitudes": [[a, 0], [0, 0], [0, 0], [b, 0]]}
+
+
+#: envariance states by file name
+STATE_FILES = {
+    "equal-pair.json": _pair_state(math.sqrt(0.5), math.sqrt(0.5)),
+    "lopsided-pair.json": _pair_state(math.sqrt(0.8), math.sqrt(0.2)),
+    "missing-amplitudes.json": {"dim_a": 2, "dim_b": 2},
+}
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
@@ -105,35 +127,47 @@ def commands():
     for command in ("measure", "verify", "decompose"):
         for name in DEMO_MODELS:
             yield [command, f"demos/models/{name}.json"]
+    for name in DEMO_MODELS:
+        path = f"demos/models/{name}.json"
+        grid = [repr(float(t)) for t in json.loads(
+            Path(path).read_text(encoding="utf-8"))["grid"]]
+        yield ["propagate", path, grid[0], grid[1]]
+        yield ["propagate", path, grid[-1], grid[0]]
     for seed in (0, 7, 13):
         yield ["verify", "--seed", str(seed)]
 
 
 def bench_commands():
-    """(file name, model document, argv) of each command on a model that
-    is written to the temporary directory."""
+    """(input files by name, argv) of each command on a model that is
+    written to the temporary directory."""
     for seed in BENCH_SEEDS:
         name = f"verify_cli-{seed}.json"
-        doc = model_document(VerifyCli.raw(seed))
-        yield name, doc, ["measure", name]
+        files = {name: model_document(VerifyCli.raw(seed))}
+        yield files, ["measure", name]
         for steps in ("3", "8"):
-            yield name, doc, ["measure", name, "--steps-per-segment", steps]
-        yield name, doc, ["verify", name]
+            yield files, ["measure", name, "--steps-per-segment", steps]
+        yield files, ["verify", name]
 
 
 def error_commands():
     for name, doc in ERROR_MODELS.items():
         for command in ("measure", "verify"):
-            yield name, doc, [command, name]
+            yield {name: doc}, [command, name]
+
+
+def envariance_commands():
+    for name, doc in STATE_FILES.items():
+        yield {name: doc, **SWAP_FILE}, ["envariance", name, *SWAP_FILE]
 
 
 def temp_lines(commands):
     """``cli_line`` of each command, run in a temporary directory holding
-    its model."""
+    its input files, each written as JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, doc, argv in commands:
-            Path(name).write_text(json.dumps(doc), encoding="utf-8")
+        for files, argv in commands:
+            for name, doc in files.items():
+                Path(name).write_text(json.dumps(doc), encoding="utf-8")
             yield cli_line(argv)
         os.chdir(ROOT)
 
@@ -152,6 +186,7 @@ def digest_lines():
         yield f"demos/{demo.name}  exit {done.returncode}" \
             f"  out {digest(done.stdout)}  err {digest(done.stderr)}"
     yield from temp_lines(error_commands())
+    yield from temp_lines(envariance_commands())
 
 
 def lines_at(ref: str) -> list[str]:

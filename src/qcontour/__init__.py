@@ -22,9 +22,8 @@ from .histories import (FamilyReport, FamilySpec, FixedPoint, HistoryFamily,
                         decoherence_functional, decoherence_report,
                         enumerate_family, histories_equal, history_inner,
                         history_operator, record_state, validate_family)
-from .linalg import (check_unitary, complete_basis, hermitian_exp, inner,
-                     is_hermitian, is_orthonormal, is_projector, projector,
-                     tensor)
+from .linalg import (check_unitary, complete_basis, inner, is_hermitian,
+                     is_orthonormal, is_projector, projector, tensor)
 from .measure import (DecompositionMode, DecompositionResult, HistoryMeasure,
                       MeasureReport, ToyBundle, born_probability, delta_psi,
                       delta_psi_line_integral, decompose_total_measure,

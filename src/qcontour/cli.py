@@ -26,8 +26,7 @@ from .models import (ModelSpec, load_model, matrix_from_json,
                      matrix_to_json, read_json, vector_from_json)
 from .oracle import (OutcomeDistribution, condition_on_final,
                      monte_carlo_sample, sequential_chain)
-from .sampling import (random_orthonormal_basis, random_schedule,
-                       random_state, rng_from_seed)
+from .sampling import random_model, rng_from_seed
 
 
 def _round15(value):
@@ -147,17 +146,7 @@ def _builtin_verify_models(seed: int) -> list[tuple[str, ModelSpec]]:
     ]
     for i, (name, dim, times, s_t) in enumerate(recipes):
         rng = rng_from_seed(10_000 * (seed + 1) + i)
-        sched = random_schedule(rng, times, dim)
-        bases = tuple(tuple(random_orthonormal_basis(rng, dim))
-                      for _ in times)
-        constraints = [FixedPoint(times[0], random_state(rng, dim),
-                                  label="prep")]
-        if s_t == 2:
-            constraints.append(FixedPoint(times[-1], random_state(rng, dim),
-                                          label="final"))
-        models.append((name, ModelSpec(
-            times=times, schedule=sched, bases=bases,
-            constraints=tuple(constraints))))
+        models.append((name, random_model(rng, times, dim, s_t)))
     return models
 
 

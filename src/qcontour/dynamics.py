@@ -86,6 +86,15 @@ class HamiltonianSchedule:
         return (v * np.exp(-1j * dt * w)) @ v.conj().T
 
 
+def require_schedule_dim(sched: HamiltonianSchedule, dim: int) -> None:
+    """Raise DimensionMismatchError unless the schedule acts on states of
+    dimension ``dim``."""
+    if sched.dim != dim:
+        raise DimensionMismatchError(
+            f"schedule dimension {sched.dim} does not match the states' "
+            f"dimension {dim}")
+
+
 def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     """Unitary propagator from t_a to t_b.
 

@@ -30,7 +30,8 @@ import numpy as np
 from . import linalg
 from .contour import (grid_index, require_increasing, require_not_before,
                       same_time)
-from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
+from .dynamics import (HamiltonianSchedule, heisenberg_projector, propagate,
+                       require_schedule_dim)
 from .errors import (DimensionMismatchError, EnumerationGuardError,
                      ValidationError)
 
@@ -419,10 +420,7 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     maximum.  Raises ValidationError on a NaN or negative ``tol``.
     """
     tol = linalg.require_tolerance(tol)
-    if sched.dim != fam.dim:
-        raise DimensionMismatchError(
-            f"schedule dimension {sched.dim} differs from the family's "
-            f"{fam.dim}")
+    require_schedule_dim(sched, fam.dim)
     t_0 = fam.times[0]
     psi = linalg.as_state(psi1)
     if psi.size != fam.dim:

@@ -2,10 +2,8 @@
 
 State vectors are 1-d ``complex128`` arrays, operators are square 2-d
 arrays.  Everything here is a pure function of its inputs; arrays returned
-by constructors are fresh copies, so values can be shared freely.
-
-Units: hbar = 1 throughout, so ``hermitian_exp(H, t)`` is the propagator
-for a constant generator H over a time interval t.
+by constructors are fresh copies, so values can be shared freely.  Units:
+hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -42,12 +40,11 @@ def require_tolerance(tol) -> float:
     return tol
 
 
-def as_state(vec, dim: int | None = None, *,
-             normalized: bool = True) -> np.ndarray:
+def as_state(vec, dim: int | None = None) -> np.ndarray:
     """Coerce ``vec`` to a complex state vector and validate it.
 
-    Checks finiteness, optional dimension and (by default) unit L2 norm.
-    Returns a fresh array.
+    Checks finiteness, optional dimension and unit L2 norm.  Returns a
+    fresh array.
     """
     psi = np.asarray(vec, dtype=complex).reshape(-1).copy()
     if psi.size < 1:
@@ -57,7 +54,7 @@ def as_state(vec, dim: int | None = None, *,
     if dim is not None and psi.size != dim:
         raise DimensionMismatchError(
             f"expected dimension {dim}, got {psi.size}")
-    if normalized and abs(norm(psi) - 1.0) > DEFAULT_TOL:
+    if abs(norm(psi) - 1.0) > DEFAULT_TOL:
         raise ValidationError(
             f"state vector is not normalized (norm = {norm(psi)!r})")
     return psi
@@ -123,18 +120,6 @@ def require_hermitian(m) -> np.ndarray:
         raise ValidationError(
             f"matrix is not Hermitian (max |M - M^dag| = {defect:.3e})")
     return m
-
-
-def hermitian_exp(h, theta: float) -> np.ndarray:
-    """exp(-i * theta * H) for Hermitian H, via eigendecomposition.
-
-    The result is unitary to machine precision because the eigenvector
-    matrix of a Hermitian operator is unitary.
-    """
-    h = require_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * theta * w)
-    return (v * phases) @ v.conj().T
 
 
 def check_unitary(m, tol: float = UNITARY_TOL) -> bool:

@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import HamiltonianSchedule
-from .errors import DimensionMismatchError, ModelFormatError, ValidationError
+from .dynamics import HamiltonianSchedule, require_schedule_dim
+from .errors import ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
 
 
@@ -107,10 +107,7 @@ class ModelSpec(FamilySpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.schedule.dim != self.dim:
-            raise DimensionMismatchError(
-                f"schedule dimension {self.schedule.dim} does not match "
-                f"the bases ({self.dim})")
+        require_schedule_dim(self.schedule, self.dim)
         if not all(map(self.schedule.covers, self.times)):
             raise ValidationError("schedule span does not cover the grid")
 

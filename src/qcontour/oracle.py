@@ -10,6 +10,7 @@ by zero along dead branches.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,28 +42,25 @@ class OutcomeDistribution:
                 f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "outcomes", outs)
 
-    @property
-    def total(self) -> float:
-        return float(sum(p for _, p in self.outcomes))
-
 
 def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
-                     t_prep: float | None = None) -> OutcomeDistribution:
+                     t_prep: float) -> OutcomeDistribution:
     """Joint outcome distribution of projective measurements in sequence.
 
-    The state is prepared as ``psi1`` at ``t_prep`` (the schedule start when
-    omitted), evolved to each measurement time and projected onto every
-    element of that time's complete orthonormal basis.  Outcome sequences
-    are indexed per time; their probabilities are products of conditional
-    Born probabilities and sum to one by completeness.
+    The state is prepared as ``psi1`` at ``t_prep``, evolved to each
+    measurement time and projected onto every element of that time's
+    complete orthonormal basis.  Outcome sequences are indexed per time, in
+    lexicographic order (the order of ``enumerate_family``'s index); their
+    probabilities are products of conditional Born probabilities and sum
+    to one by completeness.
     """
     psi1 = linalg.as_state(psi1, sched.dim)
     times = require_increasing(times, "measurement times")
     if len(bases) != len(times):
         raise ValidationError("need exactly one basis per measurement time")
-    start = sched.t_min if t_prep is None else float(t_prep)
+    t_now = float(t_prep)
     if times:
-        require_not_before(times[0], start, "first measurement time")
+        require_not_before(times[0], t_now, "first measurement time")
     checked = []
     for t, basis in zip(times, bases):
         vecs = [linalg.as_state(v, sched.dim) for v in basis]
@@ -71,22 +69,21 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
         linalg.require_orthonormal(vecs, f"basis at time {t}")
         checked.append(vecs)
 
-    # each branch carries (outcome indices, unnormalized collapsed state);
-    # the squared norm of the state is the branch's joint probability
-    branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), psi1)]
-    t_now = start
+    # each branch is an unnormalized collapsed state, whose squared norm is
+    # the joint probability of its outcomes; the branches of one time split
+    # in basis order, so they run in the lexicographic order of their keys
+    branches = [psi1]
     for t, basis in zip(times, checked):
         u = propagate(sched, t_now, t)
         grown = []
-        for seq, vec in branches:
+        for vec in branches:
             evolved = u @ vec
-            for k, b in enumerate(basis):
-                grown.append((seq + (k,), b * np.vdot(b, evolved)))
+            grown += [b * np.vdot(b, evolved) for b in basis]
         branches = grown
         t_now = t
-    outcomes = tuple((seq, float(np.vdot(vec, vec).real))
-                     for seq, vec in branches)
-    return OutcomeDistribution(outcomes)
+    keys = itertools.product(range(sched.dim), repeat=len(times))
+    return OutcomeDistribution(tuple(
+        zip(keys, [float(np.vdot(vec, vec).real) for vec in branches])))
 
 
 def condition_on_final(dist: OutcomeDistribution,
@@ -99,13 +96,6 @@ def condition_on_final(dist: OutcomeDistribution,
         raise ZeroNormalizationError(
             f"conditioning outcome {final_index} has zero probability")
     return OutcomeDistribution(tuple((seq, p / total) for seq, p in kept))
-
-
-def _binomial_sigma(p: float, n: int) -> tuple[float, float]:
-    """``p`` clipped to [0, 1], as the draws read it, and one binomial
-    standard error of a frequency over ``n`` draws there."""
-    p = min(max(p, 0.0), 1.0)
-    return p, math.sqrt(p * (1.0 - p) / n)
 
 
 @dataclass(frozen=True)
@@ -122,27 +112,21 @@ class FrequencyRow:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Deterministic sampling result; rows follow the distribution's order."""
+    """Deterministic sampling result; rows follow the distribution's order.
+
+    ``max_sigma`` is the largest deviation of a frequency from its clipped
+    probability in units of one binomial standard error: 0 where a
+    zero-width band is hit, inf where one is missed.
+    """
 
     n: int
     seed: int
     rows: tuple[FrequencyRow, ...]
+    max_sigma: float
 
     @property
     def all_within_band(self) -> bool:
         return all(r.within_band for r in self.rows)
-
-    @property
-    def max_sigma(self) -> float:
-        """Largest deviation in units of one binomial standard error."""
-        worst = 0.0
-        for r in self.rows:
-            p, sigma = _binomial_sigma(r.probability, self.n)
-            if sigma > 0:
-                worst = max(worst, abs(r.frequency - p) / sigma)
-            elif r.frequency != p:
-                worst = math.inf
-        return worst
 
 
 def monte_carlo_sample(dist: OutcomeDistribution, n: int,
@@ -157,17 +141,22 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     """
     if n < 1:
         raise ValidationError("sample count must be positive")
-    probs = np.array([p for _, p in dist.outcomes])
-    probs = np.clip(probs, 0.0, None)
-    rng = rng_from_seed(seed)
-    draws = rng.choice(len(probs), size=n, p=probs / probs.sum())
+    keys, probs = zip(*dist.outcomes)
+    weights = np.maximum(probs, 0.0)
+    draws = rng_from_seed(seed).choice(len(probs), size=n,
+                                       p=weights / weights.sum())
     counts = np.bincount(draws, minlength=len(probs))
-    rows = []
-    for (key, p), count in zip(dist.outcomes, counts.tolist()):
-        freq = count / n
-        clipped, sigma = _binomial_sigma(p, n)
-        band = 5.0 * sigma
-        rows.append(FrequencyRow(key=key, probability=p, count=count,
-                                 frequency=freq, band=band,
-                                 within_band=abs(freq - clipped) <= band))
-    return FrequencyTable(n=n, seed=seed, rows=tuple(rows))
+    # one column per row quantity, each the per-row formula elementwise
+    freq = counts / n
+    clipped = np.minimum(weights, 1.0)
+    sigma = np.sqrt(clipped * (1.0 - clipped) / n)
+    band = 5.0 * sigma
+    deviation = np.abs(freq - clipped)
+    within = deviation <= band
+    sigmas = np.divide(deviation, sigma, where=sigma > 0,
+                       out=np.where(deviation > 0, math.inf, 0.0))
+    rows = tuple(itertools.starmap(FrequencyRow, zip(
+        keys, probs, counts.tolist(), freq.tolist(), band.tolist(),
+        within.tolist())))
+    return FrequencyTable(n=n, seed=seed, rows=rows,
+                          max_sigma=float(sigmas.max()))

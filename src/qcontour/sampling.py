@@ -1,4 +1,4 @@
-"""Seeded random generators for states, bases and schedules.
+"""Seeded random generators for states, bases, schedules and models.
 
 All randomness flows through the counter-based Philox generator so that
 every seeded run is reproducible bit for bit.
@@ -10,6 +10,8 @@ import numpy as np
 
 from .dynamics import HamiltonianSchedule
 from .errors import ValidationError
+from .histories import FixedPoint
+from .models import ModelSpec
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -26,10 +28,9 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int,
-                     scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (m + m.conj().T) / 2.0
+    return (m + m.conj().T) / 2.0
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -45,10 +46,28 @@ def random_orthonormal_basis(rng: np.random.Generator,
     return [u[:, k].copy() for k in range(dim)]
 
 
-def random_schedule(rng: np.random.Generator, times, dim: int,
-                    scale: float = 1.0) -> HamiltonianSchedule:
+def random_schedule(rng: np.random.Generator, times,
+                    dim: int) -> HamiltonianSchedule:
     """Independent random Hermitian generator on each grid interval."""
     times = [float(t) for t in times]
-    segments = [(a, b, random_hermitian(rng, dim, scale))
+    segments = [(a, b, random_hermitian(rng, dim))
                 for a, b in zip(times, times[1:])]
     return HamiltonianSchedule(segments)
+
+
+def random_model(rng: np.random.Generator, times, dim: int,
+                 s_t: int) -> ModelSpec:
+    """A random model over the grid ``times``: draws, in this order, the
+    schedule, one basis per time and a preparation ``"prep"`` pinned at the
+    first time; ``s_t = 2`` also pins a ``"final"`` state at the last."""
+    if s_t not in (1, 2):
+        raise ValidationError(f"s_t must be 1 or 2, got {s_t!r}")
+    times = tuple(times)
+    schedule = random_schedule(rng, times, dim)
+    bases = tuple(tuple(random_orthonormal_basis(rng, dim)) for _ in times)
+    constraints = [FixedPoint(times[0], random_state(rng, dim), label="prep")]
+    if s_t == 2:
+        constraints.append(FixedPoint(times[-1], random_state(rng, dim),
+                                      label="final"))
+    return ModelSpec(times=times, schedule=schedule, bases=bases,
+                     constraints=tuple(constraints))

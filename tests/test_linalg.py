@@ -6,9 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontour import (DimensionMismatchError, ValidationError, check_unitary,
-                      complete_basis, hermitian_exp, inner, is_orthonormal,
-                      is_projector, projector, tensor)
+from qcontour import (DimensionMismatchError, HamiltonianSchedule,
+                      ValidationError, check_unitary, complete_basis, inner,
+                      is_orthonormal, is_projector, projector, propagate,
+                      tensor)
 from qcontour.linalg import (as_square, as_state, require_orthonormal,
                              require_tolerance)
 from qcontour.sampling import random_hermitian, random_state, rng_from_seed
@@ -70,21 +71,27 @@ class TestTensor:
                                    tensor(a, tensor(b, c)), atol=1e-12)
 
 
+def constant_propagator(h, theta):
+    """exp(-i theta H) for |theta| <= 10: the propagator over theta of the
+    constant generator H (for negative theta, the backward propagator)."""
+    return propagate(HamiltonianSchedule.constant(h, -10.0, 10.0), 0.0, theta)
+
+
 class TestHermitianExp:
     def test_zero_angle(self):
         rng = rng_from_seed(3)
         h = random_hermitian(rng, 4)
-        np.testing.assert_allclose(hermitian_exp(h, 0.0), np.eye(4),
+        np.testing.assert_allclose(constant_propagator(h, 0.0), np.eye(4),
                                    atol=1e-14)
 
     def test_sigma_x_half_pi(self):
         # closed form cos(theta) I - i sin(theta) sigma_x at theta = pi/2
-        np.testing.assert_allclose(hermitian_exp(SX, math.pi / 2), -1j * SX,
-                                   atol=1e-12)
+        np.testing.assert_allclose(constant_propagator(SX, math.pi / 2),
+                                   -1j * SX, atol=1e-12)
 
     def test_sigma_z_pi(self):
         # per-eigenvalue exponentials: diag(e^{-i pi}, e^{+i pi}) = -I
-        np.testing.assert_allclose(hermitian_exp(SZ, math.pi),
+        np.testing.assert_allclose(constant_propagator(SZ, math.pi),
                                    np.diag([-1.0, -1.0]), atol=1e-12)
 
     def test_matches_expm_oracle(self):
@@ -93,12 +100,13 @@ class TestHermitianExp:
             h = random_hermitian(rng, 5)
             theta = float(rng.uniform(-3, 3))
             expected = scipy.linalg.expm(-1j * theta * h)
-            np.testing.assert_allclose(hermitian_exp(h, theta), expected,
-                                       atol=1e-10)
+            np.testing.assert_allclose(constant_propagator(h, theta),
+                                       expected, atol=1e-10)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
-            hermitian_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+            constant_propagator(np.array([[0, 1], [0, 0]], dtype=complex),
+                                1.0)
 
     @given(seed=st.integers(0, 10 ** 6),
            theta=st.floats(-10, 10, allow_nan=False))
@@ -106,7 +114,8 @@ class TestHermitianExp:
     def test_inverse_property(self, seed, theta):
         rng = rng_from_seed(seed)
         h = random_hermitian(rng, 3)
-        product = hermitian_exp(h, theta) @ hermitian_exp(h, -theta)
+        product = (constant_propagator(h, theta)
+                   @ constant_propagator(h, -theta))
         assert np.max(np.abs(product - np.eye(3))) < 1e-10
 
 
@@ -120,14 +129,14 @@ class TestCheckUnitary:
     def test_fresh_exponentials_are_unitary(self):
         for seed in range(100):
             rng = rng_from_seed(seed)
-            u = hermitian_exp(random_hermitian(rng, 4), 0.37)
+            u = constant_propagator(random_hermitian(rng, 4), 0.37)
             assert check_unitary(u, 1e-12)
             assert check_unitary(u, 1e-10)
 
     def test_isometry_of_inner_product(self):
         for seed in range(20):
             rng = rng_from_seed(seed)
-            u = hermitian_exp(random_hermitian(rng, 4), 1.1)
+            u = constant_propagator(random_hermitian(rng, 4), 1.1)
             psi, phi = random_state(rng, 4), random_state(rng, 4)
             assert inner(u @ psi, u @ phi) == pytest.approx(inner(psi, phi),
                                                             abs=1e-10)
@@ -141,10 +150,6 @@ class TestValidationHelpers:
     def test_as_state_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             as_state([1.0, 1.0])
-
-    def test_as_state_allows_unnormalized_when_flagged(self):
-        v = as_state([1.0, 1.0], normalized=False)
-        assert v.size == 2
 
     def test_projector_is_projector(self):
         rng = rng_from_seed(4)

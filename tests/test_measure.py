@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontour import (DecompositionMode, FamilySpec, FixedPoint,
-                      HamiltonianSchedule, HistoryFamily, HistoryMeasure,
-                      QuantumHistory, ToyBundle, ValidationError,
-                      ZeroNormalizationError, born_probability,
+from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
+                      FixedPoint, HamiltonianSchedule, HistoryFamily,
+                      HistoryMeasure, ModelSpec, QuantumHistory, ToyBundle,
+                      ValidationError, ZeroNormalizationError,
+                      born_probability, decoherence_report,
                       decompose_total_measure, delta_psi,
                       delta_psi_line_integral, enumerate_family,
                       measure_report, segment_amplitude, sequential_chain,
@@ -596,6 +597,45 @@ class TestBundleRecipe:
         with pytest.raises(ValidationError, match=match):
             decompose_total_measure(spec, zero_schedule(2, 0.0, 3.0),
                                     DecompositionMode.MORW)
+
+
+def _dimension_routes():
+    """Each route that reads a recipe or history with a schedule, called
+    on qubit inputs and the given schedule."""
+    spec, _ = random_family_spec(47, dim=2, n_times=3, s_t=1)
+    fam = enumerate_family(spec)
+    h = fam.histories[0]
+    bundle = random_bundle(48)[0]
+    return {
+        "measure_report": lambda s: measure_report(fam, s),
+        "measure_report contour": lambda s: measure_report(
+            fam, s, steps_per_segment=2),
+        "delta_psi": lambda s: delta_psi(h, s),
+        "delta_psi_line_integral": lambda s: delta_psi_line_integral(h, s),
+        "segment_amplitude": lambda s: segment_amplitude(
+            h.points[0], h.points[1], s),
+        "transfer_chain": lambda s: transfer_chain(spec, s),
+        "decompose_total_measure": lambda s: decompose_total_measure(
+            bundle, s, DecompositionMode.MORW),
+        "decoherence_report": lambda s: decoherence_report(
+            fam, s, spec.constraints[0].state),
+        "ModelSpec": lambda s: ModelSpec(
+            times=spec.times, bases=spec.bases,
+            constraints=spec.constraints, schedule=s),
+    }
+
+
+class TestScheduleDimension:
+    """One rule, ``dynamics.require_schedule_dim``, refuses a schedule of
+    another dimension on every route, before any matrix product."""
+
+    @pytest.mark.parametrize("route", list(_dimension_routes()))
+    def test_every_route_refuses_a_mismatched_schedule(self, route):
+        call = _dimension_routes()[route]
+        call(zero_schedule(2, 0.0, 2.0))
+        with pytest.raises(DimensionMismatchError,
+                           match="schedule dimension 3 does not match"):
+            call(zero_schedule(3, 0.0, 2.0))
 
 
 class TestPhysicalInvariances:

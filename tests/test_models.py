@@ -11,8 +11,8 @@ from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       enumerate_family, linalg, load_model, measure_report,
                       model_from_dict, model_to_dict, save_model,
                       segment_amplitude, transfer_chain)
-from qcontour.sampling import (random_orthonormal_basis, random_schedule,
-                               random_state, rng_from_seed)
+from qcontour.sampling import (random_model, random_orthonormal_basis,
+                               random_schedule, random_state, rng_from_seed)
 from toys import E0, E1, computational_basis, count_calls, zero_schedule
 
 SX_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -236,6 +236,45 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match="duplicate") as info:
             model_from_dict(doc)
         assert info.value.exit_code == 3
+
+
+class TestRandomModel:
+    """``sampling.random_model`` draws in the order the inline recipes it
+    replaced did: schedule, one basis per time, preparation, final."""
+
+    @staticmethod
+    def inline_recipe(rng, times, dim, s_t):
+        sched = random_schedule(rng, times, dim)
+        bases = tuple(tuple(random_orthonormal_basis(rng, dim))
+                      for _ in times)
+        constraints = [FixedPoint(times[0], random_state(rng, dim),
+                                  label="prep")]
+        if s_t == 2:
+            constraints.append(FixedPoint(times[-1], random_state(rng, dim),
+                                          label="final"))
+        return sched, bases, constraints
+
+    @pytest.mark.parametrize("dim, times, s_t", [
+        (2, (0.0, 0.6, 1.3), 1), (3, (0.0, 0.5, 1.1), 1),
+        (2, (0.0, 0.7, 1.5), 2), (4, (0.0, 0.4, 0.9, 1.2), 2)])
+    def test_bit_identical_to_the_inline_recipe(self, dim, times, s_t):
+        model = random_model(rng_from_seed(dim + s_t), times, dim, s_t)
+        sched, bases, constraints = self.inline_recipe(
+            rng_from_seed(dim + s_t), times, dim, s_t)
+        assert isinstance(model, ModelSpec) and model.times == times
+        for (a, b, h), (c, d, g) in zip(model.schedule.segments,
+                                        sched.segments, strict=True):
+            assert (a, b) == (c, d) and np.array_equal(h, g)
+        for got, want in zip(model.bases, bases, strict=True):
+            assert all(map(np.array_equal, got, want))
+        for got, want in zip(model.constraints, constraints, strict=True):
+            assert (got.time, got.label) == (want.time, want.label)
+            assert np.array_equal(got.state, want.state)
+
+    def test_one_or_two_constraints(self):
+        for s_t in (0, 3):
+            with pytest.raises(ValidationError, match="s_t"):
+                random_model(rng_from_seed(0), (0.0, 1.0), 2, s_t)
 
 
 def _set(path, value):

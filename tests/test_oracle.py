@@ -2,16 +2,80 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from qcontour import (OutcomeDistribution, ValidationError,
-                      ZeroNormalizationError, condition_on_final,
-                      enumerate_family, measure_report, monte_carlo_sample,
-                      sequential_chain)
+from qcontour import (FamilySpec, FrequencyRow, OutcomeDistribution,
+                      ValidationError, ZeroNormalizationError,
+                      condition_on_final, enumerate_family, measure_report,
+                      monte_carlo_sample, oracle, propagate, sequential_chain)
 from qcontour.errors import EnumerationGuardError
 from qcontour.linalg import complete_basis
 from qcontour.sampling import rng_from_seed
-from toys import (E0, computational_basis, random_family_spec,
+from toys import (E0, FAMILY_SHAPES, computational_basis, random_family_spec,
                   sx_schedule, zero_schedule)
+
+
+def _branch_loop_chain(psi1, bases, times, sched, t_prep):
+    """The per-branch collapse chain ``sequential_chain`` must reproduce
+    bit for bit: each branch a (key, state) pair whose key grows by one
+    outcome index per time."""
+    branches = [((), np.asarray(psi1, dtype=complex))]
+    t_now = t_prep
+    for t, basis in zip(times, bases):
+        u = propagate(sched, t_now, t)
+        grown = []
+        for seq, vec in branches:
+            evolved = u @ vec
+            for k, b in enumerate(basis):
+                grown.append((seq + (k,), b * np.vdot(b, evolved)))
+        branches = grown
+        t_now = t
+    return tuple((seq, float(np.vdot(vec, vec).real)) for seq, vec in branches)
+
+
+def _chain_inputs(model):
+    """``sequential_chain`` arguments for a model pinned at its first time,
+    and at its last when it has two constraints (completing the final
+    state to a basis there), as ``qcontour verify`` builds them."""
+    bases = list(model.bases[1:])
+    if len(model.constraints) == 2:
+        bases[-1] = complete_basis(model.constraints[1].state)
+    return (model.constraints[0].state, bases, model.times[1:],
+            model.schedule, model.times[0])
+
+
+def _row_loop_table(dist, n, seed):
+    """The per-row frequency table ``monte_carlo_sample`` must reproduce
+    bit for bit: rows and ``max_sigma``, each row's clipped probability
+    and binomial sigma computed in a Python loop."""
+    probs = np.clip(np.array([p for _, p in dist.outcomes]), 0.0, None)
+    draws = oracle.rng_from_seed(seed).choice(len(probs), size=n,
+                                              p=probs / probs.sum())
+    counts = np.bincount(draws, minlength=len(probs))
+    rows, worst = [], 0.0
+    for (key, p), count in zip(dist.outcomes, counts.tolist()):
+        freq = count / n
+        clipped = min(max(p, 0.0), 1.0)
+        sigma = math.sqrt(clipped * (1.0 - clipped) / n)
+        band = 5.0 * sigma
+        rows.append(FrequencyRow(key=key, probability=p, count=count,
+                                 frequency=freq, band=band,
+                                 within_band=abs(freq - clipped) <= band))
+        if sigma > 0:
+            worst = max(worst, abs(freq - clipped) / sigma)
+        elif freq != clipped:
+            worst = math.inf
+    return tuple(rows), worst
+
+
+class _FixedDraws:
+    """A generator whose ``choice`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws)
+
+    def choice(self, n_rows, size, p):
+        return self.draws[:size]
 
 
 class TestSequentialChain:
@@ -33,7 +97,8 @@ class TestSequentialChain:
             dist = sequential_chain(spec.constraints[0].state, spec.bases[1:],
                                     spec.times[1:], sched,
                                     t_prep=spec.times[0])
-            assert dist.total == pytest.approx(1.0, abs=1e-10)
+            assert sum(p for _, p in dist.outcomes) == pytest.approx(
+                1.0, abs=1e-10)
 
     def test_incomplete_basis_rejected(self):
         with pytest.raises(ValidationError):
@@ -51,6 +116,39 @@ class TestSequentialChain:
             lookup = report.by_choices()
             for seq, p in dist.outcomes:
                 assert lookup[seq] == pytest.approx(p, abs=1e-10)
+
+
+class TestChainBits:
+    """The chain carries states only and takes its keys from one product,
+    bit for bit the per-branch loop."""
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_branch_loop(self, shape):
+        model, _ = random_family_spec(*shape)
+        args = _chain_inputs(model)
+        assert sequential_chain(*args).outcomes == _branch_loop_chain(*args)
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=30, deadline=None)
+    def test_keys_follow_the_family_index(self, shape):
+        model, _ = random_family_spec(*shape)
+        psi1, bases, times, sched, t_prep = _chain_inputs(model)
+        dist = sequential_chain(psi1, bases, times, sched, t_prep)
+        # the recipe the chain walks: the preparation pinned, a complete
+        # basis at every later time
+        walked = FamilySpec(times=model.times, bases=(
+            model.bases[0], *bases), constraints=model.constraints[:1])
+        keys = [list(seq) for seq, _ in dist.outcomes]
+        assert keys == enumerate_family(walked).choices.tolist()
+        if len(model.constraints) == 2:
+            dist = condition_on_final(dist, 0)
+        keys = [list(seq) for seq, _ in dist.outcomes]
+        assert keys == enumerate_family(model).choices.tolist()
+
+    def test_no_measurement_keeps_the_preparation(self):
+        dist = sequential_chain(E0, [], [], zero_schedule(2), 0.0)
+        assert dist.outcomes == (((), 1.0),)
 
 
 class TestEnumerateMeasures:
@@ -169,6 +267,50 @@ class TestMonteCarloSample:
         draws = np.random.Generator(np.random.Philox(9)).choice(
             3, size=1000, p=probs / probs.sum())
         assert [r.count for r in table.rows] == np.bincount(draws).tolist()
+
+
+class TestTableBits:
+    """The table's columns equal the per-row loop bit for bit."""
+
+    @pytest.mark.parametrize("probs, n, seed", [
+        ((1.0, 0.0), 1000, 0),                   # p = 1 and p = 0
+        ((0.0, 0.25, 0.0, 0.75), 7, 3),
+        ((1 + 1e-13, -1e-13), 1, 0),             # rounding edges
+        ((1 + 1e-13, -1e-13), 1000, 0),
+        ((-1e-13, 0.5, 0.5 + 1e-13), 100_000, 8),
+        ((0.3, 0.7), 1, 4),
+    ])
+    def test_edges(self, probs, n, seed):
+        dist = OutcomeDistribution(tuple(((k,), p)
+                                         for k, p in enumerate(probs)))
+        table = monte_carlo_sample(dist, n, seed)
+        assert (table.rows, table.max_sigma) == _row_loop_table(dist, n, seed)
+        assert type(table.max_sigma) is float
+
+    @pytest.mark.parametrize("draws, want", [([0, 1, 0], math.inf),
+                                             ([0, 0, 0], 0.0)])
+    def test_zero_width_band(self, monkeypatch, draws, want):
+        # p = 1 and p = 0 have zero-width bands: a hit reads 0 sigma, a
+        # miss inf
+        monkeypatch.setattr(oracle, "rng_from_seed",
+                            lambda seed: _FixedDraws(draws))
+        dist = OutcomeDistribution((((0,), 1.0), ((1,), 0.0)))
+        table = monte_carlo_sample(dist, len(draws), 0)
+        assert (table.rows, table.max_sigma) == \
+            _row_loop_table(dist, len(draws), 0)
+        assert table.max_sigma == want
+        assert table.all_within_band is (want == 0.0)
+
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=20, deadline=None)
+    def test_random_measures(self, shape):
+        model, sched = random_family_spec(*shape)
+        report = measure_report(enumerate_family(model), sched)
+        dist = OutcomeDistribution(tuple(report.by_choices().items()))
+        for n in (1, 50, 10_000):
+            table = monte_carlo_sample(dist, n, shape[0])
+            assert (table.rows, table.max_sigma) == \
+                _row_loop_table(dist, n, shape[0])
 
 
 class TestOutcomeDistribution:

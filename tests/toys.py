@@ -6,10 +6,9 @@ import numpy as np
 
 from hypothesis import strategies as st
 
-from qcontour import (FamilySpec, FixedPoint, HamiltonianSchedule,
-                      HistoryFamily, QuantumHistory, enumerate_family)
-from qcontour.sampling import (random_orthonormal_basis, random_schedule,
-                               random_state, rng_from_seed)
+from qcontour import (FixedPoint, HamiltonianSchedule, HistoryFamily,
+                      QuantumHistory, enumerate_family)
+from qcontour.sampling import random_model, random_state, rng_from_seed
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -47,22 +46,14 @@ def sx_schedule(t_end=math.pi / 4):
 
 
 def random_family_spec(seed, dim, n_times, s_t):
-    """Random grid, bases and constraints; s_t = 1 pins the first time,
-    s_t = 2 pins both endpoints."""
+    """A random model over a random grid and its schedule; s_t = 1 pins the
+    first time, s_t = 2 pins both endpoints."""
     rng = rng_from_seed(seed)
     times = np.sort(rng.uniform(0.0, 2.0, size=n_times))
     while np.min(np.diff(times)) < 1e-3:
         times = np.sort(rng.uniform(0.0, 2.0, size=n_times))
-    times = tuple(float(t) for t in times)
-    sched = random_schedule(rng, times, dim)
-    bases = tuple(tuple(random_orthonormal_basis(rng, dim)) for _ in times)
-    constraints = [FixedPoint(times[0], random_state(rng, dim), label="prep")]
-    if s_t == 2:
-        constraints.append(
-            FixedPoint(times[-1], random_state(rng, dim), label="final"))
-    spec = FamilySpec(times=times, bases=bases,
-                      constraints=tuple(constraints))
-    return spec, sched
+    model = random_model(rng, (float(t) for t in times), dim, s_t)
+    return model, model.schedule
 
 
 #: (seed, d, N_t, S_t) for a random family: d 2-4, N_t 2-5, one or both
