@@ -9,12 +9,14 @@ each demo model over one forward and one backward interval, the built-in
 ``verify`` suite at seeds 0, 7 and 13, ``measure`` (also with
 ``--steps-per-segment 3`` and ``8``) and ``verify`` on the two
 ``verify_cli``-shaped benchmark models (seeds 1 and 271828), the seven
-demos, ``measure`` and ``verify`` on three malformed models
+demos, ``measure`` and ``verify`` on four malformed models
 (``ERROR_MODELS``: coincident grid times, a non-increasing grid, an
-off-grid constraint), whose lines digest the error message and exit code,
-and, last, ``envariance`` of the swap on A for each state in
-``STATE_FILES`` (an equal-amplitude pair, a lopsided pair, and a state
-file missing its amplitudes, which exits 2).  The benchmark models, the
+off-grid constraint, a qutrit constraint state on a qubit model), whose
+lines digest the error message and exit code, and, last, ``envariance``
+of the swap on A for each state in ``STATE_FILES`` (an equal-amplitude
+pair, a lopsided pair, a state file missing its amplitudes, which exits
+2, and two that exit 3: two amplitudes for a 2 x 2 pair, and ``dim_a``
+0).  The benchmark models, the
 malformed models and the envariance inputs are written to a temporary
 directory and run there by bare file name.
 
@@ -78,6 +80,8 @@ ERROR_MODELS = {
         [0.0, 1.0, 1.0 + 1e-13], [(0.0, _E0), (1.0 + 1e-13, _E1)]),
     "non-increasing-grid.json": _qubit_model([0.0, 1.5, 1.0], [(0.0, _E0)]),
     "off-grid-constraint.json": _qubit_model([0.0, 1.0], [(0.5, _E0)]),
+    "qutrit-constraint.json": _qubit_model([0.0, 1.0],
+                                           [(0.0, [*_E0, [0, 0]])]),
 }
 
 #: the X (swap) transformation on A, for the envariance commands
@@ -95,6 +99,9 @@ STATE_FILES = {
     "equal-pair.json": _pair_state(math.sqrt(0.5), math.sqrt(0.5)),
     "lopsided-pair.json": _pair_state(math.sqrt(0.8), math.sqrt(0.2)),
     "missing-amplitudes.json": {"dim_a": 2, "dim_b": 2},
+    "short-amplitudes.json": {"dim_a": 2, "dim_b": 2,
+                              "amplitudes": _E0},
+    "zero-dim-a.json": {"dim_a": 0, "dim_b": 2, "amplitudes": _E0},
 }
 
 

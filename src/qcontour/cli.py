@@ -55,7 +55,7 @@ def _fmt_complex(z: complex) -> str:
 def cmd_propagate(args) -> int:
     model = load_model(args.model)
     u = propagate(model.schedule, args.t_a, args.t_b)
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(model.dim))))
+    defect = linalg.unitary_defect(u)
     doc = {
         "command": "propagate",
         "t_a": float(args.t_a),

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .contour import require_increasing, same_time
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 
 
 class HamiltonianSchedule:
@@ -29,16 +29,11 @@ class HamiltonianSchedule:
         if not segments:
             raise ValidationError("schedule needs at least one segment")
         parsed = []
-        dim = None
         for t0, t1, h in segments:
             t0, t1 = require_increasing((t0, t1), "segment times")
-            h = linalg.require_hermitian(h)
-            if dim is None:
-                dim = h.shape[0]
-            elif h.shape[0] != dim:
-                raise DimensionMismatchError(
-                    "all segment Hamiltonians must share one dimension")
-            parsed.append((t0, t1, h))
+            parsed.append((t0, t1, linalg.require_hermitian(h)))
+        dim = linalg.require_dim("segment Hamiltonian",
+                                 *[h.shape[0] for _, _, h in parsed])
         parsed.sort(key=lambda seg: seg[0])
         for (_, end, _), (start, _, _) in zip(parsed, parsed[1:]):
             if not same_time(end, start):
@@ -84,15 +79,6 @@ class HamiltonianSchedule:
             self._eigs[index] = cached
         w, v = cached
         return (v * np.exp(-1j * dt * w)) @ v.conj().T
-
-
-def require_schedule_dim(sched: HamiltonianSchedule, dim: int) -> None:
-    """Raise DimensionMismatchError unless the schedule acts on states of
-    dimension ``dim``."""
-    if sched.dim != dim:
-        raise DimensionMismatchError(
-            f"schedule dimension {sched.dim} does not match the states' "
-            f"dimension {dim}")
 
 
 def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:

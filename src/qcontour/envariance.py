@@ -31,8 +31,8 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValidationError("subsystem dimensions must be positive")
+        linalg.require_count(self.dim_a, "dim_a", 1)
+        linalg.require_count(self.dim_b, "dim_b", 1)
         amps = linalg.as_state(self.amplitudes, self.dim_a * self.dim_b)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -30,10 +30,8 @@ import numpy as np
 from . import linalg
 from .contour import (grid_index, require_increasing, require_not_before,
                       same_time)
-from .dynamics import (HamiltonianSchedule, heisenberg_projector, propagate,
-                       require_schedule_dim)
-from .errors import (DimensionMismatchError, EnumerationGuardError,
-                     ValidationError)
+from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
+from .errors import EnumerationGuardError, ValidationError
 
 #: refuse exhaustive enumerations beyond this many histories
 MAX_ENUMERATION = 10 ** 6
@@ -71,9 +69,7 @@ class QuantumHistory:
         if len(pts) < 2:
             raise ValidationError("a history needs at least two fixed points")
         require_increasing((p.time for p in pts), "fixed-point times")
-        if len({p.dim for p in pts}) != 1:
-            raise DimensionMismatchError(
-                "all fixed points in a history must share one dimension")
+        linalg.require_dim("fixed point", *[p.dim for p in pts])
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -115,6 +111,21 @@ def histories_equal(a: QuantumHistory, b: QuantumHistory,
                for p, q in zip(a.points, b.points))
 
 
+def _constraint_slots(times, constraint_times) -> list[int]:
+    """The grid index of each constraint time; raises ValidationError for a
+    time off the grid or a grid time constrained twice."""
+    slots = []
+    for t in constraint_times:
+        index = grid_index(times, t)
+        if index is None:
+            raise ValidationError(f"constraint time {t} is not a grid time")
+        if index in slots:
+            raise ValidationError(
+                f"duplicate constraint at time {times[index]}")
+        slots.append(index)
+    return slots
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class HistoryFamily:
     """Histories over one shared time grid, with the constrained times marked.
@@ -148,16 +159,9 @@ class HistoryFamily:
             if not _same_times(first, h):
                 raise ValidationError(
                     "all histories in a family must share one time grid")
-            if h.dim != first.dim:
-                raise DimensionMismatchError(
-                    "all histories in a family must share one dimension")
+        linalg.require_dim("history", *[h.dim for h in histories])
         times = first.times
-        for t in constraint_times:
-            if grid_index(times, t) is None:
-                raise ValidationError(
-                    f"constraint time {t} is not a grid time")
-        if len(constraint_times) > first.n_times:
-            raise ValidationError("more constraints than grid times")
+        _constraint_slots(times, constraint_times)
         # each slot's distinct fixed points, by identity, in order of first use
         positions = [{} for _ in times]
         index = np.array([[pos.setdefault(p, len(pos))
@@ -225,8 +229,7 @@ def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
     identical histories and 0 whenever any pair of same-time fixed points
     is orthogonal.
     """
-    if h_k.dim != h_l.dim:
-        raise DimensionMismatchError("histories live in different dimensions")
+    linalg.require_dim("history", h_k.dim, h_l.dim)
     if not _same_times(h_k, h_l):
         raise ValidationError(
             "history overlap requires one shared time grid")
@@ -356,9 +359,9 @@ def record_state(chain: HistoryOperator, psi1) -> np.ndarray:
     decoherence functional of the chain.
     """
     psi = linalg.as_state(psi1)
+    linalg.require_dim("chain", *[p.shape[0] for p in chain.projectors],
+                       psi.size)
     for p in chain.projectors:
-        if p.shape[0] != psi.size:
-            raise DimensionMismatchError("chain and state dimensions differ")
         psi = p @ psi
     return psi
 
@@ -420,11 +423,9 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     maximum.  Raises ValidationError on a NaN or negative ``tol``.
     """
     tol = linalg.require_tolerance(tol)
-    require_schedule_dim(sched, fam.dim)
+    linalg.require_dim("schedule", sched.dim, fam.dim)
     t_0 = fam.times[0]
-    psi = linalg.as_state(psi1)
-    if psi.size != fam.dim:
-        raise DimensionMismatchError("chain and state dimensions differ")
+    psi = linalg.as_state(psi1, fam.dim)
     records = np.broadcast_to(psi, (len(fam.index), psi.size))
     for slot, column in zip(fam.slots[1:], fam.index.T[1:]):
         u_dag = propagate(sched, t_0, slot[0].time).conj().T
@@ -473,16 +474,8 @@ class FamilySpec:
             raise ValidationError("family spec needs at least two grid times")
         if len(self.bases) != len(times):
             raise ValidationError("need exactly one basis per grid time")
-        pinned = {}
-        for fp in self.constraints:
-            index = grid_index(times, fp.time)
-            if index is None:
-                raise ValidationError(
-                    f"constraint time {fp.time} is not a grid time")
-            if index in pinned:
-                raise ValidationError(
-                    f"duplicate constraint at time {times[index]}")
-            pinned[index] = fp
+        pinned = dict(zip(_constraint_slots(
+            times, [fp.time for fp in self.constraints]), self.constraints))
         # a constraint may sit within TIME_EPS of its grid time
         require_increasing([pinned[i].time if i in pinned else t
                             for i, t in enumerate(times)], "slot times")
@@ -498,14 +491,12 @@ class FamilySpec:
                     bases.append(tuple(fp.state for fp in slots[-1]))
             except ValidationError as exc:
                 raise ValidationError(f"basis at time {t}: {exc}") from exc
-        dims = {v.size for basis in bases for v in basis}
-        if len(dims) != 1:
-            raise DimensionMismatchError("basis vectors must share one dimension")
+        dim = linalg.require_dim(
+            "basis vector", *[v.size for basis in bases for v in basis])
         for t, basis in zip(times, bases):
             linalg.require_orthonormal(basis, f"basis at time {t}")
-        if any(fp.dim not in dims for fp in self.constraints):
-            raise DimensionMismatchError(
-                "constraint state dimension does not match the bases")
+        linalg.require_dim("constraint state",
+                           *[fp.dim for fp in self.constraints], dim)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "bases", tuple(bases))
         object.__setattr__(self, "constraints", tuple(self.constraints))

@@ -40,6 +40,31 @@ def require_tolerance(tol) -> float:
     return tol
 
 
+def require_dim(what: str, *dims: int) -> int:
+    """Return the dimension all of ``dims`` share; raise
+    DimensionMismatchError naming ``what`` and the first two that differ,
+    or when none is given."""
+    if not dims:
+        raise DimensionMismatchError(f"no {what} to take a dimension from")
+    for other in dims[1:]:
+        if other != dims[0]:
+            raise DimensionMismatchError(
+                f"{what} dimension {dims[0]} does not match dimension "
+                f"{other}: they must share one dimension")
+    return dims[0]
+
+
+def require_count(value, what: str, least: int) -> int:
+    """Return ``value`` as an int: a Python or numpy integer, not a bool,
+    of at least ``least``; otherwise raise ValidationError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValidationError(f"{what} must be {bound}, got {value}")
+    return int(value)
+
+
 def as_state(vec, dim: int | None = None) -> np.ndarray:
     """Coerce ``vec`` to a complex state vector and validate it.
 
@@ -51,9 +76,8 @@ def as_state(vec, dim: int | None = None) -> np.ndarray:
         raise ValidationError("state vector must have dimension >= 1")
     if not np.all(np.isfinite(psi.view(float))):
         raise ValidationError("state vector contains NaN or Inf amplitudes")
-    if dim is not None and psi.size != dim:
-        raise DimensionMismatchError(
-            f"expected dimension {dim}, got {psi.size}")
+    if dim is not None:
+        require_dim("state", psi.size, dim)
     if abs(norm(psi) - 1.0) > DEFAULT_TOL:
         raise ValidationError(
             f"state vector is not normalized (norm = {norm(psi)!r})")
@@ -67,9 +91,8 @@ def as_square(mat, dim: int | None = None) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains NaN or Inf entries")
-    if dim is not None and m.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"expected dimension {dim}, got {m.shape[0]}")
+    if dim is not None:
+        require_dim("matrix", m.shape[0], dim)
     return m.copy()
 
 
@@ -81,9 +104,7 @@ def inner(bra, ket) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
     b = np.asarray(bra, dtype=complex).reshape(-1)
     k = np.asarray(ket, dtype=complex).reshape(-1)
-    if b.size != k.size:
-        raise DimensionMismatchError(
-            f"inner product of dimensions {b.size} and {k.size}")
+    require_dim("bra", b.size, k.size)
     return complex(np.vdot(b, k))
 
 
@@ -107,28 +128,37 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(aa, bb)
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+def hermitian_defect(m) -> float:
+    """The max-abs entry of M - M^dag."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+    return hermitian_defect(m) <= tol
 
 
 def require_hermitian(m) -> np.ndarray:
     """Validate hermiticity within ``INPUT_TOL`` and return the matrix."""
     m = as_square(m)
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    defect = hermitian_defect(m)
     if defect > INPUT_TOL:
         raise ValidationError(
             f"matrix is not Hermitian (max |M - M^dag| = {defect:.3e})")
     return m
 
 
-def check_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    """True iff the max-abs entry of M^dag M - I is at most ``tol``."""
+def unitary_defect(m) -> float:
+    """The max-abs entry of M^dag M - I, for a square matrix M."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def check_unitary(m, tol: float = UNITARY_TOL) -> bool:
+    """True iff the max-abs entry of M^dag M - I is at most ``tol``."""
+    return unitary_defect(m) <= tol
 
 
 def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
@@ -139,11 +169,12 @@ def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
 
 def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:
     """True iff the given vectors form an orthonormal set (the empty set
-    does)."""
+    does); vectors of different dimensions raise DimensionMismatchError."""
     if len(vectors) == 0:
         return True
-    stack = np.array([np.asarray(v, dtype=complex).reshape(-1)
-                      for v in vectors])
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    require_dim("vector", *[v.size for v in vecs])
+    stack = np.array(vecs)
     gram = stack.conj() @ stack.T
     return bool(np.max(np.abs(gram - np.eye(len(vectors)))) <= tol)
 

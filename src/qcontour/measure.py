@@ -34,8 +34,7 @@ import numpy as np
 
 from . import linalg
 from .contour import TimeGrid, contour_path, require_increasing, same_time
-from .dynamics import (HamiltonianSchedule, evolve_state, propagate,
-                       require_schedule_dim)
+from .dynamics import HamiltonianSchedule, evolve_state, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .histories import FamilySpec, FixedPoint, HistoryFamily, QuantumHistory
 
@@ -49,7 +48,7 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
     element, and only magnitudes enter the weights.
     """
     require_increasing((fp_a.time, fp_b.time), "segment endpoint times")
-    require_schedule_dim(sched, fp_a.dim)
+    linalg.require_dim("schedule", sched.dim, fp_a.dim, fp_b.dim)
     return _amplitude(fp_a, fp_b, propagate(sched, fp_a.time, fp_b.time))
 
 
@@ -94,7 +93,7 @@ def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> list[float]:
     ``np.hypot`` is ``abs`` of a Python complex, and the square is taken
     by Python's ``pow`` (libm), whose rounding ``x * x`` does not share.
     """
-    require_schedule_dim(sched, fam.dim)
+    linalg.require_dim("schedule", sched.dim, fam.dim)
     steps = []
     for k, (t_a, t_b) in enumerate(zip(fam.times, fam.times[1:])):
         u = propagate(sched, t_a, t_b)
@@ -106,9 +105,9 @@ def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> list[float]:
 def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
                      steps_per_segment: int) -> np.ndarray:
     """Contour-walk weights, in order: one step per ``contour_path`` step."""
-    if steps_per_segment < 1:
-        raise ValidationError("steps_per_segment must be at least 1")
-    require_schedule_dim(sched, fam.dim)
+    steps_per_segment = linalg.require_count(steps_per_segment,
+                                             "steps_per_segment", 1)
+    linalg.require_dim("schedule", sched.dim, fam.dim)
     slot = {t: k for k, t in enumerate(fam.times)}
     steps = []
     for step in contour_path(TimeGrid(fam.times)):
@@ -170,7 +169,7 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     is O(N_t d^3), independent of the family size; no member is weighed.
     Returns Z and the marginals, one array per slot in basis order.
     """
-    require_schedule_dim(sched, spec.dim)
+    linalg.require_dim("schedule", sched.dim, spec.dim)
     states = [np.array([fp.state for fp in slot]) for slot in spec.slots]
     transfers = [np.abs(b.conj() @ propagate(sched, t_a, t_b) @ a.T) ** 2
                  for a, b, t_a, t_b in zip(states, states[1:], spec.times,
@@ -350,7 +349,7 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
             "bundle decomposition needs exactly one constraint, "
             "at the middle time")
     past, (pivot,), future = bundle.slots
-    require_schedule_dim(sched, pivot.dim)
+    linalg.require_dim("schedule", sched.dim, pivot.dim)
     u_past = propagate(sched, past[0].time, pivot.time)
     u_future = propagate(sched, pivot.time, future[0].time)
     w_past = [abs(_amplitude(p, pivot, u_past)) ** 2 for p in past]

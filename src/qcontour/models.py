@@ -35,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import HamiltonianSchedule, require_schedule_dim
+from . import linalg
+from .dynamics import HamiltonianSchedule
 from .errors import ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
 
@@ -107,7 +108,7 @@ class ModelSpec(FamilySpec):
 
     def __post_init__(self):
         super().__post_init__()
-        require_schedule_dim(self.schedule, self.dim)
+        linalg.require_dim("schedule", self.schedule.dim, self.dim)
         if not all(map(self.schedule.covers, self.times)):
             raise ValidationError("schedule span does not cover the grid")
 

@@ -22,6 +22,9 @@ from .dynamics import HamiltonianSchedule, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .sampling import rng_from_seed
 
+#: draws per chunk of a Monte Carlo sample (512 KB of float64 uniforms)
+_DRAW_CHUNK = 2 ** 16
+
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -89,6 +92,9 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
 def condition_on_final(dist: OutcomeDistribution,
                        final_index: int) -> OutcomeDistribution:
     """Bayes-condition on the last outcome and drop it from the sequences."""
+    if not all(seq for seq, _ in dist.outcomes):
+        raise ValidationError(
+            "conditioning on the final outcome needs non-empty sequences")
     kept = [(seq[:-1], p) for seq, p in dist.outcomes
             if seq[-1] == final_index]
     total = sum(p for _, p in kept)
@@ -139,13 +145,17 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     to [0, 1] as the draws read it; rows outside the band are flagged, not
     fatal.
     """
-    if n < 1:
-        raise ValidationError("sample count must be positive")
+    n = linalg.require_count(n, "sample count", 1)
     keys, probs = zip(*dist.outcomes)
     weights = np.maximum(probs, 0.0)
-    draws = rng_from_seed(seed).choice(len(probs), size=n,
-                                       p=weights / weights.sum())
-    counts = np.bincount(draws, minlength=len(probs))
+    rng, p = rng_from_seed(seed), weights / weights.sum()
+    # draws in chunks, so memory stays flat in n: the chunks continue one
+    # Philox stream, so the counts are those of a single draw of n
+    counts = np.zeros(len(probs), dtype=np.intp)
+    for start in range(0, n, _DRAW_CHUNK):
+        counts += np.bincount(
+            rng.choice(len(probs), size=min(_DRAW_CHUNK, n - start), p=p),
+            minlength=len(probs))
     # one column per row quantity, each the per-row formula elementwise
     freq = counts / n
     clipped = np.minimum(weights, 1.0)

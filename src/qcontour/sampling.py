@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .dynamics import HamiltonianSchedule
 from .errors import ValidationError
 from .histories import FixedPoint
@@ -16,10 +17,8 @@ from .models import ModelSpec
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Philox generator keyed by a non-negative integer seed."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(
+        linalg.require_count(seed, "seed", 0)))
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

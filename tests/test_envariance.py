@@ -38,6 +38,21 @@ def perm_phase_on_basis(basis, perm, phases=None):
     return u
 
 
+class TestBipartiteState:
+    @pytest.mark.parametrize("dim_a, dim_b, match", [
+        (2.0, 2, "dim_a must be an integer"),   # used to pass, then fail
+        (2, True, "dim_b must be an integer"),  # in schmidt_decompose
+        (0, 2, "dim_a must be at least 1"),
+    ])
+    def test_subsystem_dimensions_are_counts(self, dim_a, dim_b, match):
+        with pytest.raises(ValidationError, match=match):
+            BipartiteState(dim_a, dim_b, tensor(E0, E0))
+
+    def test_numpy_dimensions_accepted(self):
+        psi = BipartiteState(np.int64(2), np.int64(2), tensor(E0, E0))
+        assert schmidt_decompose(psi).rank == 1
+
+
 class TestSchmidtDecompose:
     def test_product_state_single_coefficient(self):
         psi = BipartiteState(2, 2, tensor(E0, E0))

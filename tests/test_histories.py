@@ -40,6 +40,11 @@ class TestHistoryTypes:
             HistoryFamily(histories=(two_point(E0, E1),
                                      two_point(E0, E1, t2=2.0)))
 
+    def test_family_refuses_a_grid_time_constrained_twice(self):
+        # FamilySpec refuses this case; the family used to accept it
+        with pytest.raises(ValidationError, match="duplicate constraint"):
+            HistoryFamily((two_point(E0, E1),), constraint_times=(0.0, 0.0))
+
 
 class TestIdentitySemantics:
     def test_fixed_points_with_equal_values_are_not_equal(self):

@@ -10,8 +10,8 @@ from qcontour import (DimensionMismatchError, HamiltonianSchedule,
                       ValidationError, check_unitary, complete_basis, inner,
                       is_orthonormal, is_projector, projector, propagate,
                       tensor)
-from qcontour.linalg import (as_square, as_state, require_orthonormal,
-                             require_tolerance)
+from qcontour.linalg import (as_square, as_state, require_count, require_dim,
+                             require_orthonormal, require_tolerance)
 from qcontour.sampling import random_hermitian, random_state, rng_from_seed
 
 from toys import E0, E1, SX, SZ
@@ -184,6 +184,54 @@ class TestRequireTolerance:
     def test_rejects_nan_and_negative(self, tol):
         with pytest.raises(ValidationError, match="non-negative"):
             require_tolerance(tol)
+
+
+class TestRequireDim:
+    def test_returns_the_shared_dimension(self):
+        assert require_dim("state", 3) == 3
+        assert require_dim("state", 2, 2, np.int64(2)) == 2
+
+    def test_names_the_operands_and_the_first_two_dimensions_that_differ(
+            self):
+        with pytest.raises(DimensionMismatchError,
+                           match="schedule dimension 3 does not match "
+                                 "dimension 2: .*one dimension"):
+            require_dim("schedule", 3, 3, 2, 4)
+
+    def test_refuses_an_empty_list(self):
+        with pytest.raises(DimensionMismatchError, match="no basis vector"):
+            require_dim("basis vector")
+
+    def test_ragged_set_is_not_orthonormal(self):
+        # used to fail inside numpy on the inhomogeneous stack
+        with pytest.raises(DimensionMismatchError):
+            is_orthonormal([E0, np.array([0.0, 1.0, 0.0])])
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(1),
+                                       np.uint8(2)])
+    def test_accepts_python_and_numpy_integers(self, value):
+        count = require_count(value, "sample count", 1)
+        assert count == value and type(count) is int
+
+    def test_least_zero_admits_zero(self):
+        assert require_count(0, "seed", 0) == 0
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 1.0,
+                                       1.5, "3", None, np.float64(2.0)])
+    def test_refuses_what_is_not_an_integer(self, value):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            require_count(value, "seed", 0)
+
+    @pytest.mark.parametrize("value, least, match", [
+        (-1, 0, "seed must be non-negative, got -1"),
+        (0, 1, "seed must be at least 1, got 0"),
+        (np.int64(-5), 1, "seed must be at least 1, got -5"),
+    ])
+    def test_refuses_a_value_below_least(self, value, least, match):
+        with pytest.raises(ValidationError, match=match):
+            require_count(value, "seed", least)
 
 
 class TestRequireOrthonormal:

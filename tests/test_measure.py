@@ -60,6 +60,12 @@ class TestSegmentAmplitude:
         with pytest.raises(ValidationError):
             segment_amplitude(fp(1.0, E0), fp(0.0, E0), zero_schedule(2))
 
+    def test_endpoints_of_another_dimension_rejected(self):
+        # a qutrit at the later end used to fail inside numpy's reshape
+        qutrit = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            segment_amplitude(fp(0.0, E0), fp(1.0, qutrit), zero_schedule(2))
+
 
 class TestDeltaPsi:
     def test_trivial_identity(self):
@@ -398,6 +404,19 @@ class TestCountGuards:
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 3 * (4 - 1) * steps
 
+    @pytest.mark.parametrize("steps", [2.5, True, "2"])
+    def test_step_count_must_be_an_integer(self, steps):
+        # 2.5 used to fail inside numpy's linspace
+        h = QuantumHistory((fp(0.0, E0), fp(1.0, E0)))
+        with pytest.raises(ValidationError, match="steps_per_segment"):
+            delta_psi_line_integral(h, zero_schedule(2),
+                                    steps_per_segment=steps)
+
+    def test_numpy_step_count_accepted(self):
+        h = QuantumHistory((fp(0.0, E0), fp(0.5, PLUS)))
+        assert delta_psi_line_integral(h, sx_schedule(), np.int64(3)) == \
+            delta_psi_line_integral(h, sx_schedule(), 3)
+
     def test_report_rejects_zero_steps(self):
         spec, sched = random_family_spec(45, dim=2, n_times=3, s_t=1)
         with pytest.raises(ValidationError, match="steps_per_segment"):
@@ -626,8 +645,8 @@ def _dimension_routes():
 
 
 class TestScheduleDimension:
-    """One rule, ``dynamics.require_schedule_dim``, refuses a schedule of
-    another dimension on every route, before any matrix product."""
+    """One rule, ``linalg.require_dim``, refuses a schedule of another
+    dimension on every route, before any matrix product."""
 
     @pytest.mark.parametrize("route", list(_dimension_routes()))
     def test_every_route_refuses_a_mismatched_schedule(self, route):

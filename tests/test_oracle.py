@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,13 @@ class TestConditionOnFinal:
         assert dict(conditioned.outcomes) == pytest.approx(
             {(0,): 0.4, (1,): 0.6})
 
+    def test_empty_sequence_rejected(self):
+        # a chain with no measurement time has one empty outcome sequence,
+        # which used to fail on its last index with IndexError
+        dist = OutcomeDistribution((((), 1.0),))
+        with pytest.raises(ValidationError, match="non-empty sequences"):
+            condition_on_final(dist, 0)
+
 
 class TestMonteCarloSample:
     def test_degenerate_distribution(self):
@@ -227,6 +235,27 @@ class TestMonteCarloSample:
         dist = OutcomeDistribution((((0,), 1.0),))
         with pytest.raises(ValidationError):
             monte_carlo_sample(dist, 0, seed=0)
+
+    @pytest.mark.parametrize("n", [True, 1.5, "10", 10.0])
+    def test_sample_count_must_be_an_integer(self, n):
+        # True and 1.5 used to fail inside numpy with TypeError
+        dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
+        with pytest.raises(ValidationError, match="sample count"):
+            monte_carlo_sample(dist, n, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_seed_must_be_an_integer(self, seed):
+        # int(seed) used to run 1.5 as seed 1 and "3" as seed 3
+        dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            rng_from_seed(seed)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            monte_carlo_sample(dist, 10, seed)
+
+    def test_numpy_integers_accepted(self):
+        dist = OutcomeDistribution((((0,), 0.3), ((1,), 0.7)))
+        assert monte_carlo_sample(dist, np.int64(500), np.int64(4)) == \
+            monte_carlo_sample(dist, 500, 4)
 
     def test_negative_seed_rejected(self):
         dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
@@ -267,6 +296,35 @@ class TestMonteCarloSample:
         draws = np.random.Generator(np.random.Philox(9)).choice(
             3, size=1000, p=probs / probs.sum())
         assert [r.count for r in table.rows] == np.bincount(draws).tolist()
+
+
+class TestDrawChunks:
+    """Draws come in chunks of ``oracle._DRAW_CHUNK`` that continue one
+    Philox stream, so the counts are those of a single draw of n."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("multiple", [1, 2])
+    def test_counts_equal_one_draw(self, multiple, offset):
+        n = multiple * oracle._DRAW_CHUNK + offset
+        probs = np.array([0.1, 0.25, 0.0, 0.65])
+        dist = OutcomeDistribution(tuple(((k,), p)
+                                         for k, p in enumerate(probs)))
+        table = monte_carlo_sample(dist, n, seed=17)
+        draws = rng_from_seed(17).choice(4, size=n, p=probs / probs.sum())
+        assert [r.count for r in table.rows] == \
+            np.bincount(draws, minlength=4).tolist()
+
+    def test_memory_stays_flat_in_the_sample_count(self):
+        dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
+        tracemalloc.start()
+        try:
+            table = monte_carlo_sample(dist, 10 ** 6, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(r.count for r in table.rows) == 10 ** 6
+        # one draw of 10**6 peaked at about 16 MB
+        assert peak < 3 * 2 ** 20
 
 
 class TestTableBits:

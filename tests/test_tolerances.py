@@ -1,4 +1,6 @@
-"""The tolerance table in ``linalg`` is the one place a threshold is written."""
+"""The tolerance table in ``linalg`` is the one place a threshold is
+written, and ``linalg.require_dim`` the one place a dimension mismatch is
+raised."""
 
 import ast
 import io
@@ -60,5 +62,25 @@ def test_orthonormality_tolerance_only_inside_linalg():
                                 getattr(node.func, "id", None))
                     == "is_orthonormal"
                     and (len(node.args) > 1 or node.keywords)):
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
+def test_dimension_mismatch_raised_only_by_the_rule():
+    """Every dimension check asks ``linalg.require_dim``: no other code
+    constructs a ``DimensionMismatchError``."""
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        rule = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and path.name == "linalg.py" and node.name == "require_dim"]
+        inside = {id(node) for r in rule for node in ast.walk(r)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "DimensionMismatchError"
+                    and id(node) not in inside):
                 offenders.append((path.name, node.lineno))
     assert offenders == []
