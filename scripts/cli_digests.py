@@ -8,7 +8,10 @@ A demo prints one digest of each stream.  The commands are ``measure``,
 each demo model over one forward and one backward interval, the built-in
 ``verify`` suite at seeds 0, 7 and 13, ``measure`` (also with
 ``--steps-per-segment 3`` and ``8``) and ``verify`` on the two
-``verify_cli``-shaped benchmark models (seeds 1 and 271828), the seven
+``verify_cli``-shaped benchmark models (seeds 1 and 271828), ``verify``
+on the seed-1 model with ``--trials`` 1, 65535, 65536, 65537 and 250000
+(``TRIAL_COUNTS``: one draw, and the edges of the Monte Carlo draw chunk
+of 2**16, which the default 100000 trials do not reach), the seven
 demos, ``measure`` and ``verify`` on four malformed models
 (``ERROR_MODELS``: coincident grid times, a non-increasing grid, an
 off-grid constraint, a qutrit constraint state on a qubit model), whose
@@ -61,6 +64,8 @@ from perfbench.workloads import VerifyCli, model_document  # noqa: E402
 
 DEMO_MODELS = ("born_qubit", "bundle_2x2", "post_selected_qubit")
 BENCH_SEEDS = (1, 271828)
+#: Monte Carlo trial counts around the draw chunk of 2**16 (and one draw)
+TRIAL_COUNTS = (1, 65535, 65536, 65537, 250000)
 _E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
 
 
@@ -154,6 +159,9 @@ def bench_commands():
         for steps in ("3", "8"):
             yield files, ["measure", name, "--steps-per-segment", steps]
         yield files, ["verify", name]
+    files = {"verify_cli-1.json": model_document(VerifyCli.raw(1))}
+    for trials in TRIAL_COUNTS:
+        yield files, ["verify", "verify_cli-1.json", "--trials", str(trials)]
 
 
 def error_commands():

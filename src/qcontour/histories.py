@@ -318,6 +318,9 @@ class HistoryOperator:
     def __post_init__(self):
         object.__setattr__(self, "projectors", tuple(
             map(_checked_projector, self.projectors)))
+        if self.projectors:
+            linalg.require_dim("projector",
+                               *[p.shape[0] for p in self.projectors])
 
     @property
     def dim(self) -> int:
@@ -328,7 +331,8 @@ class HistoryOperator:
         if not self.projectors:
             if dim is None:
                 raise ValidationError("empty chain needs an explicit dim")
-            return np.eye(dim, dtype=complex)
+            return np.eye(linalg.require_count(dim, "dimension", 1),
+                          dtype=complex)
         out = np.eye(self.dim, dtype=complex)
         for p in self.projectors:
             out = p @ out

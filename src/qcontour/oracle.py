@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,23 +117,81 @@ class FrequencyRow:
     within_band: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyTable:
-    """Deterministic sampling result; rows follow the distribution's order.
+    """Deterministic sampling result, as columns in the distribution's order.
 
+    Entry k of ``probabilities`` (as given), ``counts``, ``frequency``
+    (count over ``n``), ``band`` (five binomial standard errors of the
+    probability clipped to [0, 1]) and ``within`` (the frequency inside its
+    band) belongs to outcome ``keys[k]``; the columns are read-only arrays.
     ``max_sigma`` is the largest deviation of a frequency from its clipped
     probability in units of one binomial standard error: 0 where a
-    zero-width band is hit, inf where one is missed.
+    zero-width band is hit, inf where one is missed.  ``rows`` (one
+    ``FrequencyRow`` of Python scalars per outcome) is built on first read.
+    Tables are equal when their ``n``, ``seed``, keys, probabilities and
+    counts are; every other column follows from those.
     """
 
     n: int
     seed: int
-    rows: tuple[FrequencyRow, ...]
+    keys: tuple[tuple[int, ...], ...]
+    probabilities: np.ndarray
+    counts: np.ndarray
+    frequency: np.ndarray
+    band: np.ndarray
+    within: np.ndarray
     max_sigma: float
+    all_within_band: bool
 
-    @property
-    def all_within_band(self) -> bool:
-        return all(r.within_band for r in self.rows)
+    def __post_init__(self):
+        for column in (self.probabilities, self.counts, self.frequency,
+                       self.band, self.within):
+            column.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, FrequencyTable):
+            return NotImplemented
+        return ((self.n, self.seed, self.keys)
+                == (other.n, other.seed, other.keys)
+                and np.array_equal(self.probabilities, other.probabilities)
+                and np.array_equal(self.counts, other.counts))
+
+    def __hash__(self):
+        return hash((self.n, self.seed, self.keys))
+
+    @cached_property
+    def rows(self) -> tuple[FrequencyRow, ...]:
+        """One ``FrequencyRow`` per outcome, in the distribution's order."""
+        return tuple(itertools.starmap(FrequencyRow, zip(
+            self.keys, self.probabilities.tolist(), self.counts.tolist(),
+            self.frequency.tolist(), self.band.tolist(),
+            self.within.tolist())))
+
+
+def _counts(p: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Per-outcome counts of ``n`` draws from ``p``: bit for bit
+    ``np.bincount(rng_from_seed(seed).choice(len(p), size=n, p=p),
+    minlength=len(p))``.
+
+    ``choice`` draws uniforms u and puts u in outcome k iff
+    ``cdf[k-1] <= u < cdf[k]``, where ``cdf`` is ``np.cumsum(p)`` divided
+    by its last entry; so count k is #{u < cdf[k]} - #{u < cdf[k-1]}, read
+    off the sorted uniforms by one ``searchsorted`` of the cdf.  The
+    uniforms come in chunks of ``_DRAW_CHUNK`` that continue one Philox
+    stream, as one draw of n does, so memory stays flat in n.  ``choice``
+    would refuse a ``p`` that is not finite, non-negative and summing to
+    1; the caller's ``OutcomeDistribution`` and clip guarantee all three.
+    """
+    rng = rng_from_seed(seed)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    below = np.zeros(len(p), dtype=np.intp)
+    for start in range(0, n, _DRAW_CHUNK):
+        u = rng.random(min(_DRAW_CHUNK, n - start))
+        u.sort()
+        below += u.searchsorted(cdf, side="left")
+    return np.diff(below, prepend=0)
 
 
 def monte_carlo_sample(dist: OutcomeDistribution, n: int,
@@ -140,22 +199,16 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     """Draw ``n`` outcome sequences and tabulate their frequencies.
 
     Sampling uses the Philox generator of ``rng_from_seed(seed)``, so
-    tables are bit-identical across reruns.  Each frequency is compared
-    against the five-sigma binomial band around its probability, clipped
-    to [0, 1] as the draws read it; rows outside the band are flagged, not
-    fatal.
+    tables are bit-identical across reruns, and the counts are those of
+    that generator's ``choice``.  Each frequency is compared against the
+    five-sigma binomial band around its probability, clipped to [0, 1] as
+    the draws read it; rows outside the band are flagged, not fatal.
     """
     n = linalg.require_count(n, "sample count", 1)
     keys, probs = zip(*dist.outcomes)
+    probs = np.array(probs)
     weights = np.maximum(probs, 0.0)
-    rng, p = rng_from_seed(seed), weights / weights.sum()
-    # draws in chunks, so memory stays flat in n: the chunks continue one
-    # Philox stream, so the counts are those of a single draw of n
-    counts = np.zeros(len(probs), dtype=np.intp)
-    for start in range(0, n, _DRAW_CHUNK):
-        counts += np.bincount(
-            rng.choice(len(probs), size=min(_DRAW_CHUNK, n - start), p=p),
-            minlength=len(probs))
+    counts = _counts(weights / weights.sum(), n, seed)
     # one column per row quantity, each the per-row formula elementwise
     freq = counts / n
     clipped = np.minimum(weights, 1.0)
@@ -165,8 +218,7 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     within = deviation <= band
     sigmas = np.divide(deviation, sigma, where=sigma > 0,
                        out=np.where(deviation > 0, math.inf, 0.0))
-    rows = tuple(itertools.starmap(FrequencyRow, zip(
-        keys, probs, counts.tolist(), freq.tolist(), band.tolist(),
-        within.tolist())))
-    return FrequencyTable(n=n, seed=seed, rows=rows,
-                          max_sigma=float(sigmas.max()))
+    return FrequencyTable(n=n, seed=seed, keys=keys, probabilities=probs,
+                          counts=counts, frequency=freq, band=band,
+                          within=within, max_sigma=float(sigmas.max()),
+                          all_within_band=bool(within.all()))

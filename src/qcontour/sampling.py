@@ -23,17 +23,20 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random unit vector."""
+    dim = linalg.require_count(dim, "dimension", 1)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    dim = linalg.require_count(dim, "dimension", 1)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2.0
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via the QR of a Ginibre matrix."""
+    dim = linalg.require_count(dim, "dimension", 1)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
@@ -48,6 +51,7 @@ def random_orthonormal_basis(rng: np.random.Generator,
 def random_schedule(rng: np.random.Generator, times,
                     dim: int) -> HamiltonianSchedule:
     """Independent random Hermitian generator on each grid interval."""
+    dim = linalg.require_count(dim, "dimension", 1)
     times = [float(t) for t in times]
     segments = [(a, b, random_hermitian(rng, dim))
                 for a, b in zip(times, times[1:])]
@@ -61,6 +65,7 @@ def random_model(rng: np.random.Generator, times, dim: int,
     first time; ``s_t = 2`` also pins a ``"final"`` state at the last."""
     if s_t not in (1, 2):
         raise ValidationError(f"s_t must be 1 or 2, got {s_t!r}")
+    dim = linalg.require_count(dim, "dimension", 1)
     times = tuple(times)
     schedule = random_schedule(rng, times, dim)
     bases = tuple(tuple(random_orthonormal_basis(rng, dim)) for _ in times)

@@ -309,6 +309,24 @@ class TestHistoryOperator:
             np.testing.assert_allclose(record_state(chain, psi1), by_matrix,
                                        atol=1e-12)
 
+    def test_projectors_must_share_one_dimension(self):
+        # a qubit and a qutrit projector used to fail inside numpy's matmul
+        p2, p3 = np.diag([1.0, 0.0]), np.diag([1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatchError,
+                           match="projector dimension 2 does not match "
+                                 "dimension 3"):
+            histories.HistoryOperator((p2, p3))
+
+    @pytest.mark.parametrize("dim", [2.5, True, 0])
+    def test_empty_chain_dimension_is_a_count(self, dim):
+        # 2.5 used to fail inside numpy with TypeError
+        with pytest.raises(ValidationError, match="dimension must be"):
+            histories.HistoryOperator(()).matrix(dim)
+
+    def test_empty_chain_is_the_identity(self):
+        np.testing.assert_array_equal(
+            histories.HistoryOperator(()).matrix(np.int64(3)), np.eye(3))
+
 
 class TestRecordState:
     def test_identity_chain(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -70,13 +71,30 @@ def _row_loop_table(dist, n, seed):
 
 
 class _FixedDraws:
-    """A generator whose ``choice`` returns the given draws."""
+    """A generator whose ``random`` returns the given uniforms in [0, 1),
+    and whose ``choice`` maps the same uniforms to outcomes as numpy's
+    ``Generator.choice`` does."""
 
-    def __init__(self, draws):
-        self.draws = np.array(draws)
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=float)
+
+    def random(self, size):
+        return self.uniforms[:size].copy()
 
     def choice(self, n_rows, size, p):
-        return self.draws[:size]
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return cdf.searchsorted(self.random(size), side="right")
+
+
+def _tables_of_uniforms(monkeypatch, probs, uniforms):
+    """The table of one draw per given uniform from ``probs``, and the
+    per-row loop's ``(rows, max_sigma)`` on the same uniforms."""
+    monkeypatch.setattr(oracle, "rng_from_seed",
+                        lambda seed: _FixedDraws(uniforms))
+    dist = OutcomeDistribution(tuple(((k,), p) for k, p in enumerate(probs)))
+    return (monte_carlo_sample(dist, len(uniforms), 0),
+            _row_loop_table(dist, len(uniforms), 0))
 
 
 class TestSequentialChain:
@@ -314,6 +332,23 @@ class TestDrawChunks:
         assert [r.count for r in table.rows] == \
             np.bincount(draws, minlength=4).tolist()
 
+    @pytest.mark.parametrize("n", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                                   100_000])
+    def test_counts_equal_choice_over_many_rows(self, n):
+        # H = 4096 with about a fifth of the rows at probability 0: the
+        # sorted-uniform counts are those of numpy's choice
+        gen = np.random.default_rng(n)
+        weights = gen.random(4096)
+        weights[gen.random(4096) < 0.2] = 0.0
+        probs = weights / weights.sum()
+        dist = OutcomeDistribution(tuple(((k,), p)
+                                         for k, p in enumerate(probs)))
+        table = monte_carlo_sample(dist, n, seed=23)
+        draws = rng_from_seed(23).choice(4096, size=n,
+                                         p=probs / probs.sum())
+        assert table.counts.tolist() == \
+            np.bincount(draws, minlength=4096).tolist()
+
     def test_memory_stays_flat_in_the_sample_count(self):
         dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
         tracemalloc.start()
@@ -325,6 +360,35 @@ class TestDrawChunks:
         assert sum(r.count for r in table.rows) == 10 ** 6
         # one draw of 10**6 peaked at about 16 MB
         assert peak < 3 * 2 ** 20
+
+
+class TestTableColumns:
+    """The table holds columns; rows are built only when read, and tables
+    compare by value."""
+
+    def _table(self):
+        dist = OutcomeDistribution((((0,), 0.3), ((1,), 0.7)))
+        return monte_carlo_sample(dist, 1000, seed=6)
+
+    def test_tables_differing_in_one_count_are_unequal(self):
+        table = self._table()
+        counts = table.counts + np.array([0, 1])
+        assert dataclasses.replace(table, counts=counts) != table
+        assert dataclasses.replace(table, counts=table.counts.copy()) == table
+
+    def test_equality_and_verdict_build_no_rows(self):
+        table, other = self._table(), self._table()
+        assert table == other and hash(table) == hash(other)
+        assert table.all_within_band
+        assert "rows" not in table.__dict__
+        assert "rows" not in other.__dict__
+        assert table.rows[1].count == table.counts[1]
+        assert "rows" in table.__dict__
+
+    def test_columns_are_read_only(self):
+        table = self._table()
+        with pytest.raises(ValueError):
+            table.counts[0] = 0
 
 
 class TestTableBits:
@@ -345,19 +409,32 @@ class TestTableBits:
         assert (table.rows, table.max_sigma) == _row_loop_table(dist, n, seed)
         assert type(table.max_sigma) is float
 
-    @pytest.mark.parametrize("draws, want", [([0, 1, 0], math.inf),
-                                             ([0, 0, 0], 0.0)])
+    @pytest.mark.parametrize("draws, want", [
+        # (probabilities, uniforms): the uniform lands above
+        # cdf[0] = 1 - 5e-11, so one draw of row 1 misses row 0's
+        # zero-width band
+        (((1.0, 5e-11), [1 - 2 ** -53]), math.inf),
+        (((1.0, 0.0), [0.0, 0.5, 1 - 2 ** -53]), 0.0),
+    ])
     def test_zero_width_band(self, monkeypatch, draws, want):
-        # p = 1 and p = 0 have zero-width bands: a hit reads 0 sigma, a
+        # p = 1 (and p = 0) have zero-width bands: a hit reads 0 sigma, a
         # miss inf
-        monkeypatch.setattr(oracle, "rng_from_seed",
-                            lambda seed: _FixedDraws(draws))
-        dist = OutcomeDistribution((((0,), 1.0), ((1,), 0.0)))
-        table = monte_carlo_sample(dist, len(draws), 0)
-        assert (table.rows, table.max_sigma) == \
-            _row_loop_table(dist, len(draws), 0)
+        table, looped = _tables_of_uniforms(monkeypatch, *draws)
+        assert (table.rows, table.max_sigma) == looped
         assert table.max_sigma == want
         assert table.all_within_band is (want == 0.0)
+
+    @pytest.mark.parametrize("probs, uniforms", [
+        # a uniform equal to a cdf entry belongs to the row above it
+        ((0.25, 0.25, 0.5), [0.0, 0.25, 0.5, 0.75]),
+        ((0.5, 0.0, 0.5), [0.5, 0.5, 0.25]),
+        # the cumulative sum ends at 1 - 2**-53, so only the cdf divided
+        # by its last entry puts the largest uniform in the last row
+        ((0.1,) * 10, [0.05, 1 - 2 ** -53]),
+    ])
+    def test_uniforms_on_cdf_edges(self, monkeypatch, probs, uniforms):
+        table, looped = _tables_of_uniforms(monkeypatch, probs, uniforms)
+        assert (table.rows, table.max_sigma) == looped
 
     @given(FAMILY_SHAPES)
     @settings(max_examples=20, deadline=None)
