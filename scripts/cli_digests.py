@@ -11,17 +11,19 @@ each demo model over one forward and one backward interval, the built-in
 ``verify_cli``-shaped benchmark models (seeds 1 and 271828), ``verify``
 on the seed-1 model with ``--trials`` 1, 65535, 65536, 65537 and 250000
 (``TRIAL_COUNTS``: one draw, and the edges of the Monte Carlo draw chunk
-of 2**16, which the default 100000 trials do not reach), the seven
-demos, ``measure`` and ``verify`` on four malformed models
+of 2**16, which the default 100000 trials do not reach), ``measure``
+(also with ``--steps-per-segment 2``) on the two ``family_large``-shaped
+benchmark models (d=8, N_t=5, 4096 histories; seeds 1 and 271828), the
+seven demos, ``measure`` and ``verify`` on four malformed models
 (``ERROR_MODELS``: coincident grid times, a non-increasing grid, an
 off-grid constraint, a qutrit constraint state on a qubit model), whose
 lines digest the error message and exit code, and, last, ``envariance``
 of the swap on A for each state in ``STATE_FILES`` (an equal-amplitude
 pair, a lopsided pair, a state file missing its amplitudes, which exits
 2, and two that exit 3: two amplitudes for a 2 x 2 pair, and ``dim_a``
-0).  The benchmark models, the
-malformed models and the envariance inputs are written to a temporary
-directory and run there by bare file name.
+0).  The benchmark models, the malformed models and the envariance
+inputs are written to a temporary directory and run there by bare file
+name.
 
 Run it in two checkouts and compare the output:
 
@@ -60,7 +62,8 @@ sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from qcontour import cli  # noqa: E402
-from perfbench.workloads import VerifyCli, model_document  # noqa: E402
+from perfbench.workloads import (FamilyLarge, VerifyCli,  # noqa: E402
+                                 model_document)
 
 DEMO_MODELS = ("born_qubit", "bundle_2x2", "post_selected_qubit")
 BENCH_SEEDS = (1, 271828)
@@ -162,6 +165,11 @@ def bench_commands():
     files = {"verify_cli-1.json": model_document(VerifyCli.raw(1))}
     for trials in TRIAL_COUNTS:
         yield files, ["verify", "verify_cli-1.json", "--trials", str(trials)]
+    for seed in BENCH_SEEDS:
+        name = f"family_large-{seed}.json"
+        files = {name: model_document(FamilyLarge.raw(seed))}
+        yield files, ["measure", name]
+        yield files, ["measure", name, "--steps-per-segment", "2"]
 
 
 def error_commands():

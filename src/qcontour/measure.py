@@ -10,10 +10,16 @@ The weight of a history is computed by two independent routes:
   of the per-branch amplitude product.  The two routes agree to rounding
   for any sub-step count because the dynamics is piecewise constant.
 
-Both routes are one table product: per step, the amplitudes between the
-slot fixed points that family members join, read through the family index
-and multiplied as real and imaginary arrays.  A single history is weighed
-as a one-member family.
+Both routes are one table product: per step, each fixed point of the
+source slot is carried to the step's end once, and the table holds the
+inner products of the carried states with the sink slot's fixed points,
+one per pair that family members join (found without a sort when the slot
+pairs number no more than the members, by ``np.unique`` otherwise).  The
+entries are read through the family index and multiplied as real and
+imaginary arrays; they are the conjugates of the segment amplitudes, which
+changes no magnitude.  The closed form squares by ``np.float_power``, libm
+``pow`` as Python's ``**``, so every weight is the per-history loop's bit
+for bit.  A single history is weighed as a one-member family.
 
 The measure of existence of a history is its weight divided by the summed
 weight of every history consistent with the same fixed-point constraints;
@@ -60,24 +66,41 @@ def _amplitude(fp_a: FixedPoint, fp_b: FixedPoint, u: np.ndarray) -> complex:
 def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
     """Per member, the product of its step amplitudes in step order.
 
-    ``steps`` lists ``(k, l, amplitude)``: a step joins grid slot k to slot
-    l, and its table holds ``amplitude(a, b)`` once for every pair of slot
-    fixed points that some member joins (keyed ``a * n_right + b`` and
-    found by ``np.unique``; no amplitude is computed for a pair that no
-    member joins).  Each member's entries are read through the index and
+    ``steps`` lists ``(k, l, carried)``: a step joins grid slot k to slot
+    l, and ``carried[i]`` is slot k's fixed point i carried to slot l's
+    time.  The step's table holds ``np.vdot(fam.slots[l][j].state,
+    carried[i])`` once for every pair (i, j) of slot fixed points that some
+    member joins, keyed ``i * n_right + j``; no amplitude is computed for a
+    pair that no member joins.  When the slot pairs number no more than
+    the members (always so for an enumerated family, d * d <= d^free), the
+    occurring keys are marked in a boolean array over all pairs, whose
+    running count gives exactly ``np.unique``'s pairs and inverse without
+    a sort; a hand-built family with more pairs than members keeps
+    ``np.unique``, since its slots may hold up to H fixed points each and
+    the mark would need O(H²) memory.  Each member's entries are read through the index and
     multiplied as separate real and imaginary arrays with the textbook
-    formula, which rounds exactly as Python complex arithmetic does, so the
-    product matches the plain per-history loop bit for bit.  Returns the
-    real and imaginary parts.
+    formula, which rounds exactly as Python complex arithmetic does.  The
+    entries are ``segment_amplitude``'s conjugates: negating every
+    imaginary part negates the product's exactly and leaves its magnitude
+    alone, so the magnitudes match the plain per-history loop bit for bit.
+    Returns the real and imaginary parts.
     """
     re = im = None
-    for k, l, amplitude in steps:
-        left, right = fam.slots[k], fam.slots[l]
+    for k, l, carried in steps:
+        right = fam.slots[l]
         n = len(right)
-        pairs, at = np.unique(fam.index[:, k] * n + fam.index[:, l],
-                              return_inverse=True)
-        table = np.array([amplitude(left[i // n], right[i % n])
-                          for i in pairs.tolist()], dtype=complex)
+        keys = fam.index[:, k] * n + fam.index[:, l]
+        if len(carried) * n <= len(keys):
+            seen = np.zeros(len(carried) * n, dtype=bool)
+            seen[keys] = True
+            pairs = np.flatnonzero(seen)
+            at = (np.cumsum(seen) - 1)[keys]
+        else:
+            pairs, at = np.unique(keys, return_inverse=True)
+        rows, cols = divmod(pairs, n)
+        table = np.array([np.vdot(right[j].state, carried[i])
+                          for i, j in zip(rows.tolist(), cols.tolist())],
+                         dtype=complex)
         step_re, step_im = table.real[at], table.imag[at]
         if re is None:
             re, im = step_re, step_im
@@ -87,19 +110,20 @@ def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
-def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> list[float]:
-    """Closed-form weights, in order: one step per segment of the grid.
+def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> np.ndarray:
+    """Closed-form weights, in order: one step per segment of the grid,
+    each slot fixed point carried across it by one matrix product.
 
-    ``np.hypot`` is ``abs`` of a Python complex, and the square is taken
-    by Python's ``pow`` (libm), whose rounding ``x * x`` does not share.
+    ``np.hypot`` is ``abs`` of a Python complex, and ``np.float_power``
+    squares by libm ``pow``, as Python's ``**`` does; ``x * x`` rounds
+    differently.
     """
     linalg.require_dim("schedule", sched.dim, fam.dim)
     steps = []
     for k, (t_a, t_b) in enumerate(zip(fam.times, fam.times[1:])):
         u = propagate(sched, t_a, t_b)
-        steps.append((k, k + 1, lambda a, b, u=u: _amplitude(a, b, u)))
-    return list(map(pow, np.hypot(*_products(fam, steps)).tolist(),
-                    itertools.repeat(2.0)))
+        steps.append((k, k + 1, [u @ a.state for a in fam.slots[k]]))
+    return np.float_power(np.hypot(*_products(fam, steps)), 2.0)
 
 
 def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
@@ -118,15 +142,14 @@ def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
         for u, v in zip(ticks, ticks[1:]):
             sub = propagate(sched, u, v)
             carried = [sub @ state for state in carried]
-        carried = dict(zip(fam.slots[k], carried))
-        steps.append((k, l, lambda a, b, carried=carried:
-                      complex(np.vdot(b.state, carried[a]))))
+        steps.append((k, l, carried))
     return np.hypot(*_products(fam, steps))
 
 
-def _normalization(weights) -> float:
-    """Summed weight of a family; raises when every weight is zero."""
-    total = float(sum(weights))
+def _normalization(weights: np.ndarray) -> float:
+    """Summed weight of a family, added left to right by the builtin
+    ``sum`` over Python floats; raises when every weight is zero."""
+    total = float(sum(weights.tolist()))
     if total == 0.0:
         raise ZeroNormalizationError(
             "all histories consistent with the constraints have zero weight")
@@ -135,7 +158,7 @@ def _normalization(weights) -> float:
 
 def delta_psi(h: QuantumHistory, sched: HamiltonianSchedule) -> float:
     """Squared magnitude of the product of segment amplitudes."""
-    return _weights(HistoryFamily((h,)), sched)[0]
+    return float(_weights(HistoryFamily((h,)), sched)[0])
 
 
 def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
@@ -180,7 +203,7 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     betas = [np.ones(len(states[-1]))]
     for t in reversed(transfers):
         betas.append(t.T @ betas[-1])
-    normalization = _normalization(alphas[-1].tolist())
+    normalization = _normalization(alphas[-1])
     return normalization, [a * b / normalization
                            for a, b in zip(alphas, reversed(betas))]
 
@@ -275,7 +298,6 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     """
     weights = _weights(fam, sched)
     normalization = _normalization(weights)
-    weights = np.array(weights)
     contour = (None if steps_per_segment is None
                else _contour_weights(fam, sched, steps_per_segment))
     return MeasureReport(weights=weights, measures=weights / normalization,
@@ -353,7 +375,8 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
     u_past = propagate(sched, past[0].time, pivot.time)
     u_future = propagate(sched, pivot.time, future[0].time)
     w_past = [abs(_amplitude(p, pivot, u_past)) ** 2 for p in past]
-    w_future = [abs(_amplitude(pivot, f, u_future)) ** 2 for f in future]
+    carried = u_future @ pivot.state
+    w_future = [abs(complex(np.vdot(f.state, carried))) ** 2 for f in future]
     sum_past, sum_future = sum(w_past), sum(w_future)
     if mode is DecompositionMode.MORW:
         terms = (sum_past * sum_future,)

@@ -297,6 +297,101 @@ class TestColumnarReport:
                 column[0] = 0.5
 
 
+def _lookup_families(seed):
+    """Hand-built families at the pair lookup's size switch, and a
+    schedule.
+
+    Slot 0 holds two fixed points, slot 1 three and slot 2 one, so the
+    first segment has 6 slot pairs.  ``dense`` joins each of them once (6
+    members: the mark), ``sorted`` drops the pair (a1, b2) (5 members:
+    ``np.unique``) and ``unjoined`` repeats (a0, b0) in its place (6
+    members: the mark, with a pair no member joins).
+    """
+    spec, sched = random_family_spec(seed, dim=3, n_times=3, s_t=1)
+    rng = rng_from_seed(seed)
+    t0, t1, t2 = spec.times
+    left = [fp(t0, random_state(rng, 3), f"a{i}") for i in range(2)]
+    middle = [fp(t1, random_state(rng, 3), f"b{j}") for j in range(3)]
+    last = fp(t2, random_state(rng, 3), "c")
+    pairs = [(a, b) for a in left for b in middle]
+    members = {"dense": pairs, "sorted": pairs[:-1],
+               "unjoined": pairs[:-1] + pairs[:1]}
+    return sched, {name: HistoryFamily(QuantumHistory((a, b, last))
+                                       for a, b in joined)
+                   for name, joined in members.items()}
+
+
+def _joined_pairs(fam, k, l):
+    """The distinct (slot k, slot l) fixed-point pairs the members join."""
+    return len({(h.points[k], h.points[l]) for h in fam.histories})
+
+
+class TestPairLookup:
+    """Each step's table is found by marking the occurring pairs when the
+    slot pairs number no more than the members, and by ``np.unique``
+    otherwise; both give the plain loops' weights bit for bit, with one
+    table entry per joined pair."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_weights_equal_the_plain_loops(self, seed):
+        sched, families = _lookup_families(seed)
+        for name, fam in families.items():
+            weights = [_segment_loop_weight(h, sched) for h in fam.histories]
+            assert measure_report(fam, sched).weights.tolist() == weights, \
+                name
+            for steps in (1, 2):
+                report = measure_report(fam, sched, steps_per_segment=steps)
+                assert report.weights.tolist() == weights, name
+                assert report.contour_weights.tolist() == [
+                    _plain_walk(h, sched, steps) for h in fam.histories], name
+
+    @pytest.mark.parametrize("name, joined, closed_sorts, walk_sorts",
+                             [("dense", 6, 0, 0), ("sorted", 5, 1, 2),
+                              ("unjoined", 5, 0, 0)])
+    def test_one_table_entry_per_joined_pair(self, monkeypatch, name, joined,
+                                             closed_sorts, walk_sorts):
+        sched, families = _lookup_families(5)
+        fam = families[name]
+        assert _joined_pairs(fam, 0, 1) == joined
+        segments = [(0, 1), (1, 2)]
+        walk = [(fam.times.index(s.start.t), fam.times.index(s.end.t))
+                for s in contour_path(TimeGrid(fam.times))]
+        entries = count_calls(monkeypatch, np, "vdot")
+        sorts = count_calls(monkeypatch, np, "unique")
+        measure_report(fam, sched)
+        assert len(entries) == sum(_joined_pairs(fam, k, l)
+                                   for k, l in segments)
+        assert len(sorts) == closed_sorts
+        entries.clear()
+        sorts.clear()
+        measure._contour_weights(fam, sched, 2)
+        assert len(entries) == sum(_joined_pairs(fam, k, l) for k, l in walk)
+        assert len(sorts) == walk_sorts
+
+
+class TestSquaring:
+    """Weights are squared as Python's ``**`` squares (libm ``pow``)."""
+
+    def test_weights_are_libm_squares_at_the_large_family_shape(self):
+        spec, sched = random_family_spec(8, dim=8, n_times=5, s_t=1)
+        fam = enumerate_family(spec)
+        # the plain loop, with each segment amplitude computed once
+        amplitudes = [[[segment_amplitude(a, b, sched) for b in right]
+                       for a in left]
+                      for left, right in zip(fam.slots, fam.slots[1:])]
+        magnitudes = []
+        for row in fam.index.tolist():
+            product = 1 + 0j
+            for table, i, j in zip(amplitudes, row, row[1:]):
+                product *= table[i][j]
+            magnitudes.append(abs(product))
+        assert len(magnitudes) == 4096
+        # x * x rounds differently from x ** 2 somewhere in this family
+        assert any(x * x != x ** 2 for x in magnitudes)
+        assert measure_report(fam, sched).weights.tolist() == \
+            [x ** 2 for x in magnitudes]
+
+
 class TestTransferChain:
     """The chain's normalization and per-slot marginals, computed from the
     recipe without weighing any member, against the report."""
