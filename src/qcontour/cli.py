@@ -24,8 +24,8 @@ from .measure import (DecompositionMode, decompose_total_measure,
                       measure_report, transfer_chain)
 from .models import (ModelSpec, load_model, matrix_from_json,
                      matrix_to_json, read_json, vector_from_json)
-from .oracle import (OutcomeDistribution, condition_on_final,
-                     monte_carlo_sample, sequential_chain)
+from .oracle import (OutcomeDistribution, _unchecked_chain,
+                     condition_on_final, monte_carlo_sample)
 from .sampling import random_model, rng_from_seed
 
 
@@ -164,14 +164,14 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
 
     times = model.times
     psi1 = model.pinned[0].state
+    # the recipe's checked states and bases, complete at every free time
     if last not in model.pinned:
-        dist = sequential_chain(psi1, model.bases[1:], times[1:],
-                                model.schedule, t_prep=times[0])
+        dist = _unchecked_chain(psi1, model.bases[1:], times[1:],
+                                model.schedule, times[0])
     else:
-        mid_bases = list(model.bases[1:-1])
         final_basis = linalg.complete_basis(model.pinned[last].state)
-        full = sequential_chain(psi1, mid_bases + [final_basis], times[1:],
-                                model.schedule, t_prep=times[0])
+        full = _unchecked_chain(psi1, model.bases[1:-1] + (final_basis,),
+                                times[1:], model.schedule, times[0])
         dist = condition_on_final(full, 0)
 
     by_choices = report.by_choices()
@@ -283,7 +283,7 @@ def _tolerance(text: str) -> float:
         tol = linalg.require_tolerance(text)
         if math.isfinite(tol):
             return tol
-    except (ValueError, ValidationError):
+    except ValidationError:
         pass
     raise argparse.ArgumentTypeError(
         f"expected a finite, non-negative number, got {text!r}")

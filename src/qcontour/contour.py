@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .linalg import TIME_EPS
+from .linalg import TIME_EPS, is_real
 
 
 def same_time(a: float, b: float) -> bool:
@@ -24,12 +24,23 @@ def same_time(a: float, b: float) -> bool:
     return gap <= TIME_EPS * max(1.0, abs(a), abs(b)) and math.isfinite(gap)
 
 
+def require_time(t, what: str) -> float:
+    """The one scalar-time rule: ``t`` as a float; ValidationError unless it
+    is a real, finite number and not a bool."""
+    try:
+        value = float(t) if is_real(t) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be real and finite, got {t!r}")
+    return value
+
+
 def require_increasing(times, what: str) -> tuple[float, ...]:
-    """The one time-order rule: ``times`` as finite floats, each after the
-    one before it and not ``same_time`` as it; else ValidationError."""
-    values = tuple(map(float, times))
-    if not all(map(math.isfinite, values)) or any(
-            not b > a or same_time(a, b) for a, b in zip(values, values[1:])):
+    """The one time-order rule: ``times`` as floats, each a time
+    (``require_time``) after the one before and not ``same_time`` as it."""
+    values = tuple(require_time(t, what) for t in times)
+    if any(not b > a or same_time(a, b) for a, b in zip(values, values[1:])):
         raise ValidationError(
             f"{what} must increase and be distinct, got {values}")
     return values

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .contour import (grid_index, require_increasing, require_not_before,
-                      same_time)
+                      require_time, same_time)
 from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
 from .errors import EnumerationGuardError, ValidationError
 
@@ -50,7 +50,8 @@ class FixedPoint:
     def __post_init__(self):
         state = linalg.as_state(self.state)
         state.setflags(write=False)
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time",
+                           require_time(self.time, "fixed-point time"))
         object.__setattr__(self, "state", state)
 
     @property
@@ -221,6 +222,51 @@ class HistoryFamily:
         return self.slots[0][0].dim
 
 
+def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Per member, the product of its step amplitudes in step order.
+
+    ``steps`` lists ``(k, l, carried)``: a step joins grid slot k to slot
+    l, and ``carried[i]`` is slot k's fixed point i carried to slot l's
+    time.  The step's table holds ``np.vdot(fam.slots[l][j].state,
+    carried[i])`` once for every pair (i, j) of slot fixed points that some
+    member joins, keyed ``i * n_right + j``; no amplitude is computed for a
+    pair that no member joins.  When the slot pairs number no more than
+    the members (always so for an enumerated family, d * d <= d^free), the
+    occurring keys are marked in a boolean array over all pairs, whose
+    running count gives exactly ``np.unique``'s pairs and inverse without
+    a sort; a hand-built family with more pairs than members keeps
+    ``np.unique``, since its slots may hold up to H fixed points each and
+    the mark would need O(H²) memory.  Each member's entries are read
+    through the index and multiplied as separate real and imaginary arrays
+    with the textbook formula, which rounds exactly as Python complex
+    arithmetic does, so the magnitudes match the plain per-history loop
+    bit for bit.  Returns the real and imaginary parts.
+    """
+    re = im = None
+    for k, l, carried in steps:
+        right = fam.slots[l]
+        n = len(right)
+        keys = fam.index[:, k] * n + fam.index[:, l]
+        if len(carried) * n <= len(keys):
+            seen = np.zeros(len(carried) * n, dtype=bool)
+            seen[keys] = True
+            pairs = np.flatnonzero(seen)
+            at = (np.cumsum(seen) - 1)[keys]
+        else:
+            pairs, at = np.unique(keys, return_inverse=True)
+        rows, cols = divmod(pairs, n)
+        table = np.array([np.vdot(right[j].state, carried[i])
+                          for i, j in zip(rows.tolist(), cols.tolist())],
+                         dtype=complex)
+        step_re, step_im = table.real[at], table.imag[at]
+        if re is None:
+            re, im = step_re, step_im
+        else:
+            re, im = (re * step_re - im * step_im,
+                      re * step_im + im * step_re)
+    return re, im
+
+
 def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
     """Overlap of two histories over the doubled contour.
 
@@ -302,13 +348,6 @@ def validate_family(fam: HistoryFamily,
     return FamilyReport(valid=not violations, violations=tuple(violations))
 
 
-def _checked_projector(p) -> np.ndarray:
-    p = linalg.as_square(p)
-    if not linalg.is_projector(p):
-        raise ValidationError("chain entry is not a projector")
-    return p
-
-
 @dataclass(frozen=True)
 class HistoryOperator:
     """Time-ordered chain of Heisenberg-picture projectors."""
@@ -316,11 +355,12 @@ class HistoryOperator:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "projectors", tuple(
-            map(_checked_projector, self.projectors)))
-        if self.projectors:
-            linalg.require_dim("projector",
-                               *[p.shape[0] for p in self.projectors])
+        projectors = tuple(map(linalg.as_square, self.projectors))
+        if not all(map(linalg.is_projector, projectors)):
+            raise ValidationError("chain entry is not a projector")
+        if projectors:
+            linalg.require_dim("projector", *[p.shape[0] for p in projectors])
+        object.__setattr__(self, "projectors", projectors)
 
     @property
     def dim(self) -> int:
@@ -417,32 +457,32 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
                        tol: float = linalg.DEFAULT_TOL) -> DecoherenceReport:
     """Evaluate all pairwise decoherence functionals over the family.
 
-    Chains are referred to the first grid time; ``psi1`` is the preparation
-    at that time.  Each later slot builds one propagator from the first
-    grid time, and from it each of its fixed points' Heisenberg projectors,
-    checked once; every member's record state applies its projectors, read
-    through the index, in time order.  The pairwise overlaps are formed in
-    row blocks (``_pair_blocks``), one matrix product per block.
+    Chains are referred to the first grid time, where ``psi1`` is the
+    preparation.  Every projector is rank one, so a member's record is its
+    last slot's state times c, the closed-form step product (``_products``,
+    one propagator per segment) with ``psi1`` in place of slot 0's fixed
+    points, and |D(a, b)| = |c_a| |c_b| |<s_N(b)|s_N(a)>|, formed in row
+    blocks (``_pair_blocks``).  A block forms the last slot's Gram rows of
+    its members and reads the columns through the index; the whole table
+    is never built, as a hand-built family's last slot may hold H states.
     ``worst_pair`` is the first pair, in row-major order, attaining the
     maximum.  Raises ValidationError on a NaN or negative ``tol``.
     """
     tol = linalg.require_tolerance(tol)
     linalg.require_dim("schedule", sched.dim, fam.dim)
-    t_0 = fam.times[0]
     psi = linalg.as_state(psi1, fam.dim)
-    records = np.broadcast_to(psi, (len(fam.index), psi.size))
-    for slot, column in zip(fam.slots[1:], fam.index.T[1:]):
-        u_dag = propagate(sched, t_0, slot[0].time).conj().T
-        rotated = [u_dag @ fp.state for fp in slot]
-        projectors = np.array([_checked_projector(np.outer(r, r.conj()))
-                               for r in rotated])
-        records = np.einsum("hij,hj->hi", projectors[column], records)
-    bras = records.conj()
-    worst = 0.0
-    worst_pair = None
-    for lo, block in _pair_blocks(
-            len(records),
-            lambda lo, hi: np.abs(records[lo:hi] @ bras[lo + 1:].T)):
+    steps = []
+    for k, (t_a, t_b) in enumerate(zip(fam.times, fam.times[1:])):
+        u = propagate(sched, t_a, t_b)
+        steps.append((k, k + 1, [u @ psi] * len(fam.slots[0]) if k == 0
+                      else [u @ a.state for a in fam.slots[k]]))
+    scale = np.hypot(*_products(fam, steps))
+    states = np.array([fp.state for fp in fam.slots[-1]])
+    bras, last = states.conj(), fam.index[:, -1]
+    worst, worst_pair = 0.0, None
+    for lo, block in _pair_blocks(len(scale), lambda lo, hi: (
+            scale[lo:hi, None] * scale[lo + 1:] * np.abs(
+                bras[last[lo:hi]] @ states.T).take(last[lo + 1:], axis=1))):
         k = int(np.argmax(block))
         if block.flat[k] > worst:
             row, col = divmod(k, block.shape[1])

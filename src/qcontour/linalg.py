@@ -8,6 +8,8 @@ hbar = 1 throughout.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
@@ -27,17 +29,27 @@ TIME_EPS = 1e-12
 SUPPORT_TOL = 1e-12
 
 
+def is_real(x) -> bool:
+    """True iff ``x`` is a real number and not a bool."""
+    return type(x) in (float, int) or (
+        isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
 def require_tolerance(tol) -> float:
-    """Return ``tol`` as a float; raise ValidationError if NaN or negative.
+    """Return ``tol``, a real number or its text, as a float; raise
+    ValidationError if it is NaN, negative, a bool or not a number.
 
     NaN compares false both ways, so a NaN tolerance would let a
     ``value > tol`` violation test pass everything.
     """
-    tol = float(tol)
-    if not tol >= 0.0:
+    try:
+        value = float(tol) if isinstance(tol, str) or is_real(tol) else -1.0
+    except (ValueError, OverflowError):
+        value = -1.0
+    if not value >= 0.0:
         raise ValidationError(
             f"tolerance must be a non-negative number, got {tol!r}")
-    return tol
+    return value
 
 
 def require_dim(what: str, *dims: int) -> int:

@@ -10,16 +10,14 @@ The weight of a history is computed by two independent routes:
   of the per-branch amplitude product.  The two routes agree to rounding
   for any sub-step count because the dynamics is piecewise constant.
 
-Both routes are one table product: per step, each fixed point of the
-source slot is carried to the step's end once, and the table holds the
-inner products of the carried states with the sink slot's fixed points,
-one per pair that family members join (found without a sort when the slot
-pairs number no more than the members, by ``np.unique`` otherwise).  The
-entries are read through the family index and multiplied as real and
-imaginary arrays; they are the conjugates of the segment amplitudes, which
-changes no magnitude.  The closed form squares by ``np.float_power``, libm
-``pow`` as Python's ``**``, so every weight is the per-history loop's bit
-for bit.  A single history is weighed as a one-member family.
+Both routes are the step product ``histories._products``, which
+``decoherence_report`` shares: per step, each fixed point of the source
+slot is carried to the step's end once, and the inner products with the
+sink slot's fixed points, the conjugates of the segment amplitudes (no
+magnitude changes), are read through the family index.  The closed form
+squares by ``np.float_power``, libm ``pow`` as Python's ``**``, so every
+weight is the per-history loop's bit for bit.  A single history is
+weighed as a one-member family.
 
 The measure of existence of a history is its weight divided by the summed
 weight of every history consistent with the same fixed-point constraints;
@@ -42,7 +40,8 @@ from . import linalg
 from .contour import TimeGrid, contour_path, require_increasing, same_time
 from .dynamics import HamiltonianSchedule, evolve_state, propagate
 from .errors import ValidationError, ZeroNormalizationError
-from .histories import FamilySpec, FixedPoint, HistoryFamily, QuantumHistory
+from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
+                        _products)
 
 
 def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
@@ -61,53 +60,6 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
 def _amplitude(fp_a: FixedPoint, fp_b: FixedPoint, u: np.ndarray) -> complex:
     """``segment_amplitude`` given the forward propagator u = U(t_b, t_a)."""
     return complex(np.vdot(fp_b.state, u @ fp_a.state).conjugate())
-
-
-def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Per member, the product of its step amplitudes in step order.
-
-    ``steps`` lists ``(k, l, carried)``: a step joins grid slot k to slot
-    l, and ``carried[i]`` is slot k's fixed point i carried to slot l's
-    time.  The step's table holds ``np.vdot(fam.slots[l][j].state,
-    carried[i])`` once for every pair (i, j) of slot fixed points that some
-    member joins, keyed ``i * n_right + j``; no amplitude is computed for a
-    pair that no member joins.  When the slot pairs number no more than
-    the members (always so for an enumerated family, d * d <= d^free), the
-    occurring keys are marked in a boolean array over all pairs, whose
-    running count gives exactly ``np.unique``'s pairs and inverse without
-    a sort; a hand-built family with more pairs than members keeps
-    ``np.unique``, since its slots may hold up to H fixed points each and
-    the mark would need O(H²) memory.  Each member's entries are read through the index and
-    multiplied as separate real and imaginary arrays with the textbook
-    formula, which rounds exactly as Python complex arithmetic does.  The
-    entries are ``segment_amplitude``'s conjugates: negating every
-    imaginary part negates the product's exactly and leaves its magnitude
-    alone, so the magnitudes match the plain per-history loop bit for bit.
-    Returns the real and imaginary parts.
-    """
-    re = im = None
-    for k, l, carried in steps:
-        right = fam.slots[l]
-        n = len(right)
-        keys = fam.index[:, k] * n + fam.index[:, l]
-        if len(carried) * n <= len(keys):
-            seen = np.zeros(len(carried) * n, dtype=bool)
-            seen[keys] = True
-            pairs = np.flatnonzero(seen)
-            at = (np.cumsum(seen) - 1)[keys]
-        else:
-            pairs, at = np.unique(keys, return_inverse=True)
-        rows, cols = divmod(pairs, n)
-        table = np.array([np.vdot(right[j].state, carried[i])
-                          for i, j in zip(rows.tolist(), cols.tolist())],
-                         dtype=complex)
-        step_re, step_im = table.real[at], table.imag[at]
-        if re is None:
-            re, im = step_re, step_im
-        else:
-            re, im = (re * step_re - im * step_im,
-                      re * step_im + im * step_re)
-    return re, im
 
 
 def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> np.ndarray:

@@ -29,38 +29,30 @@ dimension, and a schedule covering the grid.  Matrices must be Hermitian within
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg
+from .contour import require_time
 from .dynamics import HamiltonianSchedule
 from .errors import ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
 
 
-def _is_number(x) -> bool:
-    """A JSON number; booleans are not numbers."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _time_from_json(value, where: str) -> float:
     """A grid, segment or constraint time: a finite JSON number."""
     try:
-        t = float(value) if _is_number(value) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        t = math.inf
-    if not math.isfinite(t):
+        return require_time(value, where)
+    except ValidationError:
         raise ModelFormatError(
-            f"{where}: expected a finite number, got {value!r}")
-    return t
+            f"{where}: expected a finite number, got {value!r}") from None
 
 
 def _complex_from_pair(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(map(_is_number, value))):
+            or not all(map(linalg.is_real, value))):
         raise ModelFormatError(
             f"{where}: expected a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])

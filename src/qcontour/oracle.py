@@ -37,6 +37,8 @@ class OutcomeDistribution:
         outs = tuple((tuple(seq), float(p)) for seq, p in self.outcomes)
         if not outs:
             raise ValidationError("distribution must have at least one outcome")
+        if len({seq for seq, _ in outs}) != len(outs):
+            raise ValidationError("outcome sequences must be distinct")
         if not all(math.isfinite(p) and p >= -linalg.ROUNDING_TOL
                    for _, p in outs):
             raise ValidationError("probabilities must be finite, non-negative")
@@ -62,9 +64,8 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     times = require_increasing(times, "measurement times")
     if len(bases) != len(times):
         raise ValidationError("need exactly one basis per measurement time")
-    t_now = float(t_prep)
     if times:
-        require_not_before(times[0], t_now, "first measurement time")
+        require_not_before(times[0], t_prep, "first measurement time")
     checked = []
     for t, basis in zip(times, bases):
         vecs = [linalg.as_state(v, sched.dim) for v in basis]
@@ -72,12 +73,17 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
             raise ValidationError(f"basis at time {t} must be complete")
         linalg.require_orthonormal(vecs, f"basis at time {t}")
         checked.append(vecs)
+    return _unchecked_chain(psi1, checked, times, sched, float(t_prep))
 
+
+def _unchecked_chain(psi1, bases, times, sched: HamiltonianSchedule,
+                     t_now: float) -> OutcomeDistribution:
+    """``sequential_chain``'s branch loop, on input it would accept."""
     # each branch is an unnormalized collapsed state, whose squared norm is
     # the joint probability of its outcomes; the branches of one time split
     # in basis order, so they run in the lexicographic order of their keys
     branches = [psi1]
-    for t, basis in zip(times, checked):
+    for t, basis in zip(times, bases):
         u = propagate(sched, t_now, t)
         grown = []
         for vec in branches:

@@ -10,6 +10,8 @@ import pytest
 from qcontour import cli, linalg, measure_report
 from qcontour.cli import main
 
+from toys import count_calls, random_family_spec
+
 SX_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 ZERO_PAIRS = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 
@@ -415,6 +417,18 @@ class TestUnreadableInput:
         paths[which] = write(tmp_path, "not-an-object.json", doc)
         assert main(["envariance", *paths]) == 2
         assert capsys.readouterr().err.startswith(f"error: {paths[which]}: ")
+
+
+class TestVerifyChecksOnce:
+    @pytest.mark.parametrize("s_t", [1, 2])
+    def test_chain_reuses_the_checked_bases(self, monkeypatch, s_t):
+        # ModelSpec checked every basis; the chain used to check the
+        # N_t - 1 measured ones again
+        model, _ = random_family_spec(71, dim=3, n_times=4, s_t=s_t)
+        checked = count_calls(monkeypatch, linalg, "is_orthonormal")
+        row = cli._verify_one("m", model, 2000, 0, 2, linalg.DEFAULT_TOL)
+        assert row["pass"] and row["chain_deviation"] <= 1e-12
+        assert checked == []
 
 
 class TestVerifyInputs:

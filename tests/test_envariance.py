@@ -115,6 +115,15 @@ class TestCheckEnvariance:
             check_envariance(psi, u_a, tol=tol)
         assert not check_envariance(psi, u_a, tol=1e-10).envariant
 
+    @pytest.mark.parametrize("tol", [True, None, "x", 1j])
+    def test_rejects_tol_that_is_not_a_number(self, tol):
+        # True used to be taken as a tolerance of 1, None leaked TypeError
+        psi = BipartiteState(2, 2, np.array(
+            [math.sqrt(0.8), 0, 0, math.sqrt(0.2)], dtype=complex))
+        u_a = perm_phase_on_basis(schmidt_decompose(psi).basis_a, (1, 0))
+        with pytest.raises(ValidationError, match="tolerance"):
+            check_envariance(psi, u_a, tol=tol)
+
     def test_rejects_non_unitary_transform(self):
         with pytest.raises(ValidationError):
             check_envariance(bell_state(), 2 * np.eye(2))

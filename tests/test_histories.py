@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       ValidationError, chain_probability, decoherence_functional,
@@ -34,6 +35,18 @@ class TestHistoryTypes:
     def test_fixed_point_state_must_be_normalized(self):
         with pytest.raises(ValidationError):
             FixedPoint(0.0, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("time", ["a", "0", None, True, math.nan,
+                                      -math.inf, 1j])
+    def test_fixed_point_time_must_be_a_real_finite_number(self, time):
+        # "a" used to leak ValueError, and a NaN time was held until a
+        # FamilySpec refused it
+        with pytest.raises(ValidationError, match="^fixed-point time must"):
+            FixedPoint(time, E0)
+
+    def test_numpy_and_integer_times_become_floats(self):
+        assert FixedPoint(np.float64(0.5), E0).time == 0.5
+        assert type(FixedPoint(np.int64(2), E0).time) is float
 
     def test_family_shares_grid(self):
         with pytest.raises(ValidationError):
@@ -156,6 +169,26 @@ class TestAgainstPairwise:
                 tied = [p for p, v in values.items() if worst - v <= 1e-12]
                 assert report.worst_pair in tied, name
 
+    @given(st.tuples(st.integers(0, 10 ** 6), st.integers(2, 3),
+                     st.integers(2, 4), st.sampled_from([1, 2])))
+    @settings(max_examples=10, deadline=None)
+    def test_free_first_slot_matches_functional(self, shape):
+        # the preparation is none of the first slot's states, so every
+        # member's record starts from psi1 whatever its slot-0 fixed point
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        free = FamilySpec(times=spec.times, bases=spec.bases,
+                          constraints=spec.constraints[1:])
+        assert 0 not in free.pinned and len(free.slots[0]) == dim
+        psi1 = spec.constraints[0].state
+        for name, fam in family_variants(free, seed).items():
+            report = decoherence_report(fam, sched, psi1, 1e-10)
+            values = _brute_force_decoherence(fam, sched, psi1)
+            worst = max(values.values(), default=0.0)
+            assert report.max_offdiagonal == pytest.approx(worst, abs=1e-12)
+            tied = [p for p, v in values.items() if worst - v <= 1e-12]
+            assert report.worst_pair in tied, name
+
 
 def _row_loop_violations(fam, tol):
     """The per-row product the blocked check must reproduce bit for bit."""
@@ -231,13 +264,15 @@ class TestRowBlocks:
 class TestFamilyCheckCosts:
     @pytest.mark.parametrize("dim", [3, 2])
     def test_one_propagator_per_later_slot(self, monkeypatch, dim):
+        # one propagator per segment, and no projector built or checked:
+        # every projector is rank one, so the records are scaled states
         spec, sched = random_family_spec(61, dim, n_times=4, s_t=1)
         fam = enumerate_family(spec)
         propagated = count_calls(monkeypatch, histories, "propagate")
-        checked = count_calls(monkeypatch, histories, "_checked_projector")
+        checked = count_calls(monkeypatch, linalg, "is_projector")
         decoherence_report(fam, sched, spec.constraints[0].state)
-        assert len(propagated) == 3
-        assert len(checked) == sum(map(len, fam.slots[1:])) == 3 * dim
+        assert len(propagated) == len(fam.times) - 1 == 3
+        assert checked == []
 
     def test_schedule_of_another_dimension_rejected(self):
         spec, _ = random_family_spec(62, dim=2, n_times=3, s_t=1)
@@ -260,8 +295,37 @@ class TestFamilyCheckCosts:
         # a full H x H float64 table would take 134 MB
         assert peak < 8 * 2 ** 20
 
+    def test_decoherence_memory_stays_flat(self):
+        spec, sched = random_family_spec(65, dim=64, n_times=3, s_t=1)
+        fam = enumerate_family(spec)
+        assert len(fam.index) == 4096
+        psi1 = spec.constraints[0].state
+        tracemalloc.start()
+        try:
+            report = decoherence_report(fam, sched, psi1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an (H, d, d) projector gather would take 268 MB
+        assert peak < 8 * 2 ** 20
+        a, b = (history_operator(fam.histories[i].points, sched, fam.times[0])
+                for i in report.worst_pair)
+        assert report.max_offdiagonal == pytest.approx(
+            abs(decoherence_functional(a, b, psi1)), abs=1e-12)
+
 
 class TestTolerance:
+    @pytest.mark.parametrize("tol", ["x", None, True, 1j])
+    def test_tol_that_is_not_a_number_rejected(self, tol):
+        # "x" used to leak ValueError, None TypeError; True was taken as 1
+        spec, sched = random_family_spec(64, dim=2, n_times=3, s_t=1)
+        fam = family_variants(spec, 64)["duplicated"]
+        psi1 = spec.constraints[0].state
+        with pytest.raises(ValidationError, match="tolerance"):
+            validate_family(fam, tol)
+        with pytest.raises(ValidationError, match="tolerance"):
+            decoherence_report(fam, sched, psi1, tol)
+
     @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
     def test_nan_or_negative_tol_rejected(self, tol):
         spec, sched = random_family_spec(64, dim=2, n_times=3, s_t=1)

@@ -185,6 +185,16 @@ class TestRequireTolerance:
         with pytest.raises(ValidationError, match="non-negative"):
             require_tolerance(tol)
 
+    @pytest.mark.parametrize("tol", [True, np.bool_(False), None, "x", 1j,
+                                     np.complex128(0.0), [1e-9]])
+    def test_rejects_bools_and_non_numbers(self, tol):
+        with pytest.raises(ValidationError, match="non-negative number"):
+            require_tolerance(tol)
+
+    def test_accepts_numpy_reals(self):
+        assert require_tolerance(np.float32(0.5)) == 0.5
+        assert require_tolerance(np.int64(0)) == 0.0
+
 
 class TestRequireDim:
     def test_returns_the_shared_dimension(self):

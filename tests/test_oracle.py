@@ -288,6 +288,11 @@ class TestMonteCarloSample:
         with pytest.raises(ValidationError, match="finite"):
             OutcomeDistribution((((0,), p), ((1,), 1.0)))
 
+    def test_repeated_outcome_rejected(self):
+        # it used to be tabulated twice: counts [54 46] for one outcome
+        with pytest.raises(ValidationError, match="distinct"):
+            OutcomeDistribution((((0,), 0.5), ((0,), 0.5)))
+
     @pytest.mark.parametrize("n", [1, 1000])
     def test_rounding_edge_probabilities_keep_a_finite_band(self, n):
         # accepted: p >= -ROUNDING_TOL and a total within DEFAULT_TOL of 1

@@ -96,6 +96,16 @@ class TestRequireIncreasing:
         with pytest.raises(ValidationError, match="^grid times must"):
             require_increasing(times, "grid times")
 
+    @pytest.mark.parametrize("times", [("a",), (0.0, "1"), (None,),
+                                       (False, True), (0.0, 1j)])
+    def test_rejects_non_numbers(self, times):
+        # "a" used to leak ValueError from float, and "1" or a bool was
+        # taken as a time
+        with pytest.raises(ValidationError, match="^grid times must be real"):
+            require_increasing(times, "grid times")
+        with pytest.raises(ValidationError, match="^grid times must be real"):
+            TimeGrid(times)
+
     def test_message_names_the_times_as_written(self):
         with pytest.raises(ValidationError) as exc:
             require_increasing((0, 1, 1 + 1e-13), "grid times")
