@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .contour import require_increasing, same_time
+from .contour import require_increasing, require_time, same_time
 from .errors import ValidationError
 
 
@@ -89,7 +89,8 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     the adjoint of the forward propagator, realizing anti-chronological
     ordering on the backward branch.
     """
-    t_a, t_b = float(t_a), float(t_b)
+    t_a = require_time(t_a, "propagation time")
+    t_b = require_time(t_b, "propagation time")
     for t in (t_a, t_b):
         if not sched.covers(t):
             raise ValidationError(f"time {t} outside schedule span "

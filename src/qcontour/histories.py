@@ -18,6 +18,15 @@ factor of each fixed point enters conjugated relative to the forward one,
 so a single fixed-point pair contributes |<l|k>|^2.  This makes families
 built from orthonormal bases exactly Kronecker-orthogonal and keeps
 validation basis-independent.
+
+The two family checks form no pair they need not.  ``validate_family``
+first tries an exact certificate: distinct index rows differ at some
+slot, so products of the per-slot Gram tables' largest entries bound
+every overlap, and an orthogonal family is valid without a pair formed;
+a family the certificate cannot clear falls back to row blocks of pairs.
+``decoherence_report`` groups the later members by last-slot state, so
+its maximum over pairs costs O(H m) for m last-slot states (m <= d for an
+enumerated family).
 """
 
 from __future__ import annotations
@@ -314,6 +323,56 @@ class FamilyReport:
     violations: tuple[tuple[int, int, float], ...] = ()
 
 
+def _slot_gram(slot, power: int):
+    """A slot's Gram magnitudes |<a|b>| ** power, as ``(table, rows)``:
+    squared for ``validate_family``'s overlaps, plain for
+    ``decoherence_report``'s records.
+
+    For a slot of n <= 2d states ``table`` is the whole table, built once,
+    and ``rows(select)`` reads the rows of the fixed points at positions
+    ``select``.  The certificate needs whole tables, and every enumerated
+    slot (n <= d) has one; the n x n table then costs at most twice the
+    slot's own n x d states, so memory stays O(input + block).  A larger
+    slot, which only a hand-built family has, may hold H states, and an
+    H x H table would break the flat-memory bound; it gets ``table`` None,
+    and ``rows`` forms the selected rows from the states.  The factor 2
+    keeps one whole table for a slot with an extra state or two (a
+    tampered member), so its entries do not depend on the block height.
+    """
+    states = np.array([fp.state for fp in slot])
+    if len(states) <= 2 * states.shape[1]:
+        table = np.abs(states.conj() @ states.T) ** power
+        return table, lambda select: table.take(select, axis=0)
+    return None, lambda select: np.abs(
+        states[select].conj() @ states.T) ** power
+
+
+def _certified_orthogonal(fam: HistoryFamily, grams, tol: float) -> bool:
+    """True if no pair of members can have an overlap above ``tol``.
+
+    Every pair of distinct index rows differs at some slot k, where its
+    Gram entry |<q|p>|^2 is at most ``off_k``, the slot's largest
+    off-diagonal entry; at every other slot l it is at most ``top_l``, the
+    slot's largest entry.  ``bound_k`` multiplies those maxima from 1.0 in
+    slot order, as a block entry multiplies its own, and rounding is
+    monotone, so no block entry exceeds the largest bound.  Needs every
+    slot's whole table; the rows are distinct by construction when
+    ``fam.choices`` is set and are checked once otherwise, by sorting them.
+    """
+    if any(gram is None for gram in grams):
+        return False
+    tops = [float(gram.max()) for gram in grams]
+    offs = [float(gram[~np.eye(len(gram), dtype=bool)].max(initial=0.0))
+            for gram in grams]
+    if any(math.prod(offs[l] if l == k else tops[l] for l in range(len(tops)))
+           > tol for k in range(len(tops))):
+        return False
+    if fam.choices is not None:
+        return True
+    rows = fam.index[np.lexsort(fam.index.T)]  # equal rows now adjacent
+    return not (rows[1:] == rows[:-1]).all(axis=1).any()
+
+
 def validate_family(fam: HistoryFamily,
                     tol: float = linalg.DEFAULT_TOL) -> FamilyReport:
     """Check mutual orthogonality of all distinct history pairs.
@@ -321,23 +380,27 @@ def validate_family(fam: HistoryFamily,
     Returns the violating pairs as (index, index, |overlap|) triples in
     row-major order.  The overlap factorizes over grid slots, as in
     ``history_inner``, so it is a product of per-slot Gram entries
-    |<q|p>|^2 read through the index.  The pairs are formed in row blocks
+    |<q|p>|^2 read through the index (``_slot_gram``).  When every slot has
+    its whole table and the index rows are distinct, an exact certificate
+    (``_certified_orthogonal``) bounds every overlap by products of the
+    tables' largest entries; if no bound exceeds ``tol``, the family is
+    valid, found in O(N_t d^3) without forming a pair.  Otherwise (a
+    duplicated member, a tampered state, a slot of many fixed points, or a
+    family that is not orthogonal) the pairs are formed in row blocks
     (``_pair_blocks``): each block multiplies its Gram entries in place, in
     slot order, so memory stays flat at any family size.  Raises
     ValidationError on a NaN or negative ``tol``.
     """
     tol = linalg.require_tolerance(tol)
-    grams = []
-    for slot in fam.slots:
-        states = np.array([fp.state for fp in slot])
-        grams.append(np.abs(states.conj() @ states.T) ** 2)
+    grams, gram_rows = zip(*(_slot_gram(slot, 2) for slot in fam.slots))
+    if _certified_orthogonal(fam, grams, tol):
+        return FamilyReport(valid=True)
     columns = fam.index.T
 
     def overlaps(lo, hi):
         block = np.ones((hi - lo, len(fam.index) - lo - 1))
-        for gram, column in zip(grams, columns):
-            block *= gram.take(column[lo:hi], axis=0).take(
-                column[lo + 1:], axis=1)
+        for rows, column in zip(gram_rows, columns):
+            block *= rows(column[lo:hi]).take(column[lo + 1:], axis=1)
         return block
 
     violations = []
@@ -389,6 +452,7 @@ def history_operator(fps, sched: HamiltonianSchedule,
     """
     fps = list(fps)
     require_increasing((p.time for p in fps), "fixed-point times")
+    t_0 = require_time(t_0, "reference time")
     if fps:
         require_not_before(fps[0].time, t_0, "first fixed-point time")
     projs = [heisenberg_projector(p.state, sched, p.time, t_0)
@@ -455,18 +519,24 @@ class DecoherenceReport:
 
 def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
                        tol: float = linalg.DEFAULT_TOL) -> DecoherenceReport:
-    """Evaluate all pairwise decoherence functionals over the family.
+    """The largest pairwise decoherence functional over the family.
 
     Chains are referred to the first grid time, where ``psi1`` is the
     preparation.  Every projector is rank one, so a member's record is its
     last slot's state times c, the closed-form step product (``_products``,
     one propagator per segment) with ``psi1`` in place of slot 0's fixed
-    points, and |D(a, b)| = |c_a| |c_b| |<s_N(b)|s_N(a)>|, formed in row
-    blocks (``_pair_blocks``).  A block forms the last slot's Gram rows of
-    its members and reads the columns through the index; the whole table
-    is never built, as a hand-built family's last slot may hold H states.
-    ``worst_pair`` is the first pair, in row-major order, attaining the
-    maximum.  Raises ValidationError on a NaN or negative ``tol``.
+    points, and |D(a, b)| = (|c_a| |c_b|) |<s_N(a)|s_N(b)>|.  The maximum
+    is grouped by last-slot state: for member a, over the m last-slot
+    states g, its row's best is (|c_a| M_g) |<s_N(a)|g>|, where M_g is the
+    largest |c_b| of a later member b ending at g.  Rounding is monotone,
+    so that is exactly the largest entry of a's row.  The rows run from
+    the last one back in blocks of about ``_PAIR_BLOCK_ENTRIES`` entries,
+    carrying M, and a block reads its members' Gram rows through
+    ``_slot_gram``.  Work is O(H m), with m <= d for an enumerated family,
+    and memory O(block + d^2).  ``worst_pair`` is the first
+    pair, in row-major order, attaining the maximum: the first row whose
+    best is the maximum, and the first column of that one row attaining
+    it.  Raises ValidationError on a NaN or negative ``tol``.
     """
     tol = linalg.require_tolerance(tol)
     linalg.require_dim("schedule", sched.dim, fam.dim)
@@ -477,16 +547,33 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
         steps.append((k, k + 1, [u @ psi] * len(fam.slots[0]) if k == 0
                       else [u @ a.state for a in fam.slots[k]]))
     scale = np.hypot(*_products(fam, steps))
-    states = np.array([fp.state for fp in fam.slots[-1]])
-    bras, last = states.conj(), fam.index[:, -1]
-    worst, worst_pair = 0.0, None
-    for lo, block in _pair_blocks(len(scale), lambda lo, hi: (
-            scale[lo:hi, None] * scale[lo + 1:] * np.abs(
-                bras[last[lo:hi]] @ states.T).take(last[lo + 1:], axis=1))):
-        k = int(np.argmax(block))
-        if block.flat[k] > worst:
-            row, col = divmod(k, block.shape[1])
-            worst, worst_pair = float(block.flat[k]), (lo + row, lo + 1 + col)
+    _, gram_rows = _slot_gram(fam.slots[-1], 1)
+    m, last = len(fam.slots[-1]), fam.index[:, -1]
+    height = max(1, _PAIR_BLOCK_ENTRIES // m)
+    later = np.zeros(m)  # M_g over the rows already passed
+    worst, first, first_gram = 0.0, None, None
+    for hi in range(len(scale), 0, -height):
+        lo = max(0, hi - height)
+        own = np.zeros((hi - lo, m))
+        own[np.arange(hi - lo), last[lo:hi]] = scale[lo:hi]
+        # row r: per last-slot state, the largest scale of rows after lo + r,
+        # a suffix maximum in log2(rows) whole-row passes (accumulate would
+        # loop once per column, m of them)
+        after, step = np.vstack([own[1:], later]), 1
+        while step < len(after):
+            np.maximum(after[:-step], after[step:], out=after[:-step])
+            step *= 2
+        later = np.maximum(after[0], own[0])
+        gram = gram_rows(last[lo:hi])
+        best = (scale[lo:hi, None] * after * gram).max(axis=1)
+        row = int(np.argmax(best))
+        if best[row] > 0.0 and best[row] >= worst:
+            worst, first, first_gram = float(best[row]), lo + row, gram[row]
+    worst_pair = None
+    if first is not None:
+        entries = scale[first] * scale[first + 1:] * first_gram[
+            last[first + 1:]]
+        worst_pair = (first, first + 1 + int(np.argmax(entries)))
     return DecoherenceReport(decoherent=worst <= tol,
                              max_offdiagonal=worst, worst_pair=worst_pair)
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .contour import require_increasing, require_not_before
+from .contour import require_increasing, require_not_before, require_time
 from .dynamics import HamiltonianSchedule, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .sampling import rng_from_seed
@@ -62,18 +62,22 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     """
     psi1 = linalg.as_state(psi1, sched.dim)
     times = require_increasing(times, "measurement times")
-    if len(bases) != len(times):
+    t_prep = require_time(t_prep, "preparation time")
+    if not hasattr(bases, "__len__") or len(bases) != len(times):
         raise ValidationError("need exactly one basis per measurement time")
     if times:
         require_not_before(times[0], t_prep, "first measurement time")
     checked = []
     for t, basis in zip(times, bases):
+        if not hasattr(basis, "__iter__"):
+            raise ValidationError(f"basis at time {t} must be a sequence "
+                                  "of states")
         vecs = [linalg.as_state(v, sched.dim) for v in basis]
         if len(vecs) != sched.dim:
             raise ValidationError(f"basis at time {t} must be complete")
         linalg.require_orthonormal(vecs, f"basis at time {t}")
         checked.append(vecs)
-    return _unchecked_chain(psi1, checked, times, sched, float(t_prep))
+    return _unchecked_chain(psi1, checked, times, sched, t_prep)
 
 
 def _unchecked_chain(psi1, bases, times, sched: HamiltonianSchedule,

@@ -57,6 +57,16 @@ class TestTimeTolerance:
 
 
 class TestPropagate:
+    @pytest.mark.parametrize("time", ["0", True, math.nan])
+    def test_times_must_be_real_finite_numbers(self, time):
+        # "0" was read as 0.0 and True as 1.0; NaN was reported as a time
+        # outside the span
+        sched = zero_schedule(2)
+        for args in ((time, 1.0), (0.0, time)):
+            with pytest.raises(ValidationError,
+                               match="^propagation time must be real"):
+                propagate(sched, *args)
+
     def test_zero_interval_is_identity(self):
         sched = sx_schedule()
         np.testing.assert_allclose(propagate(sched, 0.3, 0.3), np.eye(2))

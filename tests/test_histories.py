@@ -136,6 +136,17 @@ def _brute_force_decoherence(fam, sched, psi1):
             for i, j in itertools.combinations(range(len(chains)), 2)}
 
 
+def _pair_table(fam, scale):
+    """The whole H x H table of (|c_i| |c_j|) |<s_N(i)|s_N(j)>| over pairs
+    i < j (0 on and below the diagonal), from the Gram rows the grouped
+    maximum reads."""
+    last = fam.index[:, -1]
+    _, gram_rows = histories._slot_gram(fam.slots[-1], 1)
+    table = scale[:, None] * scale * gram_rows(last)[:, last]
+    table[np.tri(len(scale), dtype=bool)] = 0.0
+    return table
+
+
 class TestAgainstPairwise:
     """The family checks agree with the pairwise reference functions."""
 
@@ -157,8 +168,23 @@ class TestAgainstPairwise:
         seed, dim, n_times, s_t = shape
         spec, sched = random_family_spec(seed, dim, n_times, s_t)
         psi1 = spec.constraints[0].state
+        original, products = histories._products, []
+
+        def recorded(fam, steps):
+            products.append(original(fam, steps))
+            return products[-1]
         for name, fam in family_variants(spec, seed).items():
-            report = decoherence_report(fam, sched, psi1, 1e-10)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(histories, "_products", recorded)
+                report = decoherence_report(fam, sched, psi1, 1e-10)
+            # given the same factors, the grouped maximum is the largest
+            # entry of the whole pair table, bit for bit, and the first
+            # pair attaining it in row-major order
+            table = _pair_table(fam, np.hypot(*products[-1]))
+            k = int(np.argmax(table))
+            assert report.max_offdiagonal == table.flat[k], name
+            assert report.worst_pair == (
+                divmod(k, len(table)) if table.flat[k] > 0 else None), name
             values = _brute_force_decoherence(fam, sched, psi1)
             worst = max(values.values(), default=0.0)
             assert report.max_offdiagonal == pytest.approx(worst, abs=1e-12)
@@ -261,6 +287,72 @@ class TestRowBlocks:
         assert report.max_offdiagonal == pytest.approx(0.5)
 
 
+def _ray(angle):
+    return np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+
+
+#: two real qubit states at 30 and 60 degrees from |0>
+RAY_30, RAY_60 = _ray(math.pi / 6), _ray(math.pi / 3)
+
+
+class TestGroupedChecks:
+    """The certificate and the grouped maximum give the pair blocks' answer."""
+
+    @pytest.mark.parametrize("seed, dim, n_times, s_t",
+                             [(71, 2, 3, 1), (72, 3, 4, 2), (73, 4, 3, 1)])
+    def test_only_a_family_that_fails_the_certificate_forms_pairs(
+            self, monkeypatch, seed, dim, n_times, s_t):
+        spec, _ = random_family_spec(seed, dim, n_times, s_t)
+        variants = family_variants(spec, seed)
+        # rebuilt by hand: no choices, so its rows are checked by sorting
+        variants["rebuilt"] = HistoryFamily(
+            histories=variants["enumerated"].histories)
+        blocks = count_calls(monkeypatch, histories, "_pair_blocks")
+        entered, valid = {}, {}
+        for name in ("enumerated", "rebuilt", "duplicated", "tampered"):
+            before = len(blocks)
+            valid[name] = validate_family(variants[name], 1e-10).valid
+            entered[name] = len(blocks) > before
+        assert entered == {"enumerated": False, "rebuilt": False,
+                           "duplicated": True, "tampered": True}
+        # a tampered family may be valid: tampering a pinned slot leaves
+        # every pair differing at a free one
+        assert valid["enumerated"] and valid["rebuilt"]
+        assert not valid["duplicated"]
+
+    def test_bound_above_tol_without_a_violation_gives_the_blocks_answer(
+            self, monkeypatch):
+        # slot 1 holds |0> and |+>, so its bound is 1/2, but the two
+        # members also differ at slot 0, where they are orthogonal
+        fam = HistoryFamily(histories=(two_point(E0, E0),
+                                       two_point(E1, PLUS)))
+        blocks = count_calls(monkeypatch, histories, "_pair_blocks")
+        assert validate_family(fam, 1e-10) == histories.FamilyReport(True, ())
+        assert len(blocks) == 1
+
+    @pytest.mark.parametrize("budget", [1, 10 ** 6])
+    @pytest.mark.parametrize("psi1, ends, pair, value", [
+        # rows 0 and 1, of the last-slot groups |0> and |1>, tie against
+        # member 2 (|+>)
+        (PLUS, (E0, E1, PLUS), (0, 2), 0.5),
+        # row 0 ties against the groups |0> and |1>
+        (PLUS, (PLUS, E0, E1), (0, 1), 0.5),
+        # row 0 ties against two members of one group, which share their
+        # fixed point; the pair of those two is 1/4
+        (E0, (RAY_30, RAY_60, RAY_60), (0, 1), 0.375),
+    ])
+    def test_exact_ties_keep_the_first_pair(self, monkeypatch, budget, psi1,
+                                            ends, pair, value):
+        monkeypatch.setattr(histories, "_PAIR_BLOCK_ENTRIES", budget)
+        start, shared = FixedPoint(0.0, psi1), {}
+        fam = HistoryFamily(histories=[QuantumHistory((start, shared.setdefault(
+            id(end), FixedPoint(1.0, end)))) for end in ends])
+        assert len(fam.slots[1]) == len(set(map(id, ends)))
+        report = decoherence_report(fam, zero_schedule(2), psi1)
+        assert report.worst_pair == pair
+        assert report.max_offdiagonal == pytest.approx(value)
+
+
 class TestFamilyCheckCosts:
     @pytest.mark.parametrize("dim", [3, 2])
     def test_one_propagator_per_later_slot(self, monkeypatch, dim):
@@ -293,6 +385,21 @@ class TestFamilyCheckCosts:
             tracemalloc.stop()
         assert report.valid
         # a full H x H float64 table would take 134 MB
+        assert peak < 8 * 2 ** 20
+
+    def test_validate_memory_stays_flat_on_fresh_fixed_points(self):
+        # every member has its own fixed points, so each slot holds H = 1024
+        # states; a whole Gram table per slot peaked at 64 MB
+        spec, _ = random_family_spec(63, dim=4, n_times=6, s_t=1)
+        fam = family_variants(spec, 3)["fresh"]
+        assert len(fam.index) == len(fam.slots[1]) == 1024
+        tracemalloc.start()
+        try:
+            report = validate_family(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.valid
         assert peak < 8 * 2 ** 20
 
     def test_decoherence_memory_stays_flat(self):
@@ -362,6 +469,14 @@ class TestHistoryOperator:
         with pytest.raises(ValidationError):
             history_operator([FixedPoint(1.0, E0), FixedPoint(0.0, E1)],
                              zero_schedule(2), 0.0)
+
+    @pytest.mark.parametrize("t_0", ["0", True, math.nan])
+    def test_reference_time_must_be_a_real_finite_number(self, t_0):
+        # "0" was read as 0.0, and True as 1.0 (after the first point)
+        with pytest.raises(ValidationError,
+                           match="^reference time must be real"):
+            history_operator([FixedPoint(0.0, E0), FixedPoint(1.0, E1)],
+                             zero_schedule(2), t_0)
 
     def test_chain_applied_matches_record_state(self):
         spec, sched = random_family_spec(21, dim=3, n_times=3, s_t=1)

@@ -123,6 +123,23 @@ class TestSequentialChain:
         with pytest.raises(ValidationError):
             sequential_chain(E0, [(E0,)], [1.0], zero_schedule(2), t_prep=0.0)
 
+    @pytest.mark.parametrize("t_prep", ["0", True, math.nan])
+    def test_preparation_time_must_be_a_real_finite_number(self, t_prep):
+        # "0" was read as 0.0 and True as 1.0
+        with pytest.raises(ValidationError,
+                           match="^preparation time must be real"):
+            sequential_chain(E0, [computational_basis(2)], [1.0],
+                             zero_schedule(2), t_prep=t_prep)
+
+    @pytest.mark.parametrize("bases, match", [
+        (5, "one basis per measurement time"),
+        ([5], "must be a sequence of states"),
+    ])
+    def test_bases_that_are_not_sequences_rejected(self, bases, match):
+        # both used to raise TypeError
+        with pytest.raises(ValidationError, match=match):
+            sequential_chain(E0, bases, [1.0], zero_schedule(2), 0.0)
+
     def test_matches_measures_for_initially_constrained_families(self):
         # the cross-module equivalence this oracle exists to check
         for seed in range(10):
