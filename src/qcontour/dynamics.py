@@ -3,8 +3,10 @@
 The generator is branch-independent: propagation backward in physical time
 is the adjoint of forward propagation over the same interval, which is
 exact for unitary dynamics.  Per-segment eigendecompositions are cached on
-the schedule, so repeated propagator evaluations cost only small matrix
-products.
+the schedule as (w, V, V^H), so a propagator costs only small matrix
+products: one exponential per segment the interval crosses, and one
+product joining each exponential after the first, which starts the
+product (no identity factor).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class HamiltonianSchedule:
                     f"segments are not contiguous at t = {end} vs {start}")
         self._segments = tuple(parsed)
         self._dim = dim
-        self._eigs: list[tuple[np.ndarray, np.ndarray] | None]
+        self._eigs: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
         self._eigs = [None] * len(parsed)
 
     @classmethod
@@ -75,10 +77,10 @@ class HamiltonianSchedule:
         cached = self._eigs[index]
         if cached is None:
             w, v = np.linalg.eigh(self._segments[index][2])
-            cached = (w, v)
+            cached = (w, v, v.conj().T)
             self._eigs[index] = cached
-        w, v = cached
-        return (v * np.exp(-1j * dt * w)) @ v.conj().T
+        w, v, v_dag = cached
+        return (v * np.exp(-1j * dt * w)) @ v_dag
 
 
 def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
@@ -96,13 +98,15 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
             raise ValidationError(f"time {t} outside schedule span "
                                   f"[{sched.t_min}, {sched.t_max}]")
     t_lo, t_hi = sorted((t_a, t_b))
-    u = np.eye(sched.dim, dtype=complex)
-    if same_time(t_lo, t_hi):
-        return u
-    for index, (s0, s1, _) in enumerate(sched.segments):
-        lo, hi = max(t_lo, s0), min(t_hi, s1)
-        if hi > lo and not same_time(hi, lo):
-            u = sched._segment_exp(index, hi - lo) @ u
+    u = None
+    if not same_time(t_lo, t_hi):
+        for index, (s0, s1, _) in enumerate(sched.segments):
+            lo, hi = max(t_lo, s0), min(t_hi, s1)
+            if hi > lo and not same_time(hi, lo):
+                factor = sched._segment_exp(index, hi - lo)
+                u = factor if u is None else factor @ u
+    if u is None:  # no segment piece longer than TIME_EPS
+        return np.eye(sched.dim, dtype=complex)
     return u.conj().T if t_b < t_a else u
 
 

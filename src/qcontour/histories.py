@@ -40,7 +40,8 @@ from . import linalg
 from .contour import (grid_index, require_increasing, require_not_before,
                       require_time, same_time)
 from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
-from .errors import EnumerationGuardError, ValidationError
+from .errors import (DimensionMismatchError, EnumerationGuardError,
+                     ValidationError)
 
 #: refuse exhaustive enumerations beyond this many histories
 MAX_ENUMERATION = 10 ** 6
@@ -62,6 +63,18 @@ class FixedPoint:
         object.__setattr__(self, "time",
                            require_time(self.time, "fixed-point time"))
         object.__setattr__(self, "state", state)
+
+    @classmethod
+    def _checked(cls, time: float, state: np.ndarray,
+                 label: str) -> FixedPoint:
+        """Unchecked: the caller guarantees what ``__post_init__`` makes, a
+        float time and a read-only state ``as_state`` accepts, as
+        ``FamilySpec`` does for the rows of its checked bases."""
+        fp = cls.__new__(cls)
+        object.__setattr__(fp, "time", time)
+        object.__setattr__(fp, "state", state)
+        object.__setattr__(fp, "label", label)
+        return fp
 
     @property
     def dim(self) -> int:
@@ -587,8 +600,10 @@ class FamilySpec:
     points at a subset of the grid times.  ``slots`` is the recipe's slot
     table, built once here: at a pinned time the constraint alone, elsewhere
     one ``FixedPoint`` per basis vector, labeled by its position.  Each
-    input vector is validated once; at free times ``bases`` holds the slot
-    fixed points' read-only states.  ``==`` is identity.
+    input basis is validated once, as one stack (``linalg.as_states``),
+    which also gives its orthonormality Gram; ``bases`` holds the stacks'
+    read-only rows, and at free times the slot fixed points' states are
+    those rows.  ``==`` is identity.
     """
 
     times: tuple[float, ...]
@@ -610,22 +625,30 @@ class FamilySpec:
         # a constraint may sit within TIME_EPS of its grid time
         require_increasing([pinned[i].time if i in pinned else t
                             for i, t in enumerate(times)], "slot times")
-        slots, bases = [], []
-        for i, (t, basis) in enumerate(zip(times, self.bases)):
+        # each basis checked once, as one stack; a basis of states of
+        # several sizes is left to the shared-dimension rule below
+        stacks, sizes = [], []
+        for t, basis in zip(times, self.bases):
+            basis = list(basis)
             try:
-                if i in pinned:
-                    slots.append((pinned[i],))
-                    bases.append(tuple(map(linalg.as_state, basis)))
-                else:
-                    slots.append(tuple(FixedPoint(t, v, label=str(k))
-                                       for k, v in enumerate(basis)))
-                    bases.append(tuple(fp.state for fp in slots[-1]))
+                stacks.append(linalg.as_states(basis))
+            except DimensionMismatchError:
+                stacks.append(None)
+                sizes += map(np.size, basis)
             except ValidationError as exc:
                 raise ValidationError(f"basis at time {t}: {exc}") from exc
-        dim = linalg.require_dim(
-            "basis vector", *[v.size for basis in bases for v in basis])
-        for t, basis in zip(times, bases):
-            linalg.require_orthonormal(basis, f"basis at time {t}")
+            else:
+                sizes += [stacks[-1].shape[1]] * len(basis)
+        dim = linalg.require_dim("basis vector", *sizes)
+        for t, stack in zip(times, stacks):
+            linalg.require_orthonormal(stack, f"basis at time {t}")
+        slots, bases = [], []
+        for i, (t, stack) in enumerate(zip(times, stacks)):
+            rows = tuple(stack)
+            bases.append(rows)
+            slots.append((pinned[i],) if i in pinned else tuple(
+                FixedPoint._checked(t, row, str(k))
+                for k, row in enumerate(rows)))
         linalg.require_dim("constraint state",
                            *[fp.dim for fp in self.constraints], dim)
         object.__setattr__(self, "times", times)

@@ -4,11 +4,17 @@ State vectors are 1-d ``complex128`` arrays, operators are square 2-d
 arrays.  Everything here is a pure function of its inputs; arrays returned
 by constructors are fresh copies, so values can be shared freely.  Units:
 hbar = 1 throughout.
+
+A set of states (a basis) is checked once, as one array: ``as_states``
+returns a read-only (n, d) stack whose rows are exactly what ``as_state``
+accepts and refuses exactly what it refuses, and the same stack then
+gives ``require_orthonormal`` its Gram matrix.
 """
 
 from __future__ import annotations
 
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -27,6 +33,10 @@ ROUNDING_TOL = 1e-12
 TIME_EPS = 1e-12
 #: Schmidt coefficients at or below this count as zero (no support)
 SUPPORT_TOL = 1e-12
+#: a stacked state whose squared norm is this close to 1 passes without
+#: ``as_state``: inside DEFAULT_TOL by far more than any norm formula's
+#: rounding, so no verdict can differ from ``as_state``'s
+STATE_MARGIN = 5e-11
 
 
 def is_real(x) -> bool:
@@ -80,20 +90,71 @@ def require_count(value, what: str, least: int) -> int:
 def as_state(vec, dim: int | None = None) -> np.ndarray:
     """Coerce ``vec`` to a complex state vector and validate it.
 
-    Checks finiteness, optional dimension and unit L2 norm.  Returns a
-    fresh array.
+    Checks finiteness, optional dimension and unit L2 norm, in that order
+    of verdicts; the entries are scanned for NaN or Inf only when the norm
+    is not within DEFAULT_TOL of 1 (such an entry makes the norm NaN or
+    Inf).  Returns a fresh array.
     """
-    psi = np.asarray(vec, dtype=complex).reshape(-1).copy()
+    try:
+        psi = np.array(vec, dtype=complex).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("state vector must be an array of numbers, "
+                              f"got {reprlib.repr(vec)}") from None
     if psi.size < 1:
         raise ValidationError("state vector must have dimension >= 1")
-    if not np.all(np.isfinite(psi.view(float))):
+    length = norm(psi)
+    unit = abs(length - 1.0) <= DEFAULT_TOL
+    if not unit and not np.all(np.isfinite(psi.view(float))):
         raise ValidationError("state vector contains NaN or Inf amplitudes")
     if dim is not None:
         require_dim("state", psi.size, dim)
-    if abs(norm(psi) - 1.0) > DEFAULT_TOL:
+    if not unit:
         raise ValidationError(
-            f"state vector is not normalized (norm = {norm(psi)!r})")
+            f"state vector is not normalized (norm = {length!r})")
     return psi
+
+
+def as_states(vectors, dim: int | None = None) -> np.ndarray:
+    """Validate a set of state vectors as one read-only (n, d) array.
+
+    Row i is exactly what ``as_state(vectors[i], dim)`` returns, and the
+    set is refused exactly when one of its vectors is, with the error of
+    the first such vector.  The vectors are read as one array and their
+    squared norms taken in one pass; when every squared norm is within
+    STATE_MARGIN of 1 (which a NaN or Inf entry fails) and the size is
+    ``dim``, the set passes, and otherwise each vector goes through
+    ``as_state`` itself for the verdict.  Vectors of several sizes, each a
+    state, raise DimensionMismatchError; an empty set gives an (0, d)
+    array, d being ``dim`` or 0.
+    """
+    if not isinstance(vectors, (list, tuple, np.ndarray)):
+        try:
+            vectors = list(vectors)
+        except TypeError:
+            raise ValidationError("expected a sequence of state vectors, "
+                                  f"got {reprlib.repr(vectors)}") from None
+    n = len(vectors)
+    try:
+        # C order: a Fortran-ordered basis (``u.T``) must give rows that
+        # ``view(float)`` can split
+        stack = np.array(vectors, dtype=complex, order="C")
+    except (TypeError, ValueError, OverflowError):  # ragged or unreadable
+        rows = [as_state(v, dim) for v in vectors]
+        require_dim("state", *[row.size for row in rows])
+        stack = np.array(rows)
+    else:
+        if stack.ndim != 2:  # each vector flattened, as ``as_state`` does
+            stack = stack.reshape(n, stack.size // n if n else dim or 0)
+        size = stack.shape[1]
+        deviation = np.add.reduce(np.square(stack.view(float)), axis=1)
+        deviation -= 1.0
+        if not (size >= 1 and (dim is None or size == dim)
+                and np.maximum.reduce(np.abs(deviation), initial=0.0)
+                <= STATE_MARGIN):
+            for v in vectors:
+                as_state(v, dim)
+    stack.setflags(write=False)
+    return stack
 
 
 def as_square(mat, dim: int | None = None) -> np.ndarray:

@@ -55,7 +55,12 @@ def _complex_from_pair(value, where: str) -> complex:
             or not all(map(linalg.is_real, value))):
         raise ModelFormatError(
             f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ModelFormatError(
+            f"{where}: [re, im] pair holds a number beyond the float "
+            "range") from None
 
 
 def vector_from_json(value, where: str) -> np.ndarray:

@@ -34,7 +34,7 @@ class OutcomeDistribution:
     outcomes: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        outs = tuple((tuple(seq), float(p)) for seq, p in self.outcomes)
+        outs = tuple((tuple(seq), _probability(p)) for seq, p in self.outcomes)
         if not outs:
             raise ValidationError("distribution must have at least one outcome")
         if len({seq for seq, _ in outs}) != len(outs):
@@ -47,6 +47,14 @@ class OutcomeDistribution:
             raise ValidationError(
                 f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "outcomes", outs)
+
+
+def _probability(p) -> float:
+    """``p`` as a float; ValidationError unless it is a real number and not
+    a bool (text, None and complex numbers are not)."""
+    if not linalg.is_real(p):
+        raise ValidationError(f"probabilities must be real numbers, got {p!r}")
+    return float(p)
 
 
 def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
@@ -72,11 +80,11 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
         if not hasattr(basis, "__iter__"):
             raise ValidationError(f"basis at time {t} must be a sequence "
                                   "of states")
-        vecs = [linalg.as_state(v, sched.dim) for v in basis]
-        if len(vecs) != sched.dim:
+        stack = linalg.as_states(basis, sched.dim)
+        if len(stack) != sched.dim:
             raise ValidationError(f"basis at time {t} must be complete")
-        linalg.require_orthonormal(vecs, f"basis at time {t}")
-        checked.append(vecs)
+        linalg.require_orthonormal(stack, f"basis at time {t}")
+        checked.append(stack)
     return _unchecked_chain(psi1, checked, times, sched, t_prep)
 
 

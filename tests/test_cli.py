@@ -321,6 +321,19 @@ class TestMalformedNumbers:
         assert main(["measure", write(tmp_path, "bad.json", doc)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["measure", "verify"])
+    def test_pair_beyond_the_float_range_exit_2(self, tmp_path, capsys,
+                                                command):
+        # complex() raised OverflowError: a traceback and exit 1
+        doc = {"dim": 1, "grid": [0.0, 1.0],
+               "hamiltonian": [{"t_start": 0, "t_end": 1,
+                                "matrix": [[[10 ** 400, 0]]]}]}
+        path = write(tmp_path, "huge.json", doc)
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            "error: hamiltonian[0].matrix[0][0]: [re, im] pair holds a "
+            "number beyond the float range\n")
+
     @pytest.mark.parametrize("dim_a", ["2", 2.0, True])
     def test_state_file_dimension_exit_2(self, tmp_path, capsys, dim_a):
         inv = 1 / math.sqrt(2)

@@ -117,6 +117,26 @@ class TestPropagate:
         np.testing.assert_array_equal(propagate(sched, 0.9, 0.1),
                                       propagate(sched, 0.1, 0.9).conj().T)
 
+    def test_product_from_the_first_factor_equals_the_identity_start(self):
+        # the product starts from its first segment exponential; starting
+        # from the identity, as it once did, gives equal values (the sign
+        # of a zero entry may differ: -0.0 + 0.0 is +0.0)
+        rng = rng_from_seed(12)
+        sched = HamiltonianSchedule(
+            [(0.0, 0.5, random_hermitian(rng, 3)),
+             (0.5, 1.0, random_hermitian(rng, 3)),
+             (1.0, 1.5, random_hermitian(rng, 3))])
+        for t_lo, t_hi in [(0.1, 0.4), (0.1, 0.9), (0.1, 1.4), (0.0, 1.5)]:
+            u = np.eye(3, dtype=complex)
+            for s0, s1, h in sched.segments:
+                lo, hi = max(t_lo, s0), min(t_hi, s1)
+                if hi > lo:
+                    w, v = np.linalg.eigh(h)
+                    u = ((v * np.exp(-1j * (hi - lo) * w)) @ v.conj().T) @ u
+            np.testing.assert_array_equal(propagate(sched, t_lo, t_hi), u)
+            np.testing.assert_array_equal(propagate(sched, t_hi, t_lo),
+                                          u.conj().T)
+
     def test_unitary_within_tolerance(self):
         rng = rng_from_seed(10)
         sched = HamiltonianSchedule.constant(random_hermitian(rng, 5), 0, 2)

@@ -14,6 +14,7 @@ from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       record_state, validate_family)
 from qcontour import histories, linalg
 from qcontour.errors import DimensionMismatchError, EnumerationGuardError
+from qcontour.sampling import random_orthonormal_basis, rng_from_seed
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
                   count_calls, family_variants, random_family_spec,
                   sx_schedule, zero_schedule)
@@ -707,16 +708,40 @@ class TestSlotTable:
                                         strict=True))
         assert spec.history_count() == 9
 
+    def test_slot_states_are_read_only_and_equal_the_checked_vectors(self):
+        # every basis row, at free and pinned times, is as_state's value of
+        # its raw vector, and no input array is shared
+        rng = rng_from_seed(55)
+        raw = [random_orthonormal_basis(rng, 3) for _ in range(3)]
+        raw[1] = [v.tolist() for v in raw[1]]
+        pin = FixedPoint(0.0, raw[0][1], "prep")
+        spec = FamilySpec(times=(0.0, 0.5, 1.0), bases=raw,
+                          constraints=(pin,))
+        for k, (basis, stored) in enumerate(zip(raw, spec.bases)):
+            assert len(stored) == len(basis)
+            for v, row in zip(basis, stored):
+                assert not row.flags.writeable and row.dtype == complex
+                np.testing.assert_array_equal(row, linalg.as_state(v))
+                assert not (isinstance(v, np.ndarray)
+                            and np.shares_memory(row, v))
+            if k:
+                assert all(fp.state is row and fp.time == spec.times[k]
+                           for fp, row in zip(spec.slots[k], stored,
+                                              strict=True))
+
     def test_raw_vectors_are_validated_once_and_constraints_never(
             self, monkeypatch):
+        # each basis is checked as one stack, so each raw vector once
         raw = [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]]
         constraints = (FixedPoint(0.0, E0), FixedPoint(2.0, E1))
-        checked = count_calls(monkeypatch, linalg, "as_state")
+        stacked = count_calls(monkeypatch, linalg, "as_states")
+        single = count_calls(monkeypatch, linalg, "as_state")
         spec = FamilySpec(times=(0.0, 1.0, 2.0), bases=raw,
                           constraints=constraints)
-        vectors = [v for basis in raw for v in basis]
-        assert len(checked) == len(vectors)
-        assert all(args[0] is v for args, v in zip(checked, vectors))
+        assert single == [] and len(stacked) == len(raw)
+        for args, basis in zip(stacked, raw):
+            assert len(args[0]) == len(basis)
+            assert all(v is w for v, w in zip(args[0], basis))
         assert spec.slots[0] == (constraints[0],)
         assert spec.slots[2] == (constraints[1],)
         np.testing.assert_array_equal(spec.slots[1][1].state, [0, 1])

@@ -10,9 +10,12 @@ from qcontour import (DimensionMismatchError, HamiltonianSchedule,
                       ValidationError, check_unitary, complete_basis, inner,
                       is_orthonormal, is_projector, projector, propagate,
                       tensor)
-from qcontour.linalg import (as_square, as_state, require_count, require_dim,
+from qcontour.errors import QContourError
+from qcontour.linalg import (DEFAULT_TOL, STATE_MARGIN, as_square, as_state,
+                             as_states, require_count, require_dim,
                              require_orthonormal, require_tolerance)
-from qcontour.sampling import random_hermitian, random_state, rng_from_seed
+from qcontour.sampling import (haar_unitary, random_hermitian, random_state,
+                               rng_from_seed)
 
 from toys import E0, E1, SX, SZ
 
@@ -151,6 +154,13 @@ class TestValidationHelpers:
         with pytest.raises(ValidationError):
             as_state([1.0, 1.0])
 
+    @pytest.mark.parametrize("vec", [["a", 1], [[1, 0], [0]], {1: 2},
+                                     [10 ** 400, 0]])
+    def test_as_state_refuses_what_numpy_cannot_read_as_complex(self, vec):
+        # these leaked ValueError, TypeError or OverflowError from numpy
+        with pytest.raises(ValidationError, match="array of numbers"):
+            as_state(vec)
+
     def test_projector_is_projector(self):
         rng = rng_from_seed(4)
         assert is_projector(projector(random_state(rng, 3)))
@@ -173,6 +183,135 @@ class TestValidationHelpers:
         m[0, 2] = np.nan
         with pytest.raises(ValidationError, match="NaN or Inf"):
             as_square(m.T)
+
+
+def _verdict(call):
+    """("ok", value) or (error class, message) of ``call()``."""
+    try:
+        return "ok", call()
+    except QContourError as exc:
+        return type(exc), str(exc)
+
+
+def _row_by_row(vectors, dim):
+    """What ``as_states`` must give, from ``as_state`` on each vector: the
+    first refused vector's error, a dimension mismatch of states of
+    several sizes, or the stack of the accepted rows."""
+    rows = []
+    for v in vectors:
+        verdict = _verdict(lambda: as_state(v, dim))
+        if verdict[0] != "ok":
+            return verdict
+        rows.append(verdict[1])
+    sizes = {row.size for row in rows}
+    if len(sizes) > 1:
+        return _verdict(lambda: require_dim("state",
+                                            *[row.size for row in rows]))
+    return "ok", np.array(rows).reshape(len(rows), -1 if rows else dim or 0)
+
+
+#: norms of drawn vectors: mostly 1, else at the edges of the two
+#: acceptance tests, DEFAULT_TOL (``as_state``'s) and STATE_MARGIN (inside
+#: which a stack passes whole), or far from 1
+_SCALES = (1.0,) * 6 + (1.0 + DEFAULT_TOL, 1.0 - DEFAULT_TOL,
+                        1.0 + STATE_MARGIN / 2, 1.0 - STATE_MARGIN / 2, 2.0)
+#: what at most one vector of a drawn set is instead
+_ODD_VECTORS = (None,) * 4 + ("zero", "nan", "inf", "text", "none")
+
+
+@st.composite
+def _state_sets(draw):
+    """(vectors, dim): vectors of norm 1, or 1 +- DEFAULT_TOL +- a few
+    ulp, or 2, with at most one zero, NaN, Inf or unreadable vector, in
+    empty and ragged sets, as lists or as one C- or Fortran-ordered array;
+    ``dim`` is None, the drawn size or one more."""
+    size = draw(st.integers(0, 4))
+    ragged = draw(st.booleans())
+    form = draw(st.sampled_from(["mixed", "mixed", "C", "F"]))
+    count = draw(st.integers(0, 4))
+    odd_at = draw(st.integers(0, max(count - 1, 0)))
+    odd = draw(st.sampled_from(_ODD_VECTORS))
+    vectors = []
+    for i in range(count):
+        n = draw(st.integers(0, 4)) if ragged else size
+        parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                              max_size=2 * n))
+        v = np.array(parts[:n]) + 1j * np.array(parts[n:])
+        if n and np.linalg.norm(v) <= 0.1:
+            v[0] = 1.0
+        if n:
+            scale = draw(st.sampled_from(_SCALES))
+            v = v / np.linalg.norm(v) * (
+                scale + draw(st.integers(-4, 4)) * np.spacing(scale))
+        if i == odd_at and odd in ("text", "none"):
+            vectors.append(["a", 1] if odd == "text" else None)
+            continue
+        if i == odd_at and odd == "zero":
+            v = np.zeros(n, dtype=complex)
+        elif i == odd_at and odd in ("nan", "inf") and n:
+            v[draw(st.integers(0, n - 1))] = np.nan if odd == "nan" \
+                else np.inf
+        vectors.append(v if form != "mixed" or draw(st.booleans())
+                       else v.tolist())
+    if form != "mixed" and not ragged and vectors and all(
+            isinstance(v, np.ndarray) for v in vectors):
+        vectors = np.array(vectors, order=form)
+    return vectors, draw(st.sampled_from([None, size, size + 1]))
+
+
+class TestAsStates:
+    @settings(max_examples=300, deadline=None)
+    @given(_state_sets())
+    def test_agrees_with_as_state_row_by_row(self, case):
+        vectors, dim = case
+        expected = _row_by_row(vectors, dim)
+        got = _verdict(lambda: as_states(vectors, dim))
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            np.testing.assert_array_equal(got[1], expected[1])
+            assert got[1].shape == expected[1].shape
+            assert got[1].dtype == complex and not got[1].flags.writeable
+        else:
+            assert got[1] == expected[1]
+
+    def test_returns_a_read_only_stack_equal_to_as_state_rows(self):
+        rng = rng_from_seed(7)
+        basis = [random_state(rng, 3) for _ in range(3)]
+        stack = as_states(basis, 3)
+        assert stack.shape == (3, 3) and not stack.flags.writeable
+        for row, v in zip(stack, basis):
+            np.testing.assert_array_equal(row, as_state(v))
+        assert stack[0] is not basis[0] and not np.shares_memory(stack,
+                                                                  basis[0])
+
+    def test_rows_of_a_fortran_ordered_unitary_are_checked(self):
+        # u.T and u.conj().T are Fortran-ordered: the stack must still be
+        # split into rows, not refused with numpy's ValueError
+        u = haar_unitary(rng_from_seed(8), 4)
+        for basis in (u.T, u.conj().T):
+            assert basis.flags.f_contiguous and not basis.flags.c_contiguous
+            stack = as_states(basis, 4)
+            for row, v in zip(stack, basis):
+                np.testing.assert_array_equal(row, as_state(v))
+            require_orthonormal(stack, "basis")
+
+    def test_empty_set_has_no_rows(self):
+        assert as_states([]).shape == (0, 0)
+        assert as_states((), 3).shape == (0, 3)
+
+    def test_states_of_several_sizes_are_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="state dimension 2 does not match "
+                                 "dimension 3"):
+            as_states([E0, [1.0, 0.0, 0.0]])
+
+    def test_first_refused_vector_names_the_error(self):
+        with pytest.raises(ValidationError, match="norm = 2.0"):
+            as_states([E0, [2.0, 0.0], [np.nan, 0.0]])
+
+    def test_refuses_what_is_not_a_sequence(self):
+        with pytest.raises(ValidationError, match="sequence of state"):
+            as_states(5)
 
 
 class TestRequireTolerance:

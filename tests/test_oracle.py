@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 import tracemalloc
 
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qcontour import (FamilySpec, FrequencyRow, OutcomeDistribution,
-                      ValidationError, ZeroNormalizationError,
+from qcontour import (FamilySpec, FrequencyRow, HamiltonianSchedule,
+                      OutcomeDistribution, ValidationError,
+                      ZeroNormalizationError,
                       condition_on_final, enumerate_family, measure_report,
                       monte_carlo_sample, oracle, propagate, sequential_chain)
 from qcontour.errors import EnumerationGuardError
 from qcontour.linalg import complete_basis
-from qcontour.sampling import rng_from_seed
+from qcontour.sampling import haar_unitary, random_hermitian, rng_from_seed
 from toys import (E0, FAMILY_SHAPES, computational_basis, random_family_spec,
                   sx_schedule, zero_schedule)
 
@@ -118,6 +120,17 @@ class TestSequentialChain:
                                     t_prep=spec.times[0])
             assert sum(p for _, p in dist.outcomes) == pytest.approx(
                 1.0, abs=1e-10)
+
+    def test_fortran_ordered_basis_reads_as_its_rows(self):
+        # the rows of u^H, a Fortran-ordered array, are an orthonormal basis
+        rng = rng_from_seed(31)
+        u = haar_unitary(rng, 3)
+        psi = u[:, 0]
+        sched = HamiltonianSchedule.constant(random_hermitian(rng, 3), 0, 2)
+        dist = sequential_chain(psi, [u.conj().T], [1.0], sched, 0.0)
+        rows = [np.array(v) for v in u.conj().T]
+        assert dist.outcomes == sequential_chain(psi, [rows], [1.0], sched,
+                                                 0.0).outcomes
 
     def test_incomplete_basis_rejected(self):
         with pytest.raises(ValidationError):
@@ -304,6 +317,20 @@ class TestMonteCarloSample:
         # a NaN used to pass, and the draws then failed inside numpy
         with pytest.raises(ValidationError, match="finite"):
             OutcomeDistribution((((0,), p), ((1,), 1.0)))
+
+    @pytest.mark.parametrize("p", ["1", True, "x", None, 1 + 0j])
+    def test_probability_that_is_not_a_real_number_rejected(self, p):
+        # "1" and True were accepted; "x", None and 1+0j leaked
+        # ValueError or TypeError from float()
+        with pytest.raises(ValidationError, match="real numbers"):
+            OutcomeDistribution((((0,), p), ((1,), 0.0)))
+
+    @pytest.mark.parametrize("p", [1, np.float64(1.0), np.int64(1),
+                                   fractions.Fraction(1)])
+    def test_real_probabilities_of_any_type_read_as_floats(self, p):
+        dist = OutcomeDistribution((((0,), p), ((1,), 0.0)))
+        assert dist.outcomes == (((0,), 1.0), ((1,), 0.0))
+        assert all(type(q) is float for _, q in dist.outcomes)
 
     def test_repeated_outcome_rejected(self):
         # it used to be tabulated twice: counts [54 46] for one outcome
