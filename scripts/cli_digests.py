@@ -13,17 +13,21 @@ on the seed-1 model with ``--trials`` 1, 65535, 65536, 65537 and 250000
 (``TRIAL_COUNTS``: one draw, and the edges of the Monte Carlo draw chunk
 of 2**16, which the default 100000 trials do not reach), ``measure``
 (also with ``--steps-per-segment 2``) on the two ``family_large``-shaped
-benchmark models (d=8, N_t=5, 4096 histories; seeds 1 and 271828), the
-seven demos, ``measure`` and ``verify`` on four malformed models
-(``ERROR_MODELS``: coincident grid times, a non-increasing grid, an
-off-grid constraint, a qutrit constraint state on a qubit model), whose
+benchmark models (d=8, N_t=5, 4096 histories; seeds 1 and 271828),
+``decompose`` and ``measure`` (also with ``--steps-per-segment 2``) on
+``bundle_2x2`` with its pivot 9e-13 after its grid time (inside the time
+matcher's tolerance, so every route must carry the pivot from its own
+time), the seven demos, ``measure`` and ``verify`` on five malformed
+models (``ERROR_MODELS``: coincident grid times, a non-increasing grid,
+an off-grid constraint, a qutrit constraint state on a qubit model, a
+constraint state entry of 1e300, whose squared norm overflows), whose
 lines digest the error message and exit code, and, last, ``envariance``
 of the swap on A for each state in ``STATE_FILES`` (an equal-amplitude
 pair, a lopsided pair, a state file missing its amplitudes, which exits
 2, and two that exit 3: two amplitudes for a 2 x 2 pair, and ``dim_a``
-0).  The benchmark models, the malformed models and the envariance
-inputs are written to a temporary directory and run there by bare file
-name.
+0).  The benchmark models, the off-grid bundle, the malformed models and
+the envariance inputs are written to a temporary directory and run there
+by bare file name.
 
 Run it in two checkouts and compare the output:
 
@@ -90,6 +94,8 @@ ERROR_MODELS = {
     "off-grid-constraint.json": _qubit_model([0.0, 1.0], [(0.5, _E0)]),
     "qutrit-constraint.json": _qubit_model([0.0, 1.0],
                                            [(0.0, [*_E0, [0, 0]])]),
+    "overflow-constraint.json": _qubit_model([0.0, 1.0],
+                                             [(0.0, [[1e300, 0], [0, 0]])]),
 }
 
 #: the X (swap) transformation on A, for the envariance commands
@@ -170,6 +176,13 @@ def bench_commands():
         files = {name: model_document(FamilyLarge.raw(seed))}
         yield files, ["measure", name]
         yield files, ["measure", name, "--steps-per-segment", "2"]
+    bundle = json.loads((ROOT / "demos/models/bundle_2x2.json").read_text(
+        encoding="utf-8"))
+    bundle["constraints"][0]["time"] += 9e-13
+    files = {"bundle_2x2-off-grid.json": bundle}
+    yield files, ["decompose", *files]
+    yield files, ["measure", *files]
+    yield files, ["measure", *files, "--steps-per-segment", "2"]
 
 
 def error_commands():

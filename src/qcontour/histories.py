@@ -244,15 +244,47 @@ class HistoryFamily:
         return self.slots[0][0].dim
 
 
+def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
+           first=None) -> list:
+    """The ``(k, l, carried)`` steps ``_products`` takes: for each slot
+    pair (k, l), slot k's fixed points, or the state ``first`` in place of
+    slot 0's, carried to slot l's time.
+
+    ``fam`` is a family or a recipe; each slot's time is its fixed points'
+    own, ``slot[0].time``.  ``pairs`` defaults to the grid's segments in
+    time order.  A step is carried through ``sub`` equal sub-intervals, one
+    ``propagate`` each, whose ticks are ``np.linspace``'s bit for bit
+    (i * step + start, and the end).  ``first`` is carried once and stands
+    for every fixed point of slot 0.  The one check that the schedule has
+    the states' dimension is here.
+    """
+    slots = fam.slots
+    linalg.require_dim("schedule", sched.dim, slots[0][0].dim)
+    if pairs is None:
+        pairs = [(k, k + 1) for k in range(len(slots) - 1)]
+    steps = []
+    for k, l in pairs:
+        a, b = slots[k][0].time, slots[l][0].time
+        ticks = [a + i * ((b - a) / sub) for i in range(sub)] + [b]
+        own = k == 0 and first is not None
+        carried = [first] if own else [fp.state for fp in slots[k]]
+        for t_a, t_b in zip(ticks, ticks[1:]):
+            u = propagate(sched, t_a, t_b)
+            carried = [u @ state for state in carried]
+        steps.append((k, l, carried * len(slots[0]) if own else carried))
+    return steps
+
+
 def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
     """Per member, the product of its step amplitudes in step order.
 
-    ``steps`` lists ``(k, l, carried)``: a step joins grid slot k to slot
-    l, and ``carried[i]`` is slot k's fixed point i carried to slot l's
-    time.  The step's table holds ``np.vdot(fam.slots[l][j].state,
-    carried[i])`` once for every pair (i, j) of slot fixed points that some
-    member joins, keyed ``i * n_right + j``; no amplitude is computed for a
-    pair that no member joins.  When the slot pairs number no more than
+    ``steps`` lists ``(k, l, carried)``, as ``_steps`` builds them: a step
+    joins grid slot k to slot l, and ``carried[i]`` is slot k's fixed point
+    i carried to slot l's time.  The step's table holds
+    ``np.vdot(fam.slots[l][j].state, carried[i])`` once for every pair
+    (i, j) of slot fixed points that some member joins, keyed
+    ``i * n_right + j``; no amplitude is computed for a pair that no
+    member joins.  When the slot pairs number no more than
     the members (always so for an enumerated family, d * d <= d^free), the
     occurring keys are marked in a boolean array over all pairs, whose
     running count gives exactly ``np.unique``'s pairs and inverse without
@@ -536,11 +568,12 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
 
     Chains are referred to the first grid time, where ``psi1`` is the
     preparation.  Every projector is rank one, so a member's record is its
-    last slot's state times c, the closed-form step product (``_products``,
-    one propagator per segment) with ``psi1`` in place of slot 0's fixed
-    points, and |D(a, b)| = (|c_a| |c_b|) |<s_N(a)|s_N(b)>|.  The maximum
-    is grouped by last-slot state: for member a, over the m last-slot
-    states g, its row's best is (|c_a| M_g) |<s_N(a)|g>|, where M_g is the
+    last slot's state times c, the closed-form step product (``_products``
+    over the steps of ``_steps``, one propagator per segment) with ``psi1``
+    in place of slot 0's fixed points, and
+    |D(a, b)| = (|c_a| |c_b|) |<s_N(a)|s_N(b)>|.  The maximum is grouped
+    by last-slot state: for member a, over the m last-slot states g, its
+    row's best is (|c_a| M_g) |<s_N(a)|g>|, where M_g is the
     largest |c_b| of a later member b ending at g.  Rounding is monotone,
     so that is exactly the largest entry of a's row.  The rows run from
     the last one back in blocks of about ``_PAIR_BLOCK_ENTRIES`` entries,
@@ -552,14 +585,8 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     it.  Raises ValidationError on a NaN or negative ``tol``.
     """
     tol = linalg.require_tolerance(tol)
-    linalg.require_dim("schedule", sched.dim, fam.dim)
     psi = linalg.as_state(psi1, fam.dim)
-    steps = []
-    for k, (t_a, t_b) in enumerate(zip(fam.times, fam.times[1:])):
-        u = propagate(sched, t_a, t_b)
-        steps.append((k, k + 1, [u @ psi] * len(fam.slots[0]) if k == 0
-                      else [u @ a.state for a in fam.slots[k]]))
-    scale = np.hypot(*_products(fam, steps))
+    scale = np.hypot(*_products(fam, _steps(fam, sched, first=psi)))
     _, gram_rows = _slot_gram(fam.slots[-1], 1)
     m, last = len(fam.slots[-1]), fam.index[:, -1]
     height = max(1, _PAIR_BLOCK_ENTRIES // m)

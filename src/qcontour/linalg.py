@@ -13,6 +13,7 @@ gives ``require_orthonormal`` its Gram matrix.
 
 from __future__ import annotations
 
+import math
 import numbers
 import reprlib
 
@@ -114,6 +115,7 @@ def as_state(vec, dim: int | None = None) -> np.ndarray:
     return psi
 
 
+@np.errstate(over="ignore")  # an overflowing squared norm is inf, refused
 def as_states(vectors, dim: int | None = None) -> np.ndarray:
     """Validate a set of state vectors as one read-only (n, d) array.
 
@@ -169,8 +171,14 @@ def as_square(mat, dim: int | None = None) -> np.ndarray:
     return m.copy()
 
 
+@np.errstate(over="ignore")
 def norm(psi) -> float:
-    return float(np.linalg.norm(np.asarray(psi, dtype=complex)))
+    """L2 norm by ``np.linalg.norm``'s formula, sqrt(re . re + im . im)
+    over the entries in memory order, bit for bit.  A sum of squares beyond
+    the float range gives inf without a numpy warning, so ``as_state``
+    refuses such a state as not normalized."""
+    x = np.asarray(psi, dtype=complex).ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def inner(bra, ket) -> complex:

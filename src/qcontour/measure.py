@@ -10,14 +10,17 @@ The weight of a history is computed by two independent routes:
   of the per-branch amplitude product.  The two routes agree to rounding
   for any sub-step count because the dynamics is piecewise constant.
 
-Both routes are the step product ``histories._products``, which
-``decoherence_report`` shares: per step, each fixed point of the source
-slot is carried to the step's end once, and the inner products with the
-sink slot's fixed points, the conjugates of the segment amplitudes (no
-magnitude changes), are read through the family index.  The closed form
-squares by ``np.float_power``, libm ``pow`` as Python's ``**``, so every
-weight is the per-history loop's bit for bit.  A single history is
-weighed as a one-member family.
+Both routes take their steps from ``histories._steps``, the one place a
+fixed point is carried across the grid (``decoherence_report`` and
+``decompose_total_measure`` take theirs there too): per step, each fixed
+point of the source slot is carried to the step's end once.  The routes
+then differ only in their slot pairs and sub-step count.  The step
+product ``histories._products``, which ``decoherence_report`` shares,
+reads the inner products with the sink slot's fixed points, the
+conjugates of the segment amplitudes (no magnitude changes), through the
+family index.  The closed form squares by ``np.float_power``, libm
+``pow`` as Python's ``**``, so every weight is the per-history loop's bit
+for bit.  A single history is weighed as a one-member family.
 
 The measure of existence of a history is its weight divided by the summed
 weight of every history consistent with the same fixed-point constraints;
@@ -37,11 +40,11 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .contour import TimeGrid, contour_path, require_increasing, same_time
+from .contour import require_increasing, same_time
 from .dynamics import HamiltonianSchedule, evolve_state, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
-                        _products)
+                        _products, _steps)
 
 
 def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
@@ -54,48 +57,31 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
     """
     require_increasing((fp_a.time, fp_b.time), "segment endpoint times")
     linalg.require_dim("schedule", sched.dim, fp_a.dim, fp_b.dim)
-    return _amplitude(fp_a, fp_b, propagate(sched, fp_a.time, fp_b.time))
-
-
-def _amplitude(fp_a: FixedPoint, fp_b: FixedPoint, u: np.ndarray) -> complex:
-    """``segment_amplitude`` given the forward propagator u = U(t_b, t_a)."""
+    u = propagate(sched, fp_a.time, fp_b.time)
     return complex(np.vdot(fp_b.state, u @ fp_a.state).conjugate())
 
 
 def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> np.ndarray:
-    """Closed-form weights, in order: one step per segment of the grid,
-    each slot fixed point carried across it by one matrix product.
+    """Closed-form weights, in order: one step per segment of the grid.
 
     ``np.hypot`` is ``abs`` of a Python complex, and ``np.float_power``
     squares by libm ``pow``, as Python's ``**`` does; ``x * x`` rounds
     differently.
     """
-    linalg.require_dim("schedule", sched.dim, fam.dim)
-    steps = []
-    for k, (t_a, t_b) in enumerate(zip(fam.times, fam.times[1:])):
-        u = propagate(sched, t_a, t_b)
-        steps.append((k, k + 1, [u @ a.state for a in fam.slots[k]]))
-    return np.float_power(np.hypot(*_products(fam, steps)), 2.0)
+    return np.float_power(np.hypot(*_products(fam, _steps(fam, sched))), 2.0)
 
 
 def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
                      steps_per_segment: int) -> np.ndarray:
-    """Contour-walk weights, in order: one step per ``contour_path`` step."""
+    """Contour-walk weights, in order: the grid's segments forward, then
+    the same segments backward from the last time, each carried through
+    ``steps_per_segment`` sub-steps."""
     steps_per_segment = linalg.require_count(steps_per_segment,
                                              "steps_per_segment", 1)
-    linalg.require_dim("schedule", sched.dim, fam.dim)
-    slot = {t: k for k, t in enumerate(fam.times)}
-    steps = []
-    for step in contour_path(TimeGrid(fam.times)):
-        k, l = slot[step.start.t], slot[step.end.t]
-        ticks = np.linspace(step.start.t, step.end.t, steps_per_segment + 1)
-        # each source fixed point carried to the step's end once
-        carried = [fp.state for fp in fam.slots[k]]
-        for u, v in zip(ticks, ticks[1:]):
-            sub = propagate(sched, u, v)
-            carried = [sub @ state for state in carried]
-        steps.append((k, l, carried))
-    return np.hypot(*_products(fam, steps))
+    forward = [(k, k + 1) for k in range(len(fam.slots) - 1)]
+    pairs = forward + [(l, k) for k, l in reversed(forward)]
+    return np.hypot(*_products(fam, _steps(fam, sched, pairs,
+                                           steps_per_segment)))
 
 
 def _normalization(weights: np.ndarray) -> float:
@@ -313,8 +299,10 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
     outer slots are the past and future branches.  Segment weights that
     run in parallel add; consecutive segment weights multiply.  All four
     modes therefore produce the same total, organized into different term
-    lists.
+    lists.  An unknown ``mode`` is refused before any propagator is built.
     """
+    if not isinstance(mode, DecompositionMode):
+        raise ValidationError(f"unknown decomposition mode {mode!r}")
     if len(bundle.times) != 3:
         raise ValidationError(
             "bundle decomposition needs exactly three grid times")
@@ -322,12 +310,9 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
         raise ValidationError(
             "bundle decomposition needs exactly one constraint, "
             "at the middle time")
-    past, (pivot,), future = bundle.slots
-    linalg.require_dim("schedule", sched.dim, pivot.dim)
-    u_past = propagate(sched, past[0].time, pivot.time)
-    u_future = propagate(sched, pivot.time, future[0].time)
-    w_past = [abs(_amplitude(p, pivot, u_past)) ** 2 for p in past]
-    carried = u_future @ pivot.state
+    (_, _, to_pivot), (_, _, (carried,)) = _steps(bundle, sched)
+    _, (pivot,), future = bundle.slots
+    w_past = [abs(complex(np.vdot(pivot.state, c))) ** 2 for c in to_pivot]
     w_future = [abs(complex(np.vdot(f.state, carried))) ** 2 for f in future]
     sum_past, sum_future = sum(w_past), sum(w_future)
     if mode is DecompositionMode.MORW:
@@ -336,8 +321,6 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
         terms = tuple(w * sum_future for w in w_past)
     elif mode is DecompositionMode.MMWP:
         terms = tuple(sum_past * w for w in w_future)
-    elif mode is DecompositionMode.MDRW:
+    else:  # MDRW
         terms = tuple(wp * wf for wp in w_past for wf in w_future)
-    else:  # pragma: no cover - enum is closed
-        raise ValidationError(f"unknown decomposition mode {mode!r}")
     return DecompositionResult(mode=mode, total=float(sum(terms)), terms=terms)

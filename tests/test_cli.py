@@ -1,11 +1,17 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontour import cli, linalg, measure_report
 from qcontour.cli import main
@@ -482,3 +488,101 @@ class TestModelChecksAtLoad:
         assert main(["propagate", path, "0", "0.5"]) == 2
         assert capsys.readouterr().err \
             == "error: grid: expected a list of at least two times\n"
+
+
+class TestOverflowingState:
+    """A state entry beyond about 1e154 overflows its squared norm: the
+    state is refused as not normalized, without numpy's overflow warning
+    (which used to print beside the error, and raise under
+    ``PYTHONWARNINGS=error``)."""
+
+    @pytest.mark.parametrize("command", ["measure", "decompose"])
+    @pytest.mark.parametrize("field, message", [
+        ("constraint", "constraints[0]: state vector is not normalized "
+                       "(norm = inf)"),
+        ("basis", "basis at time 1.0: state vector is not normalized "
+                  "(norm = inf)")])
+    def test_exit_3_with_one_error_line(self, tmp_path, capsys, command,
+                                        field, message):
+        doc = json.loads(open(bundle_model(tmp_path)).read())
+        huge = [[1e300, 0], [0, 0]]
+        if field == "constraint":
+            doc["constraints"][0]["state"] = huge
+        else:
+            doc["bases"] = [None, [huge, [[0, 1], [0, 0]]], None]
+        path = write(tmp_path, "overflow.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning would be printed
+            assert main([command, path]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: values a mutated model field takes: wrong types, None and bools,
+#: non-finite and huge numbers, and empty or ragged lists
+ODD_VALUES = st.sampled_from([
+    None, True, False, "x", "1.0", {}, [], [None], [[]], [1], [[1, 0], [0]],
+    [[1, 0, 0]], [[[1, 0]]], math.nan, math.inf, -math.inf, 1e300, -1e300,
+    10 ** 400, 0, -1, 3, 0.5, [[1e300, 0], [0, 0]], [math.nan, 0]])
+
+
+def _contract_documents():
+    """Valid qubit models: a bundle pinned at the middle time, with one
+    explicit basis, and a model pinned at its first time."""
+    bundle = {
+        "dim": 2, "grid": [0.0, 1.0, 2.0],
+        "hamiltonian": [{"t_start": 0.0, "t_end": 2.0, "matrix": SX_PAIRS}],
+        "bases": [None, [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], None],
+        "constraints": [{"time": 1.0, "state": [[1, 0], [0, 0]],
+                         "label": "pivot"}]}
+    prepared = copy.deepcopy(bundle)
+    prepared["constraints"][0]["time"] = 0.0
+    return [bundle, prepared]
+
+
+def _paths(value, path=()):
+    """The path of every field below ``value``, as key and index tuples."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid model document with one or two fields replaced by an odd
+    value or dropped (a key removed, a list made shorter)."""
+    doc = copy.deepcopy(draw(st.sampled_from(_contract_documents())))
+    for _ in range(draw(st.integers(1, 2))):
+        *parent, key = draw(st.sampled_from(list(_paths(doc))))
+        owner = doc
+        for step in parent:
+            owner = owner[step]
+        if draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(draw(ODD_VALUES))
+    return doc
+
+
+class TestContract:
+    """Every mutated model gives an exit code the CLI defines; a refusal
+    is one ``error:`` line, with no traceback and no numpy warning."""
+
+    @given(mutated_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_model_exits_cleanly(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("contract") / "model.json"
+        path.write_text(json.dumps(doc))
+        for command in ("measure", "decompose"):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([command, str(path)])
+            assert code in (0, 2, 3, 4, 5), (command, doc)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), \
+                    (command, doc, lines)

@@ -12,7 +12,7 @@ from qcontour import (DimensionMismatchError, HamiltonianSchedule,
                       tensor)
 from qcontour.errors import QContourError
 from qcontour.linalg import (DEFAULT_TOL, STATE_MARGIN, as_square, as_state,
-                             as_states, require_count, require_dim,
+                             as_states, norm, require_count, require_dim,
                              require_orthonormal, require_tolerance)
 from qcontour.sampling import (haar_unitary, random_hermitian, random_state,
                                rng_from_seed)
@@ -160,6 +160,24 @@ class TestValidationHelpers:
         # these leaked ValueError, TypeError or OverflowError from numpy
         with pytest.raises(ValidationError, match="array of numbers"):
             as_state(vec)
+
+    @pytest.mark.parametrize("vec", [[1e300, 0.0], [0.0, -1e300j]])
+    def test_as_state_refuses_an_overflowing_norm_without_a_warning(
+            self, vec):
+        # np.linalg.norm warned "overflow encountered in dot" first
+        with pytest.raises(ValidationError,
+                           match=r"not normalized \(norm = inf\)"):
+            as_state(vec)
+
+    def test_norm_is_numpys_formula_bit_for_bit(self):
+        rng = rng_from_seed(9)
+        for n in range(1, 9):
+            for scale in (1e-3, 1.0, 1e3):
+                v = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                assert norm(v) == np.linalg.norm(v)
+        m = np.asfortranarray(rng.normal(size=(4, 3)) + 1j * rng.normal(
+            size=(4, 3)))
+        assert norm(m) == np.linalg.norm(m)
 
     def test_projector_is_projector(self):
         rng = rng_from_seed(4)
@@ -312,6 +330,13 @@ class TestAsStates:
     def test_refuses_what_is_not_a_sequence(self):
         with pytest.raises(ValidationError, match="sequence of state"):
             as_states(5)
+
+    def test_refuses_an_overflowing_squared_norm_without_a_warning(self):
+        # the stacked squared-norm pass warned "overflow encountered in
+        # square" before as_state gave the verdict
+        with pytest.raises(ValidationError,
+                           match=r"not normalized \(norm = inf\)"):
+            as_states([E0, [1e300, 0.0]], 2)
 
 
 class TestRequireTolerance:

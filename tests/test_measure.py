@@ -14,7 +14,7 @@ from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       delta_psi_line_integral, enumerate_family,
                       measure_report, segment_amplitude, sequential_chain,
                       transfer_chain)
-from qcontour import dynamics, measure
+from qcontour import dynamics, histories, measure
 from qcontour.contour import TimeGrid, contour_path
 from qcontour.dynamics import evolve_state, propagate
 from qcontour.linalg import complete_basis
@@ -482,14 +482,16 @@ class TestCountGuards:
     def test_closed_form_propagates_once_per_segment(self, monkeypatch):
         spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)
         fam = enumerate_family(spec)
-        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
+                            histories)
         measure_report(fam, sched)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_contour_walk_propagates_independently_of_history_count(
             self, monkeypatch, steps):
-        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
+                            histories)
         counts = []
         for s_t in (1, 2):  # H = 27 and H = 9 on one grid and schedule
             spec, sched = random_family_spec(43, dim=3, n_times=4, s_t=s_t)
@@ -520,11 +522,24 @@ class TestCountGuards:
     def test_decomposition_propagates_once_per_bundle_segment(
             self, monkeypatch):
         bundle, sched = random_bundle(63, dim=3, n_past=3, n_future=2)
-        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
+                            histories)
         for mode in DecompositionMode:
             calls.clear()
             decompose_total_measure(bundle, sched, mode)
             assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["MORW", None])
+    def test_unknown_mode_refused_before_any_propagator(self, monkeypatch,
+                                                        mode):
+        # the refusal used to come after both bundle propagators
+        bundle, sched = random_bundle(63)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
+                            histories)
+        with pytest.raises(ValidationError,
+                           match="unknown decomposition mode"):
+            decompose_total_measure(bundle, sched, mode)
+        assert calls == []
 
 
 class TestByChoices:
@@ -645,6 +660,30 @@ class TestDecomposition:
 class TestBundleRecipe:
     """A bundle is the three-slot ``FamilySpec`` that
     ``decompose_total_measure`` reads."""
+
+    def test_off_grid_pivot_is_carried_from_its_own_time(self):
+        # the pivot sits 9e-13 after its grid time, inside TIME_EPS: the
+        # bundle terms and both weight routes carry it from its own time,
+        # as segment_amplitude does, bit for bit
+        rng = rng_from_seed(66)
+        sched = random_schedule(rng, (0.0, 1.0, 2.0), 3)
+        spec = FamilySpec(
+            times=(0.0, 1.0, 2.0),
+            bases=tuple(random_orthonormal_basis(rng, 3) for _ in range(3)),
+            constraints=(fp(1.0 + 9e-13, random_state(rng, 3), "pivot"),))
+        past, (pivot,), future = spec.slots
+        w_past = [abs(segment_amplitude(p, pivot, sched)) ** 2 for p in past]
+        w_future = [abs(segment_amplitude(pivot, f, sched)) ** 2
+                    for f in future]
+        mdrw = decompose_total_measure(spec, sched, DecompositionMode.MDRW)
+        assert mdrw.terms == tuple(wp * wf for wp in w_past
+                                   for wf in w_future)
+        fam = enumerate_family(spec)
+        report = measure_report(fam, sched, steps_per_segment=2)
+        assert report.weights.tolist() == [
+            _segment_loop_weight(h, sched) for h in fam.histories]
+        assert report.contour_weights.tolist() == [
+            _plain_walk(h, sched, 2) for h in fam.histories]
 
     def test_is_a_family_spec(self):
         bundle, _ = random_bundle(64, dim=3, n_past=2, n_future=1)
