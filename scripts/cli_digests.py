@@ -27,7 +27,8 @@ pair, a lopsided pair, a state file missing its amplitudes, which exits
 2, and two that exit 3: two amplitudes for a 2 x 2 pair, and ``dim_a``
 0).  The benchmark models, the off-grid bundle, the malformed models and
 the envariance inputs are written to a temporary directory and run there
-by bare file name.
+by bare file name.  Each command shows its own warnings, also one that
+an earlier command in the same process showed.
 
 Run it in two checkouts and compare the output:
 
@@ -59,6 +60,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,9 +127,18 @@ def digest(text: str) -> str:
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``qcontour ARGV``, run in this
-    process."""
+    process.
+
+    Python shows a warning once per code location, so a warning that an
+    earlier command showed would be missing from this command's stderr.
+    ``catch_warnings`` keeps the active filters (under
+    ``PYTHONWARNINGS=error::RuntimeWarning`` a warning still raises) and
+    marks them changed, which empties every once-per-location registry,
+    so each command shows its own warnings.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:

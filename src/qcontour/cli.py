@@ -164,13 +164,17 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
 
     times = model.times
     psi1 = model.pinned[0].state
-    # the recipe's checked states and bases, complete at every free time
+    # the chain measures in the recipe's checked basis stacks, complete at
+    # every free time, and at a pinned last time in the basis completed
+    # from the final state
+    stacks = model.slot_states
     if last not in model.pinned:
-        dist = _unchecked_chain(psi1, model.bases[1:], times[1:],
+        dist = _unchecked_chain(psi1, stacks[1:], times[1:],
                                 model.schedule, times[0])
     else:
-        final_basis = linalg.complete_basis(model.pinned[last].state)
-        full = _unchecked_chain(psi1, model.bases[1:-1] + (final_basis,),
+        final_basis = np.array(
+            linalg.complete_basis(model.pinned[last].state))
+        full = _unchecked_chain(psi1, stacks[1:-1] + (final_basis,),
                                 times[1:], model.schedule, times[0])
         dist = condition_on_final(full, 0)
 

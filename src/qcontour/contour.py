@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ValidationError
 from .linalg import TIME_EPS, is_real
 
@@ -22,6 +24,15 @@ def same_time(a: float, b: float) -> bool:
     an infinite time matches none."""
     gap = abs(a - b)
     return gap <= TIME_EPS * max(1.0, abs(a), abs(b)) and math.isfinite(gap)
+
+
+def same_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``same_time`` elementwise over arrays of times: the same float
+    operations, so every decision is ``same_time``'s."""
+    gap = np.abs(a - b)
+    return ((gap <= TIME_EPS * np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                                          1.0))
+            & np.isfinite(gap))
 
 
 def require_time(t, what: str) -> float:

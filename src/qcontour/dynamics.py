@@ -6,7 +6,11 @@ exact for unitary dynamics.  Per-segment eigendecompositions are cached on
 the schedule as (w, V, V^H), so a propagator costs only small matrix
 products: one exponential per segment the interval crosses, and one
 product joining each exponential after the first, which starts the
-product (no identity factor).
+product (no identity factor).  A step cut into equal sub-steps gets all
+its propagators from ``substep_propagators`` at once: its ends checked
+once, the sub-steps' segment pieces found by array comparisons and each
+segment's exponentials formed as one stack, every propagator
+``propagate``'s over the same sub-interval bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .contour import require_increasing, require_time, same_time
+from .contour import require_increasing, require_time, same_time, same_times
 from .errors import ValidationError
 
 
@@ -72,8 +76,13 @@ class HamiltonianSchedule:
         return (self.t_min <= t <= self.t_max or same_time(t, self.t_min)
                 or same_time(t, self.t_max))
 
-    def _segment_exp(self, index: int, dt: float) -> np.ndarray:
-        """exp(-i * H_index * dt), from the cached eigendecomposition."""
+    def _segment_exp(self, index: int, dt) -> np.ndarray:
+        """exp(-i * H_index * dt), from the cached eigendecomposition.
+
+        ``dt`` is a duration, or a (k, 1, 1) array of k durations for the
+        stack of their exponentials, each the one-duration value bit for
+        bit: the same formula, broadcast.
+        """
         cached = self._eigs[index]
         if cached is None:
             w, v = np.linalg.eigh(self._segments[index][2])
@@ -81,6 +90,18 @@ class HamiltonianSchedule:
             self._eigs[index] = cached
         w, v, v_dag = cached
         return (v * np.exp(-1j * dt * w)) @ v_dag
+
+
+def _span_times(sched: HamiltonianSchedule, t_a, t_b):
+    """Two propagation times as floats: each a real, finite number
+    (``require_time``), then each in the schedule's span."""
+    t_a = require_time(t_a, "propagation time")
+    t_b = require_time(t_b, "propagation time")
+    for t in (t_a, t_b):
+        if not sched.covers(t):
+            raise ValidationError(f"time {t} outside schedule span "
+                                  f"[{sched.t_min}, {sched.t_max}]")
+    return t_a, t_b
 
 
 def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
@@ -91,12 +112,7 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     the adjoint of the forward propagator, realizing anti-chronological
     ordering on the backward branch.
     """
-    t_a = require_time(t_a, "propagation time")
-    t_b = require_time(t_b, "propagation time")
-    for t in (t_a, t_b):
-        if not sched.covers(t):
-            raise ValidationError(f"time {t} outside schedule span "
-                                  f"[{sched.t_min}, {sched.t_max}]")
+    t_a, t_b = _span_times(sched, t_a, t_b)
     t_lo, t_hi = sorted((t_a, t_b))
     u = None
     if not same_time(t_lo, t_hi):
@@ -108,6 +124,43 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     if u is None:  # no segment piece longer than TIME_EPS
         return np.eye(sched.dim, dtype=complex)
     return u.conj().T if t_b < t_a else u
+
+
+def substep_propagators(sched: HamiltonianSchedule, t_a: float, t_b: float,
+                        sub: int) -> list[np.ndarray]:
+    """The propagators of ``sub`` equal sub-steps from t_a to t_b, in order.
+
+    The ticks are ``np.linspace(t_a, t_b, sub + 1)`` bit for bit
+    (t_a + i * ((t_b - t_a) / sub), then t_b), and entry i is
+    ``propagate(sched, ticks[i], ticks[i + 1])`` bit for bit: the step's
+    ends are checked once, every sub-step's segment pieces are found with
+    ``propagate``'s comparisons made on arrays (``same_times``), each
+    segment's exponentials are one ``_segment_exp`` stack, joined in
+    segment order, and a backward propagator is the same ``.conj().T``
+    view (a C-ordered copy would round its products differently).  One
+    sub-step is ``propagate`` itself.
+    """
+    sub = linalg.require_count(sub, "sub-step count", 1)
+    if sub == 1:
+        return [propagate(sched, t_a, t_b)]
+    t_a, t_b = _span_times(sched, t_a, t_b)
+    ticks = np.append(t_a + np.arange(sub) * ((t_b - t_a) / sub), t_b)
+    starts, ends = ticks[:-1], ticks[1:]
+    t_lo, t_hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    moving = ~same_times(t_lo, t_hi)
+    first, last = float(ticks.min()), float(ticks.max())
+    us = [None] * sub
+    for index, (s0, s1, _) in enumerate(sched.segments):
+        if s1 <= first or s0 >= last:  # no sub-step has a piece here
+            continue
+        lo, hi = np.maximum(t_lo, s0), np.minimum(t_hi, s1)
+        hit = np.flatnonzero(moving & (hi > lo) & ~same_times(hi, lo))
+        factors = sched._segment_exp(index, (hi - lo)[hit, None, None])
+        for j, factor in zip(hit.tolist(), factors):
+            us[j] = factor if us[j] is None else factor @ us[j]
+    return [np.eye(sched.dim, dtype=complex) if u is None
+            else u.conj().T if back else u
+            for u, back in zip(us, (ends < starts).tolist())]
 
 
 def evolve_state(psi, sched: HamiltonianSchedule, t_a: float,

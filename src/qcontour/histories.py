@@ -39,7 +39,8 @@ import numpy as np
 from . import linalg
 from .contour import (grid_index, require_increasing, require_not_before,
                       require_time, same_time)
-from .dynamics import HamiltonianSchedule, heisenberg_projector, propagate
+from .dynamics import (HamiltonianSchedule, heisenberg_projector,
+                       substep_propagators)
 from .errors import (DimensionMismatchError, EnumerationGuardError,
                      ValidationError)
 
@@ -157,8 +158,10 @@ class HistoryFamily:
     ``slots[k]`` holds the distinct fixed points at grid time k, and
     ``index`` is a read-only (H, N_t) integer array whose entry ``[h, k]``
     says which of them member h passes through.  The members are built as
-    ``QuantumHistory`` objects only when ``histories`` is read.  ``==`` is
-    identity, as for fixed points.
+    ``QuantumHistory`` objects only when ``histories`` is read.
+    ``slot_states[k]`` is slot k's states as one read-only (n_k, d) stack,
+    row i the state of ``slots[k][i]``.  ``==`` is identity, as for fixed
+    points.
 
     ``constraint_times`` lists the times at which the fixed point is known
     (there are S_t of them); the remaining times are free slots.  An
@@ -168,6 +171,7 @@ class HistoryFamily:
     """
 
     slots: tuple[tuple[FixedPoint, ...], ...]
+    slot_states: tuple[np.ndarray, ...]
     index: np.ndarray
     constraint_times: tuple[float, ...]
     choices: np.ndarray | None
@@ -190,28 +194,33 @@ class HistoryFamily:
         index = np.array([[pos.setdefault(p, len(pos))
                            for pos, p in zip(positions, h.points)]
                           for h in histories], dtype=np.intp)
-        self._assign(tuple(map(tuple, positions)), index, constraint_times,
-                     None, histories)
+        slots = tuple(map(tuple, positions))
+        states = tuple(np.array([p.state for p in slot]) for slot in slots)
+        self._assign(slots, states, index, constraint_times, None, histories)
 
     @classmethod
-    def _from_index(cls, slots, index, constraint_times=(),
+    def _from_index(cls, slots, states, index, constraint_times=(),
                     choices=None) -> HistoryFamily:
-        """A family given by per-slot fixed points and an index, unchecked.
+        """A family given by per-slot fixed points, their state stacks and
+        an index, unchecked.
 
         The caller guarantees what ``__init__`` checks: slot times that keep
-        the order rule, one dimension, and index rows that pick one fixed
-        point per slot; ``choices`` has one distinct row of free-slot
-        indices per member.  ``enumerate_family`` builds families this way.
+        the order rule, one dimension, stacks whose rows are the slots'
+        states, and index rows that pick one fixed point per slot;
+        ``choices`` has one distinct row of free-slot indices per member.
+        ``enumerate_family`` builds families this way.
         """
         fam = cls.__new__(cls)
-        fam._assign(slots, index, constraint_times, choices, None)
+        fam._assign(slots, states, index, constraint_times, choices, None)
         return fam
 
-    def _assign(self, slots, index, constraint_times, choices, histories):
-        for array in (index, choices):
+    def _assign(self, slots, states, index, constraint_times, choices,
+                histories):
+        for array in (*states, index, choices):
             if array is not None:
                 array.setflags(write=False)
         object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "slot_states", states)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "constraint_times",
                            tuple(float(t) for t in constraint_times))
@@ -247,31 +256,32 @@ class HistoryFamily:
 def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
            first=None) -> list:
     """The ``(k, l, carried)`` steps ``_products`` takes: for each slot
-    pair (k, l), slot k's fixed points, or the state ``first`` in place of
-    slot 0's, carried to slot l's time.
+    pair (k, l), slot k's states, or the state ``first`` in place of
+    slot 0's, carried to slot l's time as one (n_k, d) stack.
 
-    ``fam`` is a family or a recipe; each slot's time is its fixed points'
-    own, ``slot[0].time``.  ``pairs`` defaults to the grid's segments in
-    time order.  A step is carried through ``sub`` equal sub-intervals, one
-    ``propagate`` each, whose ticks are ``np.linspace``'s bit for bit
-    (i * step + start, and the end).  ``first`` is carried once and stands
-    for every fixed point of slot 0.  The one check that the schedule has
-    the states' dimension is here.
+    ``fam`` is a family or a recipe, whose ``slot_states`` are carried;
+    each slot's time is its fixed points' own, ``slot[0].time``.  ``pairs``
+    defaults to the grid's segments in time order.  A step is carried
+    through the ``sub`` propagators of ``substep_propagators`` (ticks
+    ``np.linspace``'s bit for bit), each applied to the whole stack as one
+    stacked product ``u @ stack[..., None]``, which is ``u @ state`` of
+    every row bit for bit (``stack @ u.T`` rounds differently).  ``first``
+    is carried once and stands for every fixed point of slot 0.  The one
+    check that the schedule has the states' dimension is here.
     """
-    slots = fam.slots
-    linalg.require_dim("schedule", sched.dim, slots[0][0].dim)
+    slots, states = fam.slots, fam.slot_states
+    linalg.require_dim("schedule", sched.dim, states[0].shape[1])
     if pairs is None:
         pairs = [(k, k + 1) for k in range(len(slots) - 1)]
     steps = []
     for k, l in pairs:
-        a, b = slots[k][0].time, slots[l][0].time
-        ticks = [a + i * ((b - a) / sub) for i in range(sub)] + [b]
         own = k == 0 and first is not None
-        carried = [first] if own else [fp.state for fp in slots[k]]
-        for t_a, t_b in zip(ticks, ticks[1:]):
-            u = propagate(sched, t_a, t_b)
-            carried = [u @ state for state in carried]
-        steps.append((k, l, carried * len(slots[0]) if own else carried))
+        carried = first.reshape(1, -1) if own else states[k]
+        for u in substep_propagators(sched, slots[k][0].time,
+                                     slots[l][0].time, sub):
+            carried = (u @ carried[..., None])[..., 0]
+        steps.append((k, l, np.broadcast_to(carried, states[0].shape)
+                      if own else carried))
     return steps
 
 
@@ -279,12 +289,16 @@ def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
     """Per member, the product of its step amplitudes in step order.
 
     ``steps`` lists ``(k, l, carried)``, as ``_steps`` builds them: a step
-    joins grid slot k to slot l, and ``carried[i]`` is slot k's fixed point
-    i carried to slot l's time.  The step's table holds
-    ``np.vdot(fam.slots[l][j].state, carried[i])`` once for every pair
+    joins grid slot k to slot l, and row i of ``carried`` is slot k's
+    fixed point i carried to slot l's time.  The step's table holds
+    ``np.vdot(fam.slot_states[l][j], carried[i])`` once for every pair
     (i, j) of slot fixed points that some member joins, keyed
     ``i * n_right + j``; no amplitude is computed for a pair that no
-    member joins.  When the slot pairs number no more than
+    member joins.  The table is one stacked inner product
+    (``linalg.inners``, ``np.vdot``'s bit for bit) over the pairs' gathered
+    rows, taken in blocks of about ``_PAIR_BLOCK_ENTRIES`` gathered
+    entries, so a step of many pairs at large d keeps memory flat.  When
+    the slot pairs number no more than
     the members (always so for an enumerated family, d * d <= d^free), the
     occurring keys are marked in a boolean array over all pairs, whose
     running count gives exactly ``np.unique``'s pairs and inverse without
@@ -298,7 +312,7 @@ def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
     """
     re = im = None
     for k, l, carried in steps:
-        right = fam.slots[l]
+        right = fam.slot_states[l]
         n = len(right)
         keys = fam.index[:, k] * n + fam.index[:, l]
         if len(carried) * n <= len(keys):
@@ -309,9 +323,11 @@ def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
         else:
             pairs, at = np.unique(keys, return_inverse=True)
         rows, cols = divmod(pairs, n)
-        table = np.array([np.vdot(right[j].state, carried[i])
-                          for i, j in zip(rows.tolist(), cols.tolist())],
-                         dtype=complex)
+        block = max(1, _PAIR_BLOCK_ENTRIES // right.shape[1])
+        table = np.concatenate([
+            linalg.inners(right[cols[lo:lo + block]],
+                          carried[rows[lo:lo + block]])
+            for lo in range(0, len(pairs), block)])
         step_re, step_im = table.real[at], table.imag[at]
         if re is None:
             re, im = step_re, step_im
@@ -368,8 +384,9 @@ class FamilyReport:
     violations: tuple[tuple[int, int, float], ...] = ()
 
 
-def _slot_gram(slot, power: int):
-    """A slot's Gram magnitudes |<a|b>| ** power, as ``(table, rows)``:
+def _slot_gram(states: np.ndarray, power: int):
+    """The Gram magnitudes |<a|b>| ** power of a slot's (n, d) state
+    stack, as ``(table, rows)``:
     squared for ``validate_family``'s overlaps, plain for
     ``decoherence_report``'s records.
 
@@ -384,7 +401,6 @@ def _slot_gram(slot, power: int):
     keeps one whole table for a slot with an extra state or two (a
     tampered member), so its entries do not depend on the block height.
     """
-    states = np.array([fp.state for fp in slot])
     if len(states) <= 2 * states.shape[1]:
         table = np.abs(states.conj() @ states.T) ** power
         return table, lambda select: table.take(select, axis=0)
@@ -437,7 +453,8 @@ def validate_family(fam: HistoryFamily,
     ValidationError on a NaN or negative ``tol``.
     """
     tol = linalg.require_tolerance(tol)
-    grams, gram_rows = zip(*(_slot_gram(slot, 2) for slot in fam.slots))
+    grams, gram_rows = zip(*(_slot_gram(states, 2)
+                             for states in fam.slot_states))
     if _certified_orthogonal(fam, grams, tol):
         return FamilyReport(valid=True)
     columns = fam.index.T
@@ -587,7 +604,7 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     tol = linalg.require_tolerance(tol)
     psi = linalg.as_state(psi1, fam.dim)
     scale = np.hypot(*_products(fam, _steps(fam, sched, first=psi)))
-    _, gram_rows = _slot_gram(fam.slots[-1], 1)
+    _, gram_rows = _slot_gram(fam.slot_states[-1], 1)
     m, last = len(fam.slots[-1]), fam.index[:, -1]
     height = max(1, _PAIR_BLOCK_ENTRIES // m)
     later = np.zeros(m)  # M_g over the rows already passed
@@ -626,11 +643,14 @@ class FamilySpec:
     required wherever the time is unconstrained); ``constraints`` pins fixed
     points at a subset of the grid times.  ``slots`` is the recipe's slot
     table, built once here: at a pinned time the constraint alone, elsewhere
-    one ``FixedPoint`` per basis vector, labeled by its position.  Each
-    input basis is validated once, as one stack (``linalg.as_states``),
-    which also gives its orthonormality Gram; ``bases`` holds the stacks'
-    read-only rows, and at free times the slot fixed points' states are
-    those rows.  ``==`` is identity.
+    one ``FixedPoint`` per basis vector, labeled by its position; an
+    unconstrained time needs a non-empty set.  Each input basis is
+    validated once, as one stack (``linalg.as_states``), which also gives
+    its orthonormality Gram; ``bases`` holds the stacks' read-only rows,
+    and at free times the slot fixed points' states are those rows.
+    ``slot_states`` holds each slot's states as one read-only stack: the
+    basis stack at a free time, the constraint's state as one row at a
+    pinned one.  ``==`` is identity.
     """
 
     times: tuple[float, ...]
@@ -640,6 +660,8 @@ class FamilySpec:
     pinned: dict[int, FixedPoint] = field(init=False, repr=False)
     #: per grid time, the fixed points an enumerated member may pass through
     slots: tuple[tuple[FixedPoint, ...], ...] = field(init=False, repr=False)
+    #: per grid time, the slot's states as one read-only (n, d) stack
+    slot_states: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         times = require_increasing(self.times, "grid times")
@@ -655,8 +677,11 @@ class FamilySpec:
         # each basis checked once, as one stack; a basis of states of
         # several sizes is left to the shared-dimension rule below
         stacks, sizes = [], []
-        for t, basis in zip(times, self.bases):
+        for i, (t, basis) in enumerate(zip(times, self.bases)):
             basis = list(basis)
+            if not basis and i not in pinned:
+                raise ValidationError(
+                    f"basis at unconstrained time {t} is empty")
             try:
                 stacks.append(linalg.as_states(basis))
             except DimensionMismatchError:
@@ -669,13 +694,17 @@ class FamilySpec:
         dim = linalg.require_dim("basis vector", *sizes)
         for t, stack in zip(times, stacks):
             linalg.require_orthonormal(stack, f"basis at time {t}")
-        slots, bases = [], []
+        slots, bases, states = [], [], []
         for i, (t, stack) in enumerate(zip(times, stacks)):
             rows = tuple(stack)
             bases.append(rows)
-            slots.append((pinned[i],) if i in pinned else tuple(
-                FixedPoint._checked(t, row, str(k))
-                for k, row in enumerate(rows)))
+            if i in pinned:
+                slots.append((pinned[i],))
+                states.append(pinned[i].state.reshape(1, -1))
+            else:
+                slots.append(tuple(FixedPoint._checked(t, row, str(k))
+                                   for k, row in enumerate(rows)))
+                states.append(stack)
         linalg.require_dim("constraint state",
                            *[fp.dim for fp in self.constraints], dim)
         object.__setattr__(self, "times", times)
@@ -683,6 +712,7 @@ class FamilySpec:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "pinned", pinned)
         object.__setattr__(self, "slots", tuple(slots))
+        object.__setattr__(self, "slot_states", tuple(states))
 
     @property
     def dim(self) -> int:
@@ -715,6 +745,6 @@ def enumerate_family(spec: FamilySpec,
     shape = tuple(map(len, spec.slots))
     index = np.indices(shape, dtype=np.intp).reshape(len(shape), -1).T
     return HistoryFamily._from_index(
-        spec.slots, index,
+        spec.slots, spec.slot_states, index,
         constraint_times=sorted(fp.time for fp in spec.constraints),
         choices=index[:, free])

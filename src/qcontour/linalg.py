@@ -189,6 +189,14 @@ def inner(bra, ket) -> complex:
     return complex(np.vdot(b, k))
 
 
+def inners(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Hermitian inner products of the states along the last axis of two
+    stacks, whose other axes broadcast: ``np.vdot(bra, ket)`` of each pair,
+    bit for bit, as one stacked (1, d) @ (d, 1) product (a 2-d product of
+    the stacks rounds differently)."""
+    return np.matmul(bras.conj()[..., None, :], kets[..., :, None])[..., 0, 0]
+
+
 def projector(psi) -> np.ndarray:
     """Rank-1 projector onto the (normalized) state ``psi``."""
     p = np.asarray(psi, dtype=complex).reshape(-1)

@@ -12,13 +12,15 @@ The weight of a history is computed by two independent routes:
 
 Both routes take their steps from ``histories._steps``, the one place a
 fixed point is carried across the grid (``decoherence_report`` and
-``decompose_total_measure`` take theirs there too): per step, each fixed
-point of the source slot is carried to the step's end once.  The routes
-then differ only in their slot pairs and sub-step count.  The step
-product ``histories._products``, which ``decoherence_report`` shares,
-reads the inner products with the sink slot's fixed points, the
-conjugates of the segment amplitudes (no magnitude changes), through the
-family index.  The closed form squares by ``np.float_power``, libm
+``decompose_total_measure`` take theirs there too): per step, the source
+slot's states are carried to the step's end once, as one stack, with one
+stacked product per sub-step.  The routes then differ only in their slot
+pairs and sub-step count.  The step product ``histories._products``,
+which ``decoherence_report`` shares, takes the inner products with the
+sink slot's states, the conjugates of the segment amplitudes (no
+magnitude changes), as one stacked product per step, and reads them
+through the family index.  Every stacked product is the per-state one
+bit for bit.  The closed form squares by ``np.float_power``, libm
 ``pow`` as Python's ``**``, so every weight is the per-history loop's bit
 for bit.  A single history is weighed as a one-member family.
 
@@ -119,8 +121,8 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
                    ) -> tuple[float, list[np.ndarray]]:
     """Normalization and per-slot marginal measures of an enumerated family.
 
-    The recipe's slot k, ``spec.slots[k]``, holds the pinned state or
-    the basis at its time, as the rows of S_k.  The transfer matrix
+    The recipe's slot k holds the pinned state or the basis at its time,
+    the rows of S_k = ``spec.slot_states[k]``.  The transfer matrix
     T_k = |S_{k+1}^* U_k S_k^T|^2
     (elementwise) holds the squared amplitude of every step from slot k to
     slot k+1, so summing the product weights over all members is the
@@ -131,7 +133,7 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     Returns Z and the marginals, one array per slot in basis order.
     """
     linalg.require_dim("schedule", sched.dim, spec.dim)
-    states = [np.array([fp.state for fp in slot]) for slot in spec.slots]
+    states = spec.slot_states
     transfers = [np.abs(b.conj() @ propagate(sched, t_a, t_b) @ a.T) ** 2
                  for a, b, t_a, t_b in zip(states, states[1:], spec.times,
                                            spec.times[1:])]

@@ -90,22 +90,25 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
 
 def _unchecked_chain(psi1, bases, times, sched: HamiltonianSchedule,
                      t_now: float) -> OutcomeDistribution:
-    """``sequential_chain``'s branch loop, on input it would accept."""
-    # each branch is an unnormalized collapsed state, whose squared norm is
-    # the joint probability of its outcomes; the branches of one time split
-    # in basis order, so they run in the lexicographic order of their keys
-    branches = [psi1]
+    """``sequential_chain``'s branch loop, on input it would accept; each
+    basis is a (d, d) array whose rows are its states."""
+    # the branches are the rows of one (B, d) array, each an unnormalized
+    # collapsed state whose squared norm is the joint probability of its
+    # outcomes.  Per time: one stacked evolution (u @ branch of every row),
+    # one stacked projection (vdot(b, evolved) of every branch and basis
+    # state b, times b), and a row-major reshape that splits each branch
+    # in basis order, so the rows run in the lexicographic order of their
+    # keys.  The stacked forms are the per-branch products bit for bit.
+    branches = psi1.reshape(1, -1)
     for t, basis in zip(times, bases):
         u = propagate(sched, t_now, t)
-        grown = []
-        for vec in branches:
-            evolved = u @ vec
-            grown += [b * np.vdot(b, evolved) for b in basis]
-        branches = grown
+        evolved = u @ branches[..., None]
+        amplitudes = linalg.inners(basis, evolved[:, None, :, 0])
+        branches = (basis * amplitudes[..., None]).reshape(-1, sched.dim)
         t_now = t
     keys = itertools.product(range(sched.dim), repeat=len(times))
     return OutcomeDistribution(tuple(
-        zip(keys, [float(np.vdot(vec, vec).real) for vec in branches])))
+        zip(keys, linalg.inners(branches, branches).real.tolist())))
 
 
 def condition_on_final(dist: OutcomeDistribution,

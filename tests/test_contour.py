@@ -1,12 +1,14 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcontour import (Branch, ContourTime, TimeGrid, ValidationError,
                       contour_compare, contour_key, contour_path)
-from qcontour.contour import TIME_EPS, grid_index, same_time
+from qcontour.contour import TIME_EPS, grid_index, same_time, same_times
 
 
 def ct(t, tag):
@@ -136,6 +138,20 @@ class TestTimeMatching:
         assert same_time(1e4 + 0.1 + 0.2, 1e4 + 0.3)
         assert same_time(-1e9, -1e9 - 1e-4)
         assert not same_time(1e4, 1e4 + 1e-6)
+
+    def test_array_matcher_makes_the_scalar_decisions(self):
+        # pairs on and one ulp past the tolerance edge, absolute and
+        # relative, far apart, and one infinite
+        edge = 1e4 * TIME_EPS
+        pairs = [(0.0, TIME_EPS), (0.0, math.nextafter(TIME_EPS, 1.0)),
+                 (-TIME_EPS, 0.0), (1e4 + edge, 1e4),
+                 (1e4, math.nextafter(1e4 + edge, math.inf)),
+                 (0.1 + 0.2, 0.3), (1.0, 2.0), (math.inf, 1.0)]
+        a, b = map(np.array, zip(*pairs))
+        assert same_times(a, b).tolist() == [same_time(x, y)
+                                             for x, y in pairs]
+        assert same_times(a, b).tolist() != [True] * len(pairs) != \
+            [False] * len(pairs)
 
     def test_grid_index(self):
         times = (0.0, 0.3, 1e4 + 0.3)

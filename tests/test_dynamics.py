@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcontour import (HamiltonianSchedule, ValidationError, evolve_state,
                       heisenberg_projector, propagate)
-from qcontour.linalg import is_projector
+from qcontour.dynamics import substep_propagators
+from qcontour.linalg import TIME_EPS, is_projector
 from qcontour.sampling import random_hermitian, random_state, rng_from_seed
 
 from toys import E0, E1, SX, SZ, sx_schedule, zero_schedule
@@ -146,6 +149,87 @@ class TestPropagate:
     def test_outside_span_rejected(self):
         with pytest.raises(ValidationError):
             propagate(sx_schedule(), 0.0, 10.0)
+
+
+#: offsets of a step end or a tick from a segment boundary: on it, and
+#: within TIME_EPS either side
+NEAR = (0.0, 1e-13, -1e-13, 0.5 * TIME_EPS, -0.5 * TIME_EPS)
+
+
+@st.composite
+def substep_cases(draw):
+    """A schedule of 1-4 segments on [0, 3], a step (t_a, t_b) and a
+    sub-step count of 1-8.  The step runs forward or backward and either
+    has random ends (which often straddle a boundary), ends on or within
+    TIME_EPS of boundaries, or has an interior tick within TIME_EPS of an
+    interior boundary."""
+    rng = rng_from_seed(draw(st.integers(0, 10 ** 6)))
+    dim = draw(st.integers(2, 5))
+    cuts = draw(st.lists(st.floats(0.1, 2.9), max_size=3, unique=True))
+    bounds = [0.0, *sorted(cuts), 3.0]
+    assume(min(np.diff(bounds)) > 1e-3)
+    sched = HamiltonianSchedule([(a, b, random_hermitian(rng, dim))
+                                 for a, b in zip(bounds, bounds[1:])])
+    sub = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "boundaries", "tick"]))
+    if kind == "random":
+        t_a, t_b = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    elif kind == "boundaries":
+        t_a, t_b = (draw(st.sampled_from(bounds)) + draw(st.sampled_from(NEAR))
+                    for _ in range(2))
+    else:
+        assume(sub > 1 and len(bounds) > 2)
+        i = draw(st.integers(1, sub - 1))
+        width = draw(st.floats(0.01, 0.5))
+        t_a = (draw(st.sampled_from(bounds[1:-1])) - i * width
+               + draw(st.sampled_from(NEAR)))
+        t_b = t_a + sub * width
+    t_a, t_b = (min(max(t, 0.0), 3.0) for t in (t_a, t_b))
+    if draw(st.booleans()):
+        t_a, t_b = t_b, t_a
+    return sched, t_a, t_b, sub
+
+
+class TestSubstepPropagators:
+    """A step's sub-step propagators are ``propagate``'s over each
+    sub-interval of ``np.linspace``'s ticks, bit for bit and in the same
+    memory order (a backward one is the adjoint view)."""
+
+    @given(substep_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_propagate_per_sub_step(self, case):
+        sched, t_a, t_b, sub = case
+        ticks = np.linspace(t_a, t_b, sub + 1)
+        want = [propagate(sched, a, b) for a, b in zip(ticks, ticks[1:])]
+        got = substep_propagators(sched, t_a, t_b, sub)
+        assert len(got) == sub
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.strides == w.strides
+
+    def test_batched_exponentials_equal_one_call_each(self):
+        sched = HamiltonianSchedule.constant(
+            random_hermitian(rng_from_seed(13), 4), 0.0, 3.0)
+        dts = rng_from_seed(14).uniform(0.0, 3.0, size=8)
+        batch = sched._segment_exp(0, dts[:, None, None])
+        assert batch.shape == (8, 4, 4)
+        for dt, u in zip(dts, batch):
+            np.testing.assert_array_equal(u, sched._segment_exp(0, float(dt)))
+
+    @pytest.mark.parametrize("t_a, t_b", [
+        (math.nan, 1.0), (0.0, math.nan), (True, 1.0), (0.0, False),
+        (-0.5, 1.0), (0.0, 3.5)])
+    @pytest.mark.parametrize("sub", [1, 3])
+    def test_times_are_checked(self, t_a, t_b, sub):
+        sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
+        with pytest.raises(ValidationError, match="propagation time|span"):
+            substep_propagators(sched, t_a, t_b, sub)
+
+    @pytest.mark.parametrize("sub", [0, 2.5, True])
+    def test_sub_step_count_is_checked(self, sub):
+        sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
+        with pytest.raises(ValidationError, match="sub-step count"):
+            substep_propagators(sched, 0.0, 1.0, sub)
 
 
 class TestEvolveState:

@@ -12,7 +12,7 @@ from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       decoherence_report, enumerate_family, histories_equal,
                       history_inner, history_operator, measure_report,
                       record_state, validate_family)
-from qcontour import histories, linalg
+from qcontour import dynamics, histories, linalg
 from qcontour.errors import DimensionMismatchError, EnumerationGuardError
 from qcontour.sampling import random_orthonormal_basis, rng_from_seed
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
@@ -142,7 +142,7 @@ def _pair_table(fam, scale):
     i < j (0 on and below the diagonal), from the Gram rows the grouped
     maximum reads."""
     last = fam.index[:, -1]
-    _, gram_rows = histories._slot_gram(fam.slots[-1], 1)
+    _, gram_rows = histories._slot_gram(fam.slot_states[-1], 1)
     table = scale[:, None] * scale * gram_rows(last)[:, last]
     table[np.tri(len(scale), dtype=bool)] = 0.0
     return table
@@ -361,7 +361,7 @@ class TestFamilyCheckCosts:
         # every projector is rank one, so the records are scaled states
         spec, sched = random_family_spec(61, dim, n_times=4, s_t=1)
         fam = enumerate_family(spec)
-        propagated = count_calls(monkeypatch, histories, "propagate")
+        propagated = count_calls(monkeypatch, dynamics, "propagate")
         checked = count_calls(monkeypatch, linalg, "is_projector")
         decoherence_report(fam, sched, spec.constraints[0].state)
         assert len(propagated) == len(fam.times) - 1 == 3

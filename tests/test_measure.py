@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
@@ -14,7 +14,7 @@ from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       delta_psi_line_integral, enumerate_family,
                       measure_report, segment_amplitude, sequential_chain,
                       transfer_chain)
-from qcontour import dynamics, histories, measure
+from qcontour import dynamics, histories, linalg, measure
 from qcontour.contour import TimeGrid, contour_path
 from qcontour.dynamics import evolve_state, propagate
 from qcontour.linalg import complete_basis
@@ -22,9 +22,9 @@ from qcontour.oracle import condition_on_final
 from qcontour.sampling import (random_hermitian, random_orthonormal_basis,
                                random_state, random_schedule, rng_from_seed)
 
-from toys import (E0, E1, FAMILY_SHAPES, PLUS, computational_basis,
-                  count_calls, family_variants, random_family_spec,
-                  sx_schedule, zero_schedule)
+from toys import (E0, E1, FAMILY_SHAPES, PLUS, WIDE_SHAPES,
+                  computational_basis, count_calls, family_variants,
+                  random_family_spec, sx_schedule, zero_schedule)
 
 
 def fp(t, state, label="fp"):
@@ -208,6 +208,17 @@ class TestSharedSegments:
                 assert delta_psi(h, sched) == e.delta_psi
                 assert delta_psi(h, sched) / report.normalization == e.measure
 
+    @given(WIDE_SHAPES)
+    @example((1, 8, 3, 1))  # the family_large dimension
+    @settings(max_examples=25, deadline=None)
+    def test_weights_bit_identical_to_segment_loop_at_larger_d(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        for name, fam in family_variants(spec, seed).items():
+            weights = measure_report(fam, sched).weights.tolist()
+            assert weights == [_segment_loop_weight(h, sched)
+                               for h in fam.histories], name
+
 
 def _plain_walk(h, sched, steps):
     """The contour walk with one propagate call per sub-step."""
@@ -237,6 +248,19 @@ class TestSharedPropagators:
             assert [e.delta_psi_contour for e in report.entries] == want, name
             assert delta_psi_line_integral(fam.histories[0], sched,
                                            steps) == want[0]
+
+    @given(WIDE_SHAPES)
+    @example((1, 8, 3, 1))  # the family_large dimension
+    @settings(max_examples=25, deadline=None)
+    def test_contour_weights_bit_identical_to_plain_walk_at_larger_d(
+            self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        steps = 1 + seed % 8
+        for name, fam in family_variants(spec, seed).items():
+            report = measure_report(fam, sched, steps_per_segment=steps)
+            assert report.contour_weights.tolist() == [
+                _plain_walk(h, sched, steps) for h in fam.histories], name
 
     @given(FAMILY_SHAPES)
     @settings(max_examples=10, deadline=None)
@@ -356,16 +380,18 @@ class TestPairLookup:
         segments = [(0, 1), (1, 2)]
         walk = [(fam.times.index(s.start.t), fam.times.index(s.end.t))
                 for s in contour_path(TimeGrid(fam.times))]
-        entries = count_calls(monkeypatch, np, "vdot")
+        # each table is one stacked inner product; count its entries
+        tables = count_calls(monkeypatch, linalg, "inners")
         sorts = count_calls(monkeypatch, np, "unique")
         measure_report(fam, sched)
-        assert len(entries) == sum(_joined_pairs(fam, k, l)
-                                   for k, l in segments)
+        assert sum(len(bras) for bras, _ in tables) == sum(
+            _joined_pairs(fam, k, l) for k, l in segments)
         assert len(sorts) == closed_sorts
-        entries.clear()
+        tables.clear()
         sorts.clear()
         measure._contour_weights(fam, sched, 2)
-        assert len(entries) == sum(_joined_pairs(fam, k, l) for k, l in walk)
+        assert sum(len(bras) for bras, _ in tables) == sum(
+            _joined_pairs(fam, k, l) for k, l in walk)
         assert len(sorts) == walk_sorts
 
 
@@ -482,23 +508,22 @@ class TestCountGuards:
     def test_closed_form_propagates_once_per_segment(self, monkeypatch):
         spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)
         fam = enumerate_family(spec)
-        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
-                            histories)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
         measure_report(fam, sched)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_contour_walk_propagates_independently_of_history_count(
             self, monkeypatch, steps):
-        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
-                            histories)
+        # every step's propagators, one per sub-step, come from one call
+        calls = count_calls(monkeypatch, histories, "substep_propagators")
         counts = []
         for s_t in (1, 2):  # H = 27 and H = 9 on one grid and schedule
             spec, sched = random_family_spec(43, dim=3, n_times=4, s_t=s_t)
             fam = enumerate_family(spec)
             calls.clear()
             measure_report(fam, sched, steps_per_segment=steps)
-            counts.append(len(calls))
+            counts.append(sum(sub for *_, sub in calls))
         assert counts[0] == counts[1] <= 3 * (4 - 1) * steps
 
     @pytest.mark.parametrize("steps", [2.5, True, "2"])
@@ -522,8 +547,7 @@ class TestCountGuards:
     def test_decomposition_propagates_once_per_bundle_segment(
             self, monkeypatch):
         bundle, sched = random_bundle(63, dim=3, n_past=3, n_future=2)
-        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
-                            histories)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
         for mode in DecompositionMode:
             calls.clear()
             decompose_total_measure(bundle, sched, mode)
@@ -534,8 +558,7 @@ class TestCountGuards:
                                                         mode):
         # the refusal used to come after both bundle propagators
         bundle, sched = random_bundle(63)
-        calls = count_calls(monkeypatch, dynamics, "propagate", measure,
-                            histories)
+        calls = count_calls(monkeypatch, dynamics, "propagate", measure)
         with pytest.raises(ValidationError,
                            match="unknown decomposition mode"):
             decompose_total_measure(bundle, sched, mode)
@@ -776,6 +799,24 @@ def _dimension_routes():
             times=spec.times, bases=spec.bases,
             constraints=spec.constraints, schedule=s),
     }
+
+
+class TestEmptyFreeSlot:
+    """A recipe with an empty set at an unconstrained time is refused
+    where it is built: a slot with no fixed point made ``transfer_chain``
+    fail inside numpy and ``decompose_total_measure`` with IndexError."""
+
+    @pytest.mark.parametrize("route", [
+        transfer_chain,
+        lambda spec, sched: decompose_total_measure(spec, sched,
+                                                    DecompositionMode.MDRW)])
+    def test_refused_before_the_route_runs(self, route):
+        basis = computational_basis(2)
+        with pytest.raises(ValidationError,
+                           match="unconstrained time 0.0 is empty"):
+            spec = FamilySpec(times=(0.0, 1.0, 2.0), bases=((), basis, basis),
+                              constraints=(fp(1.0, E0),))
+            route(spec, zero_schedule(2, 0.0, 2.0))
 
 
 class TestScheduleDimension:

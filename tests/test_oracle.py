@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from qcontour import (FamilySpec, FrequencyRow, HamiltonianSchedule,
                       OutcomeDistribution, ValidationError,
@@ -15,8 +15,8 @@ from qcontour import (FamilySpec, FrequencyRow, HamiltonianSchedule,
 from qcontour.errors import EnumerationGuardError
 from qcontour.linalg import complete_basis
 from qcontour.sampling import haar_unitary, random_hermitian, rng_from_seed
-from toys import (E0, FAMILY_SHAPES, computational_basis, random_family_spec,
-                  sx_schedule, zero_schedule)
+from toys import (E0, FAMILY_SHAPES, WIDE_SHAPES, computational_basis,
+                  random_family_spec, sx_schedule, zero_schedule)
 
 
 def _branch_loop_chain(psi1, bases, times, sched, t_prep):
@@ -174,6 +174,14 @@ class TestChainBits:
     @given(FAMILY_SHAPES)
     @settings(max_examples=30, deadline=None)
     def test_bit_identical_to_branch_loop(self, shape):
+        model, _ = random_family_spec(*shape)
+        args = _chain_inputs(model)
+        assert sequential_chain(*args).outcomes == _branch_loop_chain(*args)
+
+    @given(WIDE_SHAPES)
+    @example((1, 8, 3, 1))  # the family_large dimension
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_branch_loop_at_larger_d(self, shape):
         model, _ = random_family_spec(*shape)
         args = _chain_inputs(model)
         assert sequential_chain(*args).outcomes == _branch_loop_chain(*args)

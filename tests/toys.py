@@ -60,6 +60,10 @@ def random_family_spec(seed, dim, n_times, s_t):
 #: endpoints pinned
 FAMILY_SHAPES = st.tuples(st.integers(0, 10 ** 6), st.integers(2, 4),
                           st.integers(2, 5), st.sampled_from([1, 2]))
+#: the same at d 5-8, where BLAS picks other kernels (``family_large``
+#: runs at d=8), over a short grid (N_t 2-3) so the families stay small
+WIDE_SHAPES = st.tuples(st.integers(0, 10 ** 6), st.integers(5, 8),
+                        st.integers(2, 3), st.sampled_from([1, 2]))
 
 
 def family_variants(spec, seed):
