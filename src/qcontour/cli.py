@@ -4,11 +4,16 @@ Subcommands: ``propagate``, ``measure``, ``decompose``, ``verify``,
 ``envariance``.  All reports are deterministic given the input files, the
 flags and the seed.  Exit codes: 0 success, 1 verification checks failed,
 otherwise the ``exit_code`` of the package error raised (see ``errors``).
+
+``main`` parses with one parser, built on its first call and kept for the
+rest of the process, so in-process callers do not rebuild the argparse
+tree on every call; ``build_parser()`` still returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -178,9 +183,10 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
                                 times[1:], model.schedule, times[0])
         dist = condition_on_final(full, 0)
 
-    by_choices = report.by_choices()
-    chain_deviation = max(abs(by_choices[seq] - p)
-                          for seq, p in dist.outcomes)
+    # the chain's keys and the family's choices both run in lexicographic
+    # order, so the two columns are compared by position
+    chain_deviation = float(np.max(np.abs(report.measures
+                                          - dist.probabilities)))
     # the normalization and each slot's marginal measures from the transfer
     # chain, which weighs no member, against the report's columns
     normalization, marginals = transfer_chain(model, model.schedule)
@@ -190,8 +196,9 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
             column, report.measures, minlength=marginal.size))))
           for marginal, column in zip(marginals, fam.index.T)))
 
-    measures_dist = OutcomeDistribution(tuple(by_choices.items()))
-    table = monte_carlo_sample(measures_dist, trials, seed)
+    table = monte_carlo_sample(
+        OutcomeDistribution._from_distinct(fam.choices, report.measures),
+        trials, seed)
 
     passed = (normalization_error <= tol and route_discrepancy <= tol
               and chain_deviation <= tol and direct_deviation <= tol
@@ -354,8 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and kept for the process.
+
+    A parser holds no model data and no flag values (each ``parse_args``
+    fills a new namespace), so one serves every call of ``main``.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except QContourError as exc:

@@ -237,8 +237,10 @@ def require_hermitian(m) -> np.ndarray:
     return m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN, never unitary
 def unitary_defect(m) -> float:
-    """The max-abs entry of M^dag M - I, for a square matrix M."""
+    """The max-abs entry of M^dag M - I, for a square matrix M; inf or NaN
+    (which no tolerance admits) when an entry is too large to square."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")

@@ -50,34 +50,63 @@ def _time_from_json(value, where: str) -> float:
             f"{where}: expected a finite number, got {value!r}") from None
 
 
-def _complex_from_pair(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(map(linalg.is_real, value))):
-        raise ModelFormatError(
-            f"{where}: expected a [re, im] pair, got {value!r}")
+def _is_pair(value) -> bool:
+    """True iff ``value`` is a [re, im] pair: a list or tuple of two real
+    numbers, not bools."""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and linalg.is_real(value[0]) and linalg.is_real(value[1]))
+
+
+def _fits_float(x) -> bool:
     try:
-        return complex(value[0], value[1])
+        float(x)
     except OverflowError:  # an integer beyond the float range
-        raise ModelFormatError(
-            f"{where}: [re, im] pair holds a number beyond the float "
-            "range") from None
+        return False
+    return True
 
 
 def vector_from_json(value, where: str) -> np.ndarray:
+    """A list of [re, im] pairs as a complex vector.
+
+    One pass checks the pairs, one ``np.array`` reads them all.  Only on
+    failure is the first faulty pair located, in reading order: one that
+    is not a pair, or one that holds a number beyond the float range.
+    """
     if not isinstance(value, list) or not value:
         raise ModelFormatError(f"{where}: expected a non-empty list of pairs")
-    return np.array([_complex_from_pair(v, f"{where}[{i}]")
-                     for i, v in enumerate(value)])
+    if all(map(_is_pair, value)):
+        try:
+            return np.array(value, dtype=float).view(complex).ravel()
+        except OverflowError:
+            pass
+    i, v = next((i, v) for i, v in enumerate(value)
+                if not (_is_pair(v) and all(map(_fits_float, v))))
+    if _is_pair(v):
+        raise ModelFormatError(f"{where}[{i}]: [re, im] pair holds a number "
+                               "beyond the float range")
+    raise ModelFormatError(f"{where}[{i}]: expected a [re, im] pair, got {v!r}")
 
 
 def matrix_from_json(value, where: str) -> np.ndarray:
+    """A list of rows of [re, im] pairs as a square complex matrix, read
+    by one ``np.array``; on failure the rows are read one by one, so the
+    first fault in reading order is the one reported."""
     if not isinstance(value, list) or not value:
         raise ModelFormatError(f"{where}: expected a non-empty list of rows")
-    rows = [vector_from_json(row, f"{where}[{i}]")
-            for i, row in enumerate(value)]
-    if len({r.size for r in rows}) != 1 or rows[0].size != len(rows):
+    n = len(value)
+    pairs = None
+    if all(isinstance(row, list) and row and all(map(_is_pair, row))
+           for row in value):
+        try:
+            pairs = np.array(value, dtype=float)
+        except (OverflowError, ValueError):  # a huge integer, ragged rows
+            pass
+    if pairs is None:
+        for i, row in enumerate(value):
+            vector_from_json(row, f"{where}[{i}]")
+    if pairs is None or pairs.shape != (n, n, 2):
         raise ModelFormatError(f"{where}: matrix is not square")
-    return np.array(rows)
+    return pairs.view(complex).reshape(n, n)
 
 
 def pair(z: complex) -> list[float]:

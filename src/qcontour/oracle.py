@@ -27,34 +27,120 @@ from .sampling import rng_from_seed
 _DRAW_CHUNK = 2 ** 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class OutcomeDistribution:
-    """Probabilities over outcome index sequences; sums to one."""
+    """Probabilities over outcome index sequences; sums to one.
 
-    outcomes: tuple[tuple[tuple[int, ...], float], ...]
+    Held as columns: row k of ``keys``, an (n, L) integer array, is the
+    index sequence of outcome k and entry k of ``probabilities`` its
+    probability; both are read-only.  ``outcomes`` (one (key tuple, float)
+    pair per outcome, the form the constructor takes) is built on first
+    read, and ``from_columns`` takes the two columns as they are.  Either
+    way the keys are distinct, equal-length integer sequences and the
+    probabilities finite, at least ``-ROUNDING_TOL`` and summing to one
+    within ``DEFAULT_TOL``.  Distributions are equal when their keys and
+    probabilities are.
+    """
 
-    def __post_init__(self):
-        outs = tuple((tuple(seq), _probability(p)) for seq, p in self.outcomes)
-        if not outs:
+    keys: np.ndarray
+    probabilities: np.ndarray
+
+    def __init__(self, outcomes):
+        pairs = [(tuple(seq), _probability(p)) for seq, p in outcomes]
+        self._fill([seq for seq, _ in pairs], np.array([p for _, p in pairs]),
+                   distinct=False)
+
+    @classmethod
+    def from_columns(cls, keys, probabilities) -> OutcomeDistribution:
+        """The distribution of outcome ``keys[k]`` (equal-length integer
+        sequences) with probability ``probabilities[k]``, checked as the
+        constructor checks its pairs."""
+        if not (isinstance(probabilities, np.ndarray)
+                and probabilities.dtype.kind in "fiu"):
+            probabilities = [_probability(p) for p in probabilities]
+        probs = np.array(probabilities, dtype=float)
+        if probs.ndim != 1:
+            raise ValidationError("probabilities must be one column")
+        dist = cls.__new__(cls)
+        dist._fill(keys, probs, distinct=False)
+        return dist
+
+    @classmethod
+    def _from_distinct(cls, keys: np.ndarray,
+                       probabilities: np.ndarray) -> OutcomeDistribution:
+        """``from_columns`` for an (n, L) integer key array whose rows are
+        distinct by construction and a float column: the keys are taken
+        as they are."""
+        dist = cls.__new__(cls)
+        dist._fill(keys, probabilities, distinct=True)
+        return dist
+
+    def _fill(self, keys, probs: np.ndarray, distinct: bool) -> None:
+        """Check the columns and set them, in the order the pairs were
+        once checked; ``keys`` is converted unless ``distinct``."""
+        if not probs.size:
             raise ValidationError("distribution must have at least one outcome")
-        if len({seq for seq, _ in outs}) != len(outs):
-            raise ValidationError("outcome sequences must be distinct")
-        if not all(math.isfinite(p) and p >= -linalg.ROUNDING_TOL
-                   for _, p in outs):
+        if not distinct:
+            keys = _key_array(keys)
+            if len(keys) != len(probs):
+                raise ValidationError("need one probability per outcome key")
+            if len(np.unique(keys, axis=0)) != len(keys):
+                raise ValidationError("outcome sequences must be distinct")
+        if not (np.isfinite(probs).all()
+                and (probs >= -linalg.ROUNDING_TOL).all()):
             raise ValidationError("probabilities must be finite, non-negative")
-        total = sum(p for _, p in outs)
+        # a Python sum, in key order, as the pairs were once summed
+        total = sum(probs.tolist())
         if abs(total - 1.0) > linalg.DEFAULT_TOL:
             raise ValidationError(
                 f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "outcomes", outs)
+        keys, probs = keys.view(), probs.view()
+        for column in (keys, probs):
+            column.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "probabilities", probs)
+
+    @cached_property
+    def outcomes(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """(key tuple, probability) pairs of Python scalars, in row order."""
+        return tuple(zip(map(tuple, self.keys.tolist()),
+                         self.probabilities.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, OutcomeDistribution):
+            return NotImplemented
+        return (np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.probabilities, other.probabilities))
+
+    def __hash__(self):
+        return hash((self.keys.shape, self.keys.tobytes()))
 
 
 def _probability(p) -> float:
     """``p`` as a float; ValidationError unless it is a real number and not
-    a bool (text, None and complex numbers are not)."""
+    a bool (text, None and complex numbers are not).  An integer beyond
+    the float range reads as an infinity, which the finiteness check
+    refuses."""
     if not linalg.is_real(p):
         raise ValidationError(f"probabilities must be real numbers, got {p!r}")
-    return float(p)
+    try:
+        return float(p)
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+
+
+def _key_array(keys) -> np.ndarray:
+    """``keys`` as an (n, L) integer array; ValidationError unless they are
+    equal-length sequences of integers (not bools)."""
+    try:
+        array = np.array(keys)
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.ndim != 2 or (array.size and not (
+            array.dtype.kind in "iu" and np.can_cast(array.dtype, np.intp))):
+        raise ValidationError(
+            "outcome keys must be equal-length sequences of integers")
+    return array.astype(np.intp, copy=False)
 
 
 def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
@@ -106,24 +192,32 @@ def _unchecked_chain(psi1, bases, times, sched: HamiltonianSchedule,
         amplitudes = linalg.inners(basis, evolved[:, None, :, 0])
         branches = (basis * amplitudes[..., None]).reshape(-1, sched.dim)
         t_now = t
-    keys = itertools.product(range(sched.dim), repeat=len(times))
-    return OutcomeDistribution(tuple(
-        zip(keys, linalg.inners(branches, branches).real.tolist())))
+    # keys in the lexicographic order of the rows, as enumerate_family's
+    # index is built; distinct by construction
+    keys = np.indices((sched.dim,) * len(times), dtype=np.intp)
+    return OutcomeDistribution._from_distinct(
+        keys.reshape(len(times), len(branches)).T,
+        linalg.inners(branches, branches).real)
 
 
 def condition_on_final(dist: OutcomeDistribution,
                        final_index: int) -> OutcomeDistribution:
-    """Bayes-condition on the last outcome and drop it from the sequences."""
-    if not all(seq for seq, _ in dist.outcomes):
+    """Bayes-condition on the last outcome and drop it from the sequences.
+
+    A selection on the last key column: the kept keys stay distinct, and
+    the kept probabilities are summed in key order.
+    """
+    keys = dist.keys
+    if not keys.shape[1]:
         raise ValidationError(
             "conditioning on the final outcome needs non-empty sequences")
-    kept = [(seq[:-1], p) for seq, p in dist.outcomes
-            if seq[-1] == final_index]
-    total = sum(p for _, p in kept)
+    kept = keys[:, -1] == final_index
+    probs = dist.probabilities[kept]
+    total = sum(probs.tolist())
     if total == 0.0:
         raise ZeroNormalizationError(
             f"conditioning outcome {final_index} has zero probability")
-    return OutcomeDistribution(tuple((seq, p / total) for seq, p in kept))
+    return OutcomeDistribution._from_distinct(keys[kept, :-1], probs / total)
 
 
 @dataclass(frozen=True)
@@ -145,7 +239,8 @@ class FrequencyTable:
     Entry k of ``probabilities`` (as given), ``counts``, ``frequency``
     (count over ``n``), ``band`` (five binomial standard errors of the
     probability clipped to [0, 1]) and ``within`` (the frequency inside its
-    band) belongs to outcome ``keys[k]``; the columns are read-only arrays.
+    band) belongs to outcome ``keys[k]``, row k of the distribution's
+    (n, L) key array; the columns are read-only arrays.
     ``max_sigma`` is the largest deviation of a frequency from its clipped
     probability in units of one binomial standard error: 0 where a
     zero-width band is hit, inf where one is missed.  ``rows`` (one
@@ -156,7 +251,7 @@ class FrequencyTable:
 
     n: int
     seed: int
-    keys: tuple[tuple[int, ...], ...]
+    keys: np.ndarray
     probabilities: np.ndarray
     counts: np.ndarray
     frequency: np.ndarray
@@ -166,28 +261,28 @@ class FrequencyTable:
     all_within_band: bool
 
     def __post_init__(self):
-        for column in (self.probabilities, self.counts, self.frequency,
-                       self.band, self.within):
+        for column in (self.keys, self.probabilities, self.counts,
+                       self.frequency, self.band, self.within):
             column.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):
             return NotImplemented
-        return ((self.n, self.seed, self.keys)
-                == (other.n, other.seed, other.keys)
+        return ((self.n, self.seed) == (other.n, other.seed)
+                and np.array_equal(self.keys, other.keys)
                 and np.array_equal(self.probabilities, other.probabilities)
                 and np.array_equal(self.counts, other.counts))
 
     def __hash__(self):
-        return hash((self.n, self.seed, self.keys))
+        return hash((self.n, self.seed, self.keys.shape, self.keys.tobytes()))
 
     @cached_property
     def rows(self) -> tuple[FrequencyRow, ...]:
         """One ``FrequencyRow`` per outcome, in the distribution's order."""
         return tuple(itertools.starmap(FrequencyRow, zip(
-            self.keys, self.probabilities.tolist(), self.counts.tolist(),
-            self.frequency.tolist(), self.band.tolist(),
-            self.within.tolist())))
+            map(tuple, self.keys.tolist()), self.probabilities.tolist(),
+            self.counts.tolist(), self.frequency.tolist(),
+            self.band.tolist(), self.within.tolist())))
 
 
 def _counts(p: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -219,15 +314,16 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
                        seed: int) -> FrequencyTable:
     """Draw ``n`` outcome sequences and tabulate their frequencies.
 
-    Sampling uses the Philox generator of ``rng_from_seed(seed)``, so
-    tables are bit-identical across reruns, and the counts are those of
-    that generator's ``choice``.  Each frequency is compared against the
-    five-sigma binomial band around its probability, clipped to [0, 1] as
-    the draws read it; rows outside the band are flagged, not fatal.
+    Sampling reads the distribution's probability column with the Philox
+    generator of ``rng_from_seed(seed)``, so tables are bit-identical
+    across reruns, and the counts are those of that generator's
+    ``choice``; the table shares the distribution's key array.  Each
+    frequency is compared against the five-sigma binomial band around its
+    probability, clipped to [0, 1] as the draws read it; rows outside the
+    band are flagged, not fatal.
     """
     n = linalg.require_count(n, "sample count", 1)
-    keys, probs = zip(*dist.outcomes)
-    probs = np.array(probs)
+    probs = dist.probabilities
     weights = np.maximum(probs, 0.0)
     counts = _counts(weights / weights.sum(), n, seed)
     # one column per row quantity, each the per-row formula elementwise
@@ -239,7 +335,7 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     within = deviation <= band
     sigmas = np.divide(deviation, sigma, where=sigma > 0,
                        out=np.where(deviation > 0, math.inf, 0.0))
-    return FrequencyTable(n=n, seed=seed, keys=keys, probabilities=probs,
+    return FrequencyTable(n=n, seed=seed, keys=dist.keys, probabilities=probs,
                           counts=counts, frequency=freq, band=band,
                           within=within, max_sigma=float(sigmas.max()),
                           all_within_band=bool(within.all()))

@@ -10,11 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcontour import cli, linalg, measure_report
-from qcontour.cli import main
+from qcontour import (OutcomeDistribution, __version__, cli,
+                      condition_on_final, enumerate_family, linalg,
+                      measure_report, monte_carlo_sample, sequential_chain)
+from qcontour.cli import build_parser, main
+from qcontour.sampling import random_model, rng_from_seed
 
 from toys import count_calls, random_family_spec
 
@@ -548,11 +551,23 @@ def _paths(value, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _envariance_documents():
+    """Valid ``envariance`` inputs, as one document per run: a Bell pair
+    and a lopsided pair, each with the swap on A."""
+    inv = 1 / math.sqrt(2)
+    swap = {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+    return [{"state": {"dim_a": 2, "dim_b": 2, "amplitudes": amplitudes},
+             "transform": swap}
+            for amplitudes in ([[inv, 0], [0, 0], [0, 0], [inv, 0]],
+                               [[0.8 ** 0.5, 0], [0, 0], [0, 0],
+                                [0.2 ** 0.5, 0]])]
+
+
 @st.composite
-def mutated_documents(draw):
-    """A valid model document with one or two fields replaced by an odd
-    value or dropped (a key removed, a list made shorter)."""
-    doc = copy.deepcopy(draw(st.sampled_from(_contract_documents())))
+def mutated_documents(draw, documents):
+    """A valid document with one or two fields replaced by an odd value or
+    dropped (a key removed, a list made shorter)."""
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
     for _ in range(draw(st.integers(1, 2))):
         *parent, key = draw(st.sampled_from(list(_paths(doc))))
         owner = doc
@@ -565,24 +580,142 @@ def mutated_documents(draw):
     return doc
 
 
+def _run_strictly(argv):
+    """``main(argv)`` with every warning an error: its exit code and
+    stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
 class TestContract:
     """Every mutated model gives an exit code the CLI defines; a refusal
     is one ``error:`` line, with no traceback and no numpy warning."""
 
-    @given(mutated_documents())
+    @given(mutated_documents(_contract_documents()))
     @settings(max_examples=100, deadline=None)
     def test_mutated_model_exits_cleanly(self, tmp_path_factory, doc):
         path = tmp_path_factory.mktemp("contract") / "model.json"
         path.write_text(json.dumps(doc))
         for command in ("measure", "decompose"):
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(), \
-                    contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                code = main([command, str(path)])
+            code, lines = _run_strictly([command, str(path)])
             assert code in (0, 2, 3, 4, 5), (command, doc)
             if code:
-                lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error:"), \
                     (command, doc, lines)
+        # verify may also fail its checks (exit 1), which is no refusal;
+        # 50 draws put a small probability far outside its band
+        for argv in (["verify", str(path), "--trials", "50"],
+                     ["propagate", str(path), "0", "2"]):
+            code, lines = _run_strictly(argv)
+            assert code in (0, 1, 2, 3, 4, 5), (argv, doc)
+            if code == 1:
+                assert argv[0] == "verify" and lines == [], (doc, lines)
+            elif code:
+                assert len(lines) == 1 and lines[0].startswith("error:"), \
+                    (argv, doc, lines)
+
+    @given(mutated_documents(_envariance_documents()))
+    @settings(max_examples=100, deadline=None)
+    # an entry that overflows M^dag M made numpy warn before the refusal
+    @example(doc={"state": _envariance_documents()[0]["state"],
+                  "transform": {"matrix": [[[1e300, 0], [1, 0]],
+                                           [[1, 0], [0, 0]]]}})
+    def test_mutated_envariance_files_exit_cleanly(self, tmp_path_factory,
+                                                   doc):
+        folder = tmp_path_factory.mktemp("contract")
+        paths = []
+        for part in ("state", "transform"):
+            paths.append(str(folder / f"{part}.json"))
+            (folder / f"{part}.json").write_text(json.dumps(doc.get(part)))
+        code, lines = _run_strictly(["envariance", *paths])
+        assert code in (0, 2, 3, 4, 5), doc
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error:"), \
+                (doc, lines)
+
+
+class TestParserReuse:
+    """``main`` keeps one parser for the process: every call gives the exit
+    code and output a fresh parser gives, and no flag value carries over
+    from one call to the next."""
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_kept_parser_runs_as_a_fresh_one(self, tmp_path, monkeypatch):
+        model, bundle = born_model(tmp_path), bundle_model(tmp_path)
+        inv = 1 / math.sqrt(2)
+        state = write(tmp_path, "bell.json", {
+            "dim_a": 2, "dim_b": 2,
+            "amplitudes": [[inv, 0], [0, 0], [0, 0], [inv, 0]]})
+        transform = write(tmp_path, "swap.json", {
+            "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]})
+        runs = [["measure", model, "--seed", "3"], ["--version"],
+                ["verify", model, "--trials", "5", "--tol", "1e-6"],
+                ["verify", model], ["measure", model],
+                ["propagate", model, "0", "0.5"], ["decompose", bundle],
+                ["envariance", state, transform]]
+        kept = [self._run(argv) for argv in runs]
+        parser = cli._parser()
+        assert parser is cli._parser()
+        args = parser.parse_args(["verify", model])
+        assert (args.trials, args.tol) == (100_000, linalg.DEFAULT_TOL)
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [self._run(argv) for argv in runs]
+        assert kept == fresh
+        assert [code for code, _, _ in kept] == [2, 0, 0, 0, 0, 0, 0, 0]
+        assert kept[1][1] == f"{__version__}\n"
+        assert "unrecognized arguments: --seed 3" in kept[0][2]
+        # five draws and a hundred thousand leave different sigmas
+        assert kept[2][1] != kept[3][1]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_no_parser_is_built_at_import(self):
+        probe = ("import qcontour.cli as cli; "
+                 "print(cli._parser.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "0\n"
+
+
+class TestVerifyColumns:
+    """``verify`` compares the chain with the report by position and samples
+    the report's measure column: each verdict field equals the one found by
+    looking the chain's outcomes up in ``by_choices`` and sampling a
+    distribution built from its pairs."""
+
+    @pytest.mark.parametrize("dim, n_times, s_t", [(8, 5, 1), (4, 7, 2),
+                                                   (4, 5, 2)])
+    def test_fields_equal_the_lookup_route(self, dim, n_times, s_t):
+        times = tuple(0.3 * k for k in range(n_times))
+        model = random_model(rng_from_seed(5), times, dim, s_t)
+        row = cli._verify_one("m", model, 100_000, 0, 8, linalg.DEFAULT_TOL)
+        report = measure_report(enumerate_family(model), model.schedule)
+        by_choices = report.by_choices()
+        bases = list(model.bases[1:])
+        if s_t == 2:
+            bases[-1] = linalg.complete_basis(model.constraints[1].state)
+        dist = sequential_chain(model.constraints[0].state, bases,
+                                model.times[1:], model.schedule,
+                                model.times[0])
+        if s_t == 2:
+            dist = condition_on_final(dist, 0)
+        assert row["chain_deviation"] == max(
+            abs(by_choices[seq] - p) for seq, p in dist.outcomes)
+        table = monte_carlo_sample(
+            OutcomeDistribution(tuple(by_choices.items())), 100_000, 0)
+        assert (row["mc_max_sigma"], row["mc_all_within_band"]) \
+            == (table.max_sigma, table.all_within_band)

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       FixedPoint, ModelFormatError, ModelSpec, ToyBundle,
@@ -11,6 +13,7 @@ from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       enumerate_family, linalg, load_model, measure_report,
                       model_from_dict, model_to_dict, save_model,
                       segment_amplitude, transfer_chain)
+from qcontour.models import matrix_from_json, vector_from_json
 from qcontour.sampling import (random_model, random_orthonormal_basis,
                                random_schedule, random_state, rng_from_seed)
 from toys import E0, E1, computational_basis, count_calls, zero_schedule
@@ -321,3 +324,97 @@ class TestMalformedNumbers:
         model = model_from_dict(doc)
         assert model.times == (0.0, 1.0)
         assert model.constraints[0].time == 0.0
+
+
+def _pair_per_pair(value, where):
+    """The per-pair reader the array reader replaced: the reference it
+    must reproduce."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(map(linalg.is_real, value))):
+        raise ModelFormatError(
+            f"{where}: expected a [re, im] pair, got {value!r}")
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise ModelFormatError(
+            f"{where}: [re, im] pair holds a number beyond the float "
+            "range") from None
+
+
+def _vector_per_pair(value, where):
+    if not isinstance(value, list) or not value:
+        raise ModelFormatError(f"{where}: expected a non-empty list of pairs")
+    return np.array([_pair_per_pair(v, f"{where}[{i}]")
+                     for i, v in enumerate(value)])
+
+
+def _matrix_per_pair(value, where):
+    if not isinstance(value, list) or not value:
+        raise ModelFormatError(f"{where}: expected a non-empty list of rows")
+    rows = [_vector_per_pair(row, f"{where}[{i}]")
+            for i, row in enumerate(value)]
+    if len({r.size for r in rows}) != 1 or rows[0].size != len(rows):
+        raise ModelFormatError(f"{where}: matrix is not square")
+    return np.array(rows)
+
+
+def _read(reader, value):
+    """A reader's array as dtype, shape and bits (so the sign of zero and
+    NaN payloads count), or its error text."""
+    try:
+        array = reader(value, "x")
+    except ModelFormatError as exc:
+        return str(exc)
+    return array.dtype, array.shape, array.view(float).view(np.uint64).tolist()
+
+
+#: JSON numbers, the NaN and Infinity tokens, and values a pair refuses
+JSON_NUMBERS = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.floats(),
+    st.sampled_from([json.loads(t) for t in ("NaN", "Infinity", "-Infinity",
+                                             "-0.0", "1e308", "5e-324")]))
+ODD_ENTRIES = st.sampled_from([
+    True, False, None, "1", "x", 10 ** 400, -10 ** 400, [], [1, 0],
+    np.float64(0.5), np.float32(0.1), np.int64(-3), complex(1, 0)])
+ENTRIES = st.one_of(JSON_NUMBERS, JSON_NUMBERS, ODD_ENTRIES)
+PAIRS = st.one_of(st.lists(JSON_NUMBERS, min_size=2, max_size=2),
+                  st.lists(st.one_of(JSON_NUMBERS, st.just(-10 ** 400)),
+                           min_size=2, max_size=2),
+                  st.lists(ENTRIES, min_size=2, max_size=2),
+                  st.tuples(ENTRIES, ENTRIES),
+                  st.lists(ENTRIES, max_size=3), ENTRIES)
+VECTORS = st.one_of(st.lists(st.lists(JSON_NUMBERS, min_size=2, max_size=2),
+                             min_size=1, max_size=4),
+                    st.lists(PAIRS, max_size=4), ENTRIES)
+MATRICES = st.one_of(
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.lists(JSON_NUMBERS, min_size=2, max_size=2),
+                 min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(PAIRS, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.lists(VECTORS, max_size=3), ENTRIES)
+
+
+class TestArrayReader:
+    """``vector_from_json`` and ``matrix_from_json`` read all pairs with one
+    array conversion; on every JSON-like value they give the per-pair
+    reader's array bit for bit, or its error text."""
+
+    @given(VECTORS)
+    @settings(max_examples=400, deadline=None)
+    @example([[10 ** 400, 0], "x"])
+    @example([[1, -0.0], [-0.0, 0]])
+    @example([[1, 0], (0.5, 2)])
+    def test_vector_as_the_per_pair_reader(self, value):
+        assert _read(vector_from_json, value) \
+            == _read(_vector_per_pair, value)
+
+    @given(MATRICES)
+    @settings(max_examples=400, deadline=None)
+    @example([[[1, 0], [0, 0]], [[0, 0], [10 ** 400, 0]]])
+    @example([[[1, 0], [0, 0]], [[0, 0]]])
+    @example([[[1, 0], [0, 0]], "x", [[10 ** 400, 0]]])
+    @example([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]])
+    def test_matrix_as_the_per_pair_reader(self, value):
+        assert _read(matrix_from_json, value) \
+            == _read(_matrix_per_pair, value)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcontour import (FamilySpec, FrequencyRow, HamiltonianSchedule,
                       OutcomeDistribution, ValidationError,
@@ -16,7 +17,7 @@ from qcontour.errors import EnumerationGuardError
 from qcontour.linalg import complete_basis
 from qcontour.sampling import haar_unitary, random_hermitian, rng_from_seed
 from toys import (E0, FAMILY_SHAPES, WIDE_SHAPES, computational_basis,
-                  random_family_spec, sx_schedule, zero_schedule)
+                  count_calls, random_family_spec, sx_schedule, zero_schedule)
 
 
 def _branch_loop_chain(psi1, bases, times, sched, t_prep):
@@ -513,3 +514,109 @@ class TestOutcomeDistribution:
     def test_no_negative_probabilities(self):
         with pytest.raises(ValidationError):
             OutcomeDistribution((((0,), 1.2), ((1,), -0.2)))
+
+
+#: probabilities a distribution refuses or must read with care: rounding
+#: noise below zero, non-finite, non-real and overflowing values
+ODD_PROBABILITIES = st.sampled_from([
+    -1e-17, -1e-11, 0.0, -0.0, math.nan, math.inf, 1 + 0j, True, "0.5",
+    None, 10 ** 400, np.float64(0.25), np.int64(0), fractions.Fraction(1, 3)])
+
+
+@st.composite
+def outcome_pairs(draw):
+    """(key tuple, probability) pairs: keys of one length, often
+    repeated, sometimes ragged; probabilities that sum to one, with
+    rounding noise or an odd value put in."""
+    length = draw(st.integers(0, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 2)] * length),
+                         max_size=6, unique=draw(st.booleans())))
+    n = len(keys)
+    if keys and draw(st.integers(0, 4)) == 0:
+        keys[draw(st.integers(0, n - 1))] = draw(
+            st.lists(st.integers(0, 2), max_size=4).map(tuple))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    probs = [w / total if total else 1.0 / n for w in weights]
+    if probs and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        probs[k] = draw(ODD_PROBABILITIES)
+    return list(zip(keys, probs))
+
+
+def _verdict(build):
+    try:
+        dist = build()
+    except ValidationError as exc:
+        return str(exc)
+    return dist.keys.dtype, dist.keys.shape, dist.outcomes
+
+
+class TestColumns:
+    """A distribution is a read-only key array and probability column; one
+    built from columns and one built from pairs agree on every input."""
+
+    @given(outcome_pairs())
+    @settings(max_examples=400, deadline=None)
+    @example([((0,), 0.5), ((0,), 0.5)])
+    @example([((0,), 1.0), ((1, 0), 0.0)])
+    @example([((), 1.0)])
+    @example([((0,), 1 + 1e-17), ((1,), -1e-17)])
+    @example([])
+    def test_columns_and_pairs_agree(self, pairs):
+        keys = [k for k, _ in pairs]
+        probs = [p for _, p in pairs]
+        verdict = _verdict(lambda: OutcomeDistribution(pairs))
+        assert _verdict(lambda: OutcomeDistribution.from_columns(
+            keys, probs)) == verdict
+        if all(type(p) is float for p in probs):
+            assert _verdict(lambda: OutcomeDistribution.from_columns(
+                keys, np.array(probs))) == verdict
+        if not isinstance(verdict, str):
+            one = OutcomeDistribution(pairs)
+            two = OutcomeDistribution.from_columns(keys, probs)
+            assert one == two and hash(one) == hash(two)
+            assert monte_carlo_sample(one, 50, 3) \
+                == monte_carlo_sample(two, 50, 3)
+
+    def test_columns_are_read_only(self):
+        dist = OutcomeDistribution((((0, 1), 0.25), ((1, 0), 0.75)))
+        assert dist.keys.tolist() == [[0, 1], [1, 0]]
+        for column in (dist.keys, dist.probabilities):
+            assert not column.flags.writeable
+
+    def test_caller_arrays_stay_writeable(self):
+        keys, probs = np.array([[0], [1]]), np.array([0.5, 0.5])
+        OutcomeDistribution.from_columns(keys, probs)
+        assert keys.flags.writeable and probs.flags.writeable
+
+    @pytest.mark.parametrize("keys", [[(0,), (0, 1)], [("a",), ("b",)],
+                                      [(True,), (False,)], [(0.5,), (1.5,)],
+                                      [(10 ** 400,), (0,)]])
+    def test_keys_that_are_not_integer_rows_rejected(self, keys):
+        with pytest.raises(ValidationError, match="equal-length"):
+            OutcomeDistribution(zip(keys, (0.5, 0.5)))
+
+    def test_integer_beyond_the_float_range_is_not_finite(self):
+        # float() raised OverflowError from the constructor
+        with pytest.raises(ValidationError, match="finite"):
+            OutcomeDistribution((((0,), 10 ** 400), ((1,), 0.0)))
+
+    def test_chain_and_conditioning_check_no_keys(self, monkeypatch):
+        # keys from np.indices are distinct by construction, and a
+        # selection keeps them so: tiny distributions pay no np.unique
+        unique = count_calls(monkeypatch, np, "unique")
+        dist = sequential_chain(E0, [computational_basis(2)] * 2,
+                                [0.3, 0.6], sx_schedule(), 0.0)
+        conditioned = condition_on_final(dist, 0)
+        monte_carlo_sample(conditioned, 10, 0)
+        assert unique == []
+        assert conditioned.keys.tolist() == [[0], [1]]
+
+    def test_conditioning_selects_the_last_column(self):
+        dist = OutcomeDistribution.from_columns(
+            [[0, 0], [0, 1], [1, 0], [1, 1]], [0.1, 0.2, 0.3, 0.4])
+        conditioned = condition_on_final(dist, 1)
+        total = 0.2 + 0.4
+        assert conditioned.outcomes == (((0,), 0.2 / total),
+                                        ((1,), 0.4 / total))
