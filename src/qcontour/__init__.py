@@ -8,8 +8,7 @@ the four branch-bundle decompositions all come out of the same machinery.
 
 __version__ = "0.1.0"
 
-from .contour import (Branch, ContourStep, ContourTime, TimeGrid,
-                      contour_compare, contour_key, contour_path)
+from .contour import contour_path
 from .dynamics import (HamiltonianSchedule, evolve_state,
                        heisenberg_projector, propagate)
 from .envariance import (BipartiteState, EnvarianceResult, SchmidtForm,

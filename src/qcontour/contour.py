@@ -1,22 +1,25 @@
-"""Doubled time axis: a forward and a backward branch over a discrete grid.
+"""The doubled time contour over a discrete grid, and the rules for times.
 
-The full contour is the forward branch traversed in chronological order
-followed by the backward branch traversed anti-chronologically, so contour
-order is not time order: every forward point precedes every backward point,
-and on the backward branch later physical times come first.
+The contour runs forward through the grid in chronological order, then
+backward from the last time to the first.  ``contour_path`` is its one
+description: the steps as (k, l) pairs of grid-slot indices, the
+forward ones (k < l) first.  Contour order is position on that path, so
+it is not time order: every forward step comes before every backward
+one, and on the backward branch later times come first.
+
+The rest of the module is the one place a time is checked or matched:
+``require_time``, ``require_increasing``, ``require_not_before``,
+``same_time`` and ``grid_index``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import TIME_EPS, is_real
+from .linalg import TIME_EPS, is_real, require_count
 
 
 def same_time(a: float, b: float) -> bool:
@@ -70,95 +73,15 @@ def grid_index(times, t: float) -> int | None:
     return next((i for i, g in enumerate(times) if same_time(g, t)), None)
 
 
-class Branch(enum.Enum):
-    """Orientation tag: forward ('f') or backward ('b')."""
+def contour_path(n_times: int) -> list[tuple[int, int]]:
+    """The 2(N_t - 1) steps of the doubled contour over ``n_times`` grid
+    times, as (k, l) slot-index pairs.
 
-    F = "f"
-    B = "b"
-
-    def flipped(self) -> "Branch":
-        return Branch.B if self is Branch.F else Branch.F
-
-
-@dataclass(frozen=True)
-class ContourTime:
-    """A physical time paired with a branch tag."""
-
-    t: float
-    branch: Branch
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ContourTime({self.t!r}, {self.branch.value})"
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Increasing, distinct physical times t_1 < ... < t_{N_t}."""
-
-    times: tuple[float, ...]
-
-    def __init__(self, times):
-        values = require_increasing(times, "grid times")
-        if len(values) < 1:
-            raise ValidationError("time grid must contain at least one time")
-        object.__setattr__(self, "times", values)
-
-    @property
-    def n_times(self) -> int:
-        return len(self.times)
-
-    @property
-    def t_min(self) -> float:
-        return self.times[0]
-
-    @property
-    def t_max(self) -> float:
-        return self.times[-1]
-
-
-def contour_key(z: ContourTime) -> tuple[int, float]:
-    """Sort key realizing contour order.
-
-    Forward points sort by increasing time, backward points by decreasing
-    time, and the whole forward branch precedes the backward branch.
+    First the forward steps (0, 1), ..., (N_t - 2, N_t - 1), then the
+    backward steps (N_t - 1, N_t - 2), ..., (1, 0).  A step is forward
+    exactly when k < l.  The path is its own time reversal: reversing
+    the list and swapping each pair gives it back.
     """
-    if z.branch is Branch.F:
-        return (0, z.t)
-    return (1, -z.t)
-
-
-def contour_compare(z1: ContourTime, z2: ContourTime) -> int:
-    """Three-way contour-order comparison: -1 before, 0 equal, +1 after."""
-    k1, k2 = contour_key(z1), contour_key(z2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
-class ContourStep(NamedTuple):
-    """One directed segment of the contour walk; both ends share a branch."""
-
-    start: ContourTime
-    end: ContourTime
-
-
-def contour_path(grid: TimeGrid) -> list[ContourStep]:
-    """The 2(N_t - 1) directed steps of the full contour traversal.
-
-    First the forward steps t_1 -> t_2 -> ... -> t_{N_t} on the forward
-    branch, then the backward steps t_{N_t} -> ... -> t_1 on the backward
-    branch.  Each step advances the walk by exactly one grid point in
-    contour order.
-    """
-    if grid.n_times < 2:
-        raise ValidationError("contour path requires at least two grid times")
-    steps = []
-    for a, b in zip(grid.times, grid.times[1:]):
-        steps.append(ContourStep(ContourTime(a, Branch.F),
-                                 ContourTime(b, Branch.F)))
-    for a, b in zip(grid.times[::-1], grid.times[-2::-1]):
-        steps.append(ContourStep(ContourTime(a, Branch.B),
-                                 ContourTime(b, Branch.B)))
-    return steps
+    n = require_count(n_times, "grid times", 2)
+    forward = [(k, k + 1) for k in range(n - 1)]
+    return forward + [(l, k) for k, l in reversed(forward)]

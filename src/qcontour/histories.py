@@ -129,6 +129,7 @@ def _same_times(a: QuantumHistory, b: QuantumHistory) -> bool:
 def histories_equal(a: QuantumHistory, b: QuantumHistory,
                     tol: float = linalg.DEFAULT_TOL) -> bool:
     """Tolerance-based equality of times and states; ``==`` is identity."""
+    tol = linalg.require_tolerance(tol)
     if not _same_times(a, b) or a.dim != b.dim:
         return False
     return all(np.max(np.abs(p.state - q.state)) <= tol
@@ -137,10 +138,11 @@ def histories_equal(a: QuantumHistory, b: QuantumHistory,
 
 def _constraint_slots(times, constraint_times) -> list[int]:
     """The grid index of each constraint time; raises ValidationError for a
-    time off the grid or a grid time constrained twice."""
+    time that is not a real, finite number, a time off the grid or a grid
+    time constrained twice."""
     slots = []
     for t in constraint_times:
-        index = grid_index(times, t)
+        index = grid_index(times, require_time(t, "constraint time"))
         if index is None:
             raise ValidationError(f"constraint time {t} is not a grid time")
         if index in slots:
@@ -730,8 +732,9 @@ def enumerate_family(spec: FamilySpec,
     The family shares the recipe's slot table, ``spec.slots``: free slots
     range over the full basis at their time, constrained slots are pinned,
     and only the index is built here.  Raises EnumerationGuardError when
-    the combination count exceeds ``guard``.
+    the combination count exceeds ``guard``, a non-negative integer.
     """
+    guard = linalg.require_count(guard, "enumeration guard", 0)
     count = spec.history_count()
     if count > guard:
         raise EnumerationGuardError(

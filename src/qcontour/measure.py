@@ -15,7 +15,9 @@ fixed point is carried across the grid (``decoherence_report`` and
 ``decompose_total_measure`` take theirs there too): per step, the source
 slot's states are carried to the step's end once, as one stack, with one
 stacked product per sub-step.  The routes then differ only in their slot
-pairs and sub-step count.  The step product ``histories._products``,
+pairs and sub-step count: the closed form takes the grid's segments, the
+walk the pairs of ``contour.contour_path``, the one description of the
+doubled contour.  The step product ``histories._products``,
 which ``decoherence_report`` shares, takes the inner products with the
 sink slot's states, the conjugates of the segment amplitudes (no
 magnitude changes), as one stacked product per step, and reads them
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .contour import require_increasing, same_time
+from .contour import contour_path, require_increasing, same_time
 from .dynamics import HamiltonianSchedule, evolve_state, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
@@ -75,13 +77,12 @@ def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> np.ndarray:
 
 def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
                      steps_per_segment: int) -> np.ndarray:
-    """Contour-walk weights, in order: the grid's segments forward, then
-    the same segments backward from the last time, each carried through
-    ``steps_per_segment`` sub-steps."""
+    """Contour-walk weights, in order: the steps of ``contour_path``, the
+    grid's segments forward, then the same segments backward from the
+    last time, each carried through ``steps_per_segment`` sub-steps."""
     steps_per_segment = linalg.require_count(steps_per_segment,
                                              "steps_per_segment", 1)
-    forward = [(k, k + 1) for k in range(len(fam.slots) - 1)]
-    pairs = forward + [(l, k) for k, l in reversed(forward)]
+    pairs = contour_path(len(fam.slots))
     return np.hypot(*_products(fam, _steps(fam, sched, pairs,
                                            steps_per_segment)))
 

@@ -59,6 +59,15 @@ class TestHistoryTypes:
         with pytest.raises(ValidationError, match="duplicate constraint"):
             HistoryFamily((two_point(E0, E1),), constraint_times=(0.0, 0.0))
 
+    @pytest.mark.parametrize("t", ["a", None, 10 ** 400, True],
+                             ids=["a", "None", "10**400", "True"])
+    def test_family_refuses_a_constraint_time_that_is_not_a_time(self, t):
+        # "a" and None used to leak TypeError from same_time, 10**400
+        # OverflowError; True was taken as time 1.0
+        with pytest.raises(ValidationError,
+                           match="^constraint time must be real and finite"):
+            HistoryFamily((two_point(E0, E1),), constraint_times=(t,))
+
 
 class TestIdentitySemantics:
     def test_fixed_points_with_equal_values_are_not_equal(self):
@@ -433,6 +442,9 @@ class TestTolerance:
             validate_family(fam, tol)
         with pytest.raises(ValidationError, match="tolerance"):
             decoherence_report(fam, sched, psi1, tol)
+        # histories_equal let "x" leak numpy's UFuncTypeError
+        with pytest.raises(ValidationError, match="tolerance"):
+            histories_equal(fam.histories[0], fam.histories[0], tol)
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
     def test_nan_or_negative_tol_rejected(self, tol):
@@ -443,6 +455,9 @@ class TestTolerance:
             validate_family(fam, tol)
         with pytest.raises(ValidationError, match="non-negative"):
             decoherence_report(fam, sched, psi1, tol)
+        # histories_equal returned False for a NaN tolerance
+        with pytest.raises(ValidationError, match="non-negative"):
+            histories_equal(fam.histories[0], fam.histories[0], tol)
 
     def test_duplicated_family_is_invalid_at_any_finite_tol(self):
         spec, _ = random_family_spec(64, dim=2, n_times=3, s_t=1)
@@ -760,6 +775,15 @@ class TestEnumerateFamily:
         spec, _ = random_family_spec(34, dim=4, n_times=4, s_t=1)
         with pytest.raises(EnumerationGuardError):
             enumerate_family(spec, guard=10)
+        with pytest.raises(EnumerationGuardError):
+            enumerate_family(spec, guard=0)
+
+    @pytest.mark.parametrize("guard", ["x", True, -1, 2.0])
+    def test_guard_must_be_a_non_negative_integer(self, guard):
+        # "x" used to leak TypeError; True was taken as 1
+        spec, _ = random_family_spec(34, dim=2, n_times=2, s_t=1)
+        with pytest.raises(ValidationError, match="^enumeration guard must"):
+            enumerate_family(spec, guard=guard)
 
     def test_incomplete_basis_at_free_slot_rejected(self):
         with pytest.raises(ValidationError):

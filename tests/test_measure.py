@@ -15,7 +15,7 @@ from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       measure_report, segment_amplitude, sequential_chain,
                       transfer_chain)
 from qcontour import dynamics, histories, linalg, measure
-from qcontour.contour import TimeGrid, contour_path
+from qcontour.contour import contour_path
 from qcontour.dynamics import evolve_state, propagate
 from qcontour.linalg import complete_basis
 from qcontour.oracle import condition_on_final
@@ -222,14 +222,13 @@ class TestSharedSegments:
 
 def _plain_walk(h, sched, steps):
     """The contour walk with one propagate call per sub-step."""
-    states = {p.time: p.state for p in h.points}
     amp = 1.0 + 0.0j
-    for step in contour_path(TimeGrid(h.times)):
-        carried = states[step.start.t]
-        ticks = np.linspace(step.start.t, step.end.t, steps + 1)
+    for k, l in contour_path(h.n_times):
+        carried = h.points[k].state
+        ticks = np.linspace(h.times[k], h.times[l], steps + 1)
         for u, v in zip(ticks, ticks[1:]):
             carried = propagate(sched, u, v) @ carried
-        amp *= np.vdot(states[step.end.t], carried)
+        amp *= np.vdot(h.points[l].state, carried)
     return float(abs(amp))
 
 
@@ -378,8 +377,7 @@ class TestPairLookup:
         fam = families[name]
         assert _joined_pairs(fam, 0, 1) == joined
         segments = [(0, 1), (1, 2)]
-        walk = [(fam.times.index(s.start.t), fam.times.index(s.end.t))
-                for s in contour_path(TimeGrid(fam.times))]
+        walk = contour_path(len(fam.times))
         # each table is one stacked inner product; count its entries
         tables = count_calls(monkeypatch, linalg, "inners")
         sorts = count_calls(monkeypatch, np, "unique")

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from qcontour import (FamilySpec, FixedPoint, HamiltonianSchedule,
-                      QuantumHistory, TimeGrid, ToyBundle, ValidationError,
+                      QuantumHistory, ToyBundle, ValidationError,
                       born_probability, history_operator, segment_amplitude,
                       sequential_chain)
 from qcontour.cli import main
@@ -51,7 +51,6 @@ def sched_from(t0):
 
 
 ENTRY_POINTS = {
-    "TimeGrid": lambda t0, t1, tmp: TimeGrid((t0, t1)),
     "FamilySpec": lambda t0, t1, tmp: FamilySpec(times=(t0, t1),
                                                  bases=(BASIS, BASIS)),
     "measure": lambda t0, t1, tmp: run_cli("measure", tmp, t0, t1),
@@ -104,7 +103,7 @@ class TestRequireIncreasing:
         with pytest.raises(ValidationError, match="^grid times must be real"):
             require_increasing(times, "grid times")
         with pytest.raises(ValidationError, match="^grid times must be real"):
-            TimeGrid(times)
+            FamilySpec(times=times, bases=())
 
     def test_message_names_the_times_as_written(self):
         with pytest.raises(ValidationError) as exc:
