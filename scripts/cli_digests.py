@@ -11,9 +11,12 @@ each demo model over one forward and one backward interval, the built-in
 ``verify_cli``-shaped benchmark models (seeds 1 and 271828), ``verify``
 on the seed-1 model with ``--trials`` 1, 65535, 65536, 65537 and 250000
 (``TRIAL_COUNTS``: one draw, and the edges of the Monte Carlo draw chunk
-of 2**16, which the default 100000 trials do not reach), ``measure``
-(also with ``--steps-per-segment 2``) on the two ``family_large``-shaped
-benchmark models (d=8, N_t=5, 4096 histories; seeds 1 and 271828),
+of 2**16, which the default 100000 trials do not reach), ``verify`` on
+two post-selected models (``POST_SELECTED_MODELS``: a d=8, N_t=4 model
+pinned at both ends, and a qubit pinned at its first and at a middle grid
+time), ``measure`` (also with ``--steps-per-segment 2``) on the two
+``family_large``-shaped benchmark models (d=8, N_t=5, 4096 histories;
+seeds 1 and 271828),
 ``decompose`` and ``measure`` (also with ``--steps-per-segment 2``) on
 ``bundle_2x2`` with its pivot 9e-13 after its grid time (inside the time
 matcher's tolerance, so every route must carry the pivot from its own
@@ -69,7 +72,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from qcontour import cli  # noqa: E402
 from perfbench.workloads import (FamilyLarge, VerifyCli,  # noqa: E402
-                                 model_document)
+                                 model_document, raw_model)
 
 DEMO_MODELS = ("born_qubit", "bundle_2x2", "post_selected_qubit")
 BENCH_SEEDS = (1, 271828)
@@ -99,6 +102,14 @@ ERROR_MODELS = {
     "overflow-constraint.json": _qubit_model([0.0, 1.0],
                                              [(0.0, [[1e300, 0], [0, 0]])]),
 }
+
+#: post-selected models, one per file: d=8 pinned at both ends, and a
+#: qubit pinned at its first and at a middle grid time
+POST_SELECTED_MODELS = (
+    {"post_selected-d8.json": model_document(raw_model(1, 2, 8, 4, 2))},
+    {"middle-pin-qubit.json": _qubit_model(
+        [0.0, 0.5, 1.0, 1.5], [(0.0, _E0), (1.0, _E1)])},
+)
 
 #: the X (swap) transformation on A, for the envariance commands
 SWAP_FILE = {"swap.json": {"matrix": [_E1, _E0]}}
@@ -182,6 +193,8 @@ def bench_commands():
     files = {"verify_cli-1.json": model_document(VerifyCli.raw(1))}
     for trials in TRIAL_COUNTS:
         yield files, ["verify", "verify_cli-1.json", "--trials", str(trials)]
+    for files in POST_SELECTED_MODELS:
+        yield files, ["verify", *files]
     for seed in BENCH_SEEDS:
         name = f"family_large-{seed}.json"
         files = {name: model_document(FamilyLarge.raw(seed))}

@@ -137,9 +137,13 @@ def histories_equal(a: QuantumHistory, b: QuantumHistory,
 
 
 def _constraint_slots(times, constraint_times) -> list[int]:
-    """The grid index of each constraint time; raises ValidationError for a
-    time that is not a real, finite number, a time off the grid or a grid
-    time constrained twice."""
+    """The grid index of each constraint time; raises ValidationError unless
+    ``constraint_times`` is a list, tuple or 1-d array of real, finite grid
+    times, no grid time constrained twice."""
+    if not (isinstance(constraint_times, (list, tuple))
+            or getattr(constraint_times, "ndim", None) == 1):
+        raise ValidationError("constraint times must be a sequence of "
+                              f"times, got {constraint_times!r}")
     slots = []
     for t in constraint_times:
         index = grid_index(times, require_time(t, "constraint time"))
@@ -165,8 +169,8 @@ class HistoryFamily:
     row i the state of ``slots[k][i]``.  ``==`` is identity, as for fixed
     points.
 
-    ``constraint_times`` lists the times at which the fixed point is known
-    (there are S_t of them); the remaining times are free slots.  An
+    ``constraint_times`` lists the S_t times at which the fixed point is
+    known, in time order; the remaining times are free slots.  An
     enumerated family (``enumerate_family``) also records ``choices``, per
     history the basis index chosen at each free slot, in time order, as a
     read-only (H, N_t - S_t) integer array; a hand-built one has none.
@@ -225,7 +229,7 @@ class HistoryFamily:
         object.__setattr__(self, "slot_states", states)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "constraint_times",
-                           tuple(float(t) for t in constraint_times))
+                           tuple(sorted(map(float, constraint_times))))
         object.__setattr__(self, "choices", choices)
         object.__setattr__(self, "_histories", histories)
 
@@ -749,5 +753,5 @@ def enumerate_family(spec: FamilySpec,
     index = np.indices(shape, dtype=np.intp).reshape(len(shape), -1).T
     return HistoryFamily._from_index(
         spec.slots, spec.slot_states, index,
-        constraint_times=sorted(fp.time for fp in spec.constraints),
+        constraint_times=[fp.time for fp in spec.constraints],
         choices=index[:, free])

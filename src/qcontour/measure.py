@@ -260,6 +260,13 @@ class DecompositionMode(enum.Enum):
     MDRW = "MDRW"
 
 
+#: per mode, whether the past and whether the future branches stay apart
+_SPLITS = {DecompositionMode.MORW: (False, False),
+           DecompositionMode.MMWF: (True, False),
+           DecompositionMode.MMWP: (False, True),
+           DecompositionMode.MDRW: (True, True)}
+
+
 class ToyBundle(FamilySpec):
     """Branch sets at two outer times joined through one pivot fixed point:
     the three-slot recipe that ``decompose_total_measure`` reads.
@@ -317,13 +324,7 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
     _, (pivot,), future = bundle.slots
     w_past = [abs(complex(np.vdot(pivot.state, c))) ** 2 for c in to_pivot]
     w_future = [abs(complex(np.vdot(f.state, carried))) ** 2 for f in future]
-    sum_past, sum_future = sum(w_past), sum(w_future)
-    if mode is DecompositionMode.MORW:
-        terms = (sum_past * sum_future,)
-    elif mode is DecompositionMode.MMWF:
-        terms = tuple(w * sum_future for w in w_past)
-    elif mode is DecompositionMode.MMWP:
-        terms = tuple(sum_past * w for w in w_future)
-    else:  # MDRW
-        terms = tuple(wp * wf for wp in w_past for wf in w_future)
+    split_past, split_future = _SPLITS[mode]
+    terms = tuple(p * f for p in (w_past if split_past else [sum(w_past)])
+                  for f in (w_future if split_future else [sum(w_future)]))
     return DecompositionResult(mode=mode, total=float(sum(terms)), terms=terms)

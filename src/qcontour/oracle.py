@@ -5,7 +5,8 @@ projective-measurement simulation (evolve, project, renormalize) and
 reproducible Monte Carlo frequency sampling.  The collapse simulation
 tracks pure-state branches with unnormalized amplitudes, whose squared
 norms are exactly the joint outcome probabilities, avoiding any division
-by zero along dead branches.
+by zero along dead branches.  A pinned time is a one-row stack, its
+constraint's state, on which the chain post-selects (the ABL rule).
 """
 
 from __future__ import annotations
@@ -174,30 +175,37 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     return _unchecked_chain(psi1, checked, times, sched, t_prep)
 
 
-def _unchecked_chain(psi1, bases, times, sched: HamiltonianSchedule,
+def _unchecked_chain(psi1, stacks, times, sched: HamiltonianSchedule,
                      t_now: float) -> OutcomeDistribution:
-    """``sequential_chain``'s branch loop, on input it would accept; each
-    basis is a (d, d) array whose rows are its states."""
+    """``sequential_chain``'s branch loop, on input it would accept or on a
+    recipe's slot stacks, (n, d) arrays of orthonormal rows.  A stack of
+    fewer rows (a pin's state) post-selects: the probabilities are divided
+    by their Python-order total; a zero one is a ZeroNormalizationError."""
     # the branches are the rows of one (B, d) array, each an unnormalized
     # collapsed state whose squared norm is the joint probability of its
     # outcomes.  Per time: one stacked evolution (u @ branch of every row),
-    # one stacked projection (vdot(b, evolved) of every branch and basis
+    # one stacked projection (vdot(b, evolved) of every branch and stack
     # state b, times b), and a row-major reshape that splits each branch
-    # in basis order, so the rows run in the lexicographic order of their
+    # in stack order, so the rows run in the lexicographic order of their
     # keys.  The stacked forms are the per-branch products bit for bit.
     branches = psi1.reshape(1, -1)
-    for t, basis in zip(times, bases):
+    for t, stack in zip(times, stacks):
         u = propagate(sched, t_now, t)
         evolved = u @ branches[..., None]
-        amplitudes = linalg.inners(basis, evolved[:, None, :, 0])
-        branches = (basis * amplitudes[..., None]).reshape(-1, sched.dim)
+        amplitudes = linalg.inners(stack, evolved[:, None, :, 0])
+        branches = (stack * amplitudes[..., None]).reshape(-1, sched.dim)
         t_now = t
+    probs = linalg.inners(branches, branches).real
+    if any(len(stack) < sched.dim for stack in stacks):
+        total = sum(probs.tolist())
+        if total == 0.0:
+            raise ZeroNormalizationError("post-selection has zero probability")
+        probs = probs / total
     # keys in the lexicographic order of the rows, as enumerate_family's
     # index is built; distinct by construction
-    keys = np.indices((sched.dim,) * len(times), dtype=np.intp)
+    keys = np.indices(tuple(map(len, stacks)), dtype=np.intp)
     return OutcomeDistribution._from_distinct(
-        keys.reshape(len(times), len(branches)).T,
-        linalg.inners(branches, branches).real)
+        keys.reshape(len(stacks), len(branches)).T, probs)
 
 
 def condition_on_final(dist: OutcomeDistribution,

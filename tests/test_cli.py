@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcontour import (OutcomeDistribution, __version__, cli,
+from qcontour import (FixedPoint, OutcomeDistribution, __version__, cli,
                       condition_on_final, enumerate_family, linalg,
-                      measure_report, monte_carlo_sample, sequential_chain)
+                      measure_report, monte_carlo_sample, oracle,
+                      sequential_chain)
 from qcontour.cli import build_parser, main
-from qcontour.sampling import random_model, rng_from_seed
+from qcontour.sampling import random_model, random_state, rng_from_seed
 
 from toys import count_calls, random_family_spec
 
@@ -467,8 +468,7 @@ class TestVerifyInputs:
     def test_model_pinned_at_a_middle_time_exit_3(self, tmp_path, capsys):
         assert main(["verify", bundle_model(tmp_path)]) == 3
         assert capsys.readouterr().err == (
-            "error: verification needs either one constraint at the first "
-            "time or constraints at both endpoints\n")
+            "error: verification needs a constraint at the first time\n")
 
 
 class TestModelChecksAtLoad:
@@ -719,3 +719,112 @@ class TestVerifyColumns:
             OutcomeDistribution(tuple(by_choices.items())), 100_000, 0)
         assert (row["mc_max_sigma"], row["mc_all_within_band"]) \
             == (table.max_sigma, table.all_within_band)
+
+
+def _completed_basis_chain(psi1, stacks, times, sched, t_now):
+    """The chain ``verify`` used to run, as the reference: a pin at the last
+    time measured in the basis completed from its state, and the outcomes
+    conditioned on that state; without one, the chain over the bases."""
+    bases = list(stacks)
+    pinned_last = len(bases[-1]) == 1
+    if pinned_last:
+        bases[-1] = linalg.complete_basis(bases[-1][0])
+    dist = sequential_chain(psi1, bases, times, sched, t_now)
+    return condition_on_final(dist, 0) if pinned_last else dist
+
+
+def _qubit_doc(bases, constraints):
+    """A qubit model over (0, 0.5, 1) under the X generator."""
+    return {"dim": 2, "grid": [0.0, 0.5, 1.0],
+            "hamiltonian": [{"t_start": 0.0, "t_end": 1.0,
+                             "matrix": SX_PAIRS}],
+            "bases": bases,
+            "constraints": [{"time": t, "state": state}
+                            for t, state in constraints]}
+
+
+@st.composite
+def pinned_models(draw):
+    """A random model (d 2-4, N_t 2-5) pinned at its first time and at a
+    random set of later times."""
+    seed = draw(st.integers(0, 10 ** 6))
+    dim, n_times = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    later = draw(st.sets(st.integers(1, n_times - 1)))
+    rng = rng_from_seed(seed)
+    model = random_model(rng, [0.3 * k for k in range(n_times)], dim, 1)
+    pins = tuple(FixedPoint(model.times[k], random_state(rng, dim))
+                 for k in sorted(later))
+    return dataclasses.replace(model,
+                               constraints=model.constraints + pins)
+
+
+class TestVerifyPostSelects:
+    """``verify`` runs one chain over the recipe's slot stacks, each later
+    pin a one-row stack the chain post-selects on."""
+
+    @pytest.mark.parametrize("s_t", [1, 2])
+    @pytest.mark.parametrize("dim, n_times", [(2, 3), (4, 5), (5, 4), (8, 4),
+                                              (8, 5), (4, 7)])
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_fields_equal_the_completed_basis_route(
+            self, monkeypatch, seed, dim, n_times, s_t):
+        times = tuple(0.3 * k for k in range(n_times))
+        model = random_model(rng_from_seed(seed), times, dim, s_t)
+        row = cli._verify_one("m", model, 2000, seed, 2, linalg.DEFAULT_TOL)
+        monkeypatch.setattr(cli, "_unchecked_chain", _completed_basis_chain)
+        assert row == cli._verify_one("m", model, 2000, seed, 2,
+                                      linalg.DEFAULT_TOL)
+
+    def test_no_completed_basis_and_one_row_per_member(self, monkeypatch):
+        model = random_model(rng_from_seed(5), (0.0, 0.3, 0.6, 0.9), 4, 2)
+        completed = count_calls(monkeypatch, linalg, "complete_basis")
+        conditioned = count_calls(monkeypatch, oracle, "condition_on_final")
+        distributions = count_calls(monkeypatch, OutcomeDistribution,
+                                    "_from_distinct")
+        row = cli._verify_one("m", model, 2000, 0, 2, linalg.DEFAULT_TOL)
+        assert row["n_histories"] == 16 and row["pass"]
+        assert completed == conditioned == []
+        # the chain's and the sampled family's columns, H rows each
+        assert [len(keys) for keys, _ in distributions] == [16, 16]
+
+    @given(pinned_models())
+    @settings(max_examples=40, deadline=None)
+    def test_any_pin_set_with_the_first_time_agrees(self, model):
+        # the verdict is left out: the Monte Carlo band may flip it
+        row = cli._verify_one("m", model, 2000, 0, 2, linalg.DEFAULT_TOL)
+        assert row["s_t"] == len(model.constraints)
+        for field in ("normalization_error", "route_discrepancy",
+                      "chain_deviation", "direct_deviation"):
+            assert row[field] <= 1e-12, (field, row)
+
+    def test_model_pinned_at_first_and_middle_time_verifies(self, tmp_path,
+                                                             capsys):
+        path = write(tmp_path, "middle.json", _qubit_doc(
+            None, [(0.0, [[1, 0], [0, 0]]), (0.5, [[0, 0], [1, 0]])]))
+        code, doc = run_structured(capsys, ["verify", path])
+        assert code == 0 and doc["models"][0]["s_t"] == 2
+
+    @pytest.mark.parametrize("final, code", [(False, 3), (True, 0)])
+    def test_basis_orthonormal_only_within_input_tol(self, tmp_path, capsys,
+                                                     final, code):
+        # the middle basis is orthonormal within INPUT_TOL but not within
+        # DEFAULT_TOL: its outcome probabilities sum to 1 + 4e-9.  A free
+        # last time leaves that sum to the distribution's check; a pinned
+        # one post-selects, which divides by it
+        eps = 5e-9
+        skewed = [[[1, 0], [0, 0]], [[0, eps], [math.sqrt(1 - eps ** 2), 0]]]
+        assert not linalg.is_orthonormal(
+            [[complex(*z) for z in v] for v in skewed])
+        constraints = [(0.0, [[1, 0], [0, 0]])]
+        if final:
+            constraints.append((1.0, [[math.sqrt(0.5), 0],
+                                      [math.sqrt(0.5), 0]]))
+        path = write(tmp_path, "skewed.json", _qubit_doc(
+            [None, skewed, None], constraints))
+        assert main(["verify", path]) == code
+        err = capsys.readouterr().err
+        if final:
+            assert err == ""
+        else:
+            assert err.startswith("error: probabilities sum to 1.00000000")
+            assert err.endswith(", expected 1\n")

@@ -68,6 +68,27 @@ class TestHistoryTypes:
                            match="^constraint time must be real and finite"):
             HistoryFamily((two_point(E0, E1),), constraint_times=(t,))
 
+    @pytest.mark.parametrize("times", [0.0, None, "0.0", b"\x00",
+                                       iter([0.0]), np.array(0.0)],
+                             ids=["float", "None", "text", "bytes",
+                                  "iterator", "0-d array"])
+    def test_family_refuses_constraint_times_that_are_not_a_sequence(
+            self, times):
+        # a float or None used to leak TypeError, text was refused time by
+        # time, bytes were read as integer times and an iterator was used
+        # up by the check, leaving no constraint time
+        with pytest.raises(ValidationError,
+                           match="^constraint times must be a sequence"):
+            HistoryFamily((two_point(E0, E1),), constraint_times=times)
+
+    @pytest.mark.parametrize("times", [(1.0, 0.0), [1.0, 0.0],
+                                       np.array([1.0, 0.0])])
+    def test_family_keeps_constraint_times_in_time_order(self, times):
+        # enumerate_family sorted them; a hand-built family kept the order
+        # it was given
+        fam = HistoryFamily((two_point(E0, E1),), constraint_times=times)
+        assert fam.constraint_times == (0.0, 1.0)
+
 
 class TestIdentitySemantics:
     def test_fixed_points_with_equal_values_are_not_equal(self):

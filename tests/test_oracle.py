@@ -16,8 +16,9 @@ from qcontour import (FamilySpec, FrequencyRow, HamiltonianSchedule,
 from qcontour.errors import EnumerationGuardError
 from qcontour.linalg import complete_basis
 from qcontour.sampling import haar_unitary, random_hermitian, rng_from_seed
-from toys import (E0, FAMILY_SHAPES, WIDE_SHAPES, computational_basis,
-                  count_calls, random_family_spec, sx_schedule, zero_schedule)
+from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, WIDE_SHAPES,
+                  computational_basis, count_calls, random_family_spec,
+                  sx_schedule, zero_schedule)
 
 
 def _branch_loop_chain(psi1, bases, times, sched, t_prep):
@@ -266,6 +267,25 @@ class TestConditionOnFinal:
         with pytest.raises(ValidationError, match="non-empty sequences"):
             condition_on_final(dist, 0)
 
+
+
+class TestPostSelectedChain:
+    """A stack of fewer rows than the dimension, a pinned time's state,
+    post-selects the chain on its states."""
+
+    def test_one_row_stack_conditions_and_keys_its_column(self):
+        c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        pin = np.array([[c, s]], dtype=complex)
+        dist = oracle._unchecked_chain(E0, [np.array([PLUS, MINUS]), pin],
+                                       (0.5, 1.0), zero_schedule(2), 0.0)
+        assert dist.keys.tolist() == [[0, 0], [1, 0]]
+        assert dist.probabilities.tolist() == pytest.approx(
+            [(c + s) ** 2 / 2, (c - s) ** 2 / 2], abs=1e-15)
+
+    def test_zero_total_raises(self):
+        with pytest.raises(ZeroNormalizationError, match="post-selection"):
+            oracle._unchecked_chain(E0, [E1.reshape(1, -1)], (1.0,),
+                                    zero_schedule(2), 0.0)
 
 class TestMonteCarloSample:
     def test_degenerate_distribution(self):
