@@ -10,8 +10,9 @@ each demo model over one forward and one backward interval, the built-in
 ``--steps-per-segment 3`` and ``8``) and ``verify`` on the two
 ``verify_cli``-shaped benchmark models (seeds 1 and 271828), ``verify``
 on the seed-1 model with ``--trials`` 1, 65535, 65536, 65537 and 250000
-(``TRIAL_COUNTS``: one draw, and the edges of the Monte Carlo draw chunk
-of 2**16, which the default 100000 trials do not reach), ``verify`` on
+(``TRIAL_COUNTS``: one draw, both sides of 2**16 and one count above the
+default 100000; the counts are one multinomial draw whatever the trial
+count, and these five keep the lines comparable), ``verify`` on
 two post-selected models (``POST_SELECTED_MODELS``: a d=8, N_t=4 model
 pinned at both ends, and a qubit pinned at its first and at a middle grid
 time), ``measure`` (also with ``--steps-per-segment 2``) on the two
@@ -76,7 +77,8 @@ from perfbench.workloads import (FamilyLarge, VerifyCli,  # noqa: E402
 
 DEMO_MODELS = ("born_qubit", "bundle_2x2", "post_selected_qubit")
 BENCH_SEEDS = (1, 271828)
-#: Monte Carlo trial counts around the draw chunk of 2**16 (and one draw)
+#: Monte Carlo trial counts: one draw, both sides of 2**16, and one count
+#: above the default 100000
 TRIAL_COUNTS = (1, 65535, 65536, 65537, 250000)
 _E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
 

@@ -24,9 +24,6 @@ from .dynamics import HamiltonianSchedule, propagate
 from .errors import ValidationError, ZeroNormalizationError
 from .sampling import rng_from_seed
 
-#: draws per chunk of a Monte Carlo sample (512 KB of float64 uniforms)
-_DRAW_CHUNK = 2 ** 16
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class OutcomeDistribution:
@@ -293,47 +290,34 @@ class FrequencyTable:
             self.band.tolist(), self.within.tolist())))
 
 
-def _counts(p: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Per-outcome counts of ``n`` draws from ``p``: bit for bit
-    ``np.bincount(rng_from_seed(seed).choice(len(p), size=n, p=p),
-    minlength=len(p))``.
-
-    ``choice`` draws uniforms u and puts u in outcome k iff
-    ``cdf[k-1] <= u < cdf[k]``, where ``cdf`` is ``np.cumsum(p)`` divided
-    by its last entry; so count k is #{u < cdf[k]} - #{u < cdf[k-1]}, read
-    off the sorted uniforms by one ``searchsorted`` of the cdf.  The
-    uniforms come in chunks of ``_DRAW_CHUNK`` that continue one Philox
-    stream, as one draw of n does, so memory stays flat in n.  ``choice``
-    would refuse a ``p`` that is not finite, non-negative and summing to
-    1; the caller's ``OutcomeDistribution`` and clip guarantee all three.
-    """
-    rng = rng_from_seed(seed)
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    below = np.zeros(len(p), dtype=np.intp)
-    for start in range(0, n, _DRAW_CHUNK):
-        u = rng.random(min(_DRAW_CHUNK, n - start))
-        u.sort()
-        below += u.searchsorted(cdf, side="left")
-    return np.diff(below, prepend=0)
-
-
 def monte_carlo_sample(dist: OutcomeDistribution, n: int,
                        seed: int) -> FrequencyTable:
     """Draw ``n`` outcome sequences and tabulate their frequencies.
 
-    Sampling reads the distribution's probability column with the Philox
-    generator of ``rng_from_seed(seed)``, so tables are bit-identical
-    across reruns, and the counts are those of that generator's
-    ``choice``; the table shares the distribution's key array.  Each
-    frequency is compared against the five-sigma binomial band around its
-    probability, clipped to [0, 1] as the draws read it; rows outside the
-    band are flagged, not fatal.
+    The counts of n independent draws follow the multinomial(n, p) law, so
+    they come from one ``multinomial`` draw of the Philox generator of
+    ``rng_from_seed(seed)``, a chain of conditional binomials in O(H) time
+    and memory whatever ``n`` is; tables are bit-identical across reruns,
+    and the table shares the distribution's key array.  ``n`` is at most
+    2**63 - 1, the largest count numpy draws.  Each frequency is compared
+    against the five-sigma binomial band around its probability, clipped
+    to [0, 1] as the draws read it; rows outside the band are flagged, not
+    fatal.
     """
     n = linalg.require_count(n, "sample count", 1)
+    largest = np.iinfo(np.int64).max
+    if n > largest:
+        raise ValidationError(
+            f"sample count must be at most {largest}, got {n}")
     probs = dist.probabilities
     weights = np.maximum(probs, 0.0)
-    counts = _counts(weights / weights.sum(), n, seed)
+    # numpy gives the chain's last row whatever the binomials before it
+    # leave, rounding error included, so the chain ends at the last row of
+    # positive probability and every row after it counts 0
+    end = np.flatnonzero(weights)[-1] + 1
+    counts = np.zeros(len(weights), dtype=np.int64)
+    counts[:end] = rng_from_seed(seed).multinomial(
+        n, weights[:end] / weights.sum())
     # one column per row quantity, each the per-row formula elementwise
     freq = counts / n
     clipped = np.minimum(weights, 1.0)

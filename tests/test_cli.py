@@ -465,6 +465,20 @@ class TestVerifyInputs:
         assert err.startswith("error: seed must be non-negative")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("model", [False, True])
+    def test_sample_count_beyond_the_largest_exit_3(self, tmp_path, capsys,
+                                                    model):
+        # numpy's OverflowError used to leak: a traceback and exit 1
+        argv = ["verify", "--trials", str(2 ** 63)]
+        if model:
+            argv.insert(1, born_model(tmp_path))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: sample count must be at most {2 ** 63 - 1}, "
+            f"got {2 ** 63}")
+        assert "Traceback" not in err
+
     def test_model_pinned_at_a_middle_time_exit_3(self, tmp_path, capsys):
         assert main(["verify", bundle_model(tmp_path)]) == 3
         assert capsys.readouterr().err == (

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,9 +56,7 @@ def _row_loop_table(dist, n, seed):
     bit for bit: rows and ``max_sigma``, each row's clipped probability
     and binomial sigma computed in a Python loop."""
     probs = np.clip(np.array([p for _, p in dist.outcomes]), 0.0, None)
-    draws = oracle.rng_from_seed(seed).choice(len(probs), size=n,
-                                              p=probs / probs.sum())
-    counts = np.bincount(draws, minlength=len(probs))
+    counts = oracle.rng_from_seed(seed).multinomial(n, probs / probs.sum())
     rows, worst = [], 0.0
     for (key, p), count in zip(dist.outcomes, counts.tolist()):
         freq = count / n
@@ -75,30 +74,24 @@ def _row_loop_table(dist, n, seed):
 
 
 class _FixedDraws:
-    """A generator whose ``random`` returns the given uniforms in [0, 1),
-    and whose ``choice`` maps the same uniforms to outcomes as numpy's
-    ``Generator.choice`` does."""
+    """A generator whose ``multinomial`` returns the given counts, one per
+    row of the probabilities it is asked for."""
 
-    def __init__(self, uniforms):
-        self.uniforms = np.array(uniforms, dtype=float)
+    def __init__(self, counts):
+        self.counts = np.array(counts, dtype=np.int64)
 
-    def random(self, size):
-        return self.uniforms[:size].copy()
-
-    def choice(self, n_rows, size, p):
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        return cdf.searchsorted(self.random(size), side="right")
+    def multinomial(self, n, pvals):
+        return self.counts[:len(pvals)].copy()
 
 
-def _tables_of_uniforms(monkeypatch, probs, uniforms):
-    """The table of one draw per given uniform from ``probs``, and the
-    per-row loop's ``(rows, max_sigma)`` on the same uniforms."""
+def _tables_of_counts(monkeypatch, probs, counts):
+    """The table of the given counts of draws from ``probs``, and the
+    per-row loop's ``(rows, max_sigma)`` on the same counts."""
     monkeypatch.setattr(oracle, "rng_from_seed",
-                        lambda seed: _FixedDraws(uniforms))
+                        lambda seed: _FixedDraws(counts))
     dist = OutcomeDistribution(tuple(((k,), p) for k, p in enumerate(probs)))
-    return (monte_carlo_sample(dist, len(uniforms), 0),
-            _row_loop_table(dist, len(uniforms), 0))
+    return (monte_carlo_sample(dist, sum(counts), 0),
+            _row_loop_table(dist, sum(counts), 0))
 
 
 class TestSequentialChain:
@@ -389,32 +382,58 @@ class TestMonteCarloSample:
         dist = OutcomeDistribution(tuple(((k,), p)
                                          for k, p in enumerate(probs)))
         table = monte_carlo_sample(dist, 1000, seed=9)
-        draws = np.random.Generator(np.random.Philox(9)).choice(
-            3, size=1000, p=probs / probs.sum())
-        assert [r.count for r in table.rows] == np.bincount(draws).tolist()
+        counts = np.random.Generator(np.random.Philox(9)).multinomial(
+            1000, probs / probs.sum())
+        assert [r.count for r in table.rows] == counts.tolist()
+
+    @pytest.mark.parametrize("n", [2 ** 63, np.uint64(2 ** 63),
+                                   np.uint64(2 ** 64 - 1)])
+    def test_sample_count_beyond_the_largest_rejected(self, n):
+        # numpy draws counts as int64: 2**63 leaked its OverflowError, and
+        # the chunked draws before it ran for about 1.4e14 chunks
+        dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
+        with pytest.raises(ValidationError,
+                           match=f"at most {2 ** 63 - 1}, got {int(n)}$"):
+            monte_carlo_sample(dist, n, seed=0)
 
 
-class TestDrawChunks:
-    """Draws come in chunks of ``oracle._DRAW_CHUNK`` that continue one
-    Philox stream, so the counts are those of a single draw of n."""
+@st.composite
+def sample_weights(draw):
+    """Weights over H = 1 to 4096 rows, from a seeded numpy stream: some
+    rows 0, some 1e-300, some trailing rows 0, perhaps one 1e300 weight,
+    and at least one positive row."""
+    h = draw(st.integers(1, 4096))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = gen.random(h)
+    weights[gen.random(h) < draw(st.floats(0.0, 1.0))] = 0.0
+    weights[gen.random(h) < draw(st.floats(0.0, 0.5))] = 1e-300
+    if draw(st.booleans()):
+        weights[gen.integers(h)] = 1e300
+    weights[h - draw(st.integers(0, h - 1)):] = 0.0
+    if not weights.any():
+        weights[0] = 1.0
+    return weights
+
+
+class TestMultinomialCounts:
+    """The counts are one multinomial draw of the seed's Philox stream, at
+    any sample count and with any zero rows."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("multiple", [1, 2])
     def test_counts_equal_one_draw(self, multiple, offset):
-        n = multiple * oracle._DRAW_CHUNK + offset
+        n = multiple * 2 ** 16 + offset
         probs = np.array([0.1, 0.25, 0.0, 0.65])
         dist = OutcomeDistribution(tuple(((k,), p)
                                          for k, p in enumerate(probs)))
         table = monte_carlo_sample(dist, n, seed=17)
-        draws = rng_from_seed(17).choice(4, size=n, p=probs / probs.sum())
-        assert [r.count for r in table.rows] == \
-            np.bincount(draws, minlength=4).tolist()
+        counts = rng_from_seed(17).multinomial(n, probs / probs.sum())
+        assert [r.count for r in table.rows] == counts.tolist()
 
     @pytest.mark.parametrize("n", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
                                    100_000])
-    def test_counts_equal_choice_over_many_rows(self, n):
-        # H = 4096 with about a fifth of the rows at probability 0: the
-        # sorted-uniform counts are those of numpy's choice
+    def test_counts_equal_multinomial_over_many_rows(self, n):
+        # H = 4096 with about a fifth of the rows at probability 0
         gen = np.random.default_rng(n)
         weights = gen.random(4096)
         weights[gen.random(4096) < 0.2] = 0.0
@@ -422,22 +441,62 @@ class TestDrawChunks:
         dist = OutcomeDistribution(tuple(((k,), p)
                                          for k, p in enumerate(probs)))
         table = monte_carlo_sample(dist, n, seed=23)
-        draws = rng_from_seed(23).choice(4096, size=n,
-                                         p=probs / probs.sum())
-        assert table.counts.tolist() == \
-            np.bincount(draws, minlength=4096).tolist()
+        counts = rng_from_seed(23).multinomial(n, probs / probs.sum())
+        assert table.counts.tolist() == counts.tolist()
+
+    @given(weights=sample_weights(),
+           n=st.integers(1, 2 ** 63 - 1), seed=st.integers(0, 2 ** 64))
+    @example(weights=np.r_[np.random.default_rng(1).random(8), 0.0],
+             n=2 ** 63 - 1, seed=0)
+    @settings(max_examples=50, deadline=None)
+    def test_counts_sum_to_n_and_miss_no_zero_row(self, weights, n, seed):
+        # numpy's multinomial gives its last row the rounding remainder of
+        # the binomial chain: at n = 2**63 - 1 the example above put 567
+        # draws in its trailing row of probability 0
+        probs = weights / weights.sum()
+        dist = OutcomeDistribution.from_columns(
+            np.arange(len(probs))[:, None], probs)
+        counts = monte_carlo_sample(dist, n, seed).counts
+        assert sum(counts.tolist()) == n
+        assert (counts >= 0).all()
+        assert not counts[dist.probabilities == 0.0].any()
+
+    def test_counts_follow_the_law_of_independent_draws(self):
+        # row 0 of 2 000 seeded tables at H = 4, n = 20 against the counts
+        # of 20 single draws by choice, and both against binomial(20, p0)
+        probs = np.array([0.15, 0.2, 0.3, 0.35])
+        dist = OutcomeDistribution(tuple(((k,), p)
+                                         for k, p in enumerate(probs)))
+        seeds = range(2000)
+        ours = [monte_carlo_sample(dist, 20, seed).counts[0] for seed in seeds]
+        theirs = [np.bincount(rng_from_seed(seed).choice(4, size=20, p=probs),
+                              minlength=4)[0] for seed in seeds]
+        # cells 0..7 and a pooled tail, each expected above 5 draws
+        cells = [np.bincount(np.minimum(c, 8), minlength=9)
+                 for c in (ours, theirs)]
+        assert scipy.stats.chi2_contingency(cells).pvalue > 1e-3
+        law = scipy.stats.binom(20, probs[0])
+        expected = 2000 * np.r_[law.pmf(range(8)), law.sf(7)]
+        for observed in cells:
+            assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+        # a neighbouring law is told apart
+        other = scipy.stats.binom(20, probs[1])
+        assert scipy.stats.chisquare(
+            cells[0], 2000 * np.r_[other.pmf(range(8)), other.sf(7)]
+        ).pvalue < 1e-6
 
     def test_memory_stays_flat_in_the_sample_count(self):
         dist = OutcomeDistribution((((0,), 0.5), ((1,), 0.5)))
+        # the first draw in a process may load numpy.random (about 1 MB)
+        monte_carlo_sample(dist, 1, seed=2)
         tracemalloc.start()
         try:
-            table = monte_carlo_sample(dist, 10 ** 6, seed=2)
+            table = monte_carlo_sample(dist, 10 ** 9, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(r.count for r in table.rows) == 10 ** 6
-        # one draw of 10**6 peaked at about 16 MB
-        assert peak < 3 * 2 ** 20
+        assert sum(r.count for r in table.rows) == 10 ** 9
+        assert peak < 64 * 2 ** 10
 
 
 class TestTableColumns:
@@ -488,31 +547,18 @@ class TestTableBits:
         assert type(table.max_sigma) is float
 
     @pytest.mark.parametrize("draws, want", [
-        # (probabilities, uniforms): the uniform lands above
-        # cdf[0] = 1 - 5e-11, so one draw of row 1 misses row 0's
+        # (probabilities, counts): one draw of row 1 misses row 0's
         # zero-width band
-        (((1.0, 5e-11), [1 - 2 ** -53]), math.inf),
-        (((1.0, 0.0), [0.0, 0.5, 1 - 2 ** -53]), 0.0),
+        (((1.0, 5e-11), [0, 1]), math.inf),
+        (((1.0, 0.0), [3, 0]), 0.0),
     ])
     def test_zero_width_band(self, monkeypatch, draws, want):
         # p = 1 (and p = 0) have zero-width bands: a hit reads 0 sigma, a
         # miss inf
-        table, looped = _tables_of_uniforms(monkeypatch, *draws)
+        table, looped = _tables_of_counts(monkeypatch, *draws)
         assert (table.rows, table.max_sigma) == looped
         assert table.max_sigma == want
         assert table.all_within_band is (want == 0.0)
-
-    @pytest.mark.parametrize("probs, uniforms", [
-        # a uniform equal to a cdf entry belongs to the row above it
-        ((0.25, 0.25, 0.5), [0.0, 0.25, 0.5, 0.75]),
-        ((0.5, 0.0, 0.5), [0.5, 0.5, 0.25]),
-        # the cumulative sum ends at 1 - 2**-53, so only the cdf divided
-        # by its last entry puts the largest uniform in the last row
-        ((0.1,) * 10, [0.05, 1 - 2 ** -53]),
-    ])
-    def test_uniforms_on_cdf_edges(self, monkeypatch, probs, uniforms):
-        table, looped = _tables_of_uniforms(monkeypatch, probs, uniforms)
-        assert (table.rows, table.max_sigma) == looped
 
     @given(FAMILY_SHAPES)
     @settings(max_examples=20, deadline=None)
