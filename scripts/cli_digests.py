@@ -19,9 +19,11 @@ time), ``measure`` (also with ``--steps-per-segment 2``) on the two
 ``family_large``-shaped benchmark models (d=8, N_t=5, 4096 histories;
 seeds 1 and 271828),
 ``decompose`` and ``measure`` (also with ``--steps-per-segment 2``) on
-``bundle_2x2`` with its pivot 9e-13 after its grid time (inside the time
-matcher's tolerance, so every route must carry the pivot from its own
-time), the seven demos, ``measure`` and ``verify`` on five malformed
+``bundle_2x2`` with its pivot 9e-13 after its grid time, and ``verify``
+on the seed-1 ``verify_cli`` model with its first pin 9e-13 after its
+grid time (both inside the time matcher's tolerance: every route,
+``verify``'s transfer chain and collapse chain included, carries a pin
+from its own time), the seven demos, ``measure`` and ``verify`` on five malformed
 models (``ERROR_MODELS``: coincident grid times, a non-increasing grid,
 an off-grid constraint, a qutrit constraint state on a qubit model, a
 constraint state entry of 1e300, whose squared norm overflows), whose
@@ -29,8 +31,8 @@ lines digest the error message and exit code, and, last, ``envariance``
 of the swap on A for each state in ``STATE_FILES`` (an equal-amplitude
 pair, a lopsided pair, a state file missing its amplitudes, which exits
 2, and two that exit 3: two amplitudes for a 2 x 2 pair, and ``dim_a``
-0).  The benchmark models, the off-grid bundle, the malformed models and
-the envariance inputs are written to a temporary directory and run there
+0).  The benchmark models, the off-grid bundle and model, the malformed
+models and the envariance inputs are written to a temporary directory and run there
 by bare file name.  Each command shows its own warnings, also one that
 an earlier command in the same process showed.
 
@@ -209,6 +211,10 @@ def bench_commands():
     yield files, ["decompose", *files]
     yield files, ["measure", *files]
     yield files, ["measure", *files, "--steps-per-segment", "2"]
+    pinned = model_document(VerifyCli.raw(1))
+    pinned["constraints"][0]["time"] += 9e-13
+    files = {"verify_cli-1-off-grid.json": pinned}
+    yield files, ["verify", *files]
 
 
 def error_commands():

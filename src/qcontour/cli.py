@@ -29,7 +29,8 @@ from .measure import (DecompositionMode, decompose_total_measure,
                       measure_report, transfer_chain)
 from .models import (ModelSpec, load_model, matrix_from_json,
                      matrix_to_json, read_json, vector_from_json)
-from .oracle import OutcomeDistribution, _unchecked_chain, monte_carlo_sample
+from .oracle import (OutcomeDistribution, _unchecked_chain,
+                     monte_carlo_sample, require_sample_count)
 from .sampling import random_model, rng_from_seed
 
 
@@ -165,7 +166,7 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
     route_discrepancy = report.route_max_discrepancy
 
     # the chain measures at each free time and post-selects on each later pin
-    times, stacks = model.times, model.slot_states
+    times, stacks = model.slot_times, model.slot_states
     dist = _unchecked_chain(stacks[0][0], stacks[1:], times[1:],
                             model.schedule, times[0])
 
@@ -210,6 +211,8 @@ def cmd_verify(args) -> int:
         models = [(str(args.model), load_model(args.model))]
     else:
         models = _builtin_verify_models(args.seed)
+    # the sampler's count rule, applied before any model is weighed
+    require_sample_count(args.trials)
     rows = []
     for i, (name, model) in enumerate(models):
         rows.append(_verify_one(name, model, args.trials, args.seed + i,

@@ -251,8 +251,12 @@ class HistoryFamily:
                                                self.index.T.tolist())))
 
     @property
-    def times(self) -> tuple[float, ...]:
+    def slot_times(self) -> tuple[float, ...]:
+        """Per slot, its fixed points' time, as ``FamilySpec.slot_times``."""
         return tuple(slot[0].time for slot in self.slots)
+
+    #: a family's grid is its slot times
+    times = slot_times
 
     @property
     def dim(self) -> int:
@@ -265,26 +269,25 @@ def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
     pair (k, l), slot k's states, or the state ``first`` in place of
     slot 0's, carried to slot l's time as one (n_k, d) stack.
 
-    ``fam`` is a family or a recipe, whose ``slot_states`` are carried;
-    each slot's time is its fixed points' own, ``slot[0].time``.  ``pairs``
-    defaults to the grid's segments in time order.  A step is carried
-    through the ``sub`` propagators of ``substep_propagators`` (ticks
-    ``np.linspace``'s bit for bit), each applied to the whole stack as one
-    stacked product ``u @ stack[..., None]``, which is ``u @ state`` of
-    every row bit for bit (``stack @ u.T`` rounds differently).  ``first``
-    is carried once and stands for every fixed point of slot 0.  The one
-    check that the schedule has the states' dimension is here.
+    ``fam`` is a family or a recipe, whose ``slot_states`` are carried
+    between its ``slot_times``, each slot's fixed points' own time.
+    ``pairs`` defaults to the grid's segments in time order.  A step is
+    carried through the ``sub`` propagators of ``substep_propagators``
+    (ticks ``np.linspace``'s bit for bit), each applied to the whole stack
+    as one stacked product ``u @ stack[..., None]``, which is ``u @ state``
+    of every row bit for bit (``stack @ u.T`` rounds differently).
+    ``first`` is carried once and stands for every fixed point of slot 0.
+    The one check that the schedule has the states' dimension is here.
     """
-    slots, states = fam.slots, fam.slot_states
+    times, states = fam.slot_times, fam.slot_states
     linalg.require_dim("schedule", sched.dim, states[0].shape[1])
     if pairs is None:
-        pairs = [(k, k + 1) for k in range(len(slots) - 1)]
+        pairs = [(k, k + 1) for k in range(len(times) - 1)]
     steps = []
     for k, l in pairs:
         own = k == 0 and first is not None
         carried = first.reshape(1, -1) if own else states[k]
-        for u in substep_propagators(sched, slots[k][0].time,
-                                     slots[l][0].time, sub):
+        for u in substep_propagators(sched, times[k], times[l], sub):
             carried = (u @ carried[..., None])[..., 0]
         steps.append((k, l, np.broadcast_to(carried, states[0].shape)
                       if own else carried))
@@ -656,7 +659,9 @@ class FamilySpec:
     and at free times the slot fixed points' states are those rows.
     ``slot_states`` holds each slot's states as one read-only stack: the
     basis stack at a free time, the constraint's state as one row at a
-    pinned one.  ``==`` is identity.
+    pinned one.  ``slot_times`` is the one definition of a slot's time, its
+    fixed points' own (a constraint may sit within TIME_EPS of its grid
+    time), which every route carries a slot from.  ``==`` is identity.
     """
 
     times: tuple[float, ...]
@@ -664,6 +669,8 @@ class FamilySpec:
     constraints: tuple[FixedPoint, ...] = ()
     #: grid index -> the constraint pinned there
     pinned: dict[int, FixedPoint] = field(init=False, repr=False)
+    #: per grid time, the time of its slot's fixed points
+    slot_times: tuple[float, ...] = field(init=False, repr=False)
     #: per grid time, the fixed points an enumerated member may pass through
     slots: tuple[tuple[FixedPoint, ...], ...] = field(init=False, repr=False)
     #: per grid time, the slot's states as one read-only (n, d) stack
@@ -677,9 +684,11 @@ class FamilySpec:
             raise ValidationError("need exactly one basis per grid time")
         pinned = dict(zip(_constraint_slots(
             times, [fp.time for fp in self.constraints]), self.constraints))
-        # a constraint may sit within TIME_EPS of its grid time
-        require_increasing([pinned[i].time if i in pinned else t
-                            for i, t in enumerate(times)], "slot times")
+        # a slot's time is its fixed points' time: a constraint may sit
+        # within TIME_EPS of its grid time
+        slot_times = require_increasing(
+            [pinned[i].time if i in pinned else t
+             for i, t in enumerate(times)], "slot times")
         # each basis checked once, as one stack; a basis of states of
         # several sizes is left to the shared-dimension rule below
         stacks, sizes = [], []
@@ -717,6 +726,7 @@ class FamilySpec:
         object.__setattr__(self, "bases", tuple(bases))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "pinned", pinned)
+        object.__setattr__(self, "slot_times", slot_times)
         object.__setattr__(self, "slots", tuple(slots))
         object.__setattr__(self, "slot_states", tuple(states))
 

@@ -9,6 +9,8 @@ A set of states (a basis) is checked once, as one array: ``as_states``
 returns a read-only (n, d) stack whose rows are exactly what ``as_state``
 accepts and refuses exactly what it refuses, and the same stack then
 gives ``require_orthonormal`` its Gram matrix.
+``normalize`` is the one renormalization rule: a column's Python-order
+total, refused when it is 0.0, and the column divided by it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import reprlib
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import (DimensionMismatchError, ValidationError,
+                     ZeroNormalizationError)
 
 # the tolerance table: every threshold the package applies is named here
 #: equality of computed values (norms, projectors, probability sums, --tol)
@@ -86,6 +89,16 @@ def require_count(value, what: str, least: int) -> int:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValidationError(f"{what} must be {bound}, got {value}")
     return int(value)
+
+
+def normalize(column: np.ndarray, what: str) -> tuple[float, np.ndarray]:
+    """The total of a 1-d float array, added left to right over Python
+    floats, and the array divided by it; ZeroNormalizationError with the
+    message ``what`` when the total is 0.0."""
+    total = float(sum(column.tolist()))
+    if total == 0.0:
+        raise ZeroNormalizationError(what)
+    return total, column / total
 
 
 def as_state(vec, dim: int | None = None) -> np.ndarray:

@@ -31,7 +31,9 @@ weight of every history consistent with the same fixed-point constraints;
 for a two-point history with the earlier state known, this reduces to the
 Born probability.  ``transfer_chain`` computes that sum, and each grid
 slot's marginal measures, from the family recipe alone, without the
-per-member product.
+per-member product.  Both take the sum from ``linalg.normalize``, the one
+renormalization rule, and every route carries a slot from its own time,
+the recipe's ``slot_times``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from . import linalg
 from .contour import contour_path, require_increasing, same_time
 from .dynamics import HamiltonianSchedule, evolve_state, propagate
-from .errors import ValidationError, ZeroNormalizationError
+from .errors import ValidationError
 from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                         _products, _steps)
 
@@ -87,14 +89,8 @@ def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
                                            steps_per_segment)))
 
 
-def _normalization(weights: np.ndarray) -> float:
-    """Summed weight of a family, added left to right by the builtin
-    ``sum`` over Python floats; raises when every weight is zero."""
-    total = float(sum(weights.tolist()))
-    if total == 0.0:
-        raise ZeroNormalizationError(
-            "all histories consistent with the constraints have zero weight")
-    return total
+#: the refusal of a family or recipe whose every weight is zero
+_ZERO_WEIGHT = "all histories consistent with the constraints have zero weight"
 
 
 def delta_psi(h: QuantumHistory, sched: HamiltonianSchedule) -> float:
@@ -123,7 +119,8 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     """Normalization and per-slot marginal measures of an enumerated family.
 
     The recipe's slot k holds the pinned state or the basis at its time,
-    the rows of S_k = ``spec.slot_states[k]``.  The transfer matrix
+    the rows of S_k = ``spec.slot_states[k]``, and U_k propagates from
+    slot k's time to slot k+1's (``spec.slot_times``).  The transfer matrix
     T_k = |S_{k+1}^* U_k S_k^T|^2
     (elementwise) holds the squared amplitude of every step from slot k to
     slot k+1, so summing the product weights over all members is the
@@ -134,17 +131,17 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     Returns Z and the marginals, one array per slot in basis order.
     """
     linalg.require_dim("schedule", sched.dim, spec.dim)
-    states = spec.slot_states
+    states, times = spec.slot_states, spec.slot_times
     transfers = [np.abs(b.conj() @ propagate(sched, t_a, t_b) @ a.T) ** 2
-                 for a, b, t_a, t_b in zip(states, states[1:], spec.times,
-                                           spec.times[1:])]
+                 for a, b, t_a, t_b in zip(states, states[1:], times,
+                                           times[1:])]
     alphas = [np.ones(len(states[0]))]
     for t in transfers:
         alphas.append(t @ alphas[-1])
     betas = [np.ones(len(states[-1]))]
     for t in reversed(transfers):
         betas.append(t.T @ betas[-1])
-    normalization = _normalization(alphas[-1])
+    normalization, _ = linalg.normalize(alphas[-1], _ZERO_WEIGHT)
     return normalization, [a * b / normalization
                            for a, b in zip(alphas, reversed(betas))]
 
@@ -238,10 +235,10 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     report's ``entries`` builds them on request.
     """
     weights = _weights(fam, sched)
-    normalization = _normalization(weights)
+    normalization, measures = linalg.normalize(weights, _ZERO_WEIGHT)
     contour = (None if steps_per_segment is None
                else _contour_weights(fam, sched, steps_per_segment))
-    return MeasureReport(weights=weights, measures=weights / normalization,
+    return MeasureReport(weights=weights, measures=measures,
                          contour_weights=contour, normalization=normalization,
                          constraint_times=fam.constraint_times, family=fam)
 

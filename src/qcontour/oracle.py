@@ -6,7 +6,8 @@ reproducible Monte Carlo frequency sampling.  The collapse simulation
 tracks pure-state branches with unnormalized amplitudes, whose squared
 norms are exactly the joint outcome probabilities, avoiding any division
 by zero along dead branches.  A pinned time is a one-row stack, its
-constraint's state, on which the chain post-selects (the ABL rule).
+constraint's state, on which the chain post-selects (the ABL rule),
+renormalizing by ``linalg.normalize``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import linalg
 from .contour import require_increasing, require_not_before, require_time
 from .dynamics import HamiltonianSchedule, propagate
-from .errors import ValidationError, ZeroNormalizationError
+from .errors import ValidationError
 from .sampling import rng_from_seed
 
 
@@ -177,7 +178,8 @@ def _unchecked_chain(psi1, stacks, times, sched: HamiltonianSchedule,
     """``sequential_chain``'s branch loop, on input it would accept or on a
     recipe's slot stacks, (n, d) arrays of orthonormal rows.  A stack of
     fewer rows (a pin's state) post-selects: the probabilities are divided
-    by their Python-order total; a zero one is a ZeroNormalizationError."""
+    by their total (``linalg.normalize``); a zero one is a
+    ZeroNormalizationError."""
     # the branches are the rows of one (B, d) array, each an unnormalized
     # collapsed state whose squared norm is the joint probability of its
     # outcomes.  Per time: one stacked evolution (u @ branch of every row),
@@ -194,10 +196,8 @@ def _unchecked_chain(psi1, stacks, times, sched: HamiltonianSchedule,
         t_now = t
     probs = linalg.inners(branches, branches).real
     if any(len(stack) < sched.dim for stack in stacks):
-        total = sum(probs.tolist())
-        if total == 0.0:
-            raise ZeroNormalizationError("post-selection has zero probability")
-        probs = probs / total
+        _, probs = linalg.normalize(probs,
+                                    "post-selection has zero probability")
     # keys in the lexicographic order of the rows, as enumerate_family's
     # index is built; distinct by construction
     keys = np.indices(tuple(map(len, stacks)), dtype=np.intp)
@@ -210,19 +210,17 @@ def condition_on_final(dist: OutcomeDistribution,
     """Bayes-condition on the last outcome and drop it from the sequences.
 
     A selection on the last key column: the kept keys stay distinct, and
-    the kept probabilities are summed in key order.
+    the kept probabilities are renormalized by ``linalg.normalize``.
     """
     keys = dist.keys
     if not keys.shape[1]:
         raise ValidationError(
             "conditioning on the final outcome needs non-empty sequences")
     kept = keys[:, -1] == final_index
-    probs = dist.probabilities[kept]
-    total = sum(probs.tolist())
-    if total == 0.0:
-        raise ZeroNormalizationError(
-            f"conditioning outcome {final_index} has zero probability")
-    return OutcomeDistribution._from_distinct(keys[kept, :-1], probs / total)
+    _, probs = linalg.normalize(
+        dist.probabilities[kept],
+        f"conditioning outcome {final_index} has zero probability")
+    return OutcomeDistribution._from_distinct(keys[kept, :-1], probs)
 
 
 @dataclass(frozen=True)
@@ -290,6 +288,18 @@ class FrequencyTable:
             self.band.tolist(), self.within.tolist())))
 
 
+def require_sample_count(n) -> int:
+    """Return ``n`` as an int: a count ``linalg.require_count`` accepts,
+    at least 1 and at most 2**63 - 1, the largest count numpy draws;
+    otherwise raise ValidationError."""
+    n = linalg.require_count(n, "sample count", 1)
+    largest = np.iinfo(np.int64).max
+    if n > largest:
+        raise ValidationError(
+            f"sample count must be at most {largest}, got {n}")
+    return n
+
+
 def monte_carlo_sample(dist: OutcomeDistribution, n: int,
                        seed: int) -> FrequencyTable:
     """Draw ``n`` outcome sequences and tabulate their frequencies.
@@ -298,17 +308,13 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     they come from one ``multinomial`` draw of the Philox generator of
     ``rng_from_seed(seed)``, a chain of conditional binomials in O(H) time
     and memory whatever ``n`` is; tables are bit-identical across reruns,
-    and the table shares the distribution's key array.  ``n`` is at most
-    2**63 - 1, the largest count numpy draws.  Each frequency is compared
-    against the five-sigma binomial band around its probability, clipped
-    to [0, 1] as the draws read it; rows outside the band are flagged, not
-    fatal.
+    and the table shares the distribution's key array.  ``n`` passes
+    ``require_sample_count``: at most 2**63 - 1, the largest count numpy
+    draws.  Each frequency is compared against the five-sigma binomial
+    band around its probability, clipped to [0, 1] as the draws read it;
+    rows outside the band are flagged, not fatal.
     """
-    n = linalg.require_count(n, "sample count", 1)
-    largest = np.iinfo(np.int64).max
-    if n > largest:
-        raise ValidationError(
-            f"sample count must be at most {largest}, got {n}")
+    n = require_sample_count(n)
     probs = dist.probabilities
     weights = np.maximum(probs, 0.0)
     # numpy gives the chain's last row whatever the binomials before it

@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcontour import (FixedPoint, OutcomeDistribution, __version__, cli,
-                      condition_on_final, enumerate_family, linalg,
-                      measure_report, monte_carlo_sample, oracle,
-                      sequential_chain)
+                      condition_on_final, enumerate_family, histories,
+                      linalg, measure, measure_report, monte_carlo_sample,
+                      oracle, sequential_chain)
 from qcontour.cli import build_parser, main
 from qcontour.sampling import random_model, random_state, rng_from_seed
 
@@ -479,6 +479,22 @@ class TestVerifyInputs:
             f"got {2 ** 63}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("trials", ["0", str(2 ** 63)])
+    @pytest.mark.parametrize("model", [False, True])
+    def test_sample_count_refused_before_any_model_is_weighed(
+            self, tmp_path, capsys, monkeypatch, model, trials):
+        # the count used to be checked only by the sampler, after the
+        # family was enumerated and weighed and both chains had run
+        enumerated = count_calls(monkeypatch, cli, "enumerate_family")
+        argv = ["verify", "--trials", trials]
+        if model:
+            argv.insert(1, born_model(tmp_path))
+        assert main(argv) == 3
+        bound = "at least 1" if trials == "0" else f"at most {2 ** 63 - 1}"
+        assert capsys.readouterr().err == (
+            f"error: sample count must be {bound}, got {trials}\n")
+        assert enumerated == []
+
     def test_model_pinned_at_a_middle_time_exit_3(self, tmp_path, capsys):
         assert main(["verify", bundle_model(tmp_path)]) == 3
         assert capsys.readouterr().err == (
@@ -842,3 +858,60 @@ class TestVerifyPostSelects:
         else:
             assert err.startswith("error: probabilities sum to 1.00000000")
             assert err.endswith(", expected 1\n")
+
+
+def _shift_pins(model, fractions):
+    """``model`` with pin k moved by ``fractions[k]`` * TIME_EPS *
+    max(1, |t|): for |fractions[k]| < 1, still its grid time to the time
+    matcher."""
+    pins = tuple(FixedPoint(fp.time + f * linalg.TIME_EPS
+                            * max(1.0, abs(fp.time)), fp.state, fp.label)
+                 for fp, f in zip(model.constraints, fractions))
+    return dataclasses.replace(model, constraints=pins)
+
+
+@st.composite
+def off_grid_models(draw):
+    """A ``pinned_models`` model with each pin moved by up to 0.9
+    TIME_EPS either way."""
+    model = draw(pinned_models())
+    fraction = st.floats(-0.9, 0.9)
+    return _shift_pins(model, [draw(fraction) for _ in model.constraints])
+
+
+class TestOffGridPins:
+    """A pin within TIME_EPS of its grid time verifies like one on the grid:
+    the report, the transfer chain and the collapse chain all carry it from
+    its own time, ``FamilySpec.slot_times``."""
+
+    #: the largest of 400 on-grid ``pinned_models`` runs was 2.0e-15
+    #: (chain) and 2.4e-15 (direct); carrying the first pin from its grid
+    #: time instead put both at 1e-13 to 6e-11
+    BOUND = 1e-14
+
+    @given(off_grid_models())
+    @example(_shift_pins(random_model(rng_from_seed(5), (0.0, 0.3, 0.6, 0.9,
+                                                         1.2), 4, 2),
+                         [0.9, 0.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_deviations_stay_at_rounding_level(self, model):
+        row = cli._verify_one("m", model, 50, 0, 2, linalg.DEFAULT_TOL)
+        for field in ("chain_deviation", "direct_deviation"):
+            assert row[field] <= self.BOUND, (field, row)
+
+    def test_every_route_reads_the_slot_times(self, monkeypatch):
+        model = _shift_pins(random_model(rng_from_seed(5), (0.0, 0.3, 0.6),
+                                         2, 2), [0.9, -0.9])
+        assert model.slot_times != model.times
+        assert enumerate_family(model).slot_times == model.slot_times
+        carried = count_calls(monkeypatch, histories, "substep_propagators")
+        chained = count_calls(monkeypatch, cli, "_unchecked_chain")
+        transfers = count_calls(monkeypatch, measure, "propagate")
+        cli._verify_one("m", model, 50, 0, 2, linalg.DEFAULT_TOL)
+        segments = list(zip(model.slot_times, model.slot_times[1:]))
+        # the closed form, then the walk forward and back
+        assert [args[1:3] for args in carried] == (
+            segments * 2 + [(b, a) for a, b in reversed(segments)])
+        assert [args[1:3] for args in transfers] == segments
+        (_, _, times, _, t_now), = chained
+        assert (t_now, *times) == model.slot_times

@@ -10,10 +10,11 @@ from qcontour import (DimensionMismatchError, HamiltonianSchedule,
                       ValidationError, check_unitary, complete_basis, inner,
                       is_orthonormal, is_projector, projector, propagate,
                       tensor)
-from qcontour.errors import QContourError
+from qcontour.errors import QContourError, ZeroNormalizationError
 from qcontour.linalg import (DEFAULT_TOL, STATE_MARGIN, as_square, as_state,
-                             as_states, norm, require_count, require_dim,
-                             require_orthonormal, require_tolerance)
+                             as_states, norm, normalize, require_count,
+                             require_dim, require_orthonormal,
+                             require_tolerance)
 from qcontour.sampling import (haar_unitary, random_hermitian, random_state,
                                rng_from_seed)
 
@@ -406,6 +407,47 @@ class TestRequireCount:
     def test_refuses_a_value_below_least(self, value, least, match):
         with pytest.raises(ValidationError, match=match):
             require_count(value, "seed", least)
+
+
+class TestNormalize:
+    """The one renormalization rule: the Python-order total, and the column
+    divided by it, bit for bit."""
+
+    @staticmethod
+    def _check(column):
+        total, divided = normalize(column, "unused")
+        want = float(sum(column.tolist()))
+        assert type(total) is float and total == want
+        assert divided.tobytes() == (column / want).tobytes()
+
+    @pytest.mark.parametrize("column", [
+        [5e-324, 1e-310, 2.5e-308, 3e-320],   # subnormal entries
+        [1e-320, 0.0, 4e-321],                 # a subnormal total
+        [1e300, 3.0, 1e300, 1e300],            # a total near the float range
+        [0.7],                                 # one entry
+        [0.0, 0.25, 0.0],
+    ])
+    def test_python_order_total_and_quotient(self, column):
+        self._check(np.array(column))
+
+    def test_total_is_left_to_right_not_pairwise(self):
+        # numpy's pairwise sum rounds differently on this column
+        column = rng_from_seed(3).random(1000)
+        assert float(sum(column.tolist())) != float(column.sum())
+        self._check(column)
+
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40)
+           .filter(lambda c: 0.0 < sum(c) < math.inf))
+    @settings(max_examples=60, deadline=None)
+    def test_non_negative_columns(self, column):
+        self._check(np.array(column))
+
+    @pytest.mark.parametrize("column", [[0.0, 0.0, 0.0], [-0.0], []])
+    def test_zero_total_raises_the_callers_message(self, column):
+        with pytest.raises(ZeroNormalizationError) as info:
+            normalize(np.array(column, dtype=float),
+                      "post-selection has zero probability")
+        assert str(info.value) == "post-selection has zero probability"
 
 
 class TestRequireOrthonormal:

@@ -1,6 +1,6 @@
 """The tolerance table in ``linalg`` is the one place a threshold is
-written, and ``linalg.require_dim`` the one place a dimension mismatch is
-raised."""
+written, ``linalg.require_dim`` the one place a dimension mismatch is
+raised, and ``linalg.normalize`` the one place a zero normalization is."""
 
 import ast
 import io
@@ -66,21 +66,33 @@ def test_orthonormality_tolerance_only_inside_linalg():
     assert offenders == []
 
 
-def test_dimension_mismatch_raised_only_by_the_rule():
-    """Every dimension check asks ``linalg.require_dim``: no other code
-    constructs a ``DimensionMismatchError``."""
+def _constructed_outside(error: str, rule: str):
+    """(file, line) of each call constructing ``error`` anywhere but in
+    the body of ``linalg.<rule>``."""
     offenders = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        rule = [node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef)
-                and path.name == "linalg.py" and node.name == "require_dim"]
-        inside = {id(node) for r in rule for node in ast.walk(r)}
+        rules = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and path.name == "linalg.py" and node.name == rule]
+        inside = {id(node) for r in rules for node in ast.walk(r)}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and getattr(node.func, "id",
-                                getattr(node.func, "attr", None))
-                    == "DimensionMismatchError"
+                                getattr(node.func, "attr", None)) == error
                     and id(node) not in inside):
                 offenders.append((path.name, node.lineno))
-    assert offenders == []
+    return offenders
+
+
+def test_dimension_mismatch_raised_only_by_the_rule():
+    """Every dimension check asks ``linalg.require_dim``: no other code
+    constructs a ``DimensionMismatchError``."""
+    assert _constructed_outside("DimensionMismatchError",
+                                "require_dim") == []
+
+
+def test_zero_normalization_raised_only_by_the_rule():
+    """Every renormalization asks ``linalg.normalize``: no other code
+    constructs a ``ZeroNormalizationError``."""
+    assert _constructed_outside("ZeroNormalizationError", "normalize") == []
