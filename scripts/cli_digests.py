@@ -6,7 +6,8 @@ Prints one line per command: the command, its exit codes, and the first
 A demo prints one digest of each stream.  The commands are ``measure``,
 ``verify`` and ``decompose`` on the three demo models, ``propagate`` on
 each demo model over one forward and one backward interval, the built-in
-``verify`` suite at seeds 0, 7 and 13, ``measure`` (also with
+``verify`` suite at seeds 0, 7 and 13 and at the refused seeds -1 and
+-2, ``measure`` (also with
 ``--steps-per-segment 3`` and ``8``) and ``verify`` on the two
 ``verify_cli``-shaped benchmark models (seeds 1 and 271828), ``verify``
 on the seed-1 model with ``--trials`` 1, 65535, 65536, 65537 and 250000
@@ -15,7 +16,9 @@ default 100000; the counts are one multinomial draw whatever the trial
 count, and these five keep the lines comparable), ``verify`` on
 two post-selected models (``POST_SELECTED_MODELS``: a d=8, N_t=4 model
 pinned at both ends, and a qubit pinned at its first and at a middle grid
-time), ``measure`` (also with ``--steps-per-segment 2``) on the two
+time), ``verify`` on two qubit models whose first time is free
+(``FREE_FIRST_MODELS``: one pinned only at its last time, pure
+retrodiction, and one with no pin), ``measure`` (also with ``--steps-per-segment 2``) on the two
 ``family_large``-shaped benchmark models (d=8, N_t=5, 4096 histories;
 seeds 1 and 271828),
 ``decompose`` and ``measure`` (also with ``--steps-per-segment 2``) on
@@ -115,6 +118,14 @@ POST_SELECTED_MODELS = (
         [0.0, 0.5, 1.0, 1.5], [(0.0, _E0), (1.0, _E1)])},
 )
 
+#: models whose first time is free, one per file: a qubit pinned only at
+#: its last time, and one with no pin
+FREE_FIRST_MODELS = (
+    {"last-pin-qubit.json": _qubit_model([0.0, 0.5, 1.0, 1.5],
+                                         [(1.5, _E1)])},
+    {"unpinned-qubit.json": _qubit_model([0.0, 0.5, 1.0], [])},
+)
+
 #: the X (swap) transformation on A, for the envariance commands
 SWAP_FILE = {"swap.json": {"matrix": [_E1, _E0]}}
 
@@ -180,7 +191,7 @@ def commands():
             Path(path).read_text(encoding="utf-8"))["grid"]]
         yield ["propagate", path, grid[0], grid[1]]
         yield ["propagate", path, grid[-1], grid[0]]
-    for seed in (0, 7, 13):
+    for seed in (0, 7, 13, -1, -2):
         yield ["verify", "--seed", str(seed)]
 
 
@@ -197,7 +208,7 @@ def bench_commands():
     files = {"verify_cli-1.json": model_document(VerifyCli.raw(1))}
     for trials in TRIAL_COUNTS:
         yield files, ["verify", "verify_cli-1.json", "--trials", str(trials)]
-    for files in POST_SELECTED_MODELS:
+    for files in POST_SELECTED_MODELS + FREE_FIRST_MODELS:
         yield files, ["verify", *files]
     for seed in BENCH_SEEDS:
         name = f"family_large-{seed}.json"

@@ -157,21 +157,16 @@ def _builtin_verify_models(seed: int) -> list[tuple[str, ModelSpec]]:
 
 def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
                 steps: int, tol: float) -> dict:
-    if 0 not in model.pinned:
-        raise ValidationError(
-            "verification needs a constraint at the first time")
     fam = enumerate_family(model)
     report = measure_report(fam, model.schedule, steps_per_segment=steps)
     normalization_error = abs(float(report.measures.sum()) - 1.0)
     route_discrepancy = report.route_max_discrepancy
 
-    # the chain measures at each free time and post-selects on each later pin
-    times, stacks = model.slot_times, model.slot_states
-    dist = _unchecked_chain(stacks[0][0], stacks[1:], times[1:],
-                            model.schedule, times[0])
-
-    # the chain's keys and the family's choices both run in lexicographic
-    # order, so the two columns are compared by position
+    # the chain starts from every state of the first slot; its rows run in
+    # the order of the family's index, which keys them, so the distribution
+    # checks their sum and the columns compare by position
+    dist = OutcomeDistribution._from_distinct(fam.index, _unchecked_chain(
+        model.slot_states, model.slot_times, model.schedule))
     chain_deviation = float(np.max(np.abs(report.measures
                                           - dist.probabilities)))
     # the normalization and each slot's marginal measures from the transfer
@@ -207,12 +202,13 @@ def _verify_one(name: str, model: ModelSpec, trials: int, seed: int,
 
 
 def cmd_verify(args) -> int:
+    # the sampler's count and seed rules, applied before any model is built
+    require_sample_count(args.trials)
+    linalg.require_count(args.seed, "seed", 0)
     if args.model is not None:
         models = [(str(args.model), load_model(args.model))]
     else:
         models = _builtin_verify_models(args.seed)
-    # the sampler's count rule, applied before any model is weighed
-    require_sample_count(args.trials)
     rows = []
     for i, (name, model) in enumerate(models):
         rows.append(_verify_one(name, model, args.trials, args.seed + i,

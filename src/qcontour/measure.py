@@ -230,14 +230,15 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
 
     Both routes are one table product (``_products``) read through the
     family index; when ``steps_per_segment`` is given, the contour-walk
-    route is run alongside the closed form.  Every column equals the plain
+    route, which checks that count first, is run before the closed form,
+    so a bad count weighs nothing.  Every column equals the plain
     per-history loop bit for bit, and no per-member object is built: the
     report's ``entries`` builds them on request.
     """
-    weights = _weights(fam, sched)
-    normalization, measures = linalg.normalize(weights, _ZERO_WEIGHT)
     contour = (None if steps_per_segment is None
                else _contour_weights(fam, sched, steps_per_segment))
+    weights = _weights(fam, sched)
+    normalization, measures = linalg.normalize(weights, _ZERO_WEIGHT)
     return MeasureReport(weights=weights, measures=measures,
                          contour_weights=contour, normalization=normalization,
                          constraint_times=fam.constraint_times, family=fam)

@@ -5,9 +5,10 @@ projective-measurement simulation (evolve, project, renormalize) and
 reproducible Monte Carlo frequency sampling.  The collapse simulation
 tracks pure-state branches with unnormalized amplitudes, whose squared
 norms are exactly the joint outcome probabilities, avoiding any division
-by zero along dead branches.  A pinned time is a one-row stack, its
-constraint's state, on which the chain post-selects (the ABL rule),
-renormalizing by ``linalg.normalize``.
+by zero along dead branches.  Every row of the first time's stack starts
+an equally weighted branch (a free first time's whole basis is the
+maximally mixed pre-state of the ABL rule), and a pinned time is a
+one-row stack, its constraint's state, on which the chain post-selects.
 """
 
 from __future__ import annotations
@@ -170,16 +171,22 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
             raise ValidationError(f"basis at time {t} must be complete")
         linalg.require_orthonormal(stack, f"basis at time {t}")
         checked.append(stack)
-    return _unchecked_chain(psi1, checked, times, sched, t_prep)
+    probs = _unchecked_chain([psi1.reshape(1, -1), *checked],
+                             (t_prep, *times), sched)
+    # keys in the lexicographic order of the rows, as enumerate_family's
+    # index is built; distinct by construction
+    keys = np.indices(tuple(map(len, checked)), dtype=np.intp)
+    return OutcomeDistribution._from_distinct(
+        keys.reshape(len(checked), len(probs)).T, probs)
 
 
-def _unchecked_chain(psi1, stacks, times, sched: HamiltonianSchedule,
-                     t_now: float) -> OutcomeDistribution:
+def _unchecked_chain(stacks, times, sched: HamiltonianSchedule) -> np.ndarray:
     """``sequential_chain``'s branch loop, on input it would accept or on a
-    recipe's slot stacks, (n, d) arrays of orthonormal rows.  A stack of
-    fewer rows (a pin's state) post-selects: the probabilities are divided
-    by their total (``linalg.normalize``); a zero one is a
-    ZeroNormalizationError."""
+    recipe's slot stacks: (n, d) arrays of orthonormal rows, one per time,
+    the first stack's rows the initial branches.  Returns the probability
+    column, in the lexicographic order of the rows, divided by its total
+    (``linalg.normalize``; zero is a ZeroNormalizationError) unless one
+    state starts the chain and every later stack is complete."""
     # the branches are the rows of one (B, d) array, each an unnormalized
     # collapsed state whose squared norm is the joint probability of its
     # outcomes.  Per time: one stacked evolution (u @ branch of every row),
@@ -187,22 +194,18 @@ def _unchecked_chain(psi1, stacks, times, sched: HamiltonianSchedule,
     # state b, times b), and a row-major reshape that splits each branch
     # in stack order, so the rows run in the lexicographic order of their
     # keys.  The stacked forms are the per-branch products bit for bit.
-    branches = psi1.reshape(1, -1)
-    for t, stack in zip(times, stacks):
+    branches, t_now = stacks[0], times[0]
+    for t, stack in zip(times[1:], stacks[1:]):
         u = propagate(sched, t_now, t)
         evolved = u @ branches[..., None]
         amplitudes = linalg.inners(stack, evolved[:, None, :, 0])
         branches = (stack * amplitudes[..., None]).reshape(-1, sched.dim)
         t_now = t
     probs = linalg.inners(branches, branches).real
-    if any(len(stack) < sched.dim for stack in stacks):
+    if len(stacks[0]) > 1 or any(len(s) < sched.dim for s in stacks[1:]):
         _, probs = linalg.normalize(probs,
                                     "post-selection has zero probability")
-    # keys in the lexicographic order of the rows, as enumerate_family's
-    # index is built; distinct by construction
-    keys = np.indices(tuple(map(len, stacks)), dtype=np.intp)
-    return OutcomeDistribution._from_distinct(
-        keys.reshape(len(stacks), len(branches)).T, probs)
+    return probs
 
 
 def condition_on_final(dist: OutcomeDistribution,

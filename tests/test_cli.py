@@ -495,10 +495,40 @@ class TestVerifyInputs:
             f"error: sample count must be {bound}, got {trials}\n")
         assert enumerated == []
 
-    def test_model_pinned_at_a_middle_time_exit_3(self, tmp_path, capsys):
-        assert main(["verify", bundle_model(tmp_path)]) == 3
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    @pytest.mark.parametrize("model", [False, True])
+    def test_seed_refused_before_any_model_is_weighed(
+            self, tmp_path, capsys, monkeypatch, model, seed):
+        # the seed used to be checked only by the sampler, after the first
+        # model was enumerated and weighed; the built-in suite refused -2
+        # by the seed it derived from it, -10000
+        enumerated = count_calls(monkeypatch, cli, "enumerate_family")
+        weighed = count_calls(monkeypatch, measure, "_products")
+        argv = ["verify", "--seed", seed, "--trials", "200"]
+        if model:
+            argv.insert(1, born_model(tmp_path))
+        assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "error: verification needs a constraint at the first time\n")
+            f"error: seed must be non-negative, got {seed}\n")
+        assert enumerated == weighed == []
+
+    @pytest.mark.parametrize("argv", [["measure", "MODEL"],
+                                      ["verify", "MODEL"], ["verify"]])
+    def test_zero_steps_refused_before_any_weighing(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # the closed form used to be weighed before the walk checked its
+        # step count
+        weighed = count_calls(monkeypatch, measure, "_products")
+        argv = [born_model(tmp_path) if a == "MODEL" else a for a in argv]
+        assert main([*argv, "--steps-per-segment", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "error: steps_per_segment must be at least 1, got 0\n")
+        assert weighed == []
+
+    def test_model_pinned_at_a_middle_time_verifies(self, tmp_path, capsys):
+        # the branching-and-merging bundle, whose first time is free
+        assert main(["verify", bundle_model(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestModelChecksAtLoad:
@@ -751,16 +781,18 @@ class TestVerifyColumns:
             == (table.max_sigma, table.all_within_band)
 
 
-def _completed_basis_chain(psi1, stacks, times, sched, t_now):
-    """The chain ``verify`` used to run, as the reference: a pin at the last
-    time measured in the basis completed from its state, and the outcomes
-    conditioned on that state; without one, the chain over the bases."""
-    bases = list(stacks)
+def _completed_basis_chain(stacks, times, sched):
+    """The chain ``verify`` used to run on a model pinned at its first
+    time, as the reference: a pin at the last time measured in the basis
+    completed from its state, and the outcomes conditioned on that state;
+    without one, the chain over the bases.  Returns the probability
+    column."""
+    bases = list(stacks[1:])
     pinned_last = len(bases[-1]) == 1
     if pinned_last:
         bases[-1] = linalg.complete_basis(bases[-1][0])
-    dist = sequential_chain(psi1, bases, times, sched, t_now)
-    return condition_on_final(dist, 0) if pinned_last else dist
+    dist = sequential_chain(stacks[0][0], bases, times[1:], sched, times[0])
+    return (condition_on_final(dist, 0) if pinned_last else dist).probabilities
 
 
 def _qubit_doc(bases, constraints):
@@ -773,19 +805,24 @@ def _qubit_doc(bases, constraints):
                             for t, state in constraints]}
 
 
-@st.composite
-def pinned_models(draw):
-    """A random model (d 2-4, N_t 2-5) pinned at its first time and at a
-    random set of later times."""
-    seed = draw(st.integers(0, 10 ** 6))
-    dim, n_times = draw(st.integers(2, 4)), draw(st.integers(2, 5))
-    later = draw(st.sets(st.integers(1, n_times - 1)))
+def _pinned_model(seed, dim, n_times, pinned):
+    """A random model over the grid 0, 0.3, ..., pinned to a random state
+    at each grid index in ``pinned`` and nowhere else."""
     rng = rng_from_seed(seed)
     model = random_model(rng, [0.3 * k for k in range(n_times)], dim, 1)
     pins = tuple(FixedPoint(model.times[k], random_state(rng, dim))
-                 for k in sorted(later))
-    return dataclasses.replace(model,
-                               constraints=model.constraints + pins)
+                 for k in sorted(pinned))
+    return dataclasses.replace(model, constraints=pins)
+
+
+@st.composite
+def pinned_models(draw):
+    """A random model (d 2-4, N_t 2-5) pinned at any set of its times, the
+    empty set and sets without the first time included."""
+    seed = draw(st.integers(0, 10 ** 6))
+    dim, n_times = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    return _pinned_model(seed, dim, n_times,
+                         draw(st.sets(st.integers(0, n_times - 1))))
 
 
 class TestVerifyPostSelects:
@@ -818,8 +855,11 @@ class TestVerifyPostSelects:
         assert [len(keys) for keys, _ in distributions] == [16, 16]
 
     @given(pinned_models())
+    @example(_pinned_model(5, 2, 3, {1}))  # the bundle's layout
+    @example(_pinned_model(6, 3, 4, {3}))  # pure retrodiction
+    @example(_pinned_model(7, 4, 3, set()))  # no pin
     @settings(max_examples=40, deadline=None)
-    def test_any_pin_set_with_the_first_time_agrees(self, model):
+    def test_any_pin_set_agrees(self, model):
         # the verdict is left out: the Monte Carlo band may flip it
         row = cli._verify_one("m", model, 2000, 0, 2, linalg.DEFAULT_TOL)
         assert row["s_t"] == len(model.constraints)
@@ -909,9 +949,9 @@ class TestOffGridPins:
         transfers = count_calls(monkeypatch, measure, "propagate")
         cli._verify_one("m", model, 50, 0, 2, linalg.DEFAULT_TOL)
         segments = list(zip(model.slot_times, model.slot_times[1:]))
-        # the closed form, then the walk forward and back
+        # the walk forward and back, then the closed form
         assert [args[1:3] for args in carried] == (
-            segments * 2 + [(b, a) for a, b in reversed(segments)])
+            segments + [(b, a) for a, b in reversed(segments)] + segments)
         assert [args[1:3] for args in transfers] == segments
-        (_, _, times, _, t_now), = chained
-        assert (t_now, *times) == model.slot_times
+        (_, times, _), = chained
+        assert times == model.slot_times

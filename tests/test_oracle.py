@@ -266,19 +266,31 @@ class TestPostSelectedChain:
     """A stack of fewer rows than the dimension, a pinned time's state,
     post-selects the chain on its states."""
 
-    def test_one_row_stack_conditions_and_keys_its_column(self):
+    def test_one_row_stack_conditions_its_column(self):
         c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
         pin = np.array([[c, s]], dtype=complex)
-        dist = oracle._unchecked_chain(E0, [np.array([PLUS, MINUS]), pin],
-                                       (0.5, 1.0), zero_schedule(2), 0.0)
-        assert dist.keys.tolist() == [[0, 0], [1, 0]]
-        assert dist.probabilities.tolist() == pytest.approx(
+        probs = oracle._unchecked_chain(
+            [E0.reshape(1, -1), np.array([PLUS, MINUS]), pin],
+            (0.0, 0.5, 1.0), zero_schedule(2))
+        assert probs.tolist() == pytest.approx(
             [(c + s) ** 2 / 2, (c - s) ** 2 / 2], abs=1e-15)
 
     def test_zero_total_raises(self):
         with pytest.raises(ZeroNormalizationError, match="post-selection"):
-            oracle._unchecked_chain(E0, [E1.reshape(1, -1)], (1.0,),
-                                    zero_schedule(2), 0.0)
+            oracle._unchecked_chain([E0.reshape(1, -1), E1.reshape(1, -1)],
+                                    (0.0, 1.0), zero_schedule(2))
+
+    def test_whole_first_basis_is_the_maximally_mixed_state(self):
+        # every row of a free first time starts one equally weighted
+        # branch, so the column is divided by the basis size
+        basis = np.array([E0, E1])
+        probs = oracle._unchecked_chain([basis, np.array([PLUS, MINUS])],
+                                        (0.0, 1.0), zero_schedule(2))
+        assert probs.tolist() == pytest.approx([0.25] * 4, abs=1e-15)
+        pin = np.array([PLUS])
+        probs = oracle._unchecked_chain([basis, pin], (0.0, 1.0),
+                                        zero_schedule(2))
+        assert probs.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
 
 class TestMonteCarloSample:
     def test_degenerate_distribution(self):

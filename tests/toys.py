@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qcontour import (FixedPoint, HamiltonianSchedule, HistoryFamily,
-                      QuantumHistory, enumerate_family)
+                      ModelSpec, QuantumHistory, enumerate_family)
 from qcontour.sampling import random_model, random_state, rng_from_seed
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -64,6 +64,27 @@ FAMILY_SHAPES = st.tuples(st.integers(0, 10 ** 6), st.integers(2, 4),
 #: runs at d=8), over a short grid (N_t 2-3) so the families stay small
 WIDE_SHAPES = st.tuples(st.integers(0, 10 ** 6), st.integers(5, 8),
                         st.integers(2, 3), st.sampled_from([1, 2]))
+
+
+def reversed_model(model):
+    """``model`` under time reversal: t -> t_0 + t_N - t, with the slots in
+    reverse order; every basis vector and pin conjugated; each segment's
+    H -> H*, with the segments in reverse order.  A reversed step is the
+    original's transpose, U^T, so every step amplitude keeps its value and
+    the weight tensor is the original's with its axes reversed."""
+    t_0, t_n = model.times[0], model.times[-1]
+
+    def flip(t):
+        return t_0 + t_n - t
+    return ModelSpec(
+        times=tuple(flip(t) for t in reversed(model.times)),
+        bases=tuple(tuple(v.conj() for v in basis)
+                    for basis in reversed(model.bases)),
+        constraints=tuple(FixedPoint(flip(fp.time), fp.state.conj(), fp.label)
+                          for fp in reversed(model.constraints)),
+        schedule=HamiltonianSchedule(
+            [(flip(b), flip(a), h.conj())
+             for a, b, h in reversed(model.schedule.segments)]))
 
 
 def family_variants(spec, seed):
