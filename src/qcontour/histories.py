@@ -11,7 +11,9 @@ compares values).  A family is stored as its distinct fixed points per grid
 slot plus a read-only integer array saying which one each member passes
 through, so the family paths compute what each slot fixed point determines
 once and read it through the index; member histories are built only on
-request.
+request.  An enumerated family is its slot shape: member h passes through
+the mixed-radix digits of h, so the step products broadcast one table per
+step along the shape's axes, and its index is built only when read.
 
 Overlap convention: when two histories are compared, the backward-branch
 factor of each fixed point enters conjugated relative to the forward one,
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -171,16 +174,20 @@ class HistoryFamily:
 
     ``constraint_times`` lists the S_t times at which the fixed point is
     known, in time order; the remaining times are free slots.  An
-    enumerated family (``enumerate_family``) also records ``choices``, per
-    history the basis index chosen at each free slot, in time order, as a
-    read-only (H, N_t - S_t) integer array; a hand-built one has none.
+    enumerated family (``enumerate_family``) has ``shape``, the slot sizes:
+    its members are every combination of slot fixed points, in C order, so
+    its ``index`` is ``np.indices(shape)`` flattened, built on first read.
+    It also has ``choices``, per history the basis index chosen at each
+    free slot, in time order, as a read-only (H, N_t - S_t) integer array,
+    also built on first read.  A hand-built family has neither shape nor
+    choices (both None) and keeps the index it was built with.
     """
 
     slots: tuple[tuple[FixedPoint, ...], ...]
     slot_states: tuple[np.ndarray, ...]
-    index: np.ndarray
     constraint_times: tuple[float, ...]
-    choices: np.ndarray | None
+    shape: tuple[int, ...] | None
+    _free: tuple[int, ...] | None = field(repr=False)
     _histories: tuple[QuantumHistory, ...] | None = field(repr=False)
 
     def __init__(self, histories, constraint_times=()):
@@ -200,38 +207,51 @@ class HistoryFamily:
         index = np.array([[pos.setdefault(p, len(pos))
                            for pos, p in zip(positions, h.points)]
                           for h in histories], dtype=np.intp)
+        index.setflags(write=False)
         slots = tuple(map(tuple, positions))
         states = tuple(np.array([p.state for p in slot]) for slot in slots)
-        self._assign(slots, states, index, constraint_times, None, histories)
+        self._assign(slots, states, constraint_times, None, histories)
+        # a hand-built family's index is given, not derived from a shape
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "choices", None)
 
     @classmethod
-    def _from_index(cls, slots, states, index, constraint_times=(),
-                    choices=None) -> HistoryFamily:
-        """A family given by per-slot fixed points, their state stacks and
-        an index, unchecked.
+    def _enumerated(cls, slots, states, constraint_times,
+                    free) -> HistoryFamily:
+        """Every combination of the slots' fixed points, unchecked.
 
         The caller guarantees what ``__init__`` checks: slot times that keep
-        the order rule, one dimension, stacks whose rows are the slots'
-        states, and index rows that pick one fixed point per slot;
-        ``choices`` has one distinct row of free-slot indices per member.
+        the order rule, one dimension and stacks whose rows are the slots'
+        states; ``free`` lists the unconstrained slots in time order.
         ``enumerate_family`` builds families this way.
         """
         fam = cls.__new__(cls)
-        fam._assign(slots, states, index, constraint_times, choices, None)
+        fam._assign(slots, states, constraint_times, tuple(free), None)
         return fam
 
-    def _assign(self, slots, states, index, constraint_times, choices,
-                histories):
-        for array in (*states, index, choices):
-            if array is not None:
-                array.setflags(write=False)
+    def _assign(self, slots, states, constraint_times, free, histories):
+        for array in states:
+            array.setflags(write=False)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "slot_states", states)
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "constraint_times",
                            tuple(sorted(map(float, constraint_times))))
-        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "shape", None if free is None
+                           else tuple(map(len, slots)))
+        object.__setattr__(self, "_free", free)
         object.__setattr__(self, "_histories", histories)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Per member, the position of its fixed point in each slot; an
+        enumerated family's is built here, on first read."""
+        return _digits(self.shape)
+
+    @cached_property
+    def choices(self) -> np.ndarray:
+        """Per member of an enumerated family, its free slots' positions;
+        built on first read."""
+        return _digits([self.shape[k] for k in self._free])
 
     @property
     def histories(self) -> tuple[QuantumHistory, ...]:
@@ -261,6 +281,15 @@ class HistoryFamily:
     @property
     def dim(self) -> int:
         return self.slots[0][0].dim
+
+
+def _digits(shape) -> np.ndarray:
+    """Every combination of positions in ``shape``, one row each, in C
+    order, as a read-only (prod(shape), len(shape)) integer array."""
+    digits = np.indices(shape, dtype=np.intp).reshape(
+        len(shape), math.prod(shape)).T
+    digits.setflags(write=False)
+    return digits
 
 
 def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
@@ -299,51 +328,75 @@ def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
 
     ``steps`` lists ``(k, l, carried)``, as ``_steps`` builds them: a step
     joins grid slot k to slot l, and row i of ``carried`` is slot k's
-    fixed point i carried to slot l's time.  The step's table holds
-    ``np.vdot(fam.slot_states[l][j], carried[i])`` once for every pair
-    (i, j) of slot fixed points that some member joins, keyed
-    ``i * n_right + j``; no amplitude is computed for a pair that no
-    member joins.  The table is one stacked inner product
-    (``linalg.inners``, ``np.vdot``'s bit for bit) over the pairs' gathered
-    rows, taken in blocks of about ``_PAIR_BLOCK_ENTRIES`` gathered
-    entries, so a step of many pairs at large d keeps memory flat.  When
-    the slot pairs number no more than
-    the members (always so for an enumerated family, d * d <= d^free), the
-    occurring keys are marked in a boolean array over all pairs, whose
-    running count gives exactly ``np.unique``'s pairs and inverse without
-    a sort; a hand-built family with more pairs than members keeps
-    ``np.unique``, since its slots may hold up to H fixed points each and
-    the mark would need O(H²) memory.  Each member's entries are read
-    through the index and multiplied as separate real and imaginary arrays
-    with the textbook formula, which rounds exactly as Python complex
-    arithmetic does, so the magnitudes match the plain per-history loop
-    bit for bit.  Returns the real and imaginary parts.
+    fixed point i carried to slot l's time.  Each step's amplitudes are
+    multiplied in as separate real and imaginary arrays with the textbook
+    formula (separate float64 ufuncs, so no fused multiply-add), which
+    rounds as Python complex arithmetic does.  Returns the real and
+    imaginary parts, in family order.
+
+    An enumerated family (one with a ``shape``) takes each step's whole
+    table, ``<slot_states[l][j]|carried[i]>`` for every pair, as one matrix
+    product, laid along axes k and l of the shape; the products broadcast
+    over the shape and ravel in C order, which is the family's order, so
+    no index is read.  A hand-built family reads its index: the table
+    holds ``np.vdot(slot_states[l][j], carried[i])`` once for every pair
+    (i, j) some member joins (``_joined_table``), and each member's entry
+    is gathered from it.
     """
+    shape = fam.shape
     re = im = None
     for k, l, carried in steps:
-        right = fam.slot_states[l]
-        n = len(right)
-        keys = fam.index[:, k] * n + fam.index[:, l]
-        if len(carried) * n <= len(keys):
-            seen = np.zeros(len(carried) * n, dtype=bool)
-            seen[keys] = True
-            pairs = np.flatnonzero(seen)
-            at = (np.cumsum(seen) - 1)[keys]
+        if shape is None:
+            table = _joined_table(fam, k, l, carried)
         else:
-            pairs, at = np.unique(keys, return_inverse=True)
-        rows, cols = divmod(pairs, n)
-        block = max(1, _PAIR_BLOCK_ENTRIES // right.shape[1])
-        table = np.concatenate([
-            linalg.inners(right[cols[lo:lo + block]],
-                          carried[rows[lo:lo + block]])
-            for lo in range(0, len(pairs), block)])
-        step_re, step_im = table.real[at], table.imag[at]
+            table = fam.slot_states[l].conj() @ carried.T
+            axes = [1] * len(shape)
+            axes[k], axes[l] = table.shape[::-1]
+            table = (table.T if k < l else table).reshape(axes)
         if re is None:
-            re, im = step_re, step_im
+            re, im = table.real, table.imag
         else:
-            re, im = (re * step_re - im * step_im,
-                      re * step_im + im * step_re)
+            re, im = (re * table.real - im * table.imag,
+                      re * table.imag + im * table.real)
+    if shape is not None:
+        re, im = (np.broadcast_to(part, shape).reshape(-1)
+                  for part in (re, im))
     return re, im
+
+
+def _joined_table(fam: HistoryFamily, k: int, l: int,
+                  carried: np.ndarray) -> np.ndarray:
+    """Per member of a hand-built family, its amplitude of the step from
+    slot k to slot l.
+
+    The table is keyed ``i * n_right + j`` and is one stacked inner
+    product (``linalg.inners``, ``np.vdot``'s bit for bit) over the joined
+    pairs' gathered rows, taken in blocks of about ``_PAIR_BLOCK_ENTRIES``
+    gathered entries, so a step of many pairs at large d keeps memory
+    flat; no amplitude is computed for a pair that no member joins.  When
+    the slot pairs number no more than the members, the occurring keys are
+    marked in a boolean array over all pairs, whose running count gives
+    exactly ``np.unique``'s pairs and inverse without a sort; otherwise
+    ``np.unique`` sorts them, since a hand-built slot may hold up to H
+    fixed points and the mark would need O(H²) memory.
+    """
+    right = fam.slot_states[l]
+    n = len(right)
+    keys = fam.index[:, k] * n + fam.index[:, l]
+    if len(carried) * n <= len(keys):
+        seen = np.zeros(len(carried) * n, dtype=bool)
+        seen[keys] = True
+        pairs = np.flatnonzero(seen)
+        at = (np.cumsum(seen) - 1)[keys]
+    else:
+        pairs, at = np.unique(keys, return_inverse=True)
+    rows, cols = divmod(pairs, n)
+    block = max(1, _PAIR_BLOCK_ENTRIES // right.shape[1])
+    table = np.concatenate([
+        linalg.inners(right[cols[lo:lo + block]],
+                      carried[rows[lo:lo + block]])
+        for lo in range(0, len(pairs), block)])
+    return table[at]
 
 
 def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
@@ -426,8 +479,9 @@ def _certified_orthogonal(fam: HistoryFamily, grams, tol: float) -> bool:
     slot's largest entry.  ``bound_k`` multiplies those maxima from 1.0 in
     slot order, as a block entry multiplies its own, and rounding is
     monotone, so no block entry exceeds the largest bound.  Needs every
-    slot's whole table; the rows are distinct by construction when
-    ``fam.choices`` is set and are checked once otherwise, by sorting them.
+    slot's whole table; the rows are distinct by construction when the
+    family has a shape, so its index is not built, and are checked once
+    otherwise, by sorting them.
     """
     if any(gram is None for gram in grams):
         return False
@@ -437,7 +491,7 @@ def _certified_orthogonal(fam: HistoryFamily, grams, tol: float) -> bool:
     if any(math.prod(offs[l] if l == k else tops[l] for l in range(len(tops)))
            > tol for k in range(len(tops))):
         return False
-    if fam.choices is not None:
+    if fam.shape is not None:
         return True
     rows = fam.index[np.lexsort(fam.index.T)]  # equal rows now adjacent
     return not (rows[1:] == rows[:-1]).all(axis=1).any()
@@ -745,8 +799,9 @@ def enumerate_family(spec: FamilySpec,
 
     The family shares the recipe's slot table, ``spec.slots``: free slots
     range over the full basis at their time, constrained slots are pinned,
-    and only the index is built here.  Raises EnumerationGuardError when
-    the combination count exceeds ``guard``, a non-negative integer.
+    and the family is their shape; no per-member array is built here.
+    Raises EnumerationGuardError when the combination count exceeds
+    ``guard``, a non-negative integer.
     """
     guard = linalg.require_count(guard, "enumeration guard", 0)
     count = spec.history_count()
@@ -759,9 +814,6 @@ def enumerate_family(spec: FamilySpec,
             raise ValidationError(
                 f"basis at unconstrained time {spec.times[i]} must be "
                 f"complete ({len(spec.slots[i])} of {spec.dim} vectors)")
-    shape = tuple(map(len, spec.slots))
-    index = np.indices(shape, dtype=np.intp).reshape(len(shape), -1).T
-    return HistoryFamily._from_index(
-        spec.slots, spec.slot_states, index,
-        constraint_times=[fp.time for fp in spec.constraints],
-        choices=index[:, free])
+    return HistoryFamily._enumerated(
+        spec.slots, spec.slot_states,
+        [fp.time for fp in spec.constraints], free)

@@ -9,7 +9,7 @@ A set of states (a basis) is checked once, as one array: ``as_states``
 returns a read-only (n, d) stack whose rows are exactly what ``as_state``
 accepts and refuses exactly what it refuses, and the same stack then
 gives ``require_orthonormal`` its Gram matrix.
-``normalize`` is the one renormalization rule: a column's Python-order
+``normalize`` is the one renormalization rule: a column's ``np.sum``
 total, refused when it is 0.0, and the column divided by it.
 """
 
@@ -92,10 +92,12 @@ def require_count(value, what: str, least: int) -> int:
 
 
 def normalize(column: np.ndarray, what: str) -> tuple[float, np.ndarray]:
-    """The total of a 1-d float array, added left to right over Python
-    floats, and the array divided by it; ZeroNormalizationError with the
-    message ``what`` when the total is 0.0."""
-    total = float(sum(column.tolist()))
+    """The total of a 1-d float array, ``np.sum``'s, and the array divided
+    by it; ZeroNormalizationError with the message ``what`` when the total
+    is 0.0.  A total that overflows is inf, without a warning, as a
+    Python-float sum gives it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(column))
     if total == 0.0:
         raise ZeroNormalizationError(what)
     return total, column / total

@@ -20,11 +20,11 @@ walk the pairs of ``contour.contour_path``, the one description of the
 doubled contour.  The step product ``histories._products``,
 which ``decoherence_report`` shares, takes the inner products with the
 sink slot's states, the conjugates of the segment amplitudes (no
-magnitude changes), as one stacked product per step, and reads them
-through the family index.  Every stacked product is the per-state one
-bit for bit.  The closed form squares by ``np.float_power``, libm
-``pow`` as Python's ``**``, so every weight is the per-history loop's bit
-for bit.  A single history is weighed as a one-member family.
+magnitude changes): for an enumerated family one matrix product per step,
+broadcast over the family's slot shape, for a hand-built one a stacked
+inner product over the pairs its members join, read through its index.
+The closed form squares each product as ``re * re + im * im``.  A single
+history is weighed as a one-member family.
 
 The measure of existence of a history is its weight divided by the summed
 weight of every history consistent with the same fixed-point constraints;
@@ -68,13 +68,10 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
 
 
 def _weights(fam: HistoryFamily, sched: HamiltonianSchedule) -> np.ndarray:
-    """Closed-form weights, in order: one step per segment of the grid.
-
-    ``np.hypot`` is ``abs`` of a Python complex, and ``np.float_power``
-    squares by libm ``pow``, as Python's ``**`` does; ``x * x`` rounds
-    differently.
-    """
-    return np.float_power(np.hypot(*_products(fam, _steps(fam, sched))), 2.0)
+    """Closed-form weights, in order: one step per segment of the grid,
+    each member's product squared as ``re * re + im * im``."""
+    re, im = _products(fam, _steps(fam, sched))
+    return re * re + im * im
 
 
 def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
@@ -228,12 +225,11 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
                    steps_per_segment: int | None = None) -> MeasureReport:
     """Measures of existence for every member of a family, as columns.
 
-    Both routes are one table product (``_products``) read through the
-    family index; when ``steps_per_segment`` is given, the contour-walk
-    route, which checks that count first, is run before the closed form,
-    so a bad count weighs nothing.  Every column equals the plain
-    per-history loop bit for bit, and no per-member object is built: the
-    report's ``entries`` builds them on request.
+    Both routes are one table product (``_products``); when
+    ``steps_per_segment`` is given, the contour-walk route, which checks
+    that count first, is run before the closed form, so a bad count weighs
+    nothing.  No per-member object is built, and an enumerated family's
+    index is not read: the report's ``entries`` builds them on request.
     """
     contour = (None if steps_per_segment is None
                else _contour_weights(fam, sched, steps_per_segment))

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from qcontour import (FixedPoint, OutcomeDistribution, __version__, cli,
                       condition_on_final, enumerate_family, histories,
-                      linalg, measure, measure_report, monte_carlo_sample,
-                      oracle, sequential_chain)
+                      linalg, measure, measure_report, models,
+                      monte_carlo_sample, oracle, sequential_chain)
 from qcontour.cli import build_parser, main
 from qcontour.sampling import random_model, random_state, rng_from_seed
 
@@ -524,6 +525,27 @@ class TestVerifyInputs:
         assert capsys.readouterr().err == (
             "error: steps_per_segment must be at least 1, got 0\n")
         assert weighed == []
+
+    @pytest.mark.parametrize("command", ["measure", "verify"])
+    def test_zero_steps_at_the_guard_build_no_member_array(
+            self, tmp_path, capsys, command):
+        # H = 10**6 (d=10, N_t=7, first time pinned): enumerating used to
+        # build a 56 MB index and 48 MB of choices before the walk refused
+        # the count; an enumerated family is its shape until read
+        path = str(tmp_path / "guard.json")
+        models.save_model(random_model(rng_from_seed(5),
+                                       [0.3 * k for k in range(7)], 10, 1),
+                          path)
+        tracemalloc.start()
+        try:
+            code = main([command, path, "--steps-per-segment", "0"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: steps_per_segment must be at least 1, got 0\n")
+        assert peak < 2 ** 20
 
     def test_model_pinned_at_a_middle_time_verifies(self, tmp_path, capsys):
         # the branching-and-merging bundle, whose first time is free

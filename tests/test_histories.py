@@ -418,6 +418,14 @@ class TestFamilyCheckCosts:
         # a full H x H float64 table would take 134 MB
         assert peak < 8 * 2 ** 20
 
+    def test_certificate_reads_the_shape(self):
+        # an enumerated family's rows are distinct by construction: the
+        # certificate clears it without building its index or choices
+        spec, _ = random_family_spec(64, dim=3, n_times=4, s_t=1)
+        fam = enumerate_family(spec)
+        assert validate_family(fam).valid
+        assert "index" not in vars(fam) and "choices" not in vars(fam)
+
     def test_validate_memory_stays_flat_on_fresh_fixed_points(self):
         # every member has its own fixed points, so each slot holds H = 1024
         # states; a whole Gram table per slot peaked at 64 MB

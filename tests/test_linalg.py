@@ -410,13 +410,13 @@ class TestRequireCount:
 
 
 class TestNormalize:
-    """The one renormalization rule: the Python-order total, and the column
+    """The one renormalization rule: ``np.sum``'s total, and the column
     divided by it, bit for bit."""
 
     @staticmethod
     def _check(column):
         total, divided = normalize(column, "unused")
-        want = float(sum(column.tolist()))
+        want = float(np.sum(column))
         assert type(total) is float and total == want
         assert divided.tobytes() == (column / want).tobytes()
 
@@ -430,8 +430,8 @@ class TestNormalize:
     def test_python_order_total_and_quotient(self, column):
         self._check(np.array(column))
 
-    def test_total_is_left_to_right_not_pairwise(self):
-        # numpy's pairwise sum rounds differently on this column
+    def test_total_is_pairwise_not_left_to_right(self):
+        # a left-to-right sum rounds differently on this column
         column = rng_from_seed(3).random(1000)
         assert float(sum(column.tolist())) != float(column.sum())
         self._check(column)
@@ -441,6 +441,12 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     def test_non_negative_columns(self, column):
         self._check(np.array(column))
+
+    def test_an_overflowing_total_is_inf_without_a_warning(self):
+        # a Python-float sum gives inf here without a warning; so must the
+        # numpy total (this suite turns every RuntimeWarning into an error)
+        total, divided = normalize(np.array([1e308, 1e308]), "unused")
+        assert total == math.inf and divided.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("column", [[0.0, 0.0, 0.0], [-0.0], []])
     def test_zero_total_raises_the_callers_message(self, column):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,16 +184,68 @@ class TestNormalization:
         assert report.measures.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def _square(z):
+    """|z|^2 as the closed form squares a product: re * re + im * im."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def _segment_loop_weight(h, sched):
     """The weight as a plain loop over segment amplitudes."""
     product = 1 + 0j
     for a, b in zip(h.points, h.points[1:]):
         product *= segment_amplitude(a, b, sched)
-    return abs(product) ** 2
+    return _square(product)
+
+
+def _table_loop(fam, sched, pairs, steps=1):
+    """Per member of an enumerated family, its step amplitudes multiplied
+    in step order as Python complexes, each read from the step's whole
+    table ``slot_states[l].conj() @ carried.T``.  Row i of ``carried`` is
+    slot k's state i carried with one ``propagate`` product per sub-step
+    over ``np.linspace`` ticks, as ``_plain_walk`` carries it."""
+    times, states = fam.slot_times, fam.slot_states
+    tables = []
+    for k, l in pairs:
+        ticks = np.linspace(times[k], times[l], steps + 1)
+        carried = []
+        for state in states[k]:
+            for u, v in zip(ticks, ticks[1:]):
+                state = propagate(sched, u, v) @ state
+            carried.append(state)
+        tables.append((k, l, (states[l].conj()
+                              @ np.array(carried).T).tolist()))
+    products = []
+    for row in fam.index.tolist():
+        product = 1 + 0j
+        for k, l, table in tables:
+            product *= table[row[l]][row[k]]
+        products.append(product)
+    return products
+
+
+def _plain_weights(fam, sched):
+    """The closed-form weights as plain per-member loops: over segment
+    amplitudes for a hand-built family, over the step tables for an
+    enumerated one."""
+    if fam.shape is None:
+        return [_segment_loop_weight(h, sched) for h in fam.histories]
+    segments = [(k, k + 1) for k in range(len(fam.slots) - 1)]
+    return [_square(z) for z in _table_loop(fam, sched, segments)]
+
+
+def _plain_walks(fam, sched, steps):
+    """The contour-walk weights as plain per-member loops, as
+    ``_plain_weights`` chooses them."""
+    if fam.shape is None:
+        return [_plain_walk(h, sched, steps) for h in fam.histories]
+    return [abs(z) for z in _table_loop(fam, sched,
+                                        contour_path(len(fam.slots)), steps)]
 
 
 class TestSharedSegments:
-    """Family weights reuse shared segments without changing a bit."""
+    """Family weights reuse shared segments without changing a bit: a
+    hand-built family's are the segment loop's, an enumerated family's the
+    loop over its step tables, and the normalization is ``np.sum``'s."""
 
     @given(FAMILY_SHAPES)
     @settings(max_examples=30, deadline=None)
@@ -201,12 +254,14 @@ class TestSharedSegments:
         spec, sched = random_family_spec(seed, dim, n_times, s_t)
         for name, fam in family_variants(spec, seed).items():
             report = measure_report(fam, sched)
-            weights = [_segment_loop_weight(h, sched) for h in fam.histories]
+            weights = _plain_weights(fam, sched)
             assert [e.delta_psi for e in report.entries] == weights, name
-            assert report.normalization == sum(weights)
-            for h, e in zip(fam.histories, report.entries):
-                assert delta_psi(h, sched) == e.delta_psi
-                assert delta_psi(h, sched) / report.normalization == e.measure
+            assert report.normalization == np.sum(weights)
+            if fam.shape is None:
+                for h, e in zip(fam.histories, report.entries):
+                    assert delta_psi(h, sched) == e.delta_psi
+                    assert delta_psi(h, sched) / report.normalization == \
+                        e.measure
 
     @given(WIDE_SHAPES)
     @example((1, 8, 3, 1))  # the family_large dimension
@@ -216,8 +271,7 @@ class TestSharedSegments:
         spec, sched = random_family_spec(seed, dim, n_times, s_t)
         for name, fam in family_variants(spec, seed).items():
             weights = measure_report(fam, sched).weights.tolist()
-            assert weights == [_segment_loop_weight(h, sched)
-                               for h in fam.histories], name
+            assert weights == _plain_weights(fam, sched), name
 
 
 def _plain_walk(h, sched, steps):
@@ -243,10 +297,11 @@ class TestSharedPropagators:
         steps = 1 + seed % 3
         for name, fam in family_variants(spec, seed).items():
             report = measure_report(fam, sched, steps_per_segment=steps)
-            want = [_plain_walk(h, sched, steps) for h in fam.histories]
+            want = _plain_walks(fam, sched, steps)
             assert [e.delta_psi_contour for e in report.entries] == want, name
-            assert delta_psi_line_integral(fam.histories[0], sched,
-                                           steps) == want[0]
+            if fam.shape is None:
+                assert delta_psi_line_integral(fam.histories[0], sched,
+                                               steps) == want[0]
 
     @given(WIDE_SHAPES)
     @example((1, 8, 3, 1))  # the family_large dimension
@@ -258,8 +313,8 @@ class TestSharedPropagators:
         steps = 1 + seed % 8
         for name, fam in family_variants(spec, seed).items():
             report = measure_report(fam, sched, steps_per_segment=steps)
-            assert report.contour_weights.tolist() == [
-                _plain_walk(h, sched, steps) for h in fam.histories], name
+            assert report.contour_weights.tolist() == _plain_walks(
+                fam, sched, steps), name
 
     @given(FAMILY_SHAPES)
     @settings(max_examples=10, deadline=None)
@@ -268,6 +323,8 @@ class TestSharedPropagators:
         spec, sched = random_family_spec(seed, dim, n_times, s_t)
         steps = 1 + seed % 3
         for name, fam in family_variants(spec, seed).items():
+            if fam.shape is not None:
+                continue  # single histories weigh through their index
             report = measure_report(fam, sched, steps_per_segment=steps)
             for h, e in zip(fam.histories, report.entries):
                 assert delta_psi_line_integral(h, sched, steps) == \
@@ -286,9 +343,9 @@ class TestColumnarReport:
         steps = 1 + seed % 3
         for name, fam in family_variants(spec, seed).items():
             report = measure_report(fam, sched, steps_per_segment=steps)
-            weights = [_segment_loop_weight(h, sched) for h in fam.histories]
-            walks = [_plain_walk(h, sched, steps) for h in fam.histories]
-            normalization = sum(weights)
+            weights = _plain_weights(fam, sched)
+            walks = _plain_walks(fam, sched, steps)
+            normalization = float(np.sum(weights))
             measures = [w / normalization for w in weights]
             assert report.weights.tolist() == weights, name
             assert report.contour_weights.tolist() == walks, name
@@ -318,6 +375,32 @@ class TestColumnarReport:
                        report.contour_weights):
             with pytest.raises(ValueError):
                 column[0] = 0.5
+
+
+class TestCrossPath:
+    """An enumerated family weighs by broadcast matrix-product tables, a
+    hand-built one by gathered per-pair inner products: the enumerated
+    family and a hand-built copy of it in shuffled member order agree on
+    every member, on both routes, within 1e-13 relative."""
+
+    @given(st.one_of(FAMILY_SHAPES, WIDE_SHAPES))
+    @settings(max_examples=40, deadline=None)
+    def test_enumerated_and_shuffled_hand_built_copy_agree(self, shape):
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        fam = enumerate_family(spec)
+        order = rng_from_seed(seed).permutation(len(fam.histories))
+        copy = HistoryFamily([fam.histories[i] for i in order],
+                             constraint_times=fam.constraint_times)
+        assert copy.shape is None
+        steps = 1 + seed % 4
+        shaped = measure_report(fam, sched, steps_per_segment=steps)
+        indexed = measure_report(copy, sched, steps_per_segment=steps)
+        for route in ("weights", "contour_weights"):
+            a = getattr(shaped, route)[order]
+            b = getattr(indexed, route)
+            assert np.all(np.abs(a - b)
+                          <= 1e-13 * np.maximum(np.abs(a), np.abs(b))), route
 
 
 def _lookup_families(seed):
@@ -394,26 +477,18 @@ class TestPairLookup:
 
 
 class TestSquaring:
-    """Weights are squared as Python's ``**`` squares (libm ``pow``)."""
+    """Weights square each product as ``re * re + im * im``, with no
+    magnitude taken first."""
 
-    def test_weights_are_libm_squares_at_the_large_family_shape(self):
+    def test_weights_are_re_im_squares_at_the_large_family_shape(self):
         spec, sched = random_family_spec(8, dim=8, n_times=5, s_t=1)
         fam = enumerate_family(spec)
-        # the plain loop, with each segment amplitude computed once
-        amplitudes = [[[segment_amplitude(a, b, sched) for b in right]
-                       for a in left]
-                      for left, right in zip(fam.slots, fam.slots[1:])]
-        magnitudes = []
-        for row in fam.index.tolist():
-            product = 1 + 0j
-            for table, i, j in zip(amplitudes, row, row[1:]):
-                product *= table[i][j]
-            magnitudes.append(abs(product))
-        assert len(magnitudes) == 4096
-        # x * x rounds differently from x ** 2 somewhere in this family
-        assert any(x * x != x ** 2 for x in magnitudes)
+        products = _table_loop(fam, sched, [(k, k + 1) for k in range(4)])
+        assert len(products) == 4096
+        # the squared magnitude rounds differently somewhere in this family
+        assert any(_square(z) != abs(z) ** 2 for z in products)
         assert measure_report(fam, sched).weights.tolist() == \
-            [x ** 2 for x in magnitudes]
+            [_square(z) for z in products]
 
 
 class TestTransferChain:
@@ -502,6 +577,22 @@ class TestCountGuards:
             assert report.entries is report.entries
         assert len(made) == 54
         assert built == [] and members == []
+
+    @pytest.mark.parametrize("steps", [None, 2])
+    def test_no_member_array_of_every_slot(self, steps):
+        # H = 2**15 members over N_t = 16 slots: an index would take 4 MB,
+        # and an enumerated family's is built only when read
+        spec, sched = random_family_spec(44, dim=2, n_times=16, s_t=1)
+        tracemalloc.start()
+        try:
+            fam = enumerate_family(spec)
+            measure_report(fam, sched, steps_per_segment=steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "index" not in vars(fam) and "choices" not in vars(fam)
+        assert peak < 2 ** 15 * 15 * np.dtype(np.intp).itemsize
+        assert fam.index.shape == (2 ** 15, 16)
 
     def test_closed_form_propagates_once_per_segment(self, monkeypatch):
         spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)
@@ -701,10 +792,8 @@ class TestBundleRecipe:
                                    for wf in w_future)
         fam = enumerate_family(spec)
         report = measure_report(fam, sched, steps_per_segment=2)
-        assert report.weights.tolist() == [
-            _segment_loop_weight(h, sched) for h in fam.histories]
-        assert report.contour_weights.tolist() == [
-            _plain_walk(h, sched, 2) for h in fam.histories]
+        assert report.weights.tolist() == _plain_weights(fam, sched)
+        assert report.contour_weights.tolist() == _plain_walks(fam, sched, 2)
 
     def test_is_a_family_spec(self):
         bundle, _ = random_bundle(64, dim=3, n_past=2, n_future=1)
