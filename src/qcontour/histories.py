@@ -13,7 +13,9 @@ through, so the family paths compute what each slot fixed point determines
 once and read it through the index; member histories are built only on
 request.  An enumerated family is its slot shape: member h passes through
 the mixed-radix digits of h, so the step products broadcast one table per
-step along the shape's axes, and its index is built only when read.
+step along the shape's axes, and its index is built only when read.  A
+hand-built family's step amplitudes are gathered per member: one inner
+product of the member's own two slot rows.
 
 Overlap convention: when two histories are compared, the backward-branch
 factor of each fixed point enters conjugated relative to the forward one,
@@ -49,7 +51,8 @@ from .errors import (DimensionMismatchError, EnumerationGuardError,
 
 #: refuse exhaustive enumerations beyond this many histories
 MAX_ENUMERATION = 10 ** 6
-#: entries per row block of a pairwise family check (64 KB of float64)
+#: entries per row block of a pairwise family check (64 KB of float64),
+#: and per block of a hand-built family's step rows, gathered per member
 _PAIR_BLOCK_ENTRIES = 2 ** 13
 
 
@@ -92,7 +95,7 @@ class QuantumHistory:
     points: tuple[FixedPoint, ...]
 
     def __init__(self, points):
-        pts = tuple(points)
+        pts = _members(points, FixedPoint, "a history", "fixed points")
         if len(pts) < 2:
             raise ValidationError("a history needs at least two fixed points")
         require_increasing((p.time for p in pts), "fixed-point times")
@@ -122,6 +125,22 @@ class QuantumHistory:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.points)
+
+
+def _members(items, kind, whole: str, what: str) -> tuple:
+    """``items`` as a tuple; raises ValidationError unless it is an iterable
+    of ``kind`` instances."""
+    try:
+        iter(items)
+    except TypeError:
+        raise ValidationError(f"{whole} must be a sequence of {what}, "
+                              f"got {type(items).__name__}") from None
+    members = tuple(items)  # a tuple is kept, not copied
+    for member in members:
+        if not isinstance(member, kind):
+            raise ValidationError(f"{whole} must be a sequence of {what}, "
+                                  f"got an entry of {type(member).__name__}")
+    return members
 
 
 def _same_times(a: QuantumHistory, b: QuantumHistory) -> bool:
@@ -191,7 +210,8 @@ class HistoryFamily:
     _histories: tuple[QuantumHistory, ...] | None = field(repr=False)
 
     def __init__(self, histories, constraint_times=()):
-        histories = tuple(histories)
+        histories = _members(histories, QuantumHistory, "a family",
+                             "histories")
         if not histories:
             raise ValidationError("family must contain at least one history")
         first = histories[0]
@@ -338,16 +358,23 @@ def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
     table, ``<slot_states[l][j]|carried[i]>`` for every pair, as one matrix
     product, laid along axes k and l of the shape; the products broadcast
     over the shape and ravel in C order, which is the family's order, so
-    no index is read.  A hand-built family reads its index: the table
-    holds ``np.vdot(slot_states[l][j], carried[i])`` once for every pair
-    (i, j) some member joins (``_joined_table``), and each member's entry
-    is gathered from it.
+    no index is read.  A hand-built family's amplitudes are gathered per
+    member: member h's is ``np.vdot(slot_states[l][j], carried[i])`` for
+    its own positions i = ``index[h, k]`` and j = ``index[h, l]``, as one
+    stacked inner product (``linalg.inners``) over the two gathered rows,
+    in blocks of ``_PAIR_BLOCK_ENTRIES // d`` members, so a step's memory
+    stays flat at large d.
     """
     shape = fam.shape
     re = im = None
     for k, l, carried in steps:
         if shape is None:
-            table = _joined_table(fam, k, l, carried)
+            rows, cols = fam.index[:, k], fam.index[:, l]
+            block = max(1, _PAIR_BLOCK_ENTRIES // carried.shape[1])
+            table = np.concatenate([
+                linalg.inners(fam.slot_states[l][cols[lo:lo + block]],
+                              carried[rows[lo:lo + block]])
+                for lo in range(0, len(rows), block)])
         else:
             table = fam.slot_states[l].conj() @ carried.T
             axes = [1] * len(shape)
@@ -362,41 +389,6 @@ def _products(fam: HistoryFamily, steps) -> tuple[np.ndarray, np.ndarray]:
         re, im = (np.broadcast_to(part, shape).reshape(-1)
                   for part in (re, im))
     return re, im
-
-
-def _joined_table(fam: HistoryFamily, k: int, l: int,
-                  carried: np.ndarray) -> np.ndarray:
-    """Per member of a hand-built family, its amplitude of the step from
-    slot k to slot l.
-
-    The table is keyed ``i * n_right + j`` and is one stacked inner
-    product (``linalg.inners``, ``np.vdot``'s bit for bit) over the joined
-    pairs' gathered rows, taken in blocks of about ``_PAIR_BLOCK_ENTRIES``
-    gathered entries, so a step of many pairs at large d keeps memory
-    flat; no amplitude is computed for a pair that no member joins.  When
-    the slot pairs number no more than the members, the occurring keys are
-    marked in a boolean array over all pairs, whose running count gives
-    exactly ``np.unique``'s pairs and inverse without a sort; otherwise
-    ``np.unique`` sorts them, since a hand-built slot may hold up to H
-    fixed points and the mark would need O(H²) memory.
-    """
-    right = fam.slot_states[l]
-    n = len(right)
-    keys = fam.index[:, k] * n + fam.index[:, l]
-    if len(carried) * n <= len(keys):
-        seen = np.zeros(len(carried) * n, dtype=bool)
-        seen[keys] = True
-        pairs = np.flatnonzero(seen)
-        at = (np.cumsum(seen) - 1)[keys]
-    else:
-        pairs, at = np.unique(keys, return_inverse=True)
-    rows, cols = divmod(pairs, n)
-    block = max(1, _PAIR_BLOCK_ENTRIES // right.shape[1])
-    table = np.concatenate([
-        linalg.inners(right[cols[lo:lo + block]],
-                      carried[rows[lo:lo + block]])
-        for lo in range(0, len(pairs), block)])
-    return table[at]
 
 
 def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
@@ -668,7 +660,10 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     psi = linalg.as_state(psi1, fam.dim)
     scale = np.hypot(*_products(fam, _steps(fam, sched, first=psi)))
     _, gram_rows = _slot_gram(fam.slot_states[-1], 1)
-    m, last = len(fam.slots[-1]), fam.index[:, -1]
+    m = len(fam.slots[-1])
+    # an enumerated member h ends at position h % m (C order), so its index
+    # is not built for one column
+    last = fam.index[:, -1] if fam.shape is None else np.arange(len(scale)) % m
     height = max(1, _PAIR_BLOCK_ENTRIES // m)
     later = np.zeros(m)  # M_g over the rows already passed
     worst, first, first_gram = 0.0, None, None

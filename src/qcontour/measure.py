@@ -22,7 +22,8 @@ which ``decoherence_report`` shares, takes the inner products with the
 sink slot's states, the conjugates of the segment amplitudes (no
 magnitude changes): for an enumerated family one matrix product per step,
 broadcast over the family's slot shape, for a hand-built one a stacked
-inner product over the pairs its members join, read through its index.
+inner product of each member's own two rows, gathered per member through
+its index.
 The closed form squares each product as ``re * re + im * im``.  A single
 history is weighed as a one-member family.
 

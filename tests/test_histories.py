@@ -89,6 +89,21 @@ class TestHistoryTypes:
         fam = HistoryFamily((two_point(E0, E1),), constraint_times=times)
         assert fam.constraint_times == (0.0, 1.0)
 
+    @pytest.mark.parametrize("build, wanted, got", [
+        (lambda: HistoryFamily(two_point(E0, E1)), "histories",
+         "QuantumHistory"),
+        (lambda: HistoryFamily([1]), "histories", "an entry of int"),
+        (lambda: QuantumHistory(None), "fixed points", "NoneType"),
+        (lambda: QuantumHistory([1, 2]), "fixed points", "an entry of int"),
+    ], ids=["one history", "a number", "None", "numbers"])
+    def test_constructors_refuse_what_is_not_a_sequence_of_members(
+            self, build, wanted, got):
+        # one history alone and None used to leak TypeError, numbers
+        # AttributeError
+        with pytest.raises(ValidationError,
+                           match=f"must be a sequence of {wanted}, got {got}$"):
+            build()
+
 
 class TestIdentitySemantics:
     def test_fixed_points_with_equal_values_are_not_equal(self):

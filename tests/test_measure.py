@@ -379,7 +379,7 @@ class TestColumnarReport:
 
 class TestCrossPath:
     """An enumerated family weighs by broadcast matrix-product tables, a
-    hand-built one by gathered per-pair inner products: the enumerated
+    hand-built one by inner products gathered per member: the enumerated
     family and a hand-built copy of it in shuffled member order agree on
     every member, on both routes, within 1e-13 relative."""
 
@@ -404,14 +404,15 @@ class TestCrossPath:
 
 
 def _lookup_families(seed):
-    """Hand-built families at the pair lookup's size switch, and a
-    schedule.
+    """Hand-built families whose members share slot pairs in three
+    patterns, and a schedule.
 
     Slot 0 holds two fixed points, slot 1 three and slot 2 one, so the
-    first segment has 6 slot pairs.  ``dense`` joins each of them once (6
-    members: the mark), ``sorted`` drops the pair (a1, b2) (5 members:
-    ``np.unique``) and ``unjoined`` repeats (a0, b0) in its place (6
-    members: the mark, with a pair no member joins).
+    first segment has 6 slot pairs.  ``every_pair`` joins each of them
+    once (6 members), ``one_missing`` drops the pair (a1, b2) (5 members)
+    and ``one_twice`` repeats (a0, b0) in its place (6 members, a pair no
+    member joins).  Every member of each shares the second segment's
+    pairs with others.
     """
     spec, sched = random_family_spec(seed, dim=3, n_times=3, s_t=1)
     rng = rng_from_seed(seed)
@@ -420,28 +421,31 @@ def _lookup_families(seed):
     middle = [fp(t1, random_state(rng, 3), f"b{j}") for j in range(3)]
     last = fp(t2, random_state(rng, 3), "c")
     pairs = [(a, b) for a in left for b in middle]
-    members = {"dense": pairs, "sorted": pairs[:-1],
-               "unjoined": pairs[:-1] + pairs[:1]}
+    members = {"every_pair": pairs, "one_missing": pairs[:-1],
+               "one_twice": pairs[:-1] + pairs[:1]}
     return sched, {name: HistoryFamily(QuantumHistory((a, b, last))
                                        for a, b in joined)
                    for name, joined in members.items()}
 
 
-def _joined_pairs(fam, k, l):
-    """The distinct (slot k, slot l) fixed-point pairs the members join."""
-    return len({(h.points[k], h.points[l]) for h in fam.histories})
+class TestMemberGather:
+    """A hand-built family's step amplitudes are gathered per member: one
+    stacked inner product of each member's own two slot rows per step, in
+    blocks of ``_PAIR_BLOCK_ENTRIES // d`` members, with no table of
+    distinct pairs.  They give the plain loops' weights bit for bit."""
 
-
-class TestPairLookup:
-    """Each step's table is found by marking the occurring pairs when the
-    slot pairs number no more than the members, and by ``np.unique``
-    otherwise; both give the plain loops' weights bit for bit, with one
-    table entry per joined pair."""
-
-    @pytest.mark.parametrize("seed", [3, 17, 29])
-    def test_weights_equal_the_plain_loops(self, seed):
+    @pytest.mark.parametrize("seed, shape", [(3, (3, 3, 3, 1)),
+                                             (17, (17, 2, 5, 2)),
+                                             (29, (29, 4, 4, 1))])
+    def test_weights_equal_the_plain_loops(self, seed, shape):
         sched, families = _lookup_families(seed)
-        for name, fam in families.items():
+        cases = [(name, fam, sched) for name, fam in families.items()]
+        spec, spec_sched = random_family_spec(*shape)
+        cases += [(name, fam, spec_sched) for name, fam
+                  in family_variants(spec, shape[0]).items()
+                  if name != "enumerated"]
+        for name, fam, sched in cases:
+            assert fam.shape is None, name
             weights = [_segment_loop_weight(h, sched) for h in fam.histories]
             assert measure_report(fam, sched).weights.tolist() == weights, \
                 name
@@ -451,29 +455,30 @@ class TestPairLookup:
                 assert report.contour_weights.tolist() == [
                     _plain_walk(h, sched, steps) for h in fam.histories], name
 
-    @pytest.mark.parametrize("name, joined, closed_sorts, walk_sorts",
-                             [("dense", 6, 0, 0), ("sorted", 5, 1, 2),
-                              ("unjoined", 5, 0, 0)])
-    def test_one_table_entry_per_joined_pair(self, monkeypatch, name, joined,
-                                             closed_sorts, walk_sorts):
+    @pytest.mark.parametrize("budget", [2 ** 13, 6])
+    @pytest.mark.parametrize("name", ["every_pair", "one_missing",
+                                      "one_twice"])
+    def test_one_inner_product_per_member_and_step(self, monkeypatch, name,
+                                                   budget):
         sched, families = _lookup_families(5)
         fam = families[name]
-        assert _joined_pairs(fam, 0, 1) == joined
-        segments = [(0, 1), (1, 2)]
-        walk = contour_path(len(fam.times))
-        # each table is one stacked inner product; count its entries
+        reference = measure_report(fam, sched, steps_per_segment=2)
+        monkeypatch.setattr(histories, "_PAIR_BLOCK_ENTRIES", budget)
+        # each step is one stacked inner product per block of members
+        # (budget // d of them, d = 3); count its entries
         tables = count_calls(monkeypatch, linalg, "inners")
         sorts = count_calls(monkeypatch, np, "unique")
-        measure_report(fam, sched)
-        assert sum(len(bras) for bras, _ in tables) == sum(
-            _joined_pairs(fam, k, l) for k, l in segments)
-        assert len(sorts) == closed_sorts
-        tables.clear()
-        sorts.clear()
-        measure._contour_weights(fam, sched, 2)
-        assert sum(len(bras) for bras, _ in tables) == sum(
-            _joined_pairs(fam, k, l) for k, l in walk)
-        assert len(sorts) == walk_sorts
+        members, block = len(fam.histories), budget // 3
+        for n_steps, steps in ((2, None), (6, 2)):
+            tables.clear()
+            report = measure_report(fam, sched, steps_per_segment=steps)
+            assert [len(bras) for bras, _ in tables] == n_steps * [
+                min(block, members - lo) for lo in range(0, members, block)]
+        assert sorts == []
+        # the block height does not move a bit
+        for route in ("weights", "contour_weights"):
+            assert getattr(report, route).tolist() == \
+                getattr(reference, route).tolist(), route
 
 
 class TestSquaring:
@@ -593,6 +598,21 @@ class TestCountGuards:
         assert "index" not in vars(fam) and "choices" not in vars(fam)
         assert peak < 2 ** 15 * 15 * np.dtype(np.intp).itemsize
         assert fam.index.shape == (2 ** 15, 16)
+
+    def test_decoherence_report_builds_no_index(self):
+        # member h of an enumerated family ends at last-slot position
+        # h % shape[-1]; the report used to build the whole index for it
+        spec, sched = random_family_spec(3, dim=2, n_times=16, s_t=1)
+        tracemalloc.start()
+        try:
+            fam = enumerate_family(spec)
+            decoherence_report(fam, sched, spec.constraints[0].state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "index" not in vars(fam)
+        assert peak < 2 ** 15 * 15 * np.dtype(np.intp).itemsize
+        assert fam.index[:, -1].tolist() == [h % 2 for h in range(2 ** 15)]
 
     def test_closed_form_propagates_once_per_segment(self, monkeypatch):
         spec, sched = random_family_spec(42, dim=3, n_times=4, s_t=1)
