@@ -52,7 +52,13 @@ def require_time(t, what: str) -> float:
 
 def require_increasing(times, what: str) -> tuple[float, ...]:
     """The one time-order rule: ``times`` as floats, each a time
-    (``require_time``) after the one before and not ``same_time`` as it."""
+    (``require_time``) after the one before and not ``same_time`` as it;
+    ValidationError also when ``times`` is not a sequence."""
+    try:
+        times = iter(times)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of times, got "
+                              f"{type(times).__name__}") from None
     values = tuple(require_time(t, what) for t in times)
     if any(not b > a or same_time(a, b) for a, b in zip(values, values[1:])):
         raise ValidationError(

@@ -15,6 +15,8 @@ segment's exponentials formed as one stack, every propagator
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 from . import linalg
@@ -34,8 +36,16 @@ class HamiltonianSchedule:
     def __init__(self, segments):
         if not segments:
             raise ValidationError("schedule needs at least one segment")
+        try:
+            triples = [tuple(segment) for segment in segments]
+        except TypeError:
+            triples = None
+        if triples is None or any(len(seg) != 3 for seg in triples):
+            raise ValidationError(
+                "schedule segments must be a sequence of (t_start, t_end, H) "
+                f"triples, got {reprlib.repr(segments)}")
         parsed = []
-        for t0, t1, h in segments:
+        for t0, t1, h in triples:
             t0, t1 = require_increasing((t0, t1), "segment times")
             parsed.append((t0, t1, linalg.require_hermitian(h)))
         dim = linalg.require_dim("segment Hamiltonian",

@@ -46,8 +46,7 @@ from .contour import (grid_index, require_increasing, require_not_before,
                       require_time, same_time)
 from .dynamics import (HamiltonianSchedule, heisenberg_projector,
                        substep_propagators)
-from .errors import (DimensionMismatchError, EnumerationGuardError,
-                     ValidationError)
+from .errors import EnumerationGuardError, ValidationError
 
 #: refuse exhaustive enumerations beyond this many histories
 MAX_ENUMERATION = 10 ** 6
@@ -702,9 +701,10 @@ class FamilySpec:
     points at a subset of the grid times.  ``slots`` is the recipe's slot
     table, built once here: at a pinned time the constraint alone, elsewhere
     one ``FixedPoint`` per basis vector, labeled by its position; an
-    unconstrained time needs a non-empty set.  Each input basis is
-    validated once, as one stack (``linalg.as_states``), which also gives
-    its orthonormality Gram; ``bases`` holds the stacks' read-only rows,
+    unconstrained time needs a non-empty set, and a pinned one may have an
+    empty set (the dimension is then its pins').  Each input basis is
+    validated once, as one stack checked by one Gram matrix
+    (``linalg.as_basis``); ``bases`` holds the stacks' read-only rows,
     and at free times the slot fixed points' states are those rows.
     ``slot_states`` holds each slot's states as one read-only stack: the
     basis stack at a free time, the constraint's state as one row at a
@@ -729,51 +729,43 @@ class FamilySpec:
         times = require_increasing(self.times, "grid times")
         if len(times) < 2:
             raise ValidationError("family spec needs at least two grid times")
-        if len(self.bases) != len(times):
+        if not hasattr(self.bases, "__len__") or len(self.bases) != len(times):
             raise ValidationError("need exactly one basis per grid time")
+        constraints = _members(self.constraints, FixedPoint, "constraints",
+                               "fixed points")
         pinned = dict(zip(_constraint_slots(
-            times, [fp.time for fp in self.constraints]), self.constraints))
+            times, [fp.time for fp in constraints]), constraints))
         # a slot's time is its fixed points' time: a constraint may sit
         # within TIME_EPS of its grid time
         slot_times = require_increasing(
             [pinned[i].time if i in pinned else t
              for i, t in enumerate(times)], "slot times")
-        # each basis checked once, as one stack; a basis of states of
-        # several sizes is left to the shared-dimension rule below
-        stacks, sizes = [], []
-        for i, (t, basis) in enumerate(zip(times, self.bases)):
-            basis = list(basis)
-            if not basis and i not in pinned:
-                raise ValidationError(
-                    f"basis at unconstrained time {t} is empty")
-            try:
-                stacks.append(linalg.as_states(basis))
-            except DimensionMismatchError:
-                stacks.append(None)
-                sizes += map(np.size, basis)
-            except ValidationError as exc:
-                raise ValidationError(f"basis at time {t}: {exc}") from exc
-            else:
-                sizes += [stacks[-1].shape[1]] * len(basis)
-        dim = linalg.require_dim("basis vector", *sizes)
-        for t, stack in zip(times, stacks):
-            linalg.require_orthonormal(stack, f"basis at time {t}")
+        # each basis checked once, as one stack and one Gram matrix
         slots, bases, states = [], [], []
-        for i, (t, stack) in enumerate(zip(times, stacks)):
+        for i, (t, basis) in enumerate(zip(times, self.bases)):
+            stack = linalg.as_basis(basis, f"basis at time {t}")
             rows = tuple(stack)
             bases.append(rows)
             if i in pinned:
                 slots.append((pinned[i],))
                 states.append(pinned[i].state.reshape(1, -1))
+            elif not rows:
+                raise ValidationError(
+                    f"basis at unconstrained time {t} is empty")
             else:
                 slots.append(tuple(FixedPoint._checked(t, row, str(k))
                                    for k, row in enumerate(rows)))
                 states.append(stack)
+        # one dimension: the bases', or the pins' alone when every basis
+        # is empty
+        widths = [rows[0].size for rows in bases if rows]
+        if widths:
+            linalg.require_dim("basis vector", *widths)
         linalg.require_dim("constraint state",
-                           *[fp.dim for fp in self.constraints], dim)
+                           *[fp.dim for fp in constraints], *widths[:1])
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "bases", tuple(bases))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "pinned", pinned)
         object.__setattr__(self, "slot_times", slot_times)
         object.__setattr__(self, "slots", tuple(slots))
@@ -781,7 +773,7 @@ class FamilySpec:
 
     @property
     def dim(self) -> int:
-        return next(v.size for basis in self.bases for v in basis)
+        return self.slot_states[0].shape[1]
 
     def history_count(self) -> int:
         """Number of histories the recipe enumerates to."""

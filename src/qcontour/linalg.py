@@ -5,10 +5,11 @@ arrays.  Everything here is a pure function of its inputs; arrays returned
 by constructors are fresh copies, so values can be shared freely.  Units:
 hbar = 1 throughout.
 
-A set of states (a basis) is checked once, as one array: ``as_states``
-returns a read-only (n, d) stack whose rows are exactly what ``as_state``
-accepts and refuses exactly what it refuses, and the same stack then
-gives ``require_orthonormal`` its Gram matrix.
+A basis is checked once, as one array, by ``as_basis``: a read-only
+(n, d) stack whose rows are exactly what ``as_state`` accepts, refused
+exactly where a row is, and then unless orthonormal; one Gram defect,
+|S* S^T - I|, gives both the state check's fast path (its diagonal) and
+the orthonormality verdict (``is_orthonormal`` takes the same one).
 ``normalize`` is the one renormalization rule: a column's ``np.sum``
 total, refused when it is 0.0, and the column divided by it.
 """
@@ -130,46 +131,56 @@ def as_state(vec, dim: int | None = None) -> np.ndarray:
     return psi
 
 
-@np.errstate(over="ignore")  # an overflowing squared norm is inf, refused
-def as_states(vectors, dim: int | None = None) -> np.ndarray:
-    """Validate a set of state vectors as one read-only (n, d) array.
+def as_basis(vectors, what: str, dim: int | None = None) -> np.ndarray:
+    """Validate an orthonormal set of states as one read-only (n, d) array.
 
-    Row i is exactly what ``as_state(vectors[i], dim)`` returns, and the
-    set is refused exactly when one of its vectors is, with the error of
-    the first such vector.  The vectors are read as one array and their
-    squared norms taken in one pass; when every squared norm is within
-    STATE_MARGIN of 1 (which a NaN or Inf entry fails) and the size is
-    ``dim``, the set passes, and otherwise each vector goes through
-    ``as_state`` itself for the verdict.  Vectors of several sizes, each a
-    state, raise DimensionMismatchError; an empty set gives an (0, d)
+    Row i is exactly what ``as_state(vectors[i], dim)`` returns.  The set
+    is refused when one of its vectors is, with the first such vector's
+    error prefixed by ``what`` (a DimensionMismatchError as it is), when
+    its states have several sizes (DimensionMismatchError), and then,
+    unless orthonormal within INPUT_TOL, as "``what`` is not orthonormal".
+    The vectors are read as one array and checked by one Gram defect
+    (``_gram_defect``): when every diagonal entry, a squared norm's
+    distance from 1, is within STATE_MARGIN (which a NaN or Inf entry
+    fails) and the size is ``dim``, the states pass, and otherwise each
+    vector goes through ``as_state`` itself for the verdict; the largest
+    entry is the orthonormality verdict.  An empty set gives an (0, d)
     array, d being ``dim`` or 0.
     """
     if not isinstance(vectors, (list, tuple, np.ndarray)):
         try:
             vectors = list(vectors)
         except TypeError:
-            raise ValidationError("expected a sequence of state vectors, "
-                                  f"got {reprlib.repr(vectors)}") from None
+            raise ValidationError(
+                f"{what}: expected a sequence of state vectors, "
+                f"got {reprlib.repr(vectors)}") from None
     n = len(vectors)
     try:
-        # C order: a Fortran-ordered basis (``u.T``) must give rows that
-        # ``view(float)`` can split
+        # C order: the rows are contiguous states, and the Gram matrix is
+        # the one ``is_orthonormal`` forms
         stack = np.array(vectors, dtype=complex, order="C")
     except (TypeError, ValueError, OverflowError):  # ragged or unreadable
-        rows = [as_state(v, dim) for v in vectors]
-        require_dim("state", *[row.size for row in rows])
-        stack = np.array(rows)
+        stack = None
     else:
         if stack.ndim != 2:  # each vector flattened, as ``as_state`` does
             stack = stack.reshape(n, stack.size // n if n else dim or 0)
-        size = stack.shape[1]
-        deviation = np.add.reduce(np.square(stack.view(float)), axis=1)
-        deviation -= 1.0
-        if not (size >= 1 and (dim is None or size == dim)
-                and np.maximum.reduce(np.abs(deviation), initial=0.0)
-                <= STATE_MARGIN):
-            for v in vectors:
-                as_state(v, dim)
+        defect = _gram_defect(stack)
+    if stack is None or not (
+            stack.shape[1] >= 1 and (dim is None or stack.shape[1] == dim)
+            and np.maximum.reduce(defect.diagonal(), initial=0.0)
+            <= STATE_MARGIN):
+        try:
+            rows = [as_state(v, dim) for v in vectors]
+        except DimensionMismatchError:
+            raise
+        except ValidationError as exc:
+            raise ValidationError(f"{what}: {exc}") from exc
+        if stack is None:
+            require_dim("state", *[row.size for row in rows])
+            stack = np.array(rows)
+            defect = _gram_defect(stack)
+    if not np.maximum.reduce(defect, axis=None, initial=0.0) <= INPUT_TOL:
+        raise ValidationError(f"{what} is not orthonormal")
     stack.setflags(write=False)
     return stack
 
@@ -273,22 +284,27 @@ def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN: refused
+def _gram_defect(stack: np.ndarray) -> np.ndarray:
+    """|S* S^T - I| entrywise, for an (n, d) stack S of states as rows; its
+    diagonal entry i is row i's squared norm's distance from 1."""
+    return np.abs(stack.conj() @ stack.T - np.eye(len(stack)))
+
+
 def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:
     """True iff the given vectors form an orthonormal set (the empty set
-    does); vectors of different dimensions raise DimensionMismatchError."""
-    if len(vectors) == 0:
+    does): no entry of their Gram defect above ``tol``.  Vectors of
+    different dimensions raise DimensionMismatchError, and what is not a
+    sequence of vectors of numbers ValidationError."""
+    try:
+        vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("expected a sequence of vectors of numbers, "
+                              f"got {reprlib.repr(vectors)}") from None
+    if not vecs:
         return True
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     require_dim("vector", *[v.size for v in vecs])
-    stack = np.array(vecs)
-    gram = stack.conj() @ stack.T
-    return bool(np.max(np.abs(gram - np.eye(len(vectors)))) <= tol)
-
-
-def require_orthonormal(vectors, what: str) -> None:
-    """Raise ValidationError naming ``what`` unless orthonormal (INPUT_TOL)."""
-    if not is_orthonormal(vectors, INPUT_TOL):
-        raise ValidationError(f"{what} is not orthonormal")
+    return bool(np.max(_gram_defect(np.array(vecs))) <= tol)
 
 
 def complete_basis(first) -> list[np.ndarray]:

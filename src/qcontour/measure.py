@@ -51,7 +51,7 @@ from .contour import contour_path, require_increasing, same_time
 from .dynamics import HamiltonianSchedule, evolve_state, propagate
 from .errors import ValidationError
 from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
-                        _products, _steps)
+                        _members, _products, _steps)
 
 
 def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
@@ -273,7 +273,12 @@ class ToyBundle(FamilySpec):
     """
 
     def __init__(self, past, pivot: FixedPoint, future):
-        past, future = tuple(past), tuple(future)
+        past = _members(past, FixedPoint, "past branches", "fixed points")
+        future = _members(future, FixedPoint, "future branches",
+                          "fixed points")
+        if not isinstance(pivot, FixedPoint):
+            raise ValidationError("bundle pivot must be a fixed point, got "
+                                  f"{type(pivot).__name__}")
         if not past or not future:
             raise ValidationError("bundle needs past and future branches")
         if not all(same_time(p.time, group[0].time)

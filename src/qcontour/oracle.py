@@ -166,10 +166,9 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
         if not hasattr(basis, "__iter__"):
             raise ValidationError(f"basis at time {t} must be a sequence "
                                   "of states")
-        stack = linalg.as_states(basis, sched.dim)
+        stack = linalg.as_basis(basis, f"basis at time {t}", sched.dim)
         if len(stack) != sched.dim:
             raise ValidationError(f"basis at time {t} must be complete")
-        linalg.require_orthonormal(stack, f"basis at time {t}")
         checked.append(stack)
     probs = _unchecked_chain([psi1.reshape(1, -1), *checked],
                              (t_prep, *times), sched)

@@ -449,7 +449,7 @@ class TestVerifyChecksOnce:
         # ModelSpec checked every basis; the chain used to check the
         # N_t - 1 measured ones again
         model, _ = random_family_spec(71, dim=3, n_times=4, s_t=s_t)
-        checked = count_calls(monkeypatch, linalg, "is_orthonormal")
+        checked = count_calls(monkeypatch, linalg, "as_basis")
         row = cli._verify_one("m", model, 2000, 0, 2, linalg.DEFAULT_TOL)
         assert row["pass"] and row["chain_deviation"] <= 1e-12
         assert checked == []

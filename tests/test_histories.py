@@ -11,7 +11,7 @@ from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       ValidationError, chain_probability, decoherence_functional,
                       decoherence_report, enumerate_family, histories_equal,
                       history_inner, history_operator, measure_report,
-                      record_state, validate_family)
+                      record_state, transfer_chain, validate_family)
 from qcontour import dynamics, histories, linalg
 from qcontour.errors import DimensionMismatchError, EnumerationGuardError
 from qcontour.sampling import random_orthonormal_basis, rng_from_seed
@@ -716,6 +716,48 @@ class TestFamilySpec:
                        bases=(computational_basis(2), (E0, 2 * E1)),
                        constraints=constraints)
 
+    def test_fully_pinned_recipe_takes_its_dimension_from_its_pins(self):
+        # no basis vector to take a dimension from: the pins give it, and
+        # the recipe weighs as the one with full bases does
+        pins = (FixedPoint(0.0, E0), FixedPoint(1.0, PLUS))
+        empty, full = (FamilySpec(times=(0.0, 1.0), bases=(basis, basis),
+                                  constraints=pins)
+                       for basis in ((), computational_basis(2)))
+        assert empty.dim == full.dim == 2
+        assert empty.bases == ((), ())
+        sched = sx_schedule(t_end=1.0)
+        reports = [measure_report(enumerate_family(spec), sched)
+                   for spec in (empty, full)]
+        np.testing.assert_array_equal(reports[0].weights, reports[1].weights)
+        np.testing.assert_array_equal(reports[0].measures, [1.0])
+        np.testing.assert_array_equal(reports[1].measures, [1.0])
+        assert transfer_chain(empty, sched)[0] \
+            == transfer_chain(full, sched)[0] > 0.0
+
+    def test_pins_of_several_dimensions_are_refused_without_bases(self):
+        pins = (FixedPoint(0.0, E0), FixedPoint(1.0, np.eye(3)[0]))
+        with pytest.raises(DimensionMismatchError,
+                           match="^constraint state dimension 2 does not "
+                                 "match dimension 3"):
+            FamilySpec(times=(0.0, 1.0), bases=((), ()), constraints=pins)
+
+    def test_a_ragged_basis_is_a_state_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^state dimension 2 does not match "
+                                 "dimension 3"):
+            FamilySpec(times=(0.0, 1.0),
+                       bases=(computational_basis(2), (E0, np.eye(3)[1])))
+
+    def test_orthonormality_is_judged_before_a_later_basis(self):
+        # each basis is checked whole, in grid order
+        with pytest.raises(ValidationError,
+                           match=r"^basis at time 0\.0 is not orthonormal$"):
+            FamilySpec(times=(0.0, 1.0), bases=((E0, E0), (2 * E0,)))
+        with pytest.raises(ValidationError,
+                           match=r"^basis at time 0\.0 is not orthonormal$"):
+            FamilySpec(times=(0.0, 1.0),
+                       bases=((E0, E0), computational_basis(3)))
+
     def test_empty_basis_at_a_pinned_time(self):
         # the constraint is the pinned slot whatever the basis there
         constraint = FixedPoint(0.0, E0)
@@ -790,17 +832,16 @@ class TestSlotTable:
 
     def test_raw_vectors_are_validated_once_and_constraints_never(
             self, monkeypatch):
-        # each basis is checked as one stack, so each raw vector once
+        # each basis is checked as one stack, once, so each raw vector once
         raw = [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]]
         constraints = (FixedPoint(0.0, E0), FixedPoint(2.0, E1))
-        stacked = count_calls(monkeypatch, linalg, "as_states")
+        stacked = count_calls(monkeypatch, linalg, "as_basis")
         single = count_calls(monkeypatch, linalg, "as_state")
         spec = FamilySpec(times=(0.0, 1.0, 2.0), bases=raw,
                           constraints=constraints)
         assert single == [] and len(stacked) == len(raw)
-        for args, basis in zip(stacked, raw):
-            assert len(args[0]) == len(basis)
-            assert all(v is w for v, w in zip(args[0], basis))
+        for args, basis, t in zip(stacked, raw, spec.times):
+            assert args[0] is basis and args[1] == f"basis at time {t}"
         assert spec.slots[0] == (constraints[0],)
         assert spec.slots[2] == (constraints[1],)
         np.testing.assert_array_equal(spec.slots[1][1].state, [0, 1])

@@ -11,10 +11,9 @@ from qcontour import (DimensionMismatchError, HamiltonianSchedule,
                       is_orthonormal, is_projector, projector, propagate,
                       tensor)
 from qcontour.errors import QContourError, ZeroNormalizationError
-from qcontour.linalg import (DEFAULT_TOL, STATE_MARGIN, as_square, as_state,
-                             as_states, norm, normalize, require_count,
-                             require_dim, require_orthonormal,
-                             require_tolerance)
+from qcontour.linalg import (DEFAULT_TOL, INPUT_TOL, STATE_MARGIN, as_basis,
+                             as_square, as_state, norm, normalize,
+                             require_count, require_dim, require_tolerance)
 from qcontour.sampling import (haar_unitary, random_hermitian, random_state,
                                rng_from_seed)
 
@@ -213,12 +212,16 @@ def _verdict(call):
 
 
 def _row_by_row(vectors, dim):
-    """What ``as_states`` must give, from ``as_state`` on each vector: the
-    first refused vector's error, a dimension mismatch of states of
-    several sizes, or the stack of the accepted rows."""
+    """What ``as_basis(vectors, "basis", dim)`` must give, from ``as_state``
+    on each vector and then ``is_orthonormal``: the first refused vector's
+    error (prefixed "basis: " unless a dimension mismatch), a dimension
+    mismatch of states of several sizes, "basis is not orthonormal" unless
+    the rows are within INPUT_TOL, or the stack of the accepted rows."""
     rows = []
     for v in vectors:
         verdict = _verdict(lambda: as_state(v, dim))
+        if verdict[0] is ValidationError:
+            return ValidationError, f"basis: {verdict[1]}"
         if verdict[0] != "ok":
             return verdict
         rows.append(verdict[1])
@@ -226,7 +229,10 @@ def _row_by_row(vectors, dim):
     if len(sizes) > 1:
         return _verdict(lambda: require_dim("state",
                                             *[row.size for row in rows]))
-    return "ok", np.array(rows).reshape(len(rows), -1 if rows else dim or 0)
+    stack = np.array(rows).reshape(len(rows), -1 if rows else dim or 0)
+    if not is_orthonormal(stack, INPUT_TOL):
+        return ValidationError, "basis is not orthonormal"
+    return "ok", stack
 
 
 #: norms of drawn vectors: mostly 1, else at the edges of the two
@@ -278,13 +284,34 @@ def _state_sets(draw):
     return vectors, draw(st.sampled_from([None, size, size + 1]))
 
 
-class TestAsStates:
+@st.composite
+def _orthonormal_sets(draw):
+    """(vectors, dim): rows of a Haar unitary, each scaled by one of
+    ``_SCALES`` (+- a few ulp), the second maybe tilted towards the first
+    by INPUT_TOL / 2 or 2 INPUT_TOL, as lists or (when not empty) as one
+    C- or Fortran-ordered array; ``dim`` is None, the size or one more."""
+    size = draw(st.integers(1, 4))
+    u = haar_unitary(rng_from_seed(draw(st.integers(0, 2 ** 16))), size)
+    rows = u[:draw(st.integers(0, size))].copy()
+    for row in rows:
+        scale = draw(st.sampled_from(_SCALES))
+        row *= scale + draw(st.integers(-4, 4)) * np.spacing(scale)
+    if len(rows) > 1:
+        rows[1] += draw(st.sampled_from([0.0, INPUT_TOL / 2,
+                                         2 * INPUT_TOL])) * rows[0]
+    form = draw(st.sampled_from(["list", "C", "F"]))
+    vectors = (list(rows) if form == "list" or not len(rows)
+               else np.array(rows, order=form))
+    return vectors, draw(st.sampled_from([None, size, size + 1]))
+
+
+class TestAsBasis:
     @settings(max_examples=300, deadline=None)
-    @given(_state_sets())
+    @given(st.one_of(_state_sets(), _orthonormal_sets()))
     def test_agrees_with_as_state_row_by_row(self, case):
         vectors, dim = case
         expected = _row_by_row(vectors, dim)
-        got = _verdict(lambda: as_states(vectors, dim))
+        got = _verdict(lambda: as_basis(vectors, "basis", dim))
         assert got[0] == expected[0]
         if got[0] == "ok":
             np.testing.assert_array_equal(got[1], expected[1])
@@ -294,9 +321,8 @@ class TestAsStates:
             assert got[1] == expected[1]
 
     def test_returns_a_read_only_stack_equal_to_as_state_rows(self):
-        rng = rng_from_seed(7)
-        basis = [random_state(rng, 3) for _ in range(3)]
-        stack = as_states(basis, 3)
+        basis = list(haar_unitary(rng_from_seed(7), 3))
+        stack = as_basis(basis, "basis", 3)
         assert stack.shape == (3, 3) and not stack.flags.writeable
         for row, v in zip(stack, basis):
             np.testing.assert_array_equal(row, as_state(v))
@@ -309,35 +335,36 @@ class TestAsStates:
         u = haar_unitary(rng_from_seed(8), 4)
         for basis in (u.T, u.conj().T):
             assert basis.flags.f_contiguous and not basis.flags.c_contiguous
-            stack = as_states(basis, 4)
+            stack = as_basis(basis, "basis", 4)
+            assert stack.flags.c_contiguous
             for row, v in zip(stack, basis):
                 np.testing.assert_array_equal(row, as_state(v))
-            require_orthonormal(stack, "basis")
 
     def test_empty_set_has_no_rows(self):
-        assert as_states([]).shape == (0, 0)
-        assert as_states((), 3).shape == (0, 3)
+        assert as_basis([], "basis").shape == (0, 0)
+        assert as_basis((), "basis", 3).shape == (0, 3)
 
     def test_states_of_several_sizes_are_a_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError,
                            match="state dimension 2 does not match "
                                  "dimension 3"):
-            as_states([E0, [1.0, 0.0, 0.0]])
+            as_basis([E0, [1.0, 0.0, 0.0]], "basis")
 
     def test_first_refused_vector_names_the_error(self):
-        with pytest.raises(ValidationError, match="norm = 2.0"):
-            as_states([E0, [2.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(ValidationError,
+                           match=r"^basis at time 0\.5: .*norm = 2\.0"):
+            as_basis([E0, [2.0, 0.0], [np.nan, 0.0]], "basis at time 0.5")
 
     def test_refuses_what_is_not_a_sequence(self):
         with pytest.raises(ValidationError, match="sequence of state"):
-            as_states(5)
+            as_basis(5, "basis")
 
     def test_refuses_an_overflowing_squared_norm_without_a_warning(self):
-        # the stacked squared-norm pass warned "overflow encountered in
-        # square" before as_state gave the verdict
+        # the stacked pass must not warn "overflow encountered" before
+        # as_state gives the verdict
         with pytest.raises(ValidationError,
                            match=r"not normalized \(norm = inf\)"):
-            as_states([E0, [1e300, 0.0]], 2)
+            as_basis([E0, [1e300, 0.0]], "basis", 2)
 
 
 class TestRequireTolerance:
@@ -456,15 +483,30 @@ class TestNormalize:
         assert str(info.value) == "post-selection has zero probability"
 
 
-class TestRequireOrthonormal:
+class TestBasisOrthonormality:
     def test_accepts_within_input_tol(self):
-        require_orthonormal([E0, E1 + 1e-9 * E0], "basis at time 0.5")
+        as_basis([E0, E1 + 1e-9 * E0], "basis at time 0.5")
 
     def test_rejects_naming_the_set(self):
         with pytest.raises(ValidationError,
                            match="basis at time 0.5 is not orthonormal"):
-            require_orthonormal([E0, E1 + 1e-7 * E0], "basis at time 0.5")
+            as_basis([E0, E1 + 1e-7 * E0], "basis at time 0.5")
 
     def test_empty_set_is_orthonormal(self):
         assert is_orthonormal([]) and is_orthonormal(())
-        require_orthonormal((), "basis at time 0.0")
+        as_basis((), "basis at time 0.0")
+
+    def test_a_dimension_mismatch_is_not_prefixed(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^state dimension 2 does not match "
+                                 "dimension 3"):
+            as_basis([E0, E1], "basis at time 0.5", 3)
+
+    def test_is_orthonormal_takes_the_same_gram_defect(self):
+        # the verdict of as_basis and of is_orthonormal at INPUT_TOL agree
+        # on both sides of the tolerance
+        for tilt in (0.5, 2.0):
+            basis = [E0, E1 + tilt * INPUT_TOL * E0]
+            accepted = _verdict(lambda: as_basis(basis, "b"))[0] == "ok"
+            assert accepted == is_orthonormal(basis, INPUT_TOL) \
+                == (tilt < 1.0)

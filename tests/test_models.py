@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
-                      FixedPoint, ModelFormatError, ModelSpec, ToyBundle,
-                      ValidationError, decompose_total_measure,
-                      enumerate_family, linalg, load_model, measure_report,
+                      FixedPoint, HamiltonianSchedule, ModelFormatError,
+                      ModelSpec, ToyBundle, ValidationError,
+                      decompose_total_measure, enumerate_family,
+                      is_orthonormal, linalg, load_model, measure_report,
                       model_from_dict, model_to_dict, save_model,
-                      segment_amplitude, transfer_chain)
+                      segment_amplitude, sequential_chain, transfer_chain)
 from qcontour.models import matrix_from_json, vector_from_json
 from qcontour.sampling import (random_model, random_orthonormal_basis,
                                random_schedule, random_state, rng_from_seed)
@@ -199,7 +200,7 @@ class TestModelSpec:
     def test_each_basis_is_checked_once(self, monkeypatch, tmp_path):
         path = tmp_path / "model.json"
         save_model(TestToyBundle.model(0.5), path)
-        checked = count_calls(monkeypatch, linalg, "require_orthonormal")
+        checked = count_calls(monkeypatch, linalg, "as_basis")
         model = load_model(path)
         assert [args[1] for args in checked] \
             == [f"basis at time {t}" for t in model.times]
@@ -239,6 +240,58 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match="duplicate") as info:
             model_from_dict(doc)
         assert info.value.exit_code == 3
+
+
+_BASES = (computational_basis(2),) * 2
+_PIVOT = FixedPoint(0.5, E0)
+_FUTURE = (FixedPoint(1.0, E0),)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: FamilySpec(times=None, bases=_BASES),
+     "^grid times must be a sequence of times, got NoneType"),
+    (lambda: FamilySpec(times=3, bases=_BASES),
+     "^grid times must be a sequence of times, got int"),
+    (lambda: sequential_chain(E0, _BASES[:1], None, zero_schedule(2), 0.0),
+     "^measurement times must be a sequence of times, got NoneType"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases=None),
+     "^need exactly one basis per grid time"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases=(b for b in _BASES)),
+     "^need exactly one basis per grid time"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases=(_BASES[0], None)),
+     r"^basis at time 1\.0: expected a sequence of state vectors, got None"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases=(_BASES[0], 3)),
+     r"^basis at time 1\.0: expected a sequence of state vectors, got 3"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases=_BASES, constraints=None),
+     "^constraints must be a sequence of fixed points, got NoneType"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases=_BASES,
+                        constraints=FixedPoint(0.0, E0)),
+     "^constraints must be a sequence of fixed points, got FixedPoint"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases=_BASES, constraints=[3]),
+     "^constraints must be a sequence of fixed points, got an entry of int"),
+    (lambda: ToyBundle(None, _PIVOT, _FUTURE),
+     "^past branches must be a sequence of fixed points, got NoneType"),
+    (lambda: ToyBundle([3], _PIVOT, _FUTURE),
+     "^past branches must be a sequence of fixed points, got an entry of"),
+    (lambda: ToyBundle(_FUTURE, _PIVOT, None),
+     "^future branches must be a sequence of fixed points, got NoneType"),
+    (lambda: ToyBundle(_FUTURE, None, _FUTURE),
+     "^bundle pivot must be a fixed point, got NoneType"),
+    (lambda: HamiltonianSchedule(3),
+     r"^schedule segments must be a sequence of \(t_start, t_end, H\) "
+     "triples, got 3"),
+    (lambda: HamiltonianSchedule([(0, 1)]),
+     r"^schedule segments must be a sequence of \(t_start, t_end, H\)"),
+    (lambda: is_orthonormal(None),
+     "^expected a sequence of vectors of numbers, got None"),
+    (lambda: is_orthonormal([[1, 0], [0, "a"]]),
+     "^expected a sequence of vectors of numbers"),
+])
+def test_model_inputs_that_used_to_leak(build, match):
+    # each leaked TypeError, ValueError or AttributeError
+    with pytest.raises(ValidationError, match=match) as info:
+        build()
+    assert type(info.value) is ValidationError
 
 
 class TestRandomModel:

@@ -14,7 +14,7 @@ from qcontour import (FamilySpec, FrequencyRow, HamiltonianSchedule,
                       ZeroNormalizationError,
                       condition_on_final, enumerate_family, measure_report,
                       monte_carlo_sample, oracle, propagate, sequential_chain)
-from qcontour.errors import EnumerationGuardError
+from qcontour.errors import DimensionMismatchError, EnumerationGuardError
 from qcontour.linalg import complete_basis
 from qcontour.sampling import haar_unitary, random_hermitian, rng_from_seed
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, WIDE_SHAPES,
@@ -130,6 +130,25 @@ class TestSequentialChain:
     def test_incomplete_basis_rejected(self):
         with pytest.raises(ValidationError):
             sequential_chain(E0, [(E0,)], [1.0], zero_schedule(2), t_prep=0.0)
+
+    @pytest.mark.parametrize("basis, dim, error, match", [
+        # a refused state names its basis; a dimension mismatch does not
+        ((E0, 2 * E1), 2, ValidationError,
+         r"^basis at time 1\.0: state vector is not normalized"),
+        ((np.eye(3)[0],), 2, DimensionMismatchError,
+         "^state dimension 3 does not match dimension 2"),
+        # orthonormality is judged with the states, before completeness
+        ((np.eye(3)[0], np.eye(3)[0]), 3, ValidationError,
+         r"^basis at time 1\.0 is not orthonormal$"),
+        ((np.eye(3)[0], np.eye(3)[1]), 3, ValidationError,
+         r"^basis at time 1\.0 must be complete$"),
+    ])
+    def test_each_basis_is_checked_as_one_stack(self, basis, dim, error,
+                                                 match):
+        with pytest.raises(error, match=match) as info:
+            sequential_chain(np.eye(dim)[0], [basis], [1.0],
+                             zero_schedule(dim), 0.0)
+        assert type(info.value) is error
 
     @pytest.mark.parametrize("t_prep", ["0", True, math.nan])
     def test_preparation_time_must_be_a_real_finite_number(self, t_prep):

@@ -50,8 +50,8 @@ def test_no_threshold_literal_outside_the_table():
 
 
 def test_orthonormality_tolerance_only_inside_linalg():
-    """Outside ``linalg``, orthonormal sets are checked by
-    ``require_orthonormal``, never by ``is_orthonormal`` with a tolerance."""
+    """Outside ``linalg``, orthonormal sets are checked by ``as_basis``,
+    never by ``is_orthonormal`` with a tolerance."""
     offenders = []
     for path in SOURCES:
         if path.name == "linalg.py":
