@@ -102,9 +102,20 @@ class HamiltonianSchedule:
         return (v * np.exp(-1j * dt * w)) @ v_dag
 
 
+def require_schedule(sched) -> HamiltonianSchedule:
+    """Return ``sched``; raise ValidationError unless it is a
+    ``HamiltonianSchedule``.  Every entry point that takes a schedule asks
+    this before it reads one."""
+    if not isinstance(sched, HamiltonianSchedule):
+        raise ValidationError("schedule must be a HamiltonianSchedule, got "
+                              f"{type(sched).__name__}")
+    return sched
+
+
 def _span_times(sched: HamiltonianSchedule, t_a, t_b):
     """Two propagation times as floats: each a real, finite number
     (``require_time``), then each in the schedule's span."""
+    require_schedule(sched)
     t_a = require_time(t_a, "propagation time")
     t_b = require_time(t_b, "propagation time")
     for t in (t_a, t_b):
@@ -176,7 +187,7 @@ def substep_propagators(sched: HamiltonianSchedule, t_a: float, t_b: float,
 def evolve_state(psi, sched: HamiltonianSchedule, t_a: float,
                  t_b: float) -> np.ndarray:
     """Propagate a normalized state from t_a to t_b."""
-    psi = linalg.as_state(psi, sched.dim)
+    psi = linalg.as_state(psi, require_schedule(sched).dim)
     return propagate(sched, t_a, t_b) @ psi
 
 
@@ -185,7 +196,7 @@ def heisenberg_projector(alpha, sched: HamiltonianSchedule, t_k: float,
     """Projector onto ``alpha`` at time t_k, in the Heisenberg picture
     referred to t_0:  U^dag(t_k, t_0) |alpha><alpha| U(t_k, t_0).
     """
-    alpha = linalg.as_state(alpha, sched.dim)
+    alpha = linalg.as_state(alpha, require_schedule(sched).dim)
     u = propagate(sched, t_0, t_k)
     rotated = u.conj().T @ alpha
     return np.outer(rotated, rotated.conj())

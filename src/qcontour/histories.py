@@ -11,11 +11,11 @@ compares values).  A family is stored as its distinct fixed points per grid
 slot plus a read-only integer array saying which one each member passes
 through, so the family paths compute what each slot fixed point determines
 once and read it through the index; member histories are built only on
-request.  An enumerated family is its slot shape: member h passes through
-the mixed-radix digits of h, so the step products broadcast one table per
-step along the shape's axes, and its index is built only when read.  A
-hand-built family's step amplitudes are gathered per member: one inner
-product of the member's own two slot rows.
+request.  An enumerated family is its slot shape: its members are the
+product of its slots, in C order, so the step products broadcast one table
+per step along the shape's axes, its histories come from that product, and
+its index is built only when read.  A hand-built family's step amplitudes
+are gathered per member: one inner product of its own two slot rows.
 
 Overlap convention: when two histories are compared, the backward-branch
 factor of each fixed point enters conjugated relative to the forward one,
@@ -35,6 +35,7 @@ enumerated family).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,7 +46,7 @@ from . import linalg
 from .contour import (grid_index, require_increasing, require_not_before,
                       require_time, same_time)
 from .dynamics import (HamiltonianSchedule, heisenberg_projector,
-                       substep_propagators)
+                       require_schedule, substep_propagators)
 from .errors import EnumerationGuardError, ValidationError
 
 #: refuse exhaustive enumerations beyond this many histories
@@ -142,6 +143,15 @@ def _members(items, kind, whole: str, what: str) -> tuple:
     return members
 
 
+def _instance(value, kind, what: str) -> None:
+    """Raises ValidationError, naming ``what`` and ``kind``, unless
+    ``value`` is a ``kind`` instance: the one check of a recipe or family
+    argument."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, "
+                              f"got {type(value).__name__}")
+
+
 def _same_times(a: QuantumHistory, b: QuantumHistory) -> bool:
     return a.n_times == b.n_times and all(
         same_time(x, y) for x, y in zip(a.times, b.times))
@@ -193,12 +203,14 @@ class HistoryFamily:
     ``constraint_times`` lists the S_t times at which the fixed point is
     known, in time order; the remaining times are free slots.  An
     enumerated family (``enumerate_family``) has ``shape``, the slot sizes:
-    its members are every combination of slot fixed points, in C order, so
-    its ``index`` is ``np.indices(shape)`` flattened, built on first read.
-    It also has ``choices``, per history the basis index chosen at each
-    free slot, in time order, as a read-only (H, N_t - S_t) integer array,
-    also built on first read.  A hand-built family has neither shape nor
-    choices (both None) and keeps the index it was built with.
+    its members are ``itertools.product(*slots)``, in C order, which
+    ``histories`` reads without the index; its ``index`` is
+    ``np.indices(shape)`` flattened, built on first read.  It also has
+    ``choices``, per history the basis index chosen at each free slot, in
+    time order: the index's free columns, a read-only (H, N_t - S_t)
+    integer array, also built on first read.  A hand-built family has
+    neither shape nor choices (both None) and keeps the histories and the
+    index it was built with.
     """
 
     slots: tuple[tuple[FixedPoint, ...], ...]
@@ -264,30 +276,28 @@ class HistoryFamily:
     def index(self) -> np.ndarray:
         """Per member, the position of its fixed point in each slot; an
         enumerated family's is built here, on first read."""
-        return _digits(self.shape)
+        index = np.indices(self.shape, dtype=np.intp).reshape(
+            len(self.shape), -1).T
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def choices(self) -> np.ndarray:
-        """Per member of an enumerated family, its free slots' positions;
-        built on first read."""
-        return _digits([self.shape[k] for k in self._free])
+        """Per member of an enumerated family, its free slots' positions:
+        the index's free columns, built on first read."""
+        choices = self.index[:, list(self._free)]
+        choices.setflags(write=False)
+        return choices
 
     @property
     def histories(self) -> tuple[QuantumHistory, ...]:
-        """The members, built from the slots and the index on first read."""
+        """The members; an enumerated family's are the product of its
+        slots, in C order, built on first read without the index."""
         if self._histories is None:
             object.__setattr__(self, "_histories", tuple(
-                map(QuantumHistory._from_points, self.gather(self.slots))))
+                map(QuantumHistory._from_points,
+                    itertools.product(*self.slots))))
         return self._histories
-
-    def gather(self, per_slot):
-        """Per member, the tuple of ``per_slot[k][index[h, k]]`` over slots k.
-
-        ``per_slot`` holds one sequence per slot, aligned with ``slots``.
-        """
-        return zip(*(map(values.__getitem__, column)
-                     for values, column in zip(per_slot,
-                                               self.index.T.tolist())))
 
     @property
     def slot_times(self) -> tuple[float, ...]:
@@ -300,15 +310,6 @@ class HistoryFamily:
     @property
     def dim(self) -> int:
         return self.slots[0][0].dim
-
-
-def _digits(shape) -> np.ndarray:
-    """Every combination of positions in ``shape``, one row each, in C
-    order, as a read-only (prod(shape), len(shape)) integer array."""
-    digits = np.indices(shape, dtype=np.intp).reshape(
-        len(shape), math.prod(shape)).T
-    digits.setflags(write=False)
-    return digits
 
 
 def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
@@ -328,7 +329,8 @@ def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
     The one check that the schedule has the states' dimension is here.
     """
     times, states = fam.slot_times, fam.slot_states
-    linalg.require_dim("schedule", sched.dim, states[0].shape[1])
+    linalg.require_dim("schedule", require_schedule(sched).dim,
+                       states[0].shape[1])
     if pairs is None:
         pairs = [(k, k + 1) for k in range(len(times) - 1)]
     steps = []
@@ -506,6 +508,7 @@ def validate_family(fam: HistoryFamily,
     slot order, so memory stays flat at any family size.  Raises
     ValidationError on a NaN or negative ``tol``.
     """
+    _instance(fam, HistoryFamily, "family")
     tol = linalg.require_tolerance(tol)
     grams, gram_rows = zip(*(_slot_gram(states, 2)
                              for states in fam.slot_states))
@@ -566,6 +569,7 @@ def history_operator(fps, sched: HamiltonianSchedule,
     projector; each later point contributes the projector onto its state at
     its time, referred back to t_0.
     """
+    require_schedule(sched)
     fps = list(fps)
     require_increasing((p.time for p in fps), "fixed-point times")
     t_0 = require_time(t_0, "reference time")
@@ -655,6 +659,7 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     best is the maximum, and the first column of that one row attaining
     it.  Raises ValidationError on a NaN or negative ``tol``.
     """
+    _instance(fam, HistoryFamily, "family")
     tol = linalg.require_tolerance(tol)
     psi = linalg.as_state(psi1, fam.dim)
     scale = np.hypot(*_products(fam, _steps(fam, sched, first=psi)))
@@ -790,6 +795,7 @@ def enumerate_family(spec: FamilySpec,
     Raises EnumerationGuardError when the combination count exceeds
     ``guard``, a non-negative integer.
     """
+    _instance(spec, FamilySpec, "recipe")
     guard = linalg.require_count(guard, "enumeration guard", 0)
     count = spec.history_count()
     if count > guard:

@@ -48,10 +48,11 @@ import numpy as np
 
 from . import linalg
 from .contour import contour_path, require_increasing, same_time
-from .dynamics import HamiltonianSchedule, evolve_state, propagate
+from .dynamics import (HamiltonianSchedule, evolve_state, propagate,
+                       require_schedule)
 from .errors import ValidationError
 from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
-                        _members, _products, _steps)
+                        _instance, _members, _products, _steps)
 
 
 def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
@@ -63,7 +64,8 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
     element, and only magnitudes enter the weights.
     """
     require_increasing((fp_a.time, fp_b.time), "segment endpoint times")
-    linalg.require_dim("schedule", sched.dim, fp_a.dim, fp_b.dim)
+    linalg.require_dim("schedule", require_schedule(sched).dim, fp_a.dim,
+                       fp_b.dim)
     u = propagate(sched, fp_a.time, fp_b.time)
     return complex(np.vdot(fp_b.state, u @ fp_a.state).conjugate())
 
@@ -128,7 +130,8 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     is O(N_t d^3), independent of the family size; no member is weighed.
     Returns Z and the marginals, one array per slot in basis order.
     """
-    linalg.require_dim("schedule", sched.dim, spec.dim)
+    _instance(spec, FamilySpec, "recipe")
+    linalg.require_dim("schedule", require_schedule(sched).dim, spec.dim)
     states, times = spec.slot_states, spec.slot_times
     transfers = [np.abs(b.conj() @ propagate(sched, t_a, t_b) @ a.T) ** 2
                  for a, b, t_a, t_b in zip(states, states[1:], times,
@@ -148,7 +151,7 @@ def born_probability(psi1, t1: float, phi, t2: float,
                      sched: HamiltonianSchedule) -> float:
     """Single-measurement probability |<phi| U(t2, t1) |psi1>|^2."""
     require_increasing((t1, t2), "preparation and final times")
-    phi = linalg.as_state(phi, sched.dim)
+    phi = linalg.as_state(phi, require_schedule(sched).dim)
     return float(abs(linalg.inner(phi, evolve_state(psi1, sched, t1, t2))) ** 2)
 
 
@@ -204,7 +207,9 @@ class MeasureReport:
                    else map(tuple, fam.choices.tolist()))
         alts = (itertools.repeat(None) if self.contour_weights is None
                 else self.contour_weights.tolist())
-        labels = fam.gather([[p.label for p in slot] for slot in fam.slots])
+        labels = zip(*(map([p.label for p in slot].__getitem__, column)
+                       for slot, column in zip(fam.slots,
+                                               fam.index.T.tolist())))
         return zip(labels, self.weights.tolist(), self.measures.tolist(),
                    choices, alts)
 
@@ -232,6 +237,7 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     nothing.  No per-member object is built, and an enumerated family's
     index is not read: the report's ``entries`` builds them on request.
     """
+    _instance(fam, HistoryFamily, "family")
     contour = (None if steps_per_segment is None
                else _contour_weights(fam, sched, steps_per_segment))
     weights = _weights(fam, sched)
@@ -311,6 +317,7 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
     modes therefore produce the same total, organized into different term
     lists.  An unknown ``mode`` is refused before any propagator is built.
     """
+    _instance(bundle, FamilySpec, "recipe")
     if not isinstance(mode, DecompositionMode):
         raise ValidationError(f"unknown decomposition mode {mode!r}")
     if len(bundle.times) != 3:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .contour import require_time
-from .dynamics import HamiltonianSchedule
+from .dynamics import HamiltonianSchedule, require_schedule
 from .errors import ModelFormatError, ValidationError
 from .histories import FamilySpec, FixedPoint
 
@@ -134,7 +134,8 @@ class ModelSpec(FamilySpec):
 
     def __post_init__(self):
         super().__post_init__()
-        linalg.require_dim("schedule", self.schedule.dim, self.dim)
+        linalg.require_dim("schedule", require_schedule(self.schedule).dim,
+                           self.dim)
         if not all(map(self.schedule.covers, self.times)):
             raise ValidationError("schedule span does not cover the grid")
 

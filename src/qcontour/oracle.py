@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .contour import require_increasing, require_not_before, require_time
-from .dynamics import HamiltonianSchedule, propagate
+from .dynamics import HamiltonianSchedule, propagate, require_schedule
 from .errors import ValidationError
 from .sampling import rng_from_seed
 
@@ -154,7 +154,7 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     probabilities are products of conditional Born probabilities and sum
     to one by completeness.
     """
-    psi1 = linalg.as_state(psi1, sched.dim)
+    psi1 = linalg.as_state(psi1, require_schedule(sched).dim)
     times = require_increasing(times, "measurement times")
     t_prep = require_time(t_prep, "preparation time")
     if not hasattr(bases, "__len__") or len(bases) != len(times):

@@ -918,6 +918,25 @@ class TestFamilyIndex:
         assert rebuilt.histories is fam.histories
         assert rebuilt.choices is None
 
+    @given(FAMILY_SHAPES)
+    @settings(max_examples=15, deadline=None)
+    def test_enumerated_members_are_the_product_of_the_slots(self, shape):
+        # the members are read from the slots alone: no index is built
+        seed, dim, n_times, s_t = shape
+        fam = enumerate_family(random_family_spec(seed, dim, n_times, s_t)[0])
+        members = fam.histories
+        assert "index" not in vars(fam)
+        combos = list(itertools.product(*fam.slots))
+        assert len(members) == len(combos)
+        for h, combo in zip(members, combos):
+            assert len(h.points) == len(combo)
+            assert all(a is b for a, b in zip(h.points, combo))
+        # the choices are the index's free columns
+        free = [k for k, t in enumerate(fam.times)
+                if t not in fam.constraint_times]
+        assert np.array_equal(fam.choices, fam.index[:, free])
+        assert not fam.choices.flags.writeable
+
     def test_shared_fixed_points_fill_one_slot_entry(self):
         a, b = FixedPoint(0.0, E0), FixedPoint(1.0, E1)
         c = FixedPoint(1.0, E0)

@@ -939,6 +939,48 @@ class TestScheduleDimension:
             call(zero_schedule(3, 0.0, 2.0))
 
 
+def _schedule_routes():
+    """Each entry point that takes a schedule, called on qubit inputs and
+    the given schedule: the dimension routes, and the propagation, chain
+    and projector routes."""
+    bases = (computational_basis(2),) * 2
+    points = (fp(0.0, E0), fp(1.0, E1))
+    return {
+        **_dimension_routes(),
+        "propagate": lambda s: dynamics.propagate(s, 0.0, 1.0),
+        "substep_propagators": lambda s: dynamics.substep_propagators(
+            s, 0.0, 1.0, 2),
+        "evolve_state": lambda s: dynamics.evolve_state(E0, s, 0.0, 1.0),
+        "heisenberg_projector": lambda s: dynamics.heisenberg_projector(
+            E0, s, 1.0, 0.0),
+        "born_probability": lambda s: born_probability(E0, 0.0, E1, 1.0, s),
+        "sequential_chain": lambda s: sequential_chain(
+            E0, bases, (1.0, 2.0), s, 0.0),
+        "history_operator": lambda s: histories.history_operator(
+            points, s, 0.0),
+        "chain_probability": lambda s: histories.chain_probability(
+            points, s, np.outer(E0, E0)),
+    }
+
+
+class TestScheduleType:
+    """One rule, ``dynamics.require_schedule``, refuses a schedule that is
+    not a ``HamiltonianSchedule`` on every entry point; each leaked
+    AttributeError."""
+
+    @pytest.mark.parametrize("bad", [
+        None, 3, [(0.0, 2.0, np.zeros((2, 2)))]],
+        ids=["None", "int", "segment list"])
+    @pytest.mark.parametrize("route", list(_schedule_routes()))
+    def test_every_entry_point_refuses_a_non_schedule(self, route, bad):
+        call = _schedule_routes()[route]
+        call(zero_schedule(2, 0.0, 2.0))
+        with pytest.raises(ValidationError, match="^schedule must be a "
+                           "HamiltonianSchedule, got ") as info:
+            call(bad)
+        assert type(info.value) is ValidationError
+
+
 class TestPhysicalInvariances:
     def test_weights_ignore_fixed_point_phases(self):
         # multiplying any fixed-point state by a phase leaves both weight

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       FixedPoint, HamiltonianSchedule, ModelFormatError,
                       ModelSpec, ToyBundle, ValidationError,
-                      decompose_total_measure, enumerate_family,
-                      is_orthonormal, linalg, load_model, measure_report,
-                      model_from_dict, model_to_dict, save_model,
-                      segment_amplitude, sequential_chain, transfer_chain)
+                      decoherence_report, decompose_total_measure,
+                      enumerate_family, is_orthonormal, linalg, load_model,
+                      measure_report, model_from_dict, model_to_dict,
+                      save_model, segment_amplitude, sequential_chain,
+                      transfer_chain, validate_family)
 from qcontour.models import matrix_from_json, vector_from_json
 from qcontour.sampling import (random_model, random_orthonormal_basis,
                                random_schedule, random_state, rng_from_seed)
@@ -286,6 +287,24 @@ _FUTURE = (FixedPoint(1.0, E0),)
      "^expected a sequence of vectors of numbers, got None"),
     (lambda: is_orthonormal([[1, 0], [0, "a"]]),
      "^expected a sequence of vectors of numbers"),
+    (lambda: enumerate_family(None),
+     "^recipe must be a FamilySpec, got NoneType$"),
+    (lambda: transfer_chain(None, zero_schedule(2)),
+     "^recipe must be a FamilySpec, got NoneType$"),
+    (lambda: transfer_chain(enumerate_family(FamilySpec(
+        times=(0.0, 1.0), bases=_BASES)), zero_schedule(2)),
+     "^recipe must be a FamilySpec, got HistoryFamily$"),
+    (lambda: decompose_total_measure(None, zero_schedule(2),
+                                     DecompositionMode.MORW),
+     "^recipe must be a FamilySpec, got NoneType$"),
+    (lambda: measure_report(None, zero_schedule(2)),
+     "^family must be a HistoryFamily, got NoneType$"),
+    (lambda: measure_report(None, zero_schedule(2), steps_per_segment=2),
+     "^family must be a HistoryFamily, got NoneType$"),
+    (lambda: validate_family(None),
+     "^family must be a HistoryFamily, got NoneType$"),
+    (lambda: decoherence_report(None, zero_schedule(2), E0),
+     "^family must be a HistoryFamily, got NoneType$"),
 ])
 def test_model_inputs_that_used_to_leak(build, match):
     # each leaked TypeError, ValueError or AttributeError
