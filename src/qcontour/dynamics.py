@@ -106,10 +106,7 @@ def require_schedule(sched) -> HamiltonianSchedule:
     """Return ``sched``; raise ValidationError unless it is a
     ``HamiltonianSchedule``.  Every entry point that takes a schedule asks
     this before it reads one."""
-    if not isinstance(sched, HamiltonianSchedule):
-        raise ValidationError("schedule must be a HamiltonianSchedule, got "
-                              f"{type(sched).__name__}")
-    return sched
+    return linalg.require_instance(sched, HamiltonianSchedule, "schedule")
 
 
 def _span_times(sched: HamiltonianSchedule, t_a, t_b):

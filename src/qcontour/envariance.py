@@ -10,6 +10,7 @@ Schmidt-basis permutations and its failure when the coefficients differ.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,15 @@ class BipartiteState:
 
     @classmethod
     def from_matrix(cls, matrix) -> "BipartiteState":
-        m = np.asarray(matrix, dtype=complex)
+        """The state whose coefficient grid is ``matrix``, a 2-d array of
+        numbers; ValidationError otherwise."""
+        try:
+            m = np.asarray(matrix, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if m is None or m.ndim != 2:
+            raise ValidationError("amplitude matrix must be a 2-d array of "
+                                  f"numbers, got {reprlib.repr(matrix)}")
         return cls(m.shape[0], m.shape[1], m.reshape(-1))
 
     @property
@@ -75,6 +84,7 @@ class SchmidtForm:
 
 def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     """Schmidt form of a bipartite state via the SVD of its amplitude grid."""
+    linalg.require_instance(psi, BipartiteState, "bipartite state")
     u, s, vh = np.linalg.svd(psi.matrix, full_matrices=True)
     return SchmidtForm(
         coefficients=tuple(float(c) for c in s),
@@ -103,6 +113,7 @@ def check_envariance(psi: BipartiteState, u_a,
     counter always satisfies (I x U_B)(U_A x I)|psi> = |psi> within tol.
     Raises ValidationError on a NaN or negative ``tol``.
     """
+    linalg.require_instance(psi, BipartiteState, "bipartite state")
     tol = linalg.require_tolerance(tol)
     u_a = linalg.as_square(u_a, psi.dim_a)
     if not linalg.check_unitary(u_a, linalg.INPUT_TOL):

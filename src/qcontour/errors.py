@@ -11,7 +11,7 @@ class QContourError(Exception):
 
 
 class ModelFormatError(QContourError, ValueError):
-    """A model or state file could not be parsed."""
+    """A model or state file could not be read, parsed or written."""
     exit_code = 2
 
 

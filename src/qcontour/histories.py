@@ -27,7 +27,8 @@ The two family checks form no pair they need not.  ``validate_family``
 first tries an exact certificate: distinct index rows differ at some
 slot, so products of the per-slot Gram tables' largest entries bound
 every overlap, and an orthogonal family is valid without a pair formed;
-a family the certificate cannot clear falls back to row blocks of pairs.
+a family the certificate cannot clear is walked pair by pair, in row
+blocks, by ``validate_family`` itself.
 ``decoherence_report`` groups the later members by last-slot state, so
 its maximum over pairs costs O(H m) for m last-slot states (m <= d for an
 enumerated family).
@@ -143,15 +144,6 @@ def _members(items, kind, whole: str, what: str) -> tuple:
     return members
 
 
-def _instance(value, kind, what: str) -> None:
-    """Raises ValidationError, naming ``what`` and ``kind``, unless
-    ``value`` is a ``kind`` instance: the one check of a recipe or family
-    argument."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a {kind.__name__}, "
-                              f"got {type(value).__name__}")
-
-
 def _same_times(a: QuantumHistory, b: QuantumHistory) -> bool:
     return a.n_times == b.n_times and all(
         same_time(x, y) for x, y in zip(a.times, b.times))
@@ -160,6 +152,8 @@ def _same_times(a: QuantumHistory, b: QuantumHistory) -> bool:
 def histories_equal(a: QuantumHistory, b: QuantumHistory,
                     tol: float = linalg.DEFAULT_TOL) -> bool:
     """Tolerance-based equality of times and states; ``==`` is identity."""
+    for h in (a, b):
+        linalg.require_instance(h, QuantumHistory, "history")
     tol = linalg.require_tolerance(tol)
     if not _same_times(a, b) or a.dim != b.dim:
         return False
@@ -218,7 +212,6 @@ class HistoryFamily:
     constraint_times: tuple[float, ...]
     shape: tuple[int, ...] | None
     _free: tuple[int, ...] | None = field(repr=False)
-    _histories: tuple[QuantumHistory, ...] | None = field(repr=False)
 
     def __init__(self, histories, constraint_times=()):
         histories = _members(histories, QuantumHistory, "a family",
@@ -241,8 +234,9 @@ class HistoryFamily:
         index.setflags(write=False)
         slots = tuple(map(tuple, positions))
         states = tuple(np.array([p.state for p in slot]) for slot in slots)
-        self._assign(slots, states, constraint_times, None, histories)
-        # a hand-built family's index is given, not derived from a shape
+        self._assign(slots, states, constraint_times, None)
+        # a hand-built family's views are given, not derived from a shape
+        object.__setattr__(self, "histories", histories)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "choices", None)
 
@@ -257,10 +251,10 @@ class HistoryFamily:
         ``enumerate_family`` builds families this way.
         """
         fam = cls.__new__(cls)
-        fam._assign(slots, states, constraint_times, tuple(free), None)
+        fam._assign(slots, states, constraint_times, tuple(free))
         return fam
 
-    def _assign(self, slots, states, constraint_times, free, histories):
+    def _assign(self, slots, states, constraint_times, free):
         for array in states:
             array.setflags(write=False)
         object.__setattr__(self, "slots", slots)
@@ -270,7 +264,6 @@ class HistoryFamily:
         object.__setattr__(self, "shape", None if free is None
                            else tuple(map(len, slots)))
         object.__setattr__(self, "_free", free)
-        object.__setattr__(self, "_histories", histories)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -289,15 +282,12 @@ class HistoryFamily:
         choices.setflags(write=False)
         return choices
 
-    @property
+    @cached_property
     def histories(self) -> tuple[QuantumHistory, ...]:
         """The members; an enumerated family's are the product of its
         slots, in C order, built on first read without the index."""
-        if self._histories is None:
-            object.__setattr__(self, "_histories", tuple(
-                map(QuantumHistory._from_points,
-                    itertools.product(*self.slots))))
-        return self._histories
+        return tuple(map(QuantumHistory._from_points,
+                         itertools.product(*self.slots)))
 
     @property
     def slot_times(self) -> tuple[float, ...]:
@@ -400,6 +390,8 @@ def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
     identical histories and 0 whenever any pair of same-time fixed points
     is orthogonal.
     """
+    for h in (h_k, h_l):
+        linalg.require_instance(h, QuantumHistory, "history")
     linalg.require_dim("history", h_k.dim, h_l.dim)
     if not _same_times(h_k, h_l):
         raise ValidationError(
@@ -409,26 +401,6 @@ def history_inner(h_k: QuantumHistory, h_l: QuantumHistory) -> complex:
         amp = linalg.inner(q.state, p.state)
         out *= amp * amp.conjugate()
     return complex(out)
-
-
-def _pair_blocks(n: int, pair_block):
-    """The pairs i < j of n members, as row blocks of an n x n table.
-
-    Yields ``(lo, block)`` for consecutive row ranges [lo, hi):
-    ``pair_block(lo, hi)`` returns the (hi - lo, n - lo - 1) table of rows
-    lo .. hi - 1 against columns lo + 1 .. n - 1, and ``block`` is that
-    table with the entries on or below the diagonal (j <= i) set to 0.
-    Block heights are chosen so that a block holds about
-    ``_PAIR_BLOCK_ENTRIES`` entries (at least one row).
-    """
-    lo = 0
-    while lo < n - 1:
-        width = n - lo - 1
-        hi = min(n - 1, lo + max(1, _PAIR_BLOCK_ENTRIES // width))
-        block = pair_block(lo, hi)
-        block[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 0
-        yield lo, block
-        lo = hi
 
 
 @dataclass(frozen=True)
@@ -503,30 +475,33 @@ def validate_family(fam: HistoryFamily,
     tables' largest entries; if no bound exceeds ``tol``, the family is
     valid, found in O(N_t d^3) without forming a pair.  Otherwise (a
     duplicated member, a tampered state, a slot of many fixed points, or a
-    family that is not orthogonal) the pairs are formed in row blocks
-    (``_pair_blocks``): each block multiplies its Gram entries in place, in
-    slot order, so memory stays flat at any family size.  Raises
-    ValidationError on a NaN or negative ``tol``.
+    family that is not orthogonal) the pairs i < j are formed here, in row
+    blocks of about ``_PAIR_BLOCK_ENTRIES`` entries: each block multiplies
+    its Gram entries in place, in slot order, so memory stays flat at any
+    family size.  Raises ValidationError on a NaN or negative ``tol``.
     """
-    _instance(fam, HistoryFamily, "family")
+    linalg.require_instance(fam, HistoryFamily, "family")
     tol = linalg.require_tolerance(tol)
     grams, gram_rows = zip(*(_slot_gram(states, 2)
                              for states in fam.slot_states))
     if _certified_orthogonal(fam, grams, tol):
         return FamilyReport(valid=True)
-    columns = fam.index.T
-
-    def overlaps(lo, hi):
-        block = np.ones((hi - lo, len(fam.index) - lo - 1))
-        for rows, column in zip(gram_rows, columns):
-            block *= rows(column[lo:hi]).take(column[lo + 1:], axis=1)
-        return block
-
-    violations = []
-    for lo, block in _pair_blocks(len(fam.index), overlaps):
+    columns, n = fam.index.T, len(fam.index)
+    violations, lo = [], 0
+    while lo < n - 1:
+        # rows lo .. hi - 1 against columns lo + 1 .. n - 1, about
+        # _PAIR_BLOCK_ENTRIES entries (at least one row); the entries on or
+        # below the diagonal (j <= i) are set to 0
+        width = n - lo - 1
+        hi = min(n - 1, lo + max(1, _PAIR_BLOCK_ENTRIES // width))
+        block = np.ones((hi - lo, width))
+        for gram, column in zip(gram_rows, columns):
+            block *= gram(column[lo:hi]).take(column[lo + 1:], axis=1)
+        block[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 0
         rows, cols = np.nonzero(block > tol)
         violations.extend(zip((rows + lo).tolist(), (cols + lo + 1).tolist(),
                               block[rows, cols].tolist()))
+        lo = hi
     return FamilyReport(valid=not violations, violations=tuple(violations))
 
 
@@ -537,7 +512,8 @@ class HistoryOperator:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        projectors = tuple(map(linalg.as_square, self.projectors))
+        projectors = tuple(map(linalg.as_square, _members(
+            self.projectors, object, "a chain", "projectors")))
         if not all(map(linalg.is_projector, projectors)):
             raise ValidationError("chain entry is not a projector")
         if projectors:
@@ -570,7 +546,7 @@ def history_operator(fps, sched: HamiltonianSchedule,
     its time, referred back to t_0.
     """
     require_schedule(sched)
-    fps = list(fps)
+    fps = _members(fps, FixedPoint, "a chain", "fixed points")
     require_increasing((p.time for p in fps), "fixed-point times")
     t_0 = require_time(t_0, "reference time")
     if fps:
@@ -586,6 +562,7 @@ def record_state(chain: HistoryOperator, psi1) -> np.ndarray:
     The result is left unnormalized; its squared norm is the diagonal
     decoherence functional of the chain.
     """
+    linalg.require_instance(chain, HistoryOperator, "chain")
     psi = linalg.as_state(psi1)
     linalg.require_dim("chain", *[p.shape[0] for p in chain.projectors],
                        psi.size)
@@ -619,7 +596,7 @@ def chain_probability(fps, sched: HamiltonianSchedule, rho1) -> float:
     Tr[P_N ... P_2 rho1 P_2 ... P_N], with the Heisenberg reference at the
     first fixed point's time; rho1 is the state at that reference time.
     """
-    fps = list(fps)
+    fps = _members(fps, FixedPoint, "a chain", "fixed points")
     if not fps:
         raise ValidationError("chain probability needs at least one fixed point")
     rho1 = _require_density_matrix(rho1, fps[0].dim)
@@ -659,7 +636,7 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
     best is the maximum, and the first column of that one row attaining
     it.  Raises ValidationError on a NaN or negative ``tol``.
     """
-    _instance(fam, HistoryFamily, "family")
+    linalg.require_instance(fam, HistoryFamily, "family")
     tol = linalg.require_tolerance(tol)
     psi = linalg.as_state(psi1, fam.dim)
     scale = np.hypot(*_products(fam, _steps(fam, sched, first=psi)))
@@ -795,7 +772,7 @@ def enumerate_family(spec: FamilySpec,
     Raises EnumerationGuardError when the combination count exceeds
     ``guard``, a non-negative integer.
     """
-    _instance(spec, FamilySpec, "recipe")
+    linalg.require_instance(spec, FamilySpec, "recipe")
     guard = linalg.require_count(guard, "enumeration guard", 0)
     count = spec.history_count()
     if count > guard:

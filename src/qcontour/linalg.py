@@ -12,6 +12,7 @@ exactly where a row is, and then unless orthonormal; one Gram defect,
 the orthonormality verdict (``is_orthonormal`` takes the same one).
 ``normalize`` is the one renormalization rule: a column's ``np.sum``
 total, refused when it is 0.0, and the column divided by it.
+``require_instance`` is the one check of an argument's type.
 """
 
 from __future__ import annotations
@@ -81,15 +82,33 @@ def require_dim(what: str, *dims: int) -> int:
     return dims[0]
 
 
-def require_count(value, what: str, least: int) -> int:
-    """Return ``value`` as an int: a Python or numpy integer, not a bool,
-    of at least ``least``; otherwise raise ValidationError naming ``what``."""
+def require_instance(value, kind: type, what: str):
+    """Return ``value``; raise ValidationError naming ``what`` and ``kind``
+    unless it is a ``kind`` instance.  The one type check: an entry point
+    asks it of each argument of a package class (a schedule, recipe,
+    family, history, chain, distribution, ...) before reading it."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
+def require_integer(value, what: str) -> int:
+    """Return ``value`` as an int: a Python or numpy integer, not a bool;
+    otherwise raise ValidationError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_count(value, what: str, least: int) -> int:
+    """Return ``value`` as an int: an integer ``require_integer`` accepts,
+    of at least ``least``; otherwise raise ValidationError naming ``what``."""
+    value = require_integer(value, what)
     if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValidationError(f"{what} must be {bound}, got {value}")
-    return int(value)
+    return value
 
 
 def normalize(column: np.ndarray, what: str) -> tuple[float, np.ndarray]:
@@ -187,7 +206,11 @@ def as_basis(vectors, what: str, dim: int | None = None) -> np.ndarray:
 
 def as_square(mat, dim: int | None = None) -> np.ndarray:
     """Coerce ``mat`` to a square complex matrix and validate its shape."""
-    m = np.asarray(mat, dtype=complex)
+    try:
+        m = np.asarray(mat, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("expected a square matrix of numbers, "
+                              f"got {reprlib.repr(mat)}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

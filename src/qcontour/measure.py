@@ -52,7 +52,7 @@ from .dynamics import (HamiltonianSchedule, evolve_state, propagate,
                        require_schedule)
 from .errors import ValidationError
 from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
-                        _instance, _members, _products, _steps)
+                        _members, _products, _steps)
 
 
 def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
@@ -63,6 +63,8 @@ def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
     to the earlier one; this equals the conjugate of the forward matrix
     element, and only magnitudes enter the weights.
     """
+    for fp in (fp_a, fp_b):
+        linalg.require_instance(fp, FixedPoint, "segment endpoint")
     require_increasing((fp_a.time, fp_b.time), "segment endpoint times")
     linalg.require_dim("schedule", require_schedule(sched).dim, fp_a.dim,
                        fp_b.dim)
@@ -130,7 +132,7 @@ def transfer_chain(spec: FamilySpec, sched: HamiltonianSchedule
     is O(N_t d^3), independent of the family size; no member is weighed.
     Returns Z and the marginals, one array per slot in basis order.
     """
-    _instance(spec, FamilySpec, "recipe")
+    linalg.require_instance(spec, FamilySpec, "recipe")
     linalg.require_dim("schedule", require_schedule(sched).dim, spec.dim)
     states, times = spec.slot_states, spec.slot_times
     transfers = [np.abs(b.conj() @ propagate(sched, t_a, t_b) @ a.T) ** 2
@@ -237,7 +239,7 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     nothing.  No per-member object is built, and an enumerated family's
     index is not read: the report's ``entries`` builds them on request.
     """
-    _instance(fam, HistoryFamily, "family")
+    linalg.require_instance(fam, HistoryFamily, "family")
     contour = (None if steps_per_segment is None
                else _contour_weights(fam, sched, steps_per_segment))
     weights = _weights(fam, sched)
@@ -282,9 +284,7 @@ class ToyBundle(FamilySpec):
         past = _members(past, FixedPoint, "past branches", "fixed points")
         future = _members(future, FixedPoint, "future branches",
                           "fixed points")
-        if not isinstance(pivot, FixedPoint):
-            raise ValidationError("bundle pivot must be a fixed point, got "
-                                  f"{type(pivot).__name__}")
+        linalg.require_instance(pivot, FixedPoint, "bundle pivot")
         if not past or not future:
             raise ValidationError("bundle needs past and future branches")
         if not all(same_time(p.time, group[0].time)
@@ -317,7 +317,7 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
     modes therefore produce the same total, organized into different term
     lists.  An unknown ``mode`` is refused before any propagator is built.
     """
-    _instance(bundle, FamilySpec, "recipe")
+    linalg.require_instance(bundle, FamilySpec, "recipe")
     if not isinstance(mode, DecompositionMode):
         raise ValidationError(f"unknown decomposition mode {mode!r}")
     if len(bundle.times) != 3:

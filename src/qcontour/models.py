@@ -223,6 +223,7 @@ def model_from_dict(doc: dict) -> ModelSpec:
 
 def model_to_dict(model: ModelSpec) -> dict:
     """Serialize a ModelSpec back to the JSON schema (round-trip exact)."""
+    linalg.require_instance(model, ModelSpec, "model")
     return {
         "dim": model.dim,
         "grid": list(model.times),
@@ -241,13 +242,15 @@ def model_to_dict(model: ModelSpec) -> dict:
 def read_json(path) -> dict:
     """Parse a JSON object from a file.
 
-    Any failure to read or parse it, and a top-level value that is not an
-    object, raises ModelFormatError naming the file; parse problems carry
-    line-anchored messages.
+    Any failure to read or parse it (a ``path`` that is not a path
+    included), and a top-level value that is not an object, raises
+    ModelFormatError naming the file; parse problems carry line-anchored
+    messages.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError(
@@ -261,5 +264,10 @@ def load_model(path) -> ModelSpec:
 
 
 def save_model(model: ModelSpec, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2),
-                          encoding="utf-8")
+    """Write a model file; a failure to write it (a ``path`` that is not a
+    path included) raises ModelFormatError naming the file."""
+    text = json.dumps(model_to_dict(model), indent=2)
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, TypeError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,8 +47,14 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __init__(self, outcomes):
-        pairs = [(tuple(seq), _probability(p)) for seq, p in outcomes]
-        self._fill([seq for seq, _ in pairs], np.array([p for _, p in pairs]),
+        try:
+            pairs = [(tuple(seq), p) for seq, p in outcomes]
+        except (TypeError, ValueError):  # not pairs, or a key not a sequence
+            raise ValidationError(
+                "outcomes must be (key sequence, probability) pairs, got "
+                f"{reprlib.repr(outcomes)}") from None
+        self._fill([seq for seq, _ in pairs],
+                   np.array([_probability(p) for _, p in pairs]),
                    distinct=False)
 
     @classmethod
@@ -213,8 +220,12 @@ def condition_on_final(dist: OutcomeDistribution,
 
     A selection on the last key column: the kept keys stay distinct, and
     the kept probabilities are renormalized by ``linalg.normalize``.
+    ``final_index`` is any integer, not a bool: an absent one has zero
+    probability.
     """
-    keys = dist.keys
+    keys = linalg.require_instance(dist, OutcomeDistribution,
+                                   "distribution").keys
+    final_index = linalg.require_integer(final_index, "final outcome index")
     if not keys.shape[1]:
         raise ValidationError(
             "conditioning on the final outcome needs non-empty sequences")
@@ -316,6 +327,7 @@ def monte_carlo_sample(dist: OutcomeDistribution, n: int,
     band around its probability, clipped to [0, 1] as the draws read it;
     rows outside the band are flagged, not fatal.
     """
+    linalg.require_instance(dist, OutcomeDistribution, "distribution")
     n = require_sample_count(n)
     probs = dist.probabilities
     weights = np.maximum(probs, 0.0)

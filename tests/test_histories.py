@@ -283,16 +283,17 @@ class TestRowBlocks:
     @pytest.mark.parametrize("budget", [1, 2, 3, 7, 64, 10 ** 6])
     def test_blocks_tile_the_pairs_once_in_row_major_order(self, monkeypatch,
                                                            budget):
+        # n copies of one history overlap fully in every pair, so each pair
+        # a row block forms is a violation, listed in the order formed; a
+        # block of the wrong width would drop a pair, list one twice or
+        # name a member beyond n - 1
         monkeypatch.setattr(histories, "_PAIR_BLOCK_ENTRIES", budget)
+        h = two_point(E0, PLUS)
         for n in range(1, 30):
-            pairs = []
-            for lo, block in histories._pair_blocks(
-                    n, lambda lo, hi: np.ones((hi - lo, n - lo - 1))):
-                assert block.shape[1] == n - lo - 1
-                rows, cols = np.nonzero(block)
-                pairs.extend(zip((rows + lo).tolist(),
-                                 (cols + lo + 1).tolist()))
+            violations = validate_family(HistoryFamily((h,) * n)).violations
+            pairs = [(i, j) for i, j, _ in violations]
             assert pairs == list(itertools.combinations(range(n), 2))
+            assert all(v == pytest.approx(1.0) for _, _, v in violations)
 
     @given(FAMILY_SHAPES)
     @settings(max_examples=15, deadline=None)
@@ -341,6 +342,19 @@ def _ray(angle):
 RAY_30, RAY_60 = _ray(math.pi / 6), _ray(math.pi / 3)
 
 
+def _certificate_verdicts(monkeypatch):
+    """The verdict of every certificate ``validate_family`` asks for from
+    now on: False sends the family to the pair walk."""
+    verdicts = []
+    certified = histories._certified_orthogonal
+
+    def spy(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+    monkeypatch.setattr(histories, "_certified_orthogonal", spy)
+    return verdicts
+
+
 class TestGroupedChecks:
     """The certificate and the grouped maximum give the pair blocks' answer."""
 
@@ -353,12 +367,12 @@ class TestGroupedChecks:
         # rebuilt by hand: no choices, so its rows are checked by sorting
         variants["rebuilt"] = HistoryFamily(
             histories=variants["enumerated"].histories)
-        blocks = count_calls(monkeypatch, histories, "_pair_blocks")
+        verdicts = _certificate_verdicts(monkeypatch)
         entered, valid = {}, {}
         for name in ("enumerated", "rebuilt", "duplicated", "tampered"):
-            before = len(blocks)
             valid[name] = validate_family(variants[name], 1e-10).valid
-            entered[name] = len(blocks) > before
+            entered[name] = not verdicts[-1]
+        assert len(verdicts) == 4
         assert entered == {"enumerated": False, "rebuilt": False,
                            "duplicated": True, "tampered": True}
         # a tampered family may be valid: tampering a pinned slot leaves
@@ -372,9 +386,9 @@ class TestGroupedChecks:
         # members also differ at slot 0, where they are orthogonal
         fam = HistoryFamily(histories=(two_point(E0, E0),
                                        two_point(E1, PLUS)))
-        blocks = count_calls(monkeypatch, histories, "_pair_blocks")
+        verdicts = _certificate_verdicts(monkeypatch)
         assert validate_family(fam, 1e-10) == histories.FamilyReport(True, ())
-        assert len(blocks) == 1
+        assert verdicts == [False]
 
     @pytest.mark.parametrize("budget", [1, 10 ** 6])
     @pytest.mark.parametrize("psi1, ends, pair, value", [
@@ -936,6 +950,21 @@ class TestFamilyIndex:
                 if t not in fam.constraint_times]
         assert np.array_equal(fam.choices, fam.index[:, free])
         assert not fam.choices.flags.writeable
+
+    def test_histories_are_a_view_built_once(self, monkeypatch):
+        # a hand-built family keeps the tuple it was given; an enumerated
+        # family's is the product of its slots, built on first read
+        members = (two_point(E0, E1), two_point(E1, E0))
+        assert HistoryFamily(members).histories is members
+        fam = enumerate_family(random_family_spec(42, dim=2, n_times=3,
+                                                  s_t=1)[0])
+        built = count_calls(monkeypatch, QuantumHistory, "_from_points")
+        assert "histories" not in vars(fam)
+        first = fam.histories
+        assert fam.histories is first
+        assert [h.points for h in first] == list(itertools.product(
+            *fam.slots))
+        assert len(built) == len(first) == 4
 
     def test_shared_fixed_points_fill_one_slot_entry(self):
         a, b = FixedPoint(0.0, E0), FixedPoint(1.0, E1)

@@ -277,7 +277,7 @@ _FUTURE = (FixedPoint(1.0, E0),)
     (lambda: ToyBundle(_FUTURE, _PIVOT, None),
      "^future branches must be a sequence of fixed points, got NoneType"),
     (lambda: ToyBundle(_FUTURE, None, _FUTURE),
-     "^bundle pivot must be a fixed point, got NoneType"),
+     "^bundle pivot must be a FixedPoint, got NoneType$"),
     (lambda: HamiltonianSchedule(3),
      r"^schedule segments must be a sequence of \(t_start, t_end, H\) "
      "triples, got 3"),

@@ -1,6 +1,7 @@
 """The tolerance table in ``linalg`` is the one place a threshold is
 written, ``linalg.require_dim`` the one place a dimension mismatch is
-raised, and ``linalg.normalize`` the one place a zero normalization is."""
+raised, ``linalg.normalize`` the one place a zero normalization is, and
+``linalg.require_instance`` the one place an argument is refused by type."""
 
 import ast
 import io
@@ -96,3 +97,55 @@ def test_zero_normalization_raised_only_by_the_rule():
     """Every renormalization asks ``linalg.normalize``: no other code
     constructs a ``ZeroNormalizationError``."""
     assert _constructed_outside("ZeroNormalizationError", "normalize") == []
+
+
+def _refuses_by_type(node, classes) -> bool:
+    """True iff ``node`` is an ``if`` whose test holds
+    ``not isinstance(x, C)``, C one of ``classes`` (or a tuple holding
+    one), and whose body raises."""
+    if not (isinstance(node, ast.If) and any(
+            isinstance(n, ast.Raise)
+            for stmt in node.body for n in ast.walk(stmt))):
+        return False
+    for n in ast.walk(node.test):
+        if (isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not)
+                and isinstance(n.operand, ast.Call)
+                and getattr(n.operand.func, "id", None) == "isinstance"
+                and len(n.operand.args) == 2):
+            kind = n.operand.args[1]
+            kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+            if any(getattr(k, "id", getattr(k, "attr", None)) in classes
+                   for k in kinds):
+                return True
+    return False
+
+
+def _type_refusals_outside(rule: str):
+    """(file, innermost enclosing function) of each refusal by a package
+    class's type anywhere but in the body of ``linalg.<rule>``."""
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    classes = {node.name for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    offenders = []
+    for path, tree in trees.items():
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not _refuses_by_type(node, classes):
+                continue
+            owner = node
+            while owner in parents and not isinstance(owner, ast.FunctionDef):
+                owner = parents[owner]
+            name = getattr(owner, "name", None)
+            if not (path.name == "linalg.py" and name == rule):
+                offenders.append((path.name, name))
+    return offenders
+
+
+def test_type_checked_only_by_the_rule():
+    """Every argument of a package type is checked by
+    ``linalg.require_instance``.  The one exception is the mode check of
+    ``decompose_total_measure``, whose refusal keeps its own message,
+    "unknown decomposition mode ..."."""
+    assert _type_refusals_outside("require_instance") == [
+        ("measure.py", "decompose_total_measure")]
