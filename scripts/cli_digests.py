@@ -34,7 +34,12 @@ lines digest the error message and exit code, and, last, ``envariance``
 of the swap on A for each state in ``STATE_FILES`` (an equal-amplitude
 pair, a lopsided pair, a state file missing its amplitudes, which exits
 2, and two that exit 3: two amplitudes for a 2 x 2 pair, and ``dim_a``
-0).  The benchmark models, the off-grid bundle and model, the malformed
+0), and, appended after them so that earlier lines keep their places,
+``measure --steps-per-segment 3`` and ``verify`` on the seed-1
+``verify_cli`` model with each Hamiltonian segment cut at 0.37 of its
+length (``cut_segments``: each piece keeps its segment's generator, so
+contour sub-steps straddle the cuts and join two exponentials).  The
+benchmark models, the off-grid bundle and model, the malformed
 models and the envariance inputs are written to a temporary directory and run there
 by bare file name.  Each command shows its own warnings, also one that
 an earlier command in the same process showed.
@@ -239,6 +244,24 @@ def envariance_commands():
         yield {name: doc, **SWAP_FILE}, ["envariance", name, *SWAP_FILE]
 
 
+def cut_segments(doc):
+    """``doc`` with each Hamiltonian segment cut at 0.37 of its length,
+    off every sub-step tick of 3 or 8 sub-steps; both pieces keep the
+    segment's generator."""
+    pieces = []
+    for seg in doc["hamiltonian"]:
+        cut = seg["t_start"] + 0.37 * (seg["t_end"] - seg["t_start"])
+        pieces += [dict(seg, t_end=cut), dict(seg, t_start=cut)]
+    return dict(doc, hamiltonian=pieces)
+
+
+def cut_commands():
+    files = {"verify_cli-1-cut.json": cut_segments(
+        model_document(VerifyCli.raw(1)))}
+    yield files, ["measure", *files, "--steps-per-segment", "3"]
+    yield files, ["verify", *files]
+
+
 def temp_lines(commands):
     """``cli_line`` of each command, run in a temporary directory holding
     its input files, each written as JSON."""
@@ -266,6 +289,7 @@ def digest_lines():
             f"  out {digest(done.stdout)}  err {digest(done.stderr)}"
     yield from temp_lines(error_commands())
     yield from temp_lines(envariance_commands())
+    yield from temp_lines(cut_commands())
 
 
 def lines_at(ref: str) -> list[str]:

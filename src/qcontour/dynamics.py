@@ -6,11 +6,13 @@ exact for unitary dynamics.  Per-segment eigendecompositions are cached on
 the schedule as (w, V, V^H), so a propagator costs only small matrix
 products: one exponential per segment the interval crosses, and one
 product joining each exponential after the first, which starts the
-product (no identity factor).  A step cut into equal sub-steps gets all
-its propagators from ``substep_propagators`` at once: its ends checked
-once, the sub-steps' segment pieces found by array comparisons and each
-segment's exponentials formed as one stack, every propagator
-``propagate``'s over the same sub-interval bit for bit.
+product (no identity factor).  Steps cut into equal sub-steps get all
+their propagators from one ``substep_propagators`` call: a contour walk
+hands it its steps together, in batches its caller sizes.  Each step's
+ends are checked as ``propagate`` checks them, the sub-steps' segment
+pieces of all the steps are found by array comparisons, and each
+segment's exponentials are formed as one stack for the whole batch,
+every propagator ``propagate``'s over the same sub-interval bit for bit.
 """
 
 from __future__ import annotations
@@ -144,41 +146,54 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     return u.conj().T if t_b < t_a else u
 
 
-def substep_propagators(sched: HamiltonianSchedule, t_a: float, t_b: float,
-                        sub: int) -> list[np.ndarray]:
-    """The propagators of ``sub`` equal sub-steps from t_a to t_b, in order.
+def substep_propagators(sched: HamiltonianSchedule, steps,
+                        sub: int) -> list[list[np.ndarray]]:
+    """Per step (t_a, t_b) of ``steps``, the propagators of its ``sub``
+    equal sub-steps, in order.
 
-    The ticks are ``np.linspace(t_a, t_b, sub + 1)`` bit for bit
-    (t_a + i * ((t_b - t_a) / sub), then t_b), and entry i is
-    ``propagate(sched, ticks[i], ticks[i + 1])`` bit for bit: the step's
-    ends are checked once, every sub-step's segment pieces are found with
-    ``propagate``'s comparisons made on arrays (``same_times``), each
-    segment's exponentials are one ``_segment_exp`` stack, joined in
-    segment order, and a backward propagator is the same ``.conj().T``
+    A step's ticks are ``np.linspace(t_a, t_b, sub + 1)`` bit for bit
+    (t_a + i * ((t_b - t_a) / sub), then t_b), and its entry i is
+    ``propagate(sched, ticks[i], ticks[i + 1])`` bit for bit.  The steps
+    are taken at once: each step's ends are checked as ``propagate``
+    checks them, in order, the ticks of all steps form one (S, sub + 1)
+    array, every sub-step's segment pieces are found with ``propagate``'s
+    comparisons made on arrays (``same_times``), each segment's
+    exponentials for all the steps are one ``_segment_exp`` stack, joined
+    in segment order, and a backward propagator is the same ``.conj().T``
     view (a C-ordered copy would round its products differently).  One
-    sub-step is ``propagate`` itself.
+    sub-step is ``propagate`` itself, step by step.  The caller bounds the
+    memory by the number of steps it passes.  ``steps`` that are not
+    (t_a, t_b) pairs are a ValidationError.
     """
     sub = linalg.require_count(sub, "sub-step count", 1)
+    require_schedule(sched)
+    try:
+        steps = [(t_a, t_b) for t_a, t_b in steps]
+    except (TypeError, ValueError):  # not a sequence of pairs
+        raise ValidationError("steps must be a sequence of (t_a, t_b) "
+                              f"pairs, got {reprlib.repr(steps)}") from None
     if sub == 1:
-        return [propagate(sched, t_a, t_b)]
-    t_a, t_b = _span_times(sched, t_a, t_b)
-    ticks = np.append(t_a + np.arange(sub) * ((t_b - t_a) / sub), t_b)
-    starts, ends = ticks[:-1], ticks[1:]
-    t_lo, t_hi = np.minimum(starts, ends), np.maximum(starts, ends)
+        return [[propagate(sched, t_a, t_b)] for t_a, t_b in steps]
+    ends = np.array([_span_times(sched, t_a, t_b)
+                     for t_a, t_b in steps]).reshape(-1, 2)
+    t_a, t_b = ends[:, :1], ends[:, 1:]
+    ticks = np.hstack([t_a + np.arange(sub) * ((t_b - t_a) / sub), t_b])
+    starts, stops = ticks[:, :-1].ravel(), ticks[:, 1:].ravel()
+    t_lo, t_hi = np.minimum(starts, stops), np.maximum(starts, stops)
     moving = ~same_times(t_lo, t_hi)
-    first, last = float(ticks.min()), float(ticks.max())
-    us = [None] * sub
+    us = [None] * len(starts)
     for index, (s0, s1, _) in enumerate(sched.segments):
-        if s1 <= first or s0 >= last:  # no sub-step has a piece here
-            continue
         lo, hi = np.maximum(t_lo, s0), np.minimum(t_hi, s1)
         hit = np.flatnonzero(moving & (hi > lo) & ~same_times(hi, lo))
+        if not hit.size:  # no sub-step has a piece here
+            continue
         factors = sched._segment_exp(index, (hi - lo)[hit, None, None])
         for j, factor in zip(hit.tolist(), factors):
             us[j] = factor if us[j] is None else factor @ us[j]
-    return [np.eye(sched.dim, dtype=complex) if u is None
-            else u.conj().T if back else u
-            for u, back in zip(us, (ends < starts).tolist())]
+    out = [np.eye(sched.dim, dtype=complex) if u is None
+           else u.conj().T if back else u
+           for u, back in zip(us, (stops < starts).tolist())]
+    return [out[i:i + sub] for i in range(0, len(out), sub)]
 
 
 def evolve_state(psi, sched: HamiltonianSchedule, t_a: float,

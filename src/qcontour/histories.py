@@ -53,7 +53,8 @@ from .errors import EnumerationGuardError, ValidationError
 #: refuse exhaustive enumerations beyond this many histories
 MAX_ENUMERATION = 10 ** 6
 #: entries per row block of a pairwise family check (64 KB of float64),
-#: and per block of a hand-built family's step rows, gathered per member
+#: per block of a hand-built family's step rows, gathered per member, and
+#: per batch of a walk's sub-step propagators (``_steps``)
 _PAIR_BLOCK_ENTRIES = 2 ** 13
 
 
@@ -310,27 +311,36 @@ def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
 
     ``fam`` is a family or a recipe, whose ``slot_states`` are carried
     between its ``slot_times``, each slot's fixed points' own time.
-    ``pairs`` defaults to the grid's segments in time order.  A step is
-    carried through the ``sub`` propagators of ``substep_propagators``
-    (ticks ``np.linspace``'s bit for bit), each applied to the whole stack
-    as one stacked product ``u @ stack[..., None]``, which is ``u @ state``
-    of every row bit for bit (``stack @ u.T`` rounds differently).
-    ``first`` is carried once and stands for every fixed point of slot 0.
-    The one check that the schedule has the states' dimension is here.
+    ``pairs`` defaults to the grid's segments in time order.  The steps'
+    propagators come from ``substep_propagators``, one call per batch of
+    steps (ticks ``np.linspace``'s bit for bit): all of a walk's steps at
+    once while their propagators fit ``_PAIR_BLOCK_ENTRIES`` entries, and
+    never less than one step, so memory stays flat at large d.  A step is
+    carried through its ``sub`` propagators, each applied to the whole
+    stack as one stacked product ``u @ stack[..., None]``, which is
+    ``u @ state`` of every row bit for bit (``stack @ u.T`` rounds
+    differently).  ``first`` is carried once and stands for every fixed
+    point of slot 0.  The one check that the schedule has the states'
+    dimension is here.
     """
     times, states = fam.slot_times, fam.slot_states
-    linalg.require_dim("schedule", require_schedule(sched).dim,
-                       states[0].shape[1])
+    d = linalg.require_dim("schedule", require_schedule(sched).dim,
+                           states[0].shape[1])
     if pairs is None:
         pairs = [(k, k + 1) for k in range(len(times) - 1)]
+    batch = max(1, _PAIR_BLOCK_ENTRIES // (sub * d * d))
     steps = []
-    for k, l in pairs:
-        own = k == 0 and first is not None
-        carried = first.reshape(1, -1) if own else states[k]
-        for u in substep_propagators(sched, times[k], times[l], sub):
-            carried = (u @ carried[..., None])[..., 0]
-        steps.append((k, l, np.broadcast_to(carried, states[0].shape)
-                      if own else carried))
+    for start in range(0, len(pairs), batch):
+        block = pairs[start:start + batch]
+        for (k, l), us in zip(block, substep_propagators(
+                sched, [(times[k], times[l]) for k, l in block], sub)):
+            own = k == 0 and first is not None
+            carried = first.reshape(1, -1) if own else states[k]
+            for u in us:
+                carried = (u @ carried[..., None])[..., 0]
+            steps.append((k, l, np.broadcast_to(carried, states[0].shape)
+                          if own else carried))
+        del us, u  # free this batch's propagators before the next forms
     return steps
 
 

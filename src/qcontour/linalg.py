@@ -12,7 +12,11 @@ exactly where a row is, and then unless orthonormal; one Gram defect,
 the orthonormality verdict (``is_orthonormal`` takes the same one).
 ``normalize`` is the one renormalization rule: a column's ``np.sum``
 total, refused when it is 0.0, and the column divided by it.
-``require_instance`` is the one check of an argument's type.
+``require_instance`` is the one check of an argument's type, and
+``_as_numbers`` the one reading of an array argument that is used as it
+is given (``inner``, ``projector``, ``tensor`` and the matrix checks):
+what numpy cannot read as numbers, ``None`` and text included, is a
+ValidationError, and a matrix check refuses what is not square and 2-d.
 """
 
 from __future__ import annotations
@@ -230,10 +234,30 @@ def norm(psi) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
+def _as_numbers(value, what: str) -> np.ndarray:
+    """``value`` as a complex array; raise ValidationError naming ``what``
+    unless it is a number or an array of numbers (numpy reads ``None``,
+    text or a mixed list as an object or text array, never as numbers).
+    An array that is already complex is returned as it is."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biufc":
+        raise ValidationError(f"{what} must be an array of numbers, "
+                              f"got {reprlib.repr(value)}")
+    return array.astype(complex, copy=False)
+
+
+def _as_matrix(m) -> np.ndarray:
+    """``_as_numbers`` of a matrix, refused unless square and 2-d."""
+    m = _as_numbers(m, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def inner(bra, ket) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
-    b = np.asarray(bra, dtype=complex).reshape(-1)
-    k = np.asarray(ket, dtype=complex).reshape(-1)
+    b = _as_numbers(bra, "bra").reshape(-1)
+    k = _as_numbers(ket, "ket").reshape(-1)
     require_dim("bra", b.size, k.size)
     return complex(np.vdot(b, k))
 
@@ -248,7 +272,7 @@ def inners(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 def projector(psi) -> np.ndarray:
     """Rank-1 projector onto the (normalized) state ``psi``."""
-    p = np.asarray(psi, dtype=complex).reshape(-1)
+    p = _as_numbers(psi, "state").reshape(-1)
     return np.outer(p, p.conj())
 
 
@@ -258,8 +282,8 @@ def tensor(a, b) -> np.ndarray:
     Index convention: component (i, j) of the product sits at
     ``i * dim(b) + j``.
     """
-    aa = np.asarray(a, dtype=complex)
-    bb = np.asarray(b, dtype=complex)
+    aa = _as_numbers(a, "tensor factor")
+    bb = _as_numbers(b, "tensor factor")
     if aa.ndim != bb.ndim or aa.ndim not in (1, 2):
         raise ValidationError(
             "tensor expects two vectors or two square matrices")
@@ -267,8 +291,8 @@ def tensor(a, b) -> np.ndarray:
 
 
 def hermitian_defect(m) -> float:
-    """The max-abs entry of M - M^dag."""
-    m = np.asarray(m, dtype=complex)
+    """The max-abs entry of M - M^dag, for a square matrix M."""
+    m = _as_matrix(m)
     return float(np.max(np.abs(m - m.conj().T)))
 
 
@@ -290,9 +314,7 @@ def require_hermitian(m) -> np.ndarray:
 def unitary_defect(m) -> float:
     """The max-abs entry of M^dag M - I, for a square matrix M; inf or NaN
     (which no tolerance admits) when an entry is too large to square."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    m = _as_matrix(m)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
@@ -303,7 +325,7 @@ def check_unitary(m, tol: float = UNITARY_TOL) -> bool:
 
 def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff M is idempotent and Hermitian within ``tol``."""
-    m = np.asarray(m, dtype=complex)
+    m = _as_matrix(m)
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
 
 

@@ -972,8 +972,9 @@ class TestOffGridPins:
         cli._verify_one("m", model, 50, 0, 2, linalg.DEFAULT_TOL)
         segments = list(zip(model.slot_times, model.slot_times[1:]))
         # the walk forward and back, then the closed form
-        assert [args[1:3] for args in carried] == (
-            segments + [(b, a) for a, b in reversed(segments)] + segments)
+        assert [(steps, sub) for _, steps, sub in carried] == [
+            (segments + [(b, a) for a, b in reversed(segments)], 2),
+            (segments, 1)]
         assert [args[1:3] for args in transfers] == segments
         (_, times, _), = chained
         assert times == model.slot_times

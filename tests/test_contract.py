@@ -13,11 +13,12 @@ import qcontour
 from qcontour import (BipartiteState, FixedPoint, HistoryOperator,
                       ModelFormatError, OutcomeDistribution, QContourError,
                       QuantumHistory, ValidationError, chain_probability,
-                      check_envariance, condition_on_final,
+                      check_envariance, check_unitary, condition_on_final,
                       decoherence_functional, histories_equal, history_inner,
-                      history_operator, load_model, model_to_dict,
-                      monte_carlo_sample, record_state, save_model,
-                      schmidt_decompose, segment_amplitude)
+                      history_operator, inner, is_hermitian, is_projector,
+                      load_model, model_to_dict, monte_carlo_sample,
+                      projector, record_state, save_model, schmidt_decompose,
+                      segment_amplitude, tensor)
 from qcontour.sampling import random_model, rng_from_seed
 from toys import E0, E1, PLUS, zero_schedule
 
@@ -121,6 +122,25 @@ _MODEL = random_model(rng_from_seed(3), (0.0, 0.5), 2, 1)
 def test_one_bad_argument_is_a_validation_error(call):
     with pytest.raises(ValidationError) as info:
         call()
+    assert type(info.value) is ValidationError
+
+
+@pytest.mark.parametrize("bad", [None, "ab", [1, None]])
+@pytest.mark.parametrize("call", [
+    lambda bad: inner(bad, bad),
+    lambda bad: inner(E0, bad),
+    lambda bad: projector(bad),
+    lambda bad: tensor(bad, bad),
+    lambda bad: tensor(E0, bad),
+    lambda bad: is_hermitian(bad),
+    lambda bad: is_projector(bad),
+    lambda bad: check_unitary(bad),
+])
+def test_linalg_refuses_what_is_not_numbers(call, bad):
+    # None was read as a NaN array (a NaN value, or False from the
+    # checks), and text leaked numpy's bare ValueError
+    with pytest.raises(ValidationError, match="array of numbers") as info:
+        call(bad)
     assert type(info.value) is ValidationError
 
 

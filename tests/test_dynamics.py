@@ -158,11 +158,12 @@ NEAR = (0.0, 1e-13, -1e-13, 0.5 * TIME_EPS, -0.5 * TIME_EPS)
 
 @st.composite
 def substep_cases(draw):
-    """A schedule of 1-4 segments on [0, 3], a step (t_a, t_b) and a
-    sub-step count of 1-8.  The step runs forward or backward and either
+    """A schedule of 1-4 segments on [0, 3], 1-8 steps (t_a, t_b) and a
+    sub-step count of 1-8.  Each step runs forward or backward and either
     has random ends (which often straddle a boundary), ends on or within
     TIME_EPS of boundaries, or has an interior tick within TIME_EPS of an
-    interior boundary."""
+    interior boundary; half the cases walk their steps forward and then
+    back, as the contour does."""
     rng = rng_from_seed(draw(st.integers(0, 10 ** 6)))
     dim = draw(st.integers(2, 5))
     cuts = draw(st.lists(st.floats(0.1, 2.9), max_size=3, unique=True))
@@ -171,41 +172,46 @@ def substep_cases(draw):
     sched = HamiltonianSchedule([(a, b, random_hermitian(rng, dim))
                                  for a, b in zip(bounds, bounds[1:])])
     sub = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["random", "boundaries", "tick"]))
-    if kind == "random":
-        t_a, t_b = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
-    elif kind == "boundaries":
-        t_a, t_b = (draw(st.sampled_from(bounds)) + draw(st.sampled_from(NEAR))
-                    for _ in range(2))
-    else:
-        assume(sub > 1 and len(bounds) > 2)
-        i = draw(st.integers(1, sub - 1))
-        width = draw(st.floats(0.01, 0.5))
-        t_a = (draw(st.sampled_from(bounds[1:-1])) - i * width
-               + draw(st.sampled_from(NEAR)))
-        t_b = t_a + sub * width
-    t_a, t_b = (min(max(t, 0.0), 3.0) for t in (t_a, t_b))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "boundaries", "tick"]))
+        if kind == "tick" and sub > 1 and len(bounds) > 2:
+            i = draw(st.integers(1, sub - 1))
+            width = draw(st.floats(0.01, 0.5))
+            t_a = (draw(st.sampled_from(bounds[1:-1])) - i * width
+                   + draw(st.sampled_from(NEAR)))
+            t_b = t_a + sub * width
+        elif kind == "boundaries":
+            t_a, t_b = (draw(st.sampled_from(bounds))
+                        + draw(st.sampled_from(NEAR)) for _ in range(2))
+        else:
+            t_a, t_b = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        t_a, t_b = (min(max(t, 0.0), 3.0) for t in (t_a, t_b))
+        steps.append((t_b, t_a) if draw(st.booleans()) else (t_a, t_b))
     if draw(st.booleans()):
-        t_a, t_b = t_b, t_a
-    return sched, t_a, t_b, sub
+        steps += [(t_b, t_a) for t_a, t_b in reversed(steps)]
+    return sched, steps, sub
 
 
 class TestSubstepPropagators:
-    """A step's sub-step propagators are ``propagate``'s over each
+    """Each step's sub-step propagators are ``propagate``'s over each
     sub-interval of ``np.linspace``'s ticks, bit for bit and in the same
-    memory order (a backward one is the adjoint view)."""
+    memory order (a backward one is the adjoint view), however many steps
+    one call takes."""
 
     @given(substep_cases())
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_propagate_per_sub_step(self, case):
-        sched, t_a, t_b, sub = case
-        ticks = np.linspace(t_a, t_b, sub + 1)
-        want = [propagate(sched, a, b) for a, b in zip(ticks, ticks[1:])]
-        got = substep_propagators(sched, t_a, t_b, sub)
-        assert len(got) == sub
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-            assert g.strides == w.strides
+        sched, steps, sub = case
+        got = substep_propagators(sched, steps, sub)
+        assert len(got) == len(steps)
+        for (t_a, t_b), us in zip(steps, got):
+            ticks = np.linspace(t_a, t_b, sub + 1)
+            want = [propagate(sched, a, b) for a, b in zip(ticks, ticks[1:])]
+            assert len(us) == sub
+            for g, w in zip(us, want):
+                np.testing.assert_array_equal(g, w)
+                assert g.strides == w.strides
 
     def test_batched_exponentials_equal_one_call_each(self):
         sched = HamiltonianSchedule.constant(
@@ -216,20 +222,42 @@ class TestSubstepPropagators:
         for dt, u in zip(dts, batch):
             np.testing.assert_array_equal(u, sched._segment_exp(0, float(dt)))
 
+    @pytest.mark.parametrize("sub", [1, 3])
+    def test_no_steps_give_no_propagators(self, sub):
+        sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
+        assert substep_propagators(sched, [], sub) == []
+
     @pytest.mark.parametrize("t_a, t_b", [
         (math.nan, 1.0), (0.0, math.nan), (True, 1.0), (0.0, False),
-        (-0.5, 1.0), (0.0, 3.5)])
+        (-0.5, 1.0), (0.0, 3.5), (-0.5, math.nan), (3.5, -0.5)])
     @pytest.mark.parametrize("sub", [1, 3])
     def test_times_are_checked(self, t_a, t_b, sub):
+        # the first refused step is refused as ``propagate`` refuses it,
+        # after steps that pass and before steps that would also fail
         sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
-        with pytest.raises(ValidationError, match="propagation time|span"):
-            substep_propagators(sched, t_a, t_b, sub)
+        with pytest.raises(ValidationError) as want:
+            propagate(sched, t_a, t_b)
+        with pytest.raises(ValidationError, match="propagation time|span"
+                           ) as info:
+            substep_propagators(
+                sched, [(0.0, 1.0), (1.0, 0.5), (t_a, t_b), (4.0, 5.0)], sub)
+        assert str(info.value) == str(want.value)
+
+    @pytest.mark.parametrize("steps", [None, 1.0, [1.0], [(0.0, 1.0, 2.0)],
+                                       [(0.0, 1.0), None]])
+    @pytest.mark.parametrize("sub", [1, 3])
+    def test_steps_must_be_pairs(self, steps, sub):
+        sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
+        with pytest.raises(ValidationError, match="^steps must be a sequence "
+                           r"of \(t_a, t_b\) pairs, got ") as info:
+            substep_propagators(sched, steps, sub)
+        assert type(info.value) is ValidationError
 
     @pytest.mark.parametrize("sub", [0, 2.5, True])
     def test_sub_step_count_is_checked(self, sub):
         sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
         with pytest.raises(ValidationError, match="sub-step count"):
-            substep_propagators(sched, 0.0, 1.0, sub)
+            substep_propagators(sched, [(0.0, 1.0)], sub)
 
 
 class TestEvolveState:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qcontour import (DimensionMismatchError, HamiltonianSchedule,
                       ValidationError, check_unitary, complete_basis, inner,
-                      is_orthonormal, is_projector, projector, propagate,
-                      tensor)
+                      is_hermitian, is_orthonormal, is_projector, projector,
+                      propagate, tensor)
 from qcontour.errors import QContourError, ZeroNormalizationError
 from qcontour.linalg import (DEFAULT_TOL, INPUT_TOL, STATE_MARGIN, as_basis,
                              as_square, as_state, norm, normalize,
@@ -182,6 +182,18 @@ class TestValidationHelpers:
     def test_projector_is_projector(self):
         rng = rng_from_seed(4)
         assert is_projector(projector(random_state(rng, 3)))
+
+    @pytest.mark.parametrize("check", [is_hermitian, is_projector,
+                                       check_unitary])
+    @pytest.mark.parametrize("m", [[1, 2], [1, 0], 1.0, np.zeros((2, 3)),
+                                   np.zeros((1, 2, 2))])
+    def test_matrix_checks_refuse_what_is_not_a_square_matrix(self, check,
+                                                              m):
+        # is_hermitian([1, 2]) was True: a vector transposed as itself
+        with pytest.raises(ValidationError, match="expected a square matrix"
+                           ) as info:
+            check(m)
+        assert type(info.value) is ValidationError
 
     def test_complete_basis(self):
         rng = rng_from_seed(5)

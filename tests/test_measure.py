@@ -286,8 +286,40 @@ def _plain_walk(h, sched, steps):
     return float(abs(amp))
 
 
+def _cut_schedule(sched, fractions):
+    """``sched`` with its span also cut at the given fractions of its
+    length; each piece keeps the generator of the segment it lies in, so
+    the dynamics are the same, but a sub-step across a cut joins two
+    exponentials."""
+    t_min, t_max = sched.t_min, sched.t_max
+    cuts = sorted({t_min + f * (t_max - t_min) for f in fractions}
+                  | {s0 for s0, _, _ in sched.segments} | {t_max})
+    if min(np.diff(cuts)) < 1e-6:
+        return sched
+    return HamiltonianSchedule(
+        [(a, b, next(h for s0, s1, h in sched.segments
+                     if s0 <= (a + b) / 2 <= s1))
+         for a, b in zip(cuts, cuts[1:])])
+
+
 class TestSharedPropagators:
     """The contour walks of one report share propagators bit for bit."""
+
+    @given(FAMILY_SHAPES, st.lists(st.floats(0.01, 0.99), min_size=1,
+                                   max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_walk_over_off_grid_segments_is_the_plain_walk(self, shape,
+                                                             fractions):
+        # segments cut off the grid: sub-steps straddle the cuts, and the
+        # walk's batched pieces are joined
+        seed, dim, n_times, s_t = shape
+        spec, sched = random_family_spec(seed, dim, n_times, s_t)
+        sched = _cut_schedule(sched, fractions)
+        steps = 2 + seed % 7
+        for name, fam in family_variants(spec, seed).items():
+            report = measure_report(fam, sched, steps_per_segment=steps)
+            assert report.contour_weights.tolist() == _plain_walks(
+                fam, sched, steps), name
 
     @given(FAMILY_SHAPES)
     @settings(max_examples=10, deadline=None)
@@ -624,7 +656,8 @@ class TestCountGuards:
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_contour_walk_propagates_independently_of_history_count(
             self, monkeypatch, steps):
-        # every step's propagators, one per sub-step, come from one call
+        # every step's propagators, one per sub-step, come from the walk's
+        # one call and the closed form's one call
         calls = count_calls(monkeypatch, histories, "substep_propagators")
         counts = []
         for s_t in (1, 2):  # H = 27 and H = 9 on one grid and schedule
@@ -632,8 +665,20 @@ class TestCountGuards:
             fam = enumerate_family(spec)
             calls.clear()
             measure_report(fam, sched, steps_per_segment=steps)
-            counts.append(sum(sub for *_, sub in calls))
-        assert counts[0] == counts[1] <= 3 * (4 - 1) * steps
+            assert len(calls) == 2
+            counts.append(sum(len(walk) * sub for _, walk, sub in calls))
+        assert counts[0] == counts[1] == 2 * (4 - 1) * steps + (4 - 1)
+
+    def test_walk_propagators_come_in_bounded_batches(self, monkeypatch):
+        # d = 16 and 8 sub-steps: 2048 entries a step, so a batch of
+        # _PAIR_BLOCK_ENTRIES = 8192 entries holds 4 of the walk's 6 steps
+        calls = count_calls(monkeypatch, histories, "substep_propagators")
+        spec, sched = random_family_spec(45, dim=16, n_times=4, s_t=2)
+        fam = enumerate_family(spec)
+        report = measure_report(fam, sched, steps_per_segment=8)
+        assert [(len(steps), sub) for _, steps, sub in calls] == [
+            (4, 8), (2, 8), (3, 1)]
+        assert report.contour_weights.tolist() == _plain_walks(fam, sched, 8)
 
     @pytest.mark.parametrize("steps", [2.5, True, "2"])
     def test_step_count_must_be_an_integer(self, steps):
@@ -949,7 +994,7 @@ def _schedule_routes():
         **_dimension_routes(),
         "propagate": lambda s: dynamics.propagate(s, 0.0, 1.0),
         "substep_propagators": lambda s: dynamics.substep_propagators(
-            s, 0.0, 1.0, 2),
+            s, [(0.0, 1.0)], 2),
         "evolve_state": lambda s: dynamics.evolve_state(E0, s, 0.0, 1.0),
         "heisenberg_projector": lambda s: dynamics.heisenberg_projector(
             E0, s, 1.0, 0.0),
