@@ -42,11 +42,8 @@ class BipartiteState:
     def from_matrix(cls, matrix) -> "BipartiteState":
         """The state whose coefficient grid is ``matrix``, a 2-d array of
         numbers; ValidationError otherwise."""
-        try:
-            m = np.asarray(matrix, dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            m = None
-        if m is None or m.ndim != 2:
+        m = linalg._as_numbers(matrix, "amplitude matrix")
+        if m.ndim != 2:
             raise ValidationError("amplitude matrix must be a 2-d array of "
                                   f"numbers, got {reprlib.repr(matrix)}")
         return cls(m.shape[0], m.shape[1], m.reshape(-1))

@@ -13,10 +13,10 @@ the orthonormality verdict (``is_orthonormal`` takes the same one).
 ``normalize`` is the one renormalization rule: a column's ``np.sum``
 total, refused when it is 0.0, and the column divided by it.
 ``require_instance`` is the one check of an argument's type, and
-``_as_numbers`` the one reading of an array argument that is used as it
-is given (``inner``, ``projector``, ``tensor`` and the matrix checks):
-what numpy cannot read as numbers, ``None`` and text included, is a
-ValidationError, and a matrix check refuses what is not square and 2-d.
+``_as_numbers`` the one reading of every array argument: what numpy
+cannot read as numbers (``None``, text, a ragged nest, an integer beyond
+64 bits) is a ValidationError, and ``_as_matrix`` refuses what is not
+square and 2-d.
 """
 
 from __future__ import annotations
@@ -60,12 +60,15 @@ def require_tolerance(tol) -> float:
     ValidationError if it is NaN, negative, a bool or not a number.
 
     NaN compares false both ways, so a NaN tolerance would let a
-    ``value > tol`` violation test pass everything.
+    ``value > tol`` violation test pass everything.  An integer beyond the
+    float range reads as an infinity.
     """
     try:
         value = float(tol) if isinstance(tol, str) or is_real(tol) else -1.0
-    except (ValueError, OverflowError):
+    except ValueError:  # text that is not a number
         value = -1.0
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if tol > 0 else -math.inf
     if not value >= 0.0:
         raise ValidationError(
             f"tolerance must be a non-negative number, got {tol!r}")
@@ -135,11 +138,7 @@ def as_state(vec, dim: int | None = None) -> np.ndarray:
     is not within DEFAULT_TOL of 1 (such an entry makes the norm NaN or
     Inf).  Returns a fresh array.
     """
-    try:
-        psi = np.array(vec, dtype=complex).reshape(-1)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("state vector must be an array of numbers, "
-                              f"got {reprlib.repr(vec)}") from None
+    psi = _as_numbers(vec, "state vector").flatten()
     if psi.size < 1:
         raise ValidationError("state vector must have dimension >= 1")
     length = norm(psi)
@@ -179,10 +178,10 @@ def as_basis(vectors, what: str, dim: int | None = None) -> np.ndarray:
                 f"got {reprlib.repr(vectors)}") from None
     n = len(vectors)
     try:
-        # C order: the rows are contiguous states, and the Gram matrix is
-        # the one ``is_orthonormal`` forms
-        stack = np.array(vectors, dtype=complex, order="C")
-    except (TypeError, ValueError, OverflowError):  # ragged or unreadable
+        # a fresh C-ordered copy: the rows are contiguous states, and the
+        # Gram matrix is the one ``is_orthonormal`` forms
+        stack = np.array(_as_numbers(vectors, what), order="C")
+    except ValidationError:  # ragged or unreadable
         stack = None
     else:
         if stack.ndim != 2:  # each vector flattened, as ``as_state`` does
@@ -209,14 +208,9 @@ def as_basis(vectors, what: str, dim: int | None = None) -> np.ndarray:
 
 
 def as_square(mat, dim: int | None = None) -> np.ndarray:
-    """Coerce ``mat`` to a square complex matrix and validate its shape."""
-    try:
-        m = np.asarray(mat, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("expected a square matrix of numbers, "
-                              f"got {reprlib.repr(mat)}") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    """``_as_matrix`` of ``mat`` with finite entries and, if given, size
+    ``dim``, as a fresh array."""
+    m = _as_matrix(mat)
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains NaN or Inf entries")
     if dim is not None:
@@ -225,22 +219,26 @@ def as_square(mat, dim: int | None = None) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def norm(psi) -> float:
-    """L2 norm by ``np.linalg.norm``'s formula, sqrt(re . re + im . im)
-    over the entries in memory order, bit for bit.  A sum of squares beyond
-    the float range gives inf without a numpy warning, so ``as_state``
-    refuses such a state as not normalized."""
-    x = np.asarray(psi, dtype=complex).ravel(order="K")
+def norm(psi: np.ndarray) -> float:
+    """L2 norm of a complex array by ``np.linalg.norm``'s formula,
+    sqrt(re . re + im . im) over the entries in memory order, bit for bit.
+    A sum of squares beyond the float range gives inf without a numpy
+    warning, so ``as_state`` refuses such a state as not normalized."""
+    x = psi.ravel(order="K")
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _as_numbers(value, what: str) -> np.ndarray:
     """``value`` as a complex array; raise ValidationError naming ``what``
     unless it is a number or an array of numbers (numpy reads ``None``,
-    text or a mixed list as an object or text array, never as numbers).
-    An array that is already complex is returned as it is."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "biufc":
+    text, a mixed list or an integer beyond 64 bits as an object or text
+    array, and refuses a ragged one).  The one reading of every array
+    argument; an array that is already complex is returned as it is."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nest
+        array = None
+    if array is None or array.dtype.kind not in "biufc":
         raise ValidationError(f"{what} must be an array of numbers, "
                               f"got {reprlib.repr(value)}")
     return array.astype(complex, copy=False)
@@ -342,8 +340,8 @@ def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:
     different dimensions raise DimensionMismatchError, and what is not a
     sequence of vectors of numbers ValidationError."""
     try:
-        vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    except (TypeError, ValueError, OverflowError):
+        vecs = [_as_numbers(v, "vector").reshape(-1) for v in vectors]
+    except TypeError:  # not a sequence
         raise ValidationError("expected a sequence of vectors of numbers, "
                               f"got {reprlib.repr(vectors)}") from None
     if not vecs:

@@ -113,12 +113,12 @@ def pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def vector_to_json(vec) -> list:
-    return [pair(z) for z in np.asarray(vec, dtype=complex).reshape(-1)]
+def vector_to_json(vec: np.ndarray) -> list:
+    return [pair(z) for z in vec.reshape(-1)]
 
 
-def matrix_to_json(mat) -> list:
-    return [vector_to_json(row) for row in np.asarray(mat, dtype=complex)]
+def matrix_to_json(mat: np.ndarray) -> list:
+    return [vector_to_json(row) for row in mat]
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -8,19 +8,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcontour
-from qcontour import (BipartiteState, FixedPoint, HistoryOperator,
-                      ModelFormatError, OutcomeDistribution, QContourError,
-                      QuantumHistory, ValidationError, chain_probability,
-                      check_envariance, check_unitary, condition_on_final,
-                      decoherence_functional, histories_equal, history_inner,
-                      history_operator, inner, is_hermitian, is_projector,
-                      load_model, model_to_dict, monte_carlo_sample,
-                      projector, record_state, save_model, schmidt_decompose,
-                      segment_amplitude, tensor)
+from qcontour import (BipartiteState, FamilySpec, FixedPoint,
+                      HamiltonianSchedule, HistoryOperator, ModelFormatError,
+                      OutcomeDistribution, QContourError, QuantumHistory,
+                      ValidationError, born_probability, chain_probability,
+                      check_envariance, check_unitary, complete_basis,
+                      condition_on_final, decoherence_functional,
+                      decoherence_report, enumerate_family, evolve_state,
+                      heisenberg_projector, histories_equal, history_inner,
+                      history_operator, inner, is_hermitian, is_orthonormal,
+                      is_projector, load_model, model_to_dict,
+                      monte_carlo_sample, projector, record_state, save_model,
+                      schmidt_decompose, segment_amplitude, sequential_chain,
+                      tensor)
 from qcontour.sampling import random_model, rng_from_seed
-from toys import E0, E1, PLUS, zero_schedule
+from toys import E0, E1, PLUS, computational_basis, zero_schedule
 
 #: public callables the sweep does not call with None, and why
 EXCLUDED = {
@@ -125,7 +131,7 @@ def test_one_bad_argument_is_a_validation_error(call):
     assert type(info.value) is ValidationError
 
 
-@pytest.mark.parametrize("bad", [None, "ab", [1, None]])
+@pytest.mark.parametrize("bad", [None, "ab", [1, None], [[1, 0], [0]]])
 @pytest.mark.parametrize("call", [
     lambda bad: inner(bad, bad),
     lambda bad: inner(E0, bad),
@@ -138,9 +144,88 @@ def test_one_bad_argument_is_a_validation_error(call):
 ])
 def test_linalg_refuses_what_is_not_numbers(call, bad):
     # None was read as a NaN array (a NaN value, or False from the
-    # checks), and text leaked numpy's bare ValueError
+    # checks), and text and a ragged nest leaked numpy's bare ValueError
     with pytest.raises(ValidationError, match="array of numbers") as info:
         call(bad)
+    assert type(info.value) is ValidationError
+
+
+_NUMBER = st.integers(-9, 9) | st.floats() | st.complex_numbers()
+_TEXT = st.text() | _NUMBER.map(str)
+
+
+def _with_one(entries, odd):
+    """Lists of ``entries`` with one ``odd`` entry inserted."""
+    return st.tuples(st.lists(entries, max_size=4), odd,
+                     st.integers(0, 4)).map(
+        lambda t: [*t[0][:t[2]], t[1], *t[0][t[2]:]])
+
+
+#: what numpy cannot read as an array of numbers: None, text, lists mixing
+#: numbers with None or text, ragged nests, and integers beyond 64 bits
+NOT_NUMBERS = st.one_of(
+    st.none(),
+    _TEXT,
+    _with_one(_NUMBER, st.none() | _TEXT),
+    st.lists(st.lists(_NUMBER, max_size=3), min_size=2, max_size=3).filter(
+        lambda rows: len(set(map(len, rows))) > 1),
+    _with_one(st.integers(-9, 9),
+              st.integers(min_value=2 ** 64) | st.integers(
+                  max_value=-2 ** 63 - 1)),
+)
+
+_BASIS = computational_basis(2)
+_FAMILY = enumerate_family(FamilySpec(times=(0.0, 1.0),
+                                      bases=(_BASIS, _BASIS)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: inner(bad, E0),
+    lambda bad: inner(E0, bad),
+    lambda bad: projector(bad),
+    lambda bad: tensor(bad, E0),
+    lambda bad: tensor(E0, bad),
+    lambda bad: is_hermitian(bad),
+    lambda bad: is_projector(bad),
+    lambda bad: check_unitary(bad),
+    lambda bad: is_orthonormal([E0, bad]),
+    lambda bad: complete_basis(bad),
+    lambda bad: FixedPoint(0.0, bad),
+    lambda bad: HamiltonianSchedule([(0.0, 1.0, bad)]),
+    lambda bad: FamilySpec(times=(0.0, 1.0), bases=(_BASIS, [E0, bad])),
+    lambda bad: sequential_chain(bad, [_BASIS], [1.0], _SCHED, 0.0),
+    lambda bad: sequential_chain(E0, [[E0, bad]], [1.0], _SCHED, 0.0),
+    lambda bad: born_probability(bad, 0.0, E0, 1.0, _SCHED),
+    lambda bad: born_probability(E0, 0.0, bad, 1.0, _SCHED),
+    lambda bad: evolve_state(bad, _SCHED, 0.0, 1.0),
+    lambda bad: heisenberg_projector(bad, _SCHED, 1.0, 0.0),
+    lambda bad: chain_probability((_FP0, _FP1), _SCHED, bad),
+    lambda bad: HistoryOperator([bad]),
+    lambda bad: record_state(_CHAIN, bad),
+    lambda bad: decoherence_functional(_CHAIN, _CHAIN, bad),
+    lambda bad: decoherence_report(_FAMILY, _SCHED, bad),
+    lambda bad: BipartiteState(2, 2, bad),
+    lambda bad: BipartiteState.from_matrix(bad),
+    lambda bad: check_envariance(_PSI, bad),
+])
+@given(bad=NOT_NUMBERS)
+@example(bad=[[1, 0], [0]])
+@example(bad=[1, None])
+@example(bad=[0, 2 ** 64])
+# text that each entry point would accept if it read text as numbers
+@example(bad=["0", "1"])
+@example(bad=[["1", "0"], ["0", "0"]])
+@example(bad=[["0", "1"], ["1", "0"]])
+@example(bad=["0.5", "0.5", "0.5", "0.5"])
+@settings(max_examples=40, deadline=None)
+def test_every_array_argument_refuses_what_is_not_numbers(call, bad):
+    # text read as numbers in FixedPoint, HamiltonianSchedule, FamilySpec,
+    # BipartiteState, check_envariance and is_orthonormal; None was "NaN or
+    # Inf" or a False verdict; a ragged nest leaked numpy's ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            call(bad)
     assert type(info.value) is ValidationError
 
 

@@ -399,6 +399,15 @@ class TestRequireTolerance:
         assert require_tolerance(np.float32(0.5)) == 0.5
         assert require_tolerance(np.int64(0)) == 0.0
 
+    def test_an_integer_beyond_the_float_range_is_an_infinity(self):
+        # 10**400 was refused as "not a non-negative number", though
+        # math.inf passes
+        assert require_tolerance(10 ** 400) == math.inf
+        with pytest.raises(ValidationError,
+                           match=r"^tolerance must be a non-negative number, "
+                                 r"got -1000"):
+            require_tolerance(-10 ** 400)
+
 
 class TestRequireDim:
     def test_returns_the_shared_dimension(self):

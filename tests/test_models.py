@@ -286,7 +286,7 @@ _FUTURE = (FixedPoint(1.0, E0),)
     (lambda: is_orthonormal(None),
      "^expected a sequence of vectors of numbers, got None"),
     (lambda: is_orthonormal([[1, 0], [0, "a"]]),
-     "^expected a sequence of vectors of numbers"),
+     r"^vector must be an array of numbers, got \[0, 'a'\]$"),
     (lambda: enumerate_family(None),
      "^recipe must be a FamilySpec, got NoneType$"),
     (lambda: transfer_chain(None, zero_schedule(2)),

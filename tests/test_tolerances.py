@@ -1,7 +1,9 @@
 """The tolerance table in ``linalg`` is the one place a threshold is
 written, ``linalg.require_dim`` the one place a dimension mismatch is
-raised, ``linalg.normalize`` the one place a zero normalization is, and
-``linalg.require_instance`` the one place an argument is refused by type."""
+raised, ``linalg.normalize`` the one place a zero normalization is,
+``linalg.require_instance`` the one place an argument is refused by type,
+and ``linalg._as_numbers`` the one place an argument is read as complex
+numbers."""
 
 import ast
 import io
@@ -67,9 +69,14 @@ def test_orthonormality_tolerance_only_inside_linalg():
     assert offenders == []
 
 
-def _constructed_outside(error: str, rule: str):
-    """(file, line) of each call constructing ``error`` anywhere but in
-    the body of ``linalg.<rule>``."""
+def _name(node):
+    """The name a ``Name`` or ``Attribute`` node ends in, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _calls_outside(rule: str, matches):
+    """(file, line) of each call that ``matches`` anywhere but in the body
+    of ``linalg.<rule>``."""
     offenders = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -78,12 +85,16 @@ def _constructed_outside(error: str, rule: str):
                  and path.name == "linalg.py" and node.name == rule]
         inside = {id(node) for r in rules for node in ast.walk(r)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and getattr(node.func, "id",
-                                getattr(node.func, "attr", None)) == error
+            if (isinstance(node, ast.Call) and matches(node)
                     and id(node) not in inside):
                 offenders.append((path.name, node.lineno))
     return offenders
+
+
+def _constructed_outside(error: str, rule: str):
+    """(file, line) of each call constructing ``error`` anywhere but in
+    the body of ``linalg.<rule>``."""
+    return _calls_outside(rule, lambda call: _name(call.func) == error)
 
 
 def test_dimension_mismatch_raised_only_by_the_rule():
@@ -149,3 +160,33 @@ def test_type_checked_only_by_the_rule():
     "unknown decomposition mode ..."."""
     assert _type_refusals_outside("require_instance") == [
         ("measure.py", "decompose_total_measure")]
+
+
+def _is_literal(node) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _reads_as_complex(call) -> bool:
+    """True iff ``call`` converts to a complex dtype: an ``.astype`` call,
+    or a numpy array constructor on a non-literal argument."""
+    name = _name(call.func)
+    if name == "astype":
+        dtypes = call.args[:1]
+    elif (name in ("array", "asarray", "asanyarray", "ascontiguousarray")
+          and call.args and not _is_literal(call.args[0])):
+        dtypes = call.args[1:2]
+    else:
+        return False
+    dtypes += [kw.value for kw in call.keywords if kw.arg == "dtype"]
+    return any(str(_name(d) or getattr(d, "value", "")).startswith("complex")
+               for d in dtypes)
+
+
+def test_arrays_read_only_by_the_rule():
+    """Every array argument is read by ``linalg._as_numbers``: no other
+    code converts a value it was given to a complex array."""
+    assert _calls_outside("_as_numbers", _reads_as_complex) == []
