@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import TIME_EPS, is_real, require_count
+from .linalg import MAX_ENUMERATION, TIME_EPS, is_real, require_count
 
 
 def same_time(a: float, b: float) -> bool:
@@ -86,8 +86,9 @@ def contour_path(n_times: int) -> list[tuple[int, int]]:
     First the forward steps (0, 1), ..., (N_t - 2, N_t - 1), then the
     backward steps (N_t - 1, N_t - 2), ..., (1, 0).  A step is forward
     exactly when k < l.  The path is its own time reversal: reversing
-    the list and swapping each pair gives it back.
+    the list and swapping each pair gives it back.  ``n_times`` is a count
+    from 2 to ``MAX_ENUMERATION``, checked before the list is built.
     """
-    n = require_count(n_times, "grid times", 2)
+    n = require_count(n_times, "grid times", 2, MAX_ENUMERATION)
     forward = [(k, k + 1) for k in range(n - 1)]
     return forward + [(l, k) for k, l in reversed(forward)]

@@ -6,8 +6,12 @@ exact for unitary dynamics.  Per-segment eigendecompositions are cached on
 the schedule as (w, V, V^H), so a propagator costs only small matrix
 products: one exponential per segment the interval crosses, and one
 product joining each exponential after the first, which starts the
-product (no identity factor).  Steps cut into equal sub-steps get all
-their propagators from one ``substep_propagators`` call: a contour walk
+product (no identity factor).  Each forward product is formed once per
+schedule: ``propagate`` holds it, read-only and keyed by the checked
+interval, while the schedule's held entries fit ``MEMO_ENTRIES``, so the
+closed form, the chains, ``born_probability`` and the bundle
+decompositions share one U(t_a, t_b).  Steps cut into equal sub-steps get
+all their propagators from one ``substep_propagators`` call: a contour walk
 hands it its steps together, in batches its caller sizes.  Each step's
 ends are checked as ``propagate`` checks them, the sub-steps' segment
 pieces of all the steps are found by array comparisons, and each
@@ -18,6 +22,7 @@ every propagator ``propagate``'s over the same sub-interval bit for bit.
 from __future__ import annotations
 
 import reprlib
+import threading
 
 import numpy as np
 
@@ -25,14 +30,23 @@ from . import linalg
 from .contour import require_increasing, require_time, same_time, same_times
 from .errors import ValidationError
 
+#: complex entries a schedule's propagator memo holds at most (1 MiB); once
+#: full it stores no more products, and a product larger is never held
+MEMO_ENTRIES = 2 ** 16
+#: makes each memo's budget check and store one step for threads that share
+#: a schedule (a lock on the schedule itself would stop it from pickling)
+_MEMO_LOCK = threading.Lock()
+
 
 class HamiltonianSchedule:
     """Piecewise-constant Hermitian generator over a contiguous time span.
 
     ``segments`` is a sequence of ``(t_start, t_end, H)`` triples that must
     be contiguous, non-overlapping and share one dimension.  Instances are
-    immutable after construction apart from an internal eigendecomposition
-    cache, so they are safe to share.
+    immutable after construction apart from two internal caches, the
+    per-segment eigendecompositions and the forward propagators
+    ``propagate`` has formed (read-only, at most ``MEMO_ENTRIES`` entries),
+    so they are safe to share.
     """
 
     def __init__(self, segments):
@@ -61,6 +75,7 @@ class HamiltonianSchedule:
         self._dim = dim
         self._eigs: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
         self._eigs = [None] * len(parsed)
+        self._memo: dict[tuple[float, float], np.ndarray] = {}
 
     @classmethod
     def constant(cls, h, t_start: float, t_end: float) -> "HamiltonianSchedule":
@@ -103,6 +118,26 @@ class HamiltonianSchedule:
         w, v, v_dag = cached
         return (v * np.exp(-1j * dt * w)) @ v_dag
 
+    def _forward(self, t_lo: float, t_hi: float) -> np.ndarray | None:
+        """Form the chronological product U(t_lo, t_hi), latest segment
+        leftmost, of two checked times, and hold it read-only in the memo
+        while the held entries stay within ``MEMO_ENTRIES``; None when no
+        segment piece is longer than TIME_EPS."""
+        if same_time(t_lo, t_hi):
+            return None
+        u = None
+        for index, (s0, s1, _) in enumerate(self._segments):
+            lo, hi = max(t_lo, s0), min(t_hi, s1)
+            if hi > lo and not same_time(hi, lo):
+                factor = self._segment_exp(index, hi - lo)
+                u = factor if u is None else factor @ u
+        if u is not None:
+            with _MEMO_LOCK:
+                if (len(self._memo) + 1) * u.size <= MEMO_ENTRIES:
+                    u.setflags(write=False)
+                    self._memo[t_lo, t_hi] = u
+        return u
+
 
 def require_schedule(sched) -> HamiltonianSchedule:
     """Return ``sched``; raise ValidationError unless it is a
@@ -130,20 +165,21 @@ def propagate(sched: HamiltonianSchedule, t_a: float, t_b: float) -> np.ndarray:
     For t_b >= t_a this is the chronologically ordered product of the
     per-segment exponentials, latest segment leftmost.  For t_b < t_a it is
     the adjoint of the forward propagator, realizing anti-chronological
-    ordering on the backward branch.
+    ordering on the backward branch.  The times are checked on every call;
+    the forward product is the schedule's memo entry for the interval,
+    formed by ``_forward`` on a miss, and the caller gets its own array: a
+    C-ordered copy forward, the ``.conj().T`` view of a fresh conjugate
+    backward, and a fresh identity over an interval with no piece longer
+    than TIME_EPS.
     """
     t_a, t_b = _span_times(sched, t_a, t_b)
     t_lo, t_hi = sorted((t_a, t_b))
-    u = None
-    if not same_time(t_lo, t_hi):
-        for index, (s0, s1, _) in enumerate(sched.segments):
-            lo, hi = max(t_lo, s0), min(t_hi, s1)
-            if hi > lo and not same_time(hi, lo):
-                factor = sched._segment_exp(index, hi - lo)
-                u = factor if u is None else factor @ u
-    if u is None:  # no segment piece longer than TIME_EPS
-        return np.eye(sched.dim, dtype=complex)
-    return u.conj().T if t_b < t_a else u
+    u = sched._memo.get((t_lo, t_hi))
+    if u is None:
+        u = sched._forward(t_lo, t_hi)
+        if u is None:  # no segment piece longer than TIME_EPS
+            return np.eye(sched.dim, dtype=complex)
+    return u.conj().T if t_b < t_a else u.copy()
 
 
 def substep_propagators(sched: HamiltonianSchedule, steps,
@@ -163,9 +199,12 @@ def substep_propagators(sched: HamiltonianSchedule, steps,
     view (a C-ordered copy would round its products differently).  One
     sub-step is ``propagate`` itself, step by step.  The caller bounds the
     memory by the number of steps it passes.  ``steps`` that are not
-    (t_a, t_b) pairs are a ValidationError.
+    (t_a, t_b) pairs, and a ``sub`` that is not a count from 1 to
+    ``linalg.MAX_ENUMERATION`` (checked before any tick is formed), are a
+    ValidationError.
     """
-    sub = linalg.require_count(sub, "sub-step count", 1)
+    sub = linalg.require_count(sub, "sub-step count", 1,
+                               linalg.MAX_ENUMERATION)
     require_schedule(sched)
     try:
         steps = [(t_a, t_b) for t_a, t_b in steps]

@@ -32,8 +32,9 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        linalg.require_count(self.dim_a, "dim_a", 1)
-        linalg.require_count(self.dim_b, "dim_b", 1)
+        for name in ("dim_a", "dim_b"):
+            object.__setattr__(self, name, linalg.require_count(
+                getattr(self, name), name, 1))
         amps = linalg.as_state(self.amplitudes, self.dim_a * self.dim_b)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

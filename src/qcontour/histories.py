@@ -50,8 +50,6 @@ from .dynamics import (HamiltonianSchedule, heisenberg_projector,
                        require_schedule, substep_propagators)
 from .errors import EnumerationGuardError, ValidationError
 
-#: refuse exhaustive enumerations beyond this many histories
-MAX_ENUMERATION = 10 ** 6
 #: entries per row block of a pairwise family check (64 KB of float64),
 #: per block of a hand-built family's step rows, gathered per member, and
 #: per batch of a walk's sub-step propagators (``_steps``)
@@ -773,7 +771,7 @@ class FamilySpec:
 
 
 def enumerate_family(spec: FamilySpec,
-                     guard: int = MAX_ENUMERATION) -> HistoryFamily:
+                     guard: int = linalg.MAX_ENUMERATION) -> HistoryFamily:
     """All histories consistent with the recipe's fixed-point constraints.
 
     The family shares the recipe's slot table, ``spec.slots``: free slots

@@ -16,7 +16,8 @@ total, refused when it is 0.0, and the column divided by it.
 ``_as_numbers`` the one reading of every array argument: what numpy
 cannot read as numbers (``None``, text, a ragged nest, an integer beyond
 64 bits) is a ValidationError, and ``_as_matrix`` refuses what is not
-square and 2-d.
+square and 2-d.  Every ``tol`` argument is read by ``require_tolerance``,
+and every count by ``require_count``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ ROUNDING_TOL = 1e-12
 TIME_EPS = 1e-12
 #: Schmidt coefficients at or below this count as zero (no support)
 SUPPORT_TOL = 1e-12
+#: the most histories an enumeration builds by default, and the most
+#: sub-steps of a contour step and grid times of a contour path (the
+#: ``require_count`` ceiling of both)
+MAX_ENUMERATION = 10 ** 6
 #: a stacked state whose squared norm is this close to 1 passes without
 #: ``as_state``: inside DEFAULT_TOL by far more than any norm formula's
 #: rounding, so no verdict can differ from ``as_state``'s
@@ -108,13 +113,17 @@ def require_integer(value, what: str) -> int:
     return int(value)
 
 
-def require_count(value, what: str, least: int) -> int:
+def require_count(value, what: str, least: int,
+                  most: int | None = None) -> int:
     """Return ``value`` as an int: an integer ``require_integer`` accepts,
-    of at least ``least``; otherwise raise ValidationError naming ``what``."""
+    of at least ``least`` and, if given, at most ``most``; otherwise raise
+    ValidationError naming ``what``."""
     value = require_integer(value, what)
     if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValidationError(f"{what} must be {bound}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{what} must be at most {most}, got {value}")
     return value
 
 
@@ -295,6 +304,9 @@ def hermitian_defect(m) -> float:
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the max-abs entry of M - M^dag is at most ``tol``, a
+    tolerance ``require_tolerance`` accepts."""
+    tol = require_tolerance(tol)
     return hermitian_defect(m) <= tol
 
 
@@ -317,12 +329,16 @@ def unitary_defect(m) -> float:
 
 
 def check_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    """True iff the max-abs entry of M^dag M - I is at most ``tol``."""
+    """True iff the max-abs entry of M^dag M - I is at most ``tol``, a
+    tolerance ``require_tolerance`` accepts."""
+    tol = require_tolerance(tol)
     return unitary_defect(m) <= tol
 
 
 def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff M is idempotent and Hermitian within ``tol``."""
+    """True iff M is idempotent and Hermitian within ``tol``, a tolerance
+    ``require_tolerance`` accepts."""
+    tol = require_tolerance(tol)
     m = _as_matrix(m)
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
 
@@ -336,9 +352,11 @@ def _gram_defect(stack: np.ndarray) -> np.ndarray:
 
 def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:
     """True iff the given vectors form an orthonormal set (the empty set
-    does): no entry of their Gram defect above ``tol``.  Vectors of
-    different dimensions raise DimensionMismatchError, and what is not a
-    sequence of vectors of numbers ValidationError."""
+    does): no entry of their Gram defect above ``tol``, a tolerance
+    ``require_tolerance`` accepts.  Vectors of different dimensions raise
+    DimensionMismatchError, and what is not a sequence of vectors of
+    numbers, or a bad ``tol``, ValidationError."""
+    tol = require_tolerance(tol)
     try:
         vecs = [_as_numbers(v, "vector").reshape(-1) for v in vectors]
     except TypeError:  # not a sequence

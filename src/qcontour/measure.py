@@ -84,8 +84,8 @@ def _contour_weights(fam: HistoryFamily, sched: HamiltonianSchedule,
     """Contour-walk weights, in order: the steps of ``contour_path``, the
     grid's segments forward, then the same segments backward from the
     last time, each carried through ``steps_per_segment`` sub-steps."""
-    steps_per_segment = linalg.require_count(steps_per_segment,
-                                             "steps_per_segment", 1)
+    steps_per_segment = linalg.require_count(
+        steps_per_segment, "steps_per_segment", 1, linalg.MAX_ENUMERATION)
     pairs = contour_path(len(fam.slots))
     return np.hypot(*_products(fam, _steps(fam, sched, pairs,
                                            steps_per_segment)))
@@ -110,7 +110,8 @@ def delta_psi_line_integral(h: QuantumHistory, sched: HamiltonianSchedule,
     The walk covers the forward branch chronologically and the backward
     branch anti-chronologically; because every amplitude appears once per
     branch, once conjugated, the accumulated product is real and equals the
-    closed-form weight.
+    closed-form weight.  ``steps_per_segment`` is a count from 1 to
+    ``linalg.MAX_ENUMERATION``, checked before any propagator is formed.
     """
     return float(_contour_weights(HistoryFamily((h,)), sched,
                                   steps_per_segment)[0])

@@ -305,12 +305,7 @@ def require_sample_count(n) -> int:
     """Return ``n`` as an int: a count ``linalg.require_count`` accepts,
     at least 1 and at most 2**63 - 1, the largest count numpy draws;
     otherwise raise ValidationError."""
-    n = linalg.require_count(n, "sample count", 1)
-    largest = np.iinfo(np.int64).max
-    if n > largest:
-        raise ValidationError(
-            f"sample count must be at most {largest}, got {n}")
-    return n
+    return linalg.require_count(n, "sample count", 1, np.iinfo(np.int64).max)
 
 
 def monte_carlo_sample(dist: OutcomeDistribution, n: int,

@@ -526,6 +526,19 @@ class TestVerifyInputs:
             "error: steps_per_segment must be at least 1, got 0\n")
         assert weighed == []
 
+    @pytest.mark.parametrize("steps", [10 ** 6 + 1, 2 ** 62])
+    @pytest.mark.parametrize("argv", [["measure", "MODEL"],
+                                      ["verify", "MODEL"], ["verify"]])
+    def test_steps_above_the_ceiling_refused_before_any_weighing(
+            self, tmp_path, capsys, monkeypatch, argv, steps):
+        # 2**62 exited 1 with numpy's "array is too big" traceback
+        weighed = count_calls(monkeypatch, measure, "_products")
+        argv = [born_model(tmp_path) if a == "MODEL" else a for a in argv]
+        assert main([*argv, "--steps-per-segment", str(steps)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: steps_per_segment must be at most 1000000, got {steps}\n")
+        assert weighed == []
+
     @pytest.mark.parametrize("command", ["measure", "verify"])
     def test_zero_steps_at_the_guard_build_no_member_array(
             self, tmp_path, capsys, command):

@@ -34,6 +34,14 @@ def test_contour_path_takes_an_integer_count_of_at_least_two(n_times):
         contour_path(n_times)
 
 
+@pytest.mark.parametrize("n_times", [10 ** 6 + 1, 2 ** 62])
+def test_contour_path_refuses_a_grid_beyond_the_ceiling(n_times):
+    # 2**62 began to build a list of 2**63 - 2 steps
+    with pytest.raises(ValidationError, match="^grid times must be at most "
+                                              f"1000000, got {n_times}$"):
+        contour_path(n_times)
+
+
 class TestTimeMatching:
     def test_absolute_near_zero(self):
         assert same_time(0.0, TIME_EPS)

@@ -3,6 +3,7 @@ raises a ``QContourError``, with numpy warnings as errors.  The CLI half
 is ``test_cli.py::TestContract``."""
 
 import inspect
+import math
 import re
 import warnings
 
@@ -14,19 +15,22 @@ from hypothesis import strategies as st
 import qcontour
 from qcontour import (BipartiteState, FamilySpec, FixedPoint,
                       HamiltonianSchedule, HistoryOperator, ModelFormatError,
-                      OutcomeDistribution, QContourError, QuantumHistory,
-                      ValidationError, born_probability, chain_probability,
-                      check_envariance, check_unitary, complete_basis,
-                      condition_on_final, decoherence_functional,
-                      decoherence_report, enumerate_family, evolve_state,
+                      ModelSpec, OutcomeDistribution, QContourError,
+                      QuantumHistory, ValidationError, born_probability,
+                      chain_probability, check_envariance, check_unitary,
+                      complete_basis, condition_on_final, contour_path,
+                      decoherence_functional, decoherence_report,
+                      delta_psi_line_integral, enumerate_family, evolve_state,
                       heisenberg_projector, histories_equal, history_inner,
                       history_operator, inner, is_hermitian, is_orthonormal,
-                      is_projector, load_model, model_to_dict,
-                      monte_carlo_sample, projector, record_state, save_model,
-                      schmidt_decompose, segment_amplitude, sequential_chain,
-                      tensor)
+                      is_projector, load_model, measure_report, model_to_dict,
+                      monte_carlo_sample, projector, propagate, record_state,
+                      save_model, schmidt_decompose, segment_amplitude,
+                      sequential_chain, tensor, validate_family)
+from qcontour.dynamics import substep_propagators
+from qcontour.linalg import MAX_ENUMERATION
 from qcontour.sampling import random_model, rng_from_seed
-from toys import E0, E1, PLUS, computational_basis, zero_schedule
+from toys import E0, E1, PLUS, SX, computational_basis, zero_schedule
 
 #: public callables the sweep does not call with None, and why
 EXCLUDED = {
@@ -271,3 +275,200 @@ def test_a_state_of_another_kind_is_refused():
                        match="^bipartite state must be a BipartiteState, "
                              "got ndarray$"):
         schmidt_decompose(np.array([E0, E1]))
+
+
+#: what no entry point may read as a real number: None, bools, text,
+#: bytes, lists, complex numbers and numpy scalars of those kinds
+_NOT_REAL = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.binary(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2), st.complex_numbers(),
+    st.sampled_from([np.bool_(True), np.complex128(1j), np.str_("1")]))
+#: integers beyond the float and the 64-bit range, and numpy integers
+#: whose products overflow
+_HUGE = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64, np.int64(2 ** 62),
+                         np.uint64(2 ** 64 - 1), np.int64(-2 ** 63)])
+#: times: anything real is a verdict (in the span or not)
+BAD_TIMES = _NOT_REAL | st.floats() | st.integers() | _HUGE
+#: counts: never one the sub-step ceiling admits (1 to MAX_ENUMERATION),
+#: so no count here forms its ticks
+BAD_COUNTS = (_NOT_REAL | st.floats() | st.integers(max_value=0)
+              | st.integers(min_value=MAX_ENUMERATION + 1) | _HUGE
+              | st.sampled_from([np.int8(-1), np.int64(MAX_ENUMERATION + 1)]))
+#: tolerances, numbers written as text among them
+BAD_TOLERANCES = (_NOT_REAL | st.floats() | st.floats().map(str)
+                  | st.integers() | _HUGE)
+#: outcome indices
+BAD_INDICES = _NOT_REAL | st.floats() | st.integers() | _HUGE
+
+_SPEC = FamilySpec(times=(0.0, 1.0), bases=(_BASIS, _BASIS),
+                   constraints=(_FP0,))
+
+#: per kind of scalar argument, every public entry point that takes one,
+#: by (name, parameter), with a call that passes the value there
+SCALAR_CALLS = {
+    "time": {
+        ("FixedPoint", "time"): lambda t: FixedPoint(t, E0),
+        ("FamilySpec", "times"): lambda t: FamilySpec(
+            times=(0.0, t), bases=(_BASIS, _BASIS)),
+        ("ModelSpec", "times"): lambda t: ModelSpec(
+            times=(0.0, t), bases=(_BASIS, _BASIS), schedule=_SCHED),
+        ("HamiltonianSchedule", "segments"): lambda t: HamiltonianSchedule(
+            [(0.0, t, SX)]),
+        ("HamiltonianSchedule.constant", "t_start"):
+            lambda t: HamiltonianSchedule.constant(SX, t, 1.0),
+        ("born_probability", "t1"): lambda t: born_probability(
+            E0, t, PLUS, 1.0, _SCHED),
+        ("born_probability", "t2"): lambda t: born_probability(
+            E0, 0.0, PLUS, t, _SCHED),
+        ("evolve_state", "t_a"): lambda t: evolve_state(E0, _SCHED, t, 1.0),
+        ("evolve_state", "t_b"): lambda t: evolve_state(E0, _SCHED, 0.0, t),
+        ("heisenberg_projector", "t_k"): lambda t: heisenberg_projector(
+            E0, _SCHED, t, 0.0),
+        ("heisenberg_projector", "t_0"): lambda t: heisenberg_projector(
+            E0, _SCHED, 1.0, t),
+        ("history_operator", "t_0"): lambda t: history_operator(
+            (_FP0, _FP1), _SCHED, t),
+        ("propagate", "t_a"): lambda t: propagate(_SCHED, t, 1.0),
+        ("propagate", "t_b"): lambda t: propagate(_SCHED, 0.0, t),
+        ("sequential_chain", "times"): lambda t: sequential_chain(
+            E0, [_BASIS], [t], _SCHED, 0.0),
+        ("sequential_chain", "t_prep"): lambda t: sequential_chain(
+            E0, [_BASIS], [1.0], _SCHED, t),
+        ("substep_propagators", "steps"): lambda t: substep_propagators(
+            _SCHED, [(0.0, t)], 2),
+    },
+    "count": {
+        ("BipartiteState", "dim_a"): lambda n: BipartiteState(
+            n, 2, [1, 0, 0, 0]),
+        ("BipartiteState", "dim_b"): lambda n: BipartiteState(
+            2, n, [1, 0, 0, 0]),
+        ("contour_path", "n_times"): lambda n: contour_path(n),
+        ("delta_psi_line_integral", "steps_per_segment"):
+            lambda n: delta_psi_line_integral(_HISTORY, _SCHED, n),
+        ("enumerate_family", "guard"): lambda n: enumerate_family(_SPEC, n),
+        ("measure_report", "steps_per_segment"): lambda n: measure_report(
+            _FAMILY, _SCHED, steps_per_segment=n),
+        ("monte_carlo_sample", "n"): lambda n: monte_carlo_sample(
+            _DIST, n, 0),
+        ("monte_carlo_sample", "seed"): lambda n: monte_carlo_sample(
+            _DIST, 10, n),
+        ("substep_propagators", "sub"): lambda n: substep_propagators(
+            _SCHED, [(0.0, 1.0)], n),
+    },
+    "tolerance": {
+        ("check_envariance", "tol"): lambda tol: check_envariance(
+            _PSI, np.eye(2), tol),
+        ("check_unitary", "tol"): lambda tol: check_unitary(np.eye(2), tol),
+        ("decoherence_report", "tol"): lambda tol: decoherence_report(
+            _FAMILY, _SCHED, E0, tol),
+        ("histories_equal", "tol"): lambda tol: histories_equal(
+            _HISTORY, _HISTORY, tol),
+        ("is_hermitian", "tol"): lambda tol: is_hermitian(np.eye(2), tol),
+        ("is_orthonormal", "tol"): lambda tol: is_orthonormal([E0, E1], tol),
+        ("is_projector", "tol"): lambda tol: is_projector(np.eye(2), tol),
+        ("validate_family", "tol"): lambda tol: validate_family(_FAMILY, tol),
+    },
+    "index": {
+        ("condition_on_final", "final_index"): lambda i: condition_on_final(
+            _DIST, i),
+    },
+}
+
+#: parameter names that take a time, a count, a tolerance or an index
+SCALAR_PARAMETERS = {
+    "time": {"time", "times", "t1", "t2", "t_a", "t_b", "t_k", "t_0",
+             "t_prep", "t_start", "t_end"},
+    "count": {"n_times", "guard", "n", "seed", "steps_per_segment", "dim_a",
+              "dim_b", "sub"},
+    "tolerance": {"tol"},
+    "index": {"final_index"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_PARAMETERS))
+def test_the_scalar_sweep_covers_every_public_entry_point(kind):
+    named = {(name, param) for name in _public_callables()
+             for param in inspect.signature(getattr(qcontour, name)).parameters
+             if param in SCALAR_PARAMETERS[kind]}
+    assert named <= set(SCALAR_CALLS[kind])
+
+
+def _verdict(call, bad):
+    """``call(bad)``, with warnings as errors: a value or a QContourError;
+    any other exception fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(bad)
+        except QContourError:
+            pass
+
+
+# each sweep stops at the first leak: a count refused by no ceiling would
+# otherwise go on to form its ticks
+_SWEEP = settings(max_examples=30, deadline=None, report_multiple_bugs=False)
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS["time"].values(),
+                         ids=[f"{n}-{p}" for n, p in SCALAR_CALLS["time"]])
+@given(bad=BAD_TIMES)
+@example(bad=None)
+@example(bad=float("nan"))
+@example(bad=10 ** 400)
+@example(bad="0")
+@_SWEEP
+def test_every_time_argument_is_a_value_or_a_verdict(call, bad):
+    _verdict(call, bad)
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS["count"].values(),
+                         ids=[f"{n}-{p}" for n, p in SCALAR_CALLS["count"]])
+@given(bad=BAD_COUNTS)
+# 2**62 sub-steps leaked numpy's ValueError, and 2**62 as a numpy
+# dimension an overflow warning and a dimension of -2**63
+@example(bad=2 ** 62)
+@example(bad=np.int64(2 ** 62))
+@example(bad=MAX_ENUMERATION + 1)
+@example(bad=None)
+@_SWEEP
+def test_every_count_argument_is_a_value_or_a_verdict(call, bad):
+    _verdict(call, bad)
+
+
+@pytest.mark.parametrize(
+    "call", SCALAR_CALLS["tolerance"].values(),
+    ids=[f"{n}-{p}" for n, p in SCALAR_CALLS["tolerance"]])
+@given(bad=BAD_TOLERANCES)
+# the linalg predicates leaked TypeError on None, text, bytes and lists,
+# OverflowError on 10**400, and read NaN or a negative tol as False
+@example(bad=None)
+@example(bad="a")
+@example(bad=b"1")
+@example(bad=[1e-3])
+@example(bad=10 ** 400)
+@example(bad=float("nan"))
+@example(bad=-1.0)
+@_SWEEP
+def test_every_tolerance_argument_is_a_value_or_a_verdict(call, bad):
+    _verdict(call, bad)
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS["index"].values(),
+                         ids=[f"{n}-{p}" for n, p in SCALAR_CALLS["index"]])
+@given(bad=BAD_INDICES)
+@example(bad=10 ** 400)
+@example(bad=np.uint64(2 ** 64 - 1))
+@example(bad=None)
+@_SWEEP
+def test_every_index_argument_is_a_value_or_a_verdict(call, bad):
+    _verdict(call, bad)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1, np.float64("nan")])
+@pytest.mark.parametrize("call", SCALAR_CALLS["tolerance"].values(),
+                         ids=[n for n, _ in SCALAR_CALLS["tolerance"]])
+def test_a_nan_or_negative_tolerance_is_refused(call, tol):
+    # the linalg predicates returned False
+    with pytest.raises(ValidationError,
+                       match="^tolerance must be a non-negative number"):
+        call(tol)

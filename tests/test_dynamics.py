@@ -1,4 +1,7 @@
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,11 +11,11 @@ from hypothesis import strategies as st
 
 from qcontour import (HamiltonianSchedule, ValidationError, evolve_state,
                       heisenberg_projector, propagate)
-from qcontour.dynamics import substep_propagators
-from qcontour.linalg import TIME_EPS, is_projector
+from qcontour.dynamics import MEMO_ENTRIES, substep_propagators
+from qcontour.linalg import MAX_ENUMERATION, TIME_EPS, is_projector
 from qcontour.sampling import random_hermitian, random_state, rng_from_seed
 
-from toys import E0, E1, SX, SZ, sx_schedule, zero_schedule
+from toys import E0, E1, SX, SZ, count_calls, sx_schedule, zero_schedule
 
 
 class TestScheduleConstruction:
@@ -258,6 +261,163 @@ class TestSubstepPropagators:
         sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
         with pytest.raises(ValidationError, match="sub-step count"):
             substep_propagators(sched, [(0.0, 1.0)], sub)
+
+    @pytest.mark.parametrize("sub", [MAX_ENUMERATION + 1, 2 ** 62,
+                                     np.int64(2 ** 62)])
+    def test_sub_step_count_has_a_ceiling(self, sub):
+        # 2**62 leaked numpy's "array is too big" ValueError; the ceiling
+        # refuses a count before any tick array is formed
+        sched = HamiltonianSchedule.constant(SX, 0.0, 3.0)
+        with pytest.raises(ValidationError,
+                           match=f"^sub-step count must be at most "
+                                 f"{MAX_ENUMERATION}, got {int(sub)}$"):
+            substep_propagators(sched, [(0.0, 1.0)], sub)
+
+
+@st.composite
+def interval_cases(draw):
+    """A schedule of 1-4 segments on [0, 3] and 1-12 intervals (t_a, t_b)
+    on it, each forward or backward: random ends (which often cross a
+    cut), ends on or within TIME_EPS of cuts, zero-length intervals, and
+    repeats of earlier intervals."""
+    rng = rng_from_seed(draw(st.integers(0, 10 ** 6)))
+    dim = draw(st.integers(1, 4))
+    cuts = draw(st.lists(st.floats(0.1, 2.9), max_size=3, unique=True))
+    bounds = [0.0, *sorted(cuts), 3.0]
+    assume(min(np.diff(bounds)) > 1e-3)
+    sched = HamiltonianSchedule([(a, b, random_hermitian(rng, dim))
+                                 for a, b in zip(bounds, bounds[1:])])
+    intervals = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["random", "cuts", "zero", "repeat"]))
+        if kind == "repeat" and intervals:
+            t_a, t_b = draw(st.sampled_from(intervals))
+        elif kind == "cuts":
+            t_a, t_b = (draw(st.sampled_from(bounds))
+                        + draw(st.sampled_from(NEAR)) for _ in range(2))
+        elif kind == "zero":
+            t_a = draw(st.floats(0.0, 3.0))
+            t_b = t_a + draw(st.sampled_from(NEAR))
+        else:
+            t_a, t_b = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        t_a, t_b = (min(max(t, 0.0), 3.0) for t in (t_a, t_b))
+        intervals.append((t_b, t_a) if draw(st.booleans()) else (t_a, t_b))
+    return sched, intervals
+
+
+class TestPropagatorMemo:
+    """A schedule forms each forward propagator once and holds it while
+    its held entries fit ``MEMO_ENTRIES``; every call still checks its
+    times and returns an array the caller owns."""
+
+    @given(interval_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_a_shared_schedule_gives_what_fresh_ones_give(self, case):
+        sched, intervals = case
+        for t_a, t_b in intervals:
+            got = propagate(sched, t_a, t_b)
+            want = propagate(HamiltonianSchedule(sched.segments), t_a, t_b)
+            np.testing.assert_array_equal(got, want)
+            assert got.strides == want.strides
+            assert got.flags.writeable == want.flags.writeable
+            got[...] = np.nan  # the caller's array, not the held product
+        assert all(not u.flags.writeable for u in sched._memo.values())
+
+    def test_each_interval_is_formed_once(self, monkeypatch):
+        rng = rng_from_seed(16)
+        sched = HamiltonianSchedule([(0.0, 0.6, random_hermitian(rng, 3)),
+                                     (0.6, 1.0, random_hermitian(rng, 3))])
+        formed = count_calls(monkeypatch, HamiltonianSchedule, "_segment_exp")
+        psi = random_state(rng, 3)
+        first = propagate(sched, 0.1, 0.9)
+        assert len(formed) == 2  # one exponential per segment crossed
+        np.testing.assert_array_equal(propagate(sched, 0.9, 0.1),
+                                      first.conj().T)
+        np.testing.assert_array_equal(evolve_state(psi, sched, 0.1, 0.9),
+                                      first @ psi)
+        heisenberg_projector(psi, sched, 0.9, 0.1)
+        assert len(formed) == 2
+        assert list(sched._memo) == [(0.1, 0.9)]
+
+    def test_times_are_checked_on_every_call(self):
+        sched = sx_schedule()
+        propagate(sched, 0.0, 0.5)
+        for args in ((0.0, math.nan), ("0", 0.5), (0.0, 10.0)):
+            with pytest.raises(ValidationError):
+                propagate(sched, *args)
+
+    def test_a_zero_length_interval_is_a_fresh_identity_not_held(self):
+        sched = sx_schedule()
+        first = propagate(sched, 0.3, 0.3 + 1e-13)
+        first[0, 0] = 5.0
+        np.testing.assert_array_equal(propagate(sched, 0.3, 0.3), np.eye(2))
+        assert sched._memo == {}
+
+    def test_held_entries_stay_within_the_budget(self, monkeypatch):
+        # d = 8: 64 entries a product, so the budget holds 1024 of 1100
+        sched = HamiltonianSchedule.constant(
+            random_hermitian(rng_from_seed(17), 8), 0.0, 2.0)
+        formed = count_calls(monkeypatch, HamiltonianSchedule, "_segment_exp")
+        ends = np.linspace(0.0, 2.0, 1101)[1:].tolist()
+        for t in ends:
+            propagate(sched, 0.0, t)
+            assert sum(u.size for u in sched._memo.values()) <= MEMO_ENTRIES
+        assert len(sched._memo) == MEMO_ENTRIES // 64
+        # a product formed once the budget is full is formed again, with
+        # the value a fresh schedule gives
+        fresh = HamiltonianSchedule(sched.segments)
+        formed.clear()
+        for t in (ends[0], ends[-1]):
+            np.testing.assert_array_equal(propagate(sched, 0.0, t),
+                                          propagate(fresh, 0.0, t))
+        assert len(formed) == 3
+
+    def test_threads_sharing_a_schedule_keep_the_budget(self):
+        # four threads on two cores, switching every microsecond, race to
+        # fill one d = 8 schedule's 1024 places with 1100 intervals
+        sched = HamiltonianSchedule.constant(
+            random_hermitian(rng_from_seed(19), 8), 0.0, 2.0)
+        fresh = HamiltonianSchedule(sched.segments)
+        ends = np.linspace(0.0, 2.0, 1101)[1:].tolist()
+        want = {t: propagate(fresh, 0.0, t) for t in ends}
+        wrong = []
+
+        def work(order):
+            for t in order:
+                if not np.array_equal(propagate(sched, 0.0, t), want[t]):
+                    wrong.append(t)
+        orders = [ends, ends[::-1], ends[::2] + ends[1::2], ends[1::2]]
+        threads = [threading.Thread(target=work, args=(order,))
+                   for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert sum(u.size for u in sched._memo.values()) <= MEMO_ENTRIES
+
+    def test_a_schedule_with_held_products_pickles(self):
+        sched = sx_schedule()
+        u = propagate(sched, 0.0, 0.5)
+        copy = pickle.loads(pickle.dumps(sched))
+        np.testing.assert_array_equal(propagate(copy, 0.0, 0.5), u)
+
+    def test_a_product_beyond_the_budget_is_not_held(self, monkeypatch):
+        dim = 257  # 66 049 entries, more than the whole budget
+        assert dim * dim > MEMO_ENTRIES
+        sched = HamiltonianSchedule.constant(
+            random_hermitian(rng_from_seed(18), dim), 0.0, 1.0)
+        formed = count_calls(monkeypatch, HamiltonianSchedule, "_segment_exp")
+        first = propagate(sched, 0.0, 0.5)
+        assert sched._memo == {}
+        np.testing.assert_array_equal(propagate(sched, 0.0, 0.5), first)
+        assert len(formed) == 2
 
 
 class TestEvolveState:

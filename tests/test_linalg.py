@@ -456,6 +456,17 @@ class TestRequireCount:
         with pytest.raises(ValidationError, match=match):
             require_count(value, "seed", least)
 
+    @pytest.mark.parametrize("value", [4, np.int64(4)])
+    def test_admits_a_value_at_most(self, value):
+        assert require_count(value, "seed", 1, 4) == 4
+
+    @pytest.mark.parametrize("value", [5, 2 ** 62, np.int64(2 ** 62),
+                                       10 ** 400])
+    def test_refuses_a_value_above_most(self, value):
+        with pytest.raises(ValidationError,
+                           match=f"^seed must be at most 4, got {value}$"):
+            require_count(value, "seed", 1, 4)
+
 
 class TestNormalize:
     """The one renormalization rule: ``np.sum``'s total, and the column

@@ -15,7 +15,7 @@ from qcontour import (DecompositionMode, DimensionMismatchError, FamilySpec,
                       delta_psi_line_integral, enumerate_family,
                       measure_report, segment_amplitude, sequential_chain,
                       transfer_chain)
-from qcontour import dynamics, histories, linalg, measure
+from qcontour import cli, dynamics, histories, linalg, measure
 from qcontour.contour import contour_path
 from qcontour.dynamics import evolve_state, propagate
 from qcontour.linalg import complete_basis
@@ -693,6 +693,21 @@ class TestCountGuards:
         assert delta_psi_line_integral(h, sx_schedule(), np.int64(3)) == \
             delta_psi_line_integral(h, sx_schedule(), 3)
 
+    @pytest.mark.parametrize("steps", [linalg.MAX_ENUMERATION + 1, 2 ** 62])
+    def test_step_count_has_a_ceiling(self, monkeypatch, steps):
+        # 2**62 leaked numpy's "array is too big" ValueError, 2**59 a
+        # MemoryError; the ceiling refuses before any tick array is formed
+        spec, sched = random_family_spec(45, dim=2, n_times=3, s_t=1)
+        fam = enumerate_family(spec)
+        formed = count_calls(monkeypatch, HamiltonianSchedule, "_segment_exp")
+        message = (f"^steps_per_segment must be at most "
+                   f"{linalg.MAX_ENUMERATION}, got {steps}$")
+        with pytest.raises(ValidationError, match=message):
+            measure_report(fam, sched, steps_per_segment=steps)
+        with pytest.raises(ValidationError, match=message):
+            delta_psi_line_integral(fam.histories[0], sched, steps)
+        assert formed == []
+
     def test_report_rejects_zero_steps(self):
         spec, sched = random_family_spec(45, dim=2, n_times=3, s_t=1)
         with pytest.raises(ValidationError, match="steps_per_segment"):
@@ -1104,3 +1119,37 @@ class TestShiftedGrids:
         assert len(dist.outcomes) == len(by_choices)
         for choices, p in dist.outcomes:
             assert abs(by_choices[choices] - p) <= 1e-10
+
+    def test_born_probability_forms_one_propagator_per_basis(
+            self, monkeypatch):
+        # every basis vector reads the one U(t1, t2) the schedule holds
+        rng = rng_from_seed(64)
+        sched = random_schedule(rng, (0.0, 1.0), 5)
+        psi = random_state(rng, 5)
+        formed = count_calls(monkeypatch, HamiltonianSchedule, "_segment_exp")
+        total = sum(born_probability(psi, 0.0, phi, 1.0, sched)
+                    for phi in random_orthonormal_basis(rng, 5))
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert len(formed) == 1
+
+    def test_four_decompositions_form_each_bundle_propagator_once(
+            self, monkeypatch):
+        bundle, sched = random_bundle(63, dim=3, n_past=3, n_future=2)
+        formed = count_calls(monkeypatch, HamiltonianSchedule, "_segment_exp")
+        totals = [decompose_total_measure(bundle, sched, mode).total
+                  for mode in DecompositionMode]
+        assert max(totals) - min(totals) <= linalg.ROUNDING_TOL
+        assert len(formed) == 2
+
+    def test_verify_forms_each_propagator_once(self, monkeypatch):
+        # a verify_cli-shaped model (d = 4, N_t = 5, both ends pinned, one
+        # segment per grid interval): the closed form forms one product per
+        # segment, which the transfer chain and the collapse chain read
+        # again, and the walk one stack of exponentials per segment
+        n_times = 5
+        spec, sched = random_family_spec(46, dim=4, n_times=n_times, s_t=2)
+        assert len(sched.segments) == n_times - 1
+        formed = count_calls(monkeypatch, HamiltonianSchedule, "_segment_exp")
+        row = cli._verify_one("m", spec, 1000, 0, 8, linalg.DEFAULT_TOL)
+        assert row["pass"]
+        assert len(formed) == 2 * (n_times - 1)
