@@ -38,7 +38,12 @@ pair, a lopsided pair, a state file missing its amplitudes, which exits
 ``measure --steps-per-segment 3`` and ``verify`` on the seed-1
 ``verify_cli`` model with each Hamiltonian segment cut at 0.37 of its
 length (``cut_segments``: each piece keeps its segment's generator, so
-contour sub-steps straddle the cuts and join two exponentials).  The
+contour sub-steps straddle the cuts and join two exponentials), and
+``propagate`` over the whole grid forward and from its last time back to
+its second, ``measure --steps-per-segment 3`` and ``verify`` on the
+seed-1 ``verify_cli`` model with its ``hamiltonian`` list reversed in the
+file (``reversed_commands``: the schedule sorts its segments, so each
+sorted segment must keep its own generator and eigendecomposition).  The
 benchmark models, the off-grid bundle and model, the malformed
 models and the envariance inputs are written to a temporary directory and run there
 by bare file name.  Each command shows its own warnings, also one that
@@ -262,6 +267,17 @@ def cut_commands():
     yield files, ["verify", *files]
 
 
+def reversed_commands():
+    doc = model_document(VerifyCli.raw(1))
+    name = "verify_cli-1-reversed.json"
+    files = {name: dict(doc, hamiltonian=doc["hamiltonian"][::-1])}
+    grid = [repr(float(t)) for t in doc["grid"]]
+    yield files, ["propagate", name, grid[0], grid[-1]]
+    yield files, ["propagate", name, grid[-1], grid[1]]
+    yield files, ["measure", name, "--steps-per-segment", "3"]
+    yield files, ["verify", name]
+
+
 def temp_lines(commands):
     """``cli_line`` of each command, run in a temporary directory holding
     its input files, each written as JSON."""
@@ -290,6 +306,7 @@ def digest_lines():
     yield from temp_lines(error_commands())
     yield from temp_lines(envariance_commands())
     yield from temp_lines(cut_commands())
+    yield from temp_lines(reversed_commands())
 
 
 def lines_at(ref: str) -> list[str]:

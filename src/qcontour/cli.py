@@ -25,7 +25,7 @@ from .dynamics import HamiltonianSchedule, propagate
 from .envariance import BipartiteState, check_envariance
 from .errors import ModelFormatError, QContourError, ValidationError
 from .histories import FixedPoint, enumerate_family
-from .measure import (DecompositionMode, decompose_total_measure,
+from .measure import (DecompositionMode, _branch_weights, _decompose,
                       measure_report, transfer_chain)
 from .models import (ModelSpec, load_model, matrix_from_json,
                      matrix_to_json, read_json, vector_from_json)
@@ -110,8 +110,8 @@ def cmd_measure(args) -> int:
 
 def cmd_decompose(args) -> int:
     model = load_model(args.model)
-    results = {mode: decompose_total_measure(model, model.schedule, mode)
-               for mode in DecompositionMode}
+    weights = _branch_weights(model, model.schedule)  # one weighing
+    results = {mode: _decompose(mode, *weights) for mode in DecompositionMode}
     totals = [r.total for r in results.values()]
     spread = max(totals) - min(totals)
     doc = {

@@ -2,9 +2,12 @@
 
 The generator is branch-independent: propagation backward in physical time
 is the adjoint of forward propagation over the same interval, which is
-exact for unitary dynamics.  Per-segment eigendecompositions are cached on
-the schedule as (w, V, V^H), so a propagator costs only small matrix
-products: one exponential per segment the interval crosses, and one
+exact for unitary dynamics.  A schedule holds its generators, in time
+order, as one read-only (S, d, d) stack, checked by one finite-and-Hermitian
+defect; the first exponential diagonalizes the whole stack with one
+``eigh`` (each slice the 2-d call's bit for bit) and caches it as
+(w, V, V^H), so a propagator costs only small matrix products: one
+exponential per segment the interval crosses, and one
 product joining each exponential after the first, which starts the
 product (no identity factor).  Each forward product is formed once per
 schedule: ``propagate`` holds it, read-only and keyed by the checked
@@ -42,11 +45,16 @@ class HamiltonianSchedule:
     """Piecewise-constant Hermitian generator over a contiguous time span.
 
     ``segments`` is a sequence of ``(t_start, t_end, H)`` triples that must
-    be contiguous, non-overlapping and share one dimension.  Instances are
+    be contiguous, non-overlapping and share one dimension; they may be
+    listed in any order.  The schedule's ``segments`` are in time order,
+    each H a read-only slice of one stack of the generators, read once
+    (a copy: the caller's arrays are not held).  The triples are checked
+    in the order listed, each one's times and then its generator, which is
+    refused as ``linalg.require_hermitian`` refuses it.  Instances are
     immutable after construction apart from two internal caches, the
-    per-segment eigendecompositions and the forward propagators
-    ``propagate`` has formed (read-only, at most ``MEMO_ENTRIES`` entries),
-    so they are safe to share.
+    stacked eigendecomposition and the forward propagators ``propagate``
+    has formed (read-only, at most ``MEMO_ENTRIES`` entries), so they are
+    safe to share.
     """
 
     def __init__(self, segments):
@@ -60,22 +68,37 @@ class HamiltonianSchedule:
             raise ValidationError(
                 "schedule segments must be a sequence of (t_start, t_end, H) "
                 f"triples, got {reprlib.repr(segments)}")
-        parsed = []
+        stack = linalg._hermitian_stack([h for _, _, h in triples])
+        spans, checked = [], []
         for t0, t1, h in triples:
-            t0, t1 = require_increasing((t0, t1), "segment times")
-            parsed.append((t0, t1, linalg.require_hermitian(h)))
-        dim = linalg.require_dim("segment Hamiltonian",
-                                 *[h.shape[0] for _, _, h in parsed])
-        parsed.sort(key=lambda seg: seg[0])
-        for (_, end, _), (start, _, _) in zip(parsed, parsed[1:]):
+            spans.append(require_increasing((t0, t1), "segment times"))
+            if stack is None:  # the per-item rule words the refusal
+                checked.append(linalg.require_hermitian(h))
+        if stack is None:
+            linalg.require_dim("segment Hamiltonian",
+                               *[h.shape[0] for h in checked])
+            stack = np.array(checked)
+        order = sorted(range(len(spans)), key=lambda i: spans[i][0])
+        if order != list(range(len(spans))):
+            stack = stack[order]
+        spans = [spans[i] for i in order]
+        for (_, end), (start, _) in zip(spans, spans[1:]):
             if not same_time(end, start):
                 raise ValidationError(
                     f"segments are not contiguous at t = {end} vs {start}")
-        self._segments = tuple(parsed)
-        self._dim = dim
-        self._eigs: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
-        self._eigs = [None] * len(parsed)
+        stack.setflags(write=False)
+        self._stack = stack
+        self._segments = tuple((t0, t1, h)
+                               for (t0, t1), h in zip(spans, stack))
+        self._dim = stack.shape[1]
+        self._eigs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None
+        self._eigs = None
         self._memo: dict[tuple[float, float], np.ndarray] = {}
+
+    def __reduce__(self):
+        # built again from its segments: a pickle keeps neither the stack's
+        # read-only flag nor the segments' views of it (the caches refill)
+        return type(self), (self._segments,)
 
     @classmethod
     def constant(cls, h, t_start: float, t_end: float) -> "HamiltonianSchedule":
@@ -110,12 +133,11 @@ class HamiltonianSchedule:
         stack of their exponentials, each the one-duration value bit for
         bit: the same formula, broadcast.
         """
-        cached = self._eigs[index]
-        if cached is None:
-            w, v = np.linalg.eigh(self._segments[index][2])
-            cached = (w, v, v.conj().T)
-            self._eigs[index] = cached
-        w, v, v_dag = cached
+        eigs = self._eigs
+        if eigs is None:  # every segment at once, each slice the 2-d call's
+            w, v = np.linalg.eigh(self._stack)
+            eigs = self._eigs = list(zip(w, v, v.conj().swapaxes(1, 2)))
+        w, v, v_dag = eigs[index]
         return (v * np.exp(-1j * dt * w)) @ v_dag
 
     def _forward(self, t_lo: float, t_hi: float) -> np.ndarray | None:

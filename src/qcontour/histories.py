@@ -692,10 +692,14 @@ class FamilySpec:
     table, built once here: at a pinned time the constraint alone, elsewhere
     one ``FixedPoint`` per basis vector, labeled by its position; an
     unconstrained time needs a non-empty set, and a pinned one may have an
-    empty set (the dimension is then its pins').  Each input basis is
-    validated once, as one stack checked by one Gram matrix
-    (``linalg.as_basis``); ``bases`` holds the stacks' read-only rows,
-    and at free times the slot fixed points' states are those rows.
+    empty set (the dimension is then its pins').  The input bases are
+    validated once, as stacks: the sets of one row count are read as one
+    array and checked by one stacked Gram defect
+    (``linalg._basis_stacks``), and ``linalg.as_basis`` judges, in grid
+    order, only a set that defect does not clear, so a refused set gets
+    its own rule's class and message.  ``bases`` holds the checked
+    stacks' read-only rows, and at free times the slot fixed points'
+    states are those rows.
     ``slot_states`` holds each slot's states as one read-only stack: the
     basis stack at a free time, the constraint's state as one row at a
     pinned one.  ``slot_times`` is the one definition of a slot's time, its
@@ -730,10 +734,14 @@ class FamilySpec:
         slot_times = require_increasing(
             [pinned[i].time if i in pinned else t
              for i, t in enumerate(times)], "slot times")
-        # each basis checked once, as one stack and one Gram matrix
+        # the bases checked as stacks, one Gram defect per row count;
+        # ``as_basis`` judges, in grid order, a basis they do not clear
+        sets = list(self.bases)
+        cleared = linalg._basis_stacks(sets)
         slots, bases, states = [], [], []
-        for i, (t, basis) in enumerate(zip(times, self.bases)):
-            stack = linalg.as_basis(basis, f"basis at time {t}")
+        for i, (t, basis, stack) in enumerate(zip(times, sets, cleared)):
+            if stack is None:
+                stack = linalg.as_basis(basis, f"basis at time {t}")
             rows = tuple(stack)
             bases.append(rows)
             if i in pinned:

@@ -10,6 +10,11 @@ A basis is checked once, as one array, by ``as_basis``: a read-only
 exactly where a row is, and then unless orthonormal; one Gram defect,
 |S* S^T - I|, gives both the state check's fast path (its diagonal) and
 the orthonormality verdict (``is_orthonormal`` takes the same one).
+``_basis_stacks`` checks several sets at once, one stacked Gram defect
+per group of equal row count, each set's verdict ``as_basis``'s; it
+leaves to ``as_basis`` any set the stack does not clear, as
+``_hermitian_stack`` leaves to ``require_hermitian`` a stack of matrices
+its one defect does not clear.
 ``normalize`` is the one renormalization rule: a column's ``np.sum``
 total, refused when it is 0.0, and the column divided by it.
 ``require_instance`` is the one check of an argument's type, and
@@ -216,6 +221,45 @@ def as_basis(vectors, what: str, dim: int | None = None) -> np.ndarray:
     return stack
 
 
+def _basis_stacks(sets) -> list[np.ndarray | None]:
+    """Per set of states in ``sets``, the read-only (n, d) stack that
+    ``as_basis`` returns for it, or None where ``as_basis`` itself must
+    judge the set.
+
+    The sets (lists, tuples or arrays) of one row count n >= 1 are read
+    as one (g, n, d) array, by one ``_as_numbers``, and checked by one
+    stacked Gram defect, each set's slice ``as_basis``'s bit for bit: a
+    set of size d >= 1 whose diagonal entries are within STATE_MARGIN and
+    whose largest entry is within INPUT_TOL passes, as a read-only slice
+    of the group.  Any other set is None, so ``as_basis`` words its
+    refusal or judges a squared norm near a threshold; so is every set of
+    a group that is not one array of numbers (ragged rows, text), and
+    every empty set.
+    """
+    out = [None] * len(sets)
+    groups: dict[int, list[int]] = {}
+    for i, vectors in enumerate(sets):
+        if isinstance(vectors, (list, tuple)) or (
+                isinstance(vectors, np.ndarray) and vectors.ndim):
+            groups.setdefault(len(vectors), []).append(i)
+    for n, members in groups.items():
+        try:
+            stack = _as_numbers([sets[i] for i in members], "basis")
+        except ValidationError:  # ragged or unreadable: judged per set
+            continue
+        if not n or stack.ndim != 3 or not stack.shape[2]:
+            continue
+        defect = _gram_defect(stack)
+        passed = ((np.maximum.reduce(defect.diagonal(0, 1, 2), axis=1)
+                   <= STATE_MARGIN)
+                  & (np.maximum.reduce(defect, axis=(1, 2)) <= INPUT_TOL))
+        stack.setflags(write=False)
+        for i, rows, ok in zip(members, stack, passed.tolist()):
+            if ok:
+                out[i] = rows
+    return out
+
+
 def as_square(mat, dim: int | None = None) -> np.ndarray:
     """``_as_matrix`` of ``mat`` with finite entries and, if given, size
     ``dim``, as a fresh array."""
@@ -345,9 +389,31 @@ def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or NaN: refused
 def _gram_defect(stack: np.ndarray) -> np.ndarray:
-    """|S* S^T - I| entrywise, for an (n, d) stack S of states as rows; its
-    diagonal entry i is row i's squared norm's distance from 1."""
-    return np.abs(stack.conj() @ stack.T - np.eye(len(stack)))
+    """|S* S^T - I| entrywise, for an (n, d) stack S of states as rows, or
+    per set of a (g, n, d) stack of such sets, each slice the 2-d value
+    bit for bit; diagonal entry i is row i's squared norm's distance
+    from 1."""
+    return np.abs(stack.conj() @ stack.swapaxes(-1, -2)
+                  - np.eye(stack.shape[-2]))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN: refused
+def _hermitian_stack(matrices) -> np.ndarray | None:
+    """``matrices`` read once, by ``_as_numbers``, as one (S, d, d) stack,
+    when each is a square matrix of one size d >= 1 that
+    ``require_hermitian`` accepts: one finite-and-Hermitian defect, max
+    |M - M^dag| per matrix, which an entry that is not finite makes inf
+    or NaN.  None otherwise, and ``require_hermitian`` words the refusal.
+    """
+    try:
+        stack = _as_numbers(matrices, "matrix")
+    except ValidationError:  # unreadable or ragged: refused per matrix
+        return None
+    if stack.ndim != 3 or not 1 <= stack.shape[1] == stack.shape[2]:
+        return None
+    defects = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)),
+                     axis=(1, 2))
+    return stack if np.all(defects <= INPUT_TOL) else None
 
 
 def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:

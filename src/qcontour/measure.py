@@ -11,8 +11,9 @@ The weight of a history is computed by two independent routes:
   for any sub-step count because the dynamics is piecewise constant.
 
 Both routes take their steps from ``histories._steps``, the one place a
-fixed point is carried across the grid (``decoherence_report`` and
-``decompose_total_measure`` take theirs there too): per step, the source
+fixed point is carried across the grid (``decoherence_report`` and a
+bundle's branch weights take theirs there too, once for all four
+decomposition modes in ``qcontour decompose``): per step, the source
 slot's states are carried to the step's end once, as one stack, with one
 stacked product per sub-step.  The routes then differ only in their slot
 pairs and sub-step count: the closed form takes the grid's segments, the
@@ -321,6 +322,13 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
     linalg.require_instance(bundle, FamilySpec, "recipe")
     if not isinstance(mode, DecompositionMode):
         raise ValidationError(f"unknown decomposition mode {mode!r}")
+    return _decompose(mode, *_branch_weights(bundle, sched))
+
+
+def _branch_weights(bundle: FamilySpec, sched: HamiltonianSchedule
+                    ) -> tuple[list[float], list[float]]:
+    """The past and the future branch weights of a bundle recipe, from one
+    ``_steps`` weighing, which every mode's decomposition shares."""
     if len(bundle.times) != 3:
         raise ValidationError(
             "bundle decomposition needs exactly three grid times")
@@ -332,6 +340,12 @@ def decompose_total_measure(bundle: FamilySpec, sched: HamiltonianSchedule,
     _, (pivot,), future = bundle.slots
     w_past = [abs(complex(np.vdot(pivot.state, c))) ** 2 for c in to_pivot]
     w_future = [abs(complex(np.vdot(f.state, carried))) ** 2 for f in future]
+    return w_past, w_future
+
+
+def _decompose(mode: DecompositionMode, w_past: list[float],
+               w_future: list[float]) -> DecompositionResult:
+    """The ``mode`` decomposition of a bundle's branch weights."""
     split_past, split_future = _SPLITS[mode]
     terms = tuple(p * f for p in (w_past if split_past else [sum(w_past)])
                   for f in (w_future if split_future else [sum(w_future)]))

@@ -180,6 +180,21 @@ class TestDecompose:
     def test_wrong_shape_exit_3(self, tmp_path, capsys):
         assert main(["decompose", born_model(tmp_path)]) == 3
 
+    def test_the_bundle_is_weighed_once_for_all_modes(self, tmp_path,
+                                                     capsys, monkeypatch):
+        # each mode used to weigh the whole bundle again
+        path = bundle_model(tmp_path)
+        code, once = run_structured(capsys, ["decompose", path])
+        steps = count_calls(monkeypatch, measure, "_steps")
+        assert run_structured(capsys, ["decompose", path]) == (code, once)
+        assert len(steps) == 1
+        model = models.load_model(path)
+        for mode in measure.DecompositionMode:
+            result = measure.decompose_total_measure(model, model.schedule,
+                                                     mode)
+            assert once["modes"][mode.value] == cli._round15({
+                "total": result.total, "terms": list(result.terms)})
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys):

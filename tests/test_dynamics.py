@@ -35,6 +35,16 @@ class TestScheduleConstruction:
         sched = HamiltonianSchedule([(0.0, 1.0, SX), (1.0, 2.5, SZ)])
         assert (sched.t_min, sched.t_max) == (0.0, 2.5)
 
+    def test_a_checked_generator_cannot_be_written(self):
+        # a write into the upper corner used to go through: ``propagate``
+        # kept its exponential (``eigh`` reads the lower triangle), and
+        # ``save_model`` wrote a model that ``load_model`` refused as not
+        # Hermitian
+        sched = sx_schedule()
+        with pytest.raises(ValueError, match="read-only"):
+            sched.segments[0][2][0, 1] = 5.0
+        np.testing.assert_array_equal(sched.segments[0][2], SX)
+
 
 class TestNonContiguousInput:
     def test_transposed_hermitian_generator(self):
@@ -407,6 +417,9 @@ class TestPropagatorMemo:
         u = propagate(sched, 0.0, 0.5)
         copy = pickle.loads(pickle.dumps(sched))
         np.testing.assert_array_equal(propagate(copy, 0.0, 0.5), u)
+        # the copy's generators are read-only slices of its own stack
+        with pytest.raises(ValueError, match="read-only"):
+            copy.segments[0][2][0, 1] = 5.0
 
     def test_a_product_beyond_the_budget_is_not_held(self, monkeypatch):
         dim = 257  # 66 049 entries, more than the whole budget

@@ -846,16 +846,21 @@ class TestSlotTable:
 
     def test_raw_vectors_are_validated_once_and_constraints_never(
             self, monkeypatch):
-        # each basis is checked as one stack, once, so each raw vector once
+        # the bases are checked as stacks, one read of each raw vector
         raw = [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]]
         constraints = (FixedPoint(0.0, E0), FixedPoint(2.0, E1))
-        stacked = count_calls(monkeypatch, linalg, "as_basis")
+        stacked = count_calls(monkeypatch, linalg, "_basis_stacks")
+        read = count_calls(monkeypatch, linalg, "_as_numbers")
+        per_set = count_calls(monkeypatch, linalg, "as_basis")
         single = count_calls(monkeypatch, linalg, "as_state")
         spec = FamilySpec(times=(0.0, 1.0, 2.0), bases=raw,
                           constraints=constraints)
-        assert single == [] and len(stacked) == len(raw)
-        for args, basis, t in zip(stacked, raw, spec.times):
-            assert args[0] is basis and args[1] == f"basis at time {t}"
+        assert single == [] and per_set == [] and len(stacked) == 1
+        assert [len(sets) for sets, in stacked] == [len(raw)]
+        assert all(a is b for a, b in zip(stacked[0][0], raw, strict=True))
+        for basis in raw:
+            assert sum(any(item is basis for item in args[0])
+                       for args in read if isinstance(args[0], list)) == 1
         assert spec.slots[0] == (constraints[0],)
         assert spec.slots[2] == (constraints[1],)
         np.testing.assert_array_equal(spec.slots[1][1].state, [0, 1])

@@ -201,17 +201,19 @@ class TestModelSpec:
     def test_each_basis_is_checked_once(self, monkeypatch, tmp_path):
         path = tmp_path / "model.json"
         save_model(TestToyBundle.model(0.5), path)
-        checked = count_calls(monkeypatch, linalg, "as_basis")
+        # one stacked check of all the bases, and none per basis
+        checked = count_calls(monkeypatch, linalg, "_basis_stacks")
+        per_set = count_calls(monkeypatch, linalg, "as_basis")
         model = load_model(path)
-        assert [args[1] for args in checked] \
-            == [f"basis at time {t}" for t in model.times]
+        assert [len(sets) for sets, in checked] == [len(model.times)]
+        assert per_set == []
         checked.clear()
         enumerate_family(model)
         transfer_chain(model, model.schedule)
-        assert checked == []
+        assert checked == [] and per_set == []
         for mode in DecompositionMode:
             decompose_total_measure(model, model.schedule, mode)
-        assert checked == []
+        assert checked == [] and per_set == []
 
     def test_direct_build_checks_the_schedule(self):
         recipe = dict(times=(0.0, 1.0), bases=(computational_basis(2),) * 2,
