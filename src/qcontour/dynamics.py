@@ -48,9 +48,10 @@ class HamiltonianSchedule:
     be contiguous, non-overlapping and share one dimension; they may be
     listed in any order.  The schedule's ``segments`` are in time order,
     each H a read-only slice of one stack of the generators, read once
-    (a copy: the caller's arrays are not held).  The triples are checked
-    in the order listed, each one's times and then its generator, which is
-    refused as ``linalg.require_hermitian`` refuses it.  Instances are
+    (a copy: the caller's arrays are not held).  Every triple's times are
+    checked, in the order listed, before any generator; the generators
+    are then checked as one stack by ``linalg._hermitian_stack``, which
+    words a refusal as ``linalg.require_hermitian`` does.  Instances are
     immutable after construction apart from two internal caches, the
     stacked eigendecomposition and the forward propagators ``propagate``
     has formed (read-only, at most ``MEMO_ENTRIES`` entries), so they are
@@ -61,23 +62,14 @@ class HamiltonianSchedule:
         if not segments:
             raise ValidationError("schedule needs at least one segment")
         try:
-            triples = [tuple(segment) for segment in segments]
-        except TypeError:
-            triples = None
-        if triples is None or any(len(seg) != 3 for seg in triples):
+            triples = [(t0, t1, h) for t0, t1, h in segments]
+        except (TypeError, ValueError):  # not a sequence of triples
             raise ValidationError(
                 "schedule segments must be a sequence of (t_start, t_end, H) "
-                f"triples, got {reprlib.repr(segments)}")
+                f"triples, got {reprlib.repr(segments)}") from None
+        spans = [require_increasing((t0, t1), "segment times")
+                 for t0, t1, _ in triples]
         stack = linalg._hermitian_stack([h for _, _, h in triples])
-        spans, checked = [], []
-        for t0, t1, h in triples:
-            spans.append(require_increasing((t0, t1), "segment times"))
-            if stack is None:  # the per-item rule words the refusal
-                checked.append(linalg.require_hermitian(h))
-        if stack is None:
-            linalg.require_dim("segment Hamiltonian",
-                               *[h.shape[0] for h in checked])
-            stack = np.array(checked)
         order = sorted(range(len(spans)), key=lambda i: spans[i][0])
         if order != list(range(len(spans))):
             stack = stack[order]

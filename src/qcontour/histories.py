@@ -56,6 +56,20 @@ from .errors import EnumerationGuardError, ValidationError
 _PAIR_BLOCK_ENTRIES = 2 ** 13
 
 
+def _refrozen(self, state: dict) -> None:
+    """``__setstate__`` of a class holding checked arrays: each array in
+    its attributes, or in their tuples, read-only again (a pickle keeps an
+    array's bits, not its flag)."""
+    self.__dict__.update(state)
+    items = list(state.values())
+    while items:
+        item = items.pop()
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+        elif isinstance(item, tuple):
+            items.extend(item)
+
+
 @dataclass(frozen=True, eq=False)
 class FixedPoint:
     """A labeled state pinned at one time on both branches; == is identity."""
@@ -63,6 +77,8 @@ class FixedPoint:
     time: float
     state: np.ndarray
     label: str = "fp"
+
+    __setstate__ = _refrozen
 
     def __post_init__(self):
         state = linalg.as_state(self.state)
@@ -211,6 +227,8 @@ class HistoryFamily:
     constraint_times: tuple[float, ...]
     shape: tuple[int, ...] | None
     _free: tuple[int, ...] | None = field(repr=False)
+
+    __setstate__ = _refrozen
 
     def __init__(self, histories, constraint_times=()):
         histories = _members(histories, QuantumHistory, "a family",
@@ -693,13 +711,12 @@ class FamilySpec:
     one ``FixedPoint`` per basis vector, labeled by its position; an
     unconstrained time needs a non-empty set, and a pinned one may have an
     empty set (the dimension is then its pins').  The input bases are
-    validated once, as stacks: the sets of one row count are read as one
-    array and checked by one stacked Gram defect
-    (``linalg._basis_stacks``), and ``linalg.as_basis`` judges, in grid
-    order, only a set that defect does not clear, so a refused set gets
-    its own rule's class and message.  ``bases`` holds the checked
-    stacks' read-only rows, and at free times the slot fixed points'
-    states are those rows.
+    validated once, all of them by one ``linalg._basis_stacks`` call,
+    before any slot is built: the sets of one row count are checked by
+    one stacked Gram defect, and a set it does not clear is judged, in
+    grid order, by the per-vector rule, which words the refusal.
+    ``bases`` holds the checked stacks' read-only rows, and at free times
+    the slot fixed points' states are those rows.
     ``slot_states`` holds each slot's states as one read-only stack: the
     basis stack at a free time, the constraint's state as one row at a
     pinned one.  ``slot_times`` is the one definition of a slot's time, its
@@ -719,6 +736,8 @@ class FamilySpec:
     #: per grid time, the slot's states as one read-only (n, d) stack
     slot_states: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
+    __setstate__ = _refrozen
+
     def __post_init__(self):
         times = require_increasing(self.times, "grid times")
         if len(times) < 2:
@@ -734,14 +753,10 @@ class FamilySpec:
         slot_times = require_increasing(
             [pinned[i].time if i in pinned else t
              for i, t in enumerate(times)], "slot times")
-        # the bases checked as stacks, one Gram defect per row count;
-        # ``as_basis`` judges, in grid order, a basis they do not clear
-        sets = list(self.bases)
-        cleared = linalg._basis_stacks(sets)
+        stacks = linalg._basis_stacks(
+            list(self.bases), [f"basis at time {t}" for t in times])
         slots, bases, states = [], [], []
-        for i, (t, basis, stack) in enumerate(zip(times, sets, cleared)):
-            if stack is None:
-                stack = linalg.as_basis(basis, f"basis at time {t}")
+        for i, (t, stack) in enumerate(zip(times, stacks)):
             rows = tuple(stack)
             bases.append(rows)
             if i in pinned:

@@ -5,24 +5,21 @@ arrays.  Everything here is a pure function of its inputs; arrays returned
 by constructors are fresh copies, so values can be shared freely.  Units:
 hbar = 1 throughout.
 
-A basis is checked once, as one array, by ``as_basis``: a read-only
-(n, d) stack whose rows are exactly what ``as_state`` accepts, refused
-exactly where a row is, and then unless orthonormal; one Gram defect,
-|S* S^T - I|, gives both the state check's fast path (its diagonal) and
-the orthonormality verdict (``is_orthonormal`` takes the same one).
-``_basis_stacks`` checks several sets at once, one stacked Gram defect
-per group of equal row count, each set's verdict ``as_basis``'s; it
-leaves to ``as_basis`` any set the stack does not clear, as
-``_hermitian_stack`` leaves to ``require_hermitian`` a stack of matrices
-its one defect does not clear.
+Each property has one verdict here, which words its own refusals, so a
+caller gets checked stacks and keeps no fallback.  ``_basis_stacks`` is
+the basis verdict (``as_basis`` is it on one set): one Gram defect
+|S* S^T - I| per group of sets of equal row count, and a per-vector rule
+for a set the stack does not clear.  ``_hermitian_defects`` is the one
+Hermitian formula, of a matrix or of a stack (``_hermitian_stack``, which
+leaves to ``require_hermitian`` what the stack does not clear).
 ``normalize`` is the one renormalization rule: a column's ``np.sum``
 total, refused when it is 0.0, and the column divided by it.
 ``require_instance`` is the one check of an argument's type, and
 ``_as_numbers`` the one reading of every array argument: what numpy
 cannot read as numbers (``None``, text, a ragged nest, an integer beyond
 64 bits) is a ValidationError, and ``_as_matrix`` refuses what is not
-square and 2-d.  Every ``tol`` argument is read by ``require_tolerance``,
-and every count by ``require_count``.
+square, 2-d and non-empty.  Every ``tol`` argument is read by
+``require_tolerance``, and every count by ``require_count``.
 """
 
 from __future__ import annotations
@@ -168,73 +165,24 @@ def as_state(vec, dim: int | None = None) -> np.ndarray:
 
 
 def as_basis(vectors, what: str, dim: int | None = None) -> np.ndarray:
-    """Validate an orthonormal set of states as one read-only (n, d) array.
-
-    Row i is exactly what ``as_state(vectors[i], dim)`` returns.  The set
-    is refused when one of its vectors is, with the first such vector's
-    error prefixed by ``what`` (a DimensionMismatchError as it is), when
-    its states have several sizes (DimensionMismatchError), and then,
-    unless orthonormal within INPUT_TOL, as "``what`` is not orthonormal".
-    The vectors are read as one array and checked by one Gram defect
-    (``_gram_defect``): when every diagonal entry, a squared norm's
-    distance from 1, is within STATE_MARGIN (which a NaN or Inf entry
-    fails) and the size is ``dim``, the states pass, and otherwise each
-    vector goes through ``as_state`` itself for the verdict; the largest
-    entry is the orthonormality verdict.  An empty set gives an (0, d)
-    array, d being ``dim`` or 0.
-    """
-    if not isinstance(vectors, (list, tuple, np.ndarray)):
-        try:
-            vectors = list(vectors)
-        except TypeError:
-            raise ValidationError(
-                f"{what}: expected a sequence of state vectors, "
-                f"got {reprlib.repr(vectors)}") from None
-    n = len(vectors)
-    try:
-        # a fresh C-ordered copy: the rows are contiguous states, and the
-        # Gram matrix is the one ``is_orthonormal`` forms
-        stack = np.array(_as_numbers(vectors, what), order="C")
-    except ValidationError:  # ragged or unreadable
-        stack = None
-    else:
-        if stack.ndim != 2:  # each vector flattened, as ``as_state`` does
-            stack = stack.reshape(n, stack.size // n if n else dim or 0)
-        defect = _gram_defect(stack)
-    if stack is None or not (
-            stack.shape[1] >= 1 and (dim is None or stack.shape[1] == dim)
-            and np.maximum.reduce(defect.diagonal(), initial=0.0)
-            <= STATE_MARGIN):
-        try:
-            rows = [as_state(v, dim) for v in vectors]
-        except DimensionMismatchError:
-            raise
-        except ValidationError as exc:
-            raise ValidationError(f"{what}: {exc}") from exc
-        if stack is None:
-            require_dim("state", *[row.size for row in rows])
-            stack = np.array(rows)
-            defect = _gram_defect(stack)
-    if not np.maximum.reduce(defect, axis=None, initial=0.0) <= INPUT_TOL:
-        raise ValidationError(f"{what} is not orthonormal")
-    stack.setflags(write=False)
-    return stack
+    """Validate an orthonormal set of states as one read-only (n, d) array,
+    row i ``as_state(vectors[i], dim)``: ``_basis_stacks`` of one set."""
+    return _basis_stacks([vectors], [what], dim)[0]
 
 
-def _basis_stacks(sets) -> list[np.ndarray | None]:
-    """Per set of states in ``sets``, the read-only (n, d) stack that
-    ``as_basis`` returns for it, or None where ``as_basis`` itself must
-    judge the set.
+def _basis_stacks(sets, whats, dim: int | None = None) -> list[np.ndarray]:
+    """Per set of states in ``sets``, its checked, read-only (n, d) stack.
 
-    The sets (lists, tuples or arrays) of one row count n >= 1 are read
-    as one (g, n, d) array, by one ``_as_numbers``, and checked by one
-    stacked Gram defect, each set's slice ``as_basis``'s bit for bit: a
-    set of size d >= 1 whose diagonal entries are within STATE_MARGIN and
-    whose largest entry is within INPUT_TOL passes, as a read-only slice
-    of the group.  Any other set is None, so ``as_basis`` words its
-    refusal or judges a squared norm near a threshold; so is every set of
-    a group that is not one array of numbers (ragged rows, text), and
-    every empty set.
+    The sets (lists, tuples or arrays) of one row count n >= 1 are read as
+    one (g, n, d) array and checked by one stacked Gram defect: a set of
+    size d >= 1 (``dim`` if given) whose diagonal entries, its squared
+    norms' distances from 1, are within STATE_MARGIN (which NaN or Inf
+    fails) and whose largest entry is within INPUT_TOL passes, as a slice
+    of the group.  Every other set is judged, in list order, by the
+    per-vector rule, which names it by its ``whats`` entry: a sequence,
+    ``as_state`` of each vector (a DimensionMismatchError as it is, any
+    other error prefixed), one size, then orthonormal within INPUT_TOL.
+    An empty set gives an (0, d) array, d being ``dim`` or 0.
     """
     out = [None] * len(sets)
     groups: dict[int, list[int]] = {}
@@ -247,7 +195,8 @@ def _basis_stacks(sets) -> list[np.ndarray | None]:
             stack = _as_numbers([sets[i] for i in members], "basis")
         except ValidationError:  # ragged or unreadable: judged per set
             continue
-        if not n or stack.ndim != 3 or not stack.shape[2]:
+        if not n or stack.ndim != 3 or not stack.shape[2] or (
+                dim is not None and stack.shape[2] != dim):
             continue
         defect = _gram_defect(stack)
         passed = ((np.maximum.reduce(defect.diagonal(0, 1, 2), axis=1)
@@ -257,6 +206,30 @@ def _basis_stacks(sets) -> list[np.ndarray | None]:
         for i, rows, ok in zip(members, stack, passed.tolist()):
             if ok:
                 out[i] = rows
+    for i, (vectors, what) in enumerate(zip(sets, whats)):
+        if out[i] is not None:
+            continue
+        try:
+            vectors = list(vectors)
+        except TypeError:
+            raise ValidationError(
+                f"{what}: expected a sequence of state vectors, "
+                f"got {reprlib.repr(vectors)}") from None
+        try:
+            rows = [as_state(v, dim) for v in vectors]
+        except DimensionMismatchError:
+            raise
+        except ValidationError as exc:
+            raise ValidationError(f"{what}: {exc}") from exc
+        stack = np.zeros((0, dim or 0), dtype=complex)
+        if rows:
+            require_dim("state", *[row.size for row in rows])
+            stack = np.array(rows)
+        if not np.maximum.reduce(_gram_defect(stack), axis=None,
+                                 initial=0.0) <= INPUT_TOL:
+            raise ValidationError(f"{what} is not orthonormal")
+        stack.setflags(write=False)
+        out[i] = stack
     return out
 
 
@@ -298,9 +271,10 @@ def _as_numbers(value, what: str) -> np.ndarray:
 
 
 def _as_matrix(m) -> np.ndarray:
-    """``_as_numbers`` of a matrix, refused unless square and 2-d."""
+    """``_as_numbers`` of a matrix, refused unless square, 2-d and not
+    empty."""
     m = _as_numbers(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -343,8 +317,13 @@ def tensor(a, b) -> np.ndarray:
 
 def hermitian_defect(m) -> float:
     """The max-abs entry of M - M^dag, for a square matrix M."""
-    m = _as_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(_hermitian_defects(_as_matrix(m)))
+
+
+def _hermitian_defects(m: np.ndarray) -> np.ndarray:
+    """max |M - M^dag| over the last two axes: the one Hermitian defect,
+    of a matrix or of each matrix of a stack."""
+    return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
@@ -397,23 +376,28 @@ def _gram_defect(stack: np.ndarray) -> np.ndarray:
                   - np.eye(stack.shape[-2]))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or NaN: refused
-def _hermitian_stack(matrices) -> np.ndarray | None:
-    """``matrices`` read once, by ``_as_numbers``, as one (S, d, d) stack,
-    when each is a square matrix of one size d >= 1 that
-    ``require_hermitian`` accepts: one finite-and-Hermitian defect, max
-    |M - M^dag| per matrix, which an entry that is not finite makes inf
-    or NaN.  None otherwise, and ``require_hermitian`` words the refusal.
+def _hermitian_stack(matrices) -> np.ndarray:
+    """A schedule's generators, ``matrices``, read once, by
+    ``_as_numbers``, as one checked (S, d, d) stack.
+
+    The stack clears when each is a square matrix of one size d >= 1 with
+    a Hermitian defect within INPUT_TOL (``_hermitian_defects``, which an
+    entry that is not finite makes inf or NaN, without a warning).
+    Otherwise ``require_hermitian`` judges each matrix in order, and then
+    ``require_dim`` their sizes, so a refusal is the per-matrix rule's.
     """
     try:
         stack = _as_numbers(matrices, "matrix")
-    except ValidationError:  # unreadable or ragged: refused per matrix
-        return None
-    if stack.ndim != 3 or not 1 <= stack.shape[1] == stack.shape[2]:
-        return None
-    defects = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)),
-                     axis=(1, 2))
-    return stack if np.all(defects <= INPUT_TOL) else None
+    except ValidationError:  # unreadable or ragged: judged per matrix
+        stack = None
+    if stack is not None and stack.ndim == 3 and (
+            1 <= stack.shape[1] == stack.shape[2]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.all(_hermitian_defects(stack) <= INPUT_TOL):
+                return stack
+    checked = [require_hermitian(m) for m in matrices]
+    require_dim("segment Hamiltonian", *[m.shape[0] for m in checked])
+    return np.array(checked)
 
 
 def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:

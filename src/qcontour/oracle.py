@@ -159,7 +159,9 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     complete orthonormal basis.  Outcome sequences are indexed per time, in
     lexicographic order (the order of ``enumerate_family``'s index); their
     probabilities are products of conditional Born probabilities and sum
-    to one by completeness.
+    to one by completeness.  Every basis is checked, by one
+    ``linalg._basis_stacks`` call at the schedule's dimension, before any
+    is required to be complete.
     """
     psi1 = linalg.as_state(psi1, require_schedule(sched).dim)
     times = require_increasing(times, "measurement times")
@@ -168,15 +170,11 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
         raise ValidationError("need exactly one basis per measurement time")
     if times:
         require_not_before(times[0], t_prep, "first measurement time")
-    checked = []
-    for t, basis in zip(times, bases):
-        if not hasattr(basis, "__iter__"):
-            raise ValidationError(f"basis at time {t} must be a sequence "
-                                  "of states")
-        stack = linalg.as_basis(basis, f"basis at time {t}", sched.dim)
+    checked = linalg._basis_stacks(
+        list(bases), [f"basis at time {t}" for t in times], sched.dim)
+    for t, stack in zip(times, checked):
         if len(stack) != sched.dim:
             raise ValidationError(f"basis at time {t} must be complete")
-        checked.append(stack)
     probs = _unchecked_chain([psi1.reshape(1, -1), *checked],
                              (t_prep, *times), sched)
     # keys in the lexicographic order of the rows, as enumerate_family's

@@ -124,6 +124,12 @@ _MODEL = random_model(rng_from_seed(3), (0.0, 0.5), 2, 1)
     # a bare ValueError from numpy, on a matrix entry that is not a number
     lambda: HistoryOperator([[[1, 0], [0, "a"]]]),
     lambda: check_envariance(_PSI, "ab"),
+    # a bare ValueError from numpy, on a 0x0 matrix
+    lambda: HamiltonianSchedule([(0.0, 1.0, np.zeros((0, 0)))]),
+    lambda: HistoryOperator([np.zeros((0, 0))]),
+    lambda: is_hermitian(np.zeros((0, 0))),
+    lambda: is_projector(np.zeros((0, 0))),
+    lambda: check_unitary(np.zeros((0, 0))),
     # each leaked IndexError
     lambda: BipartiteState.from_matrix(None),
     lambda: BipartiteState.from_matrix([1, 2]),

@@ -31,6 +31,14 @@ class TestScheduleConstruction:
         with pytest.raises(ValidationError):
             HamiltonianSchedule([(0.0, 1.0, SX), (1.0, 2.0, np.eye(3))])
 
+    def test_every_triple_s_times_are_checked_before_any_generator(self):
+        # the first generator used to be refused, as not Hermitian, before
+        # the second triple's times were read
+        with pytest.raises(ValidationError,
+                           match=r"^segment times must increase"):
+            HamiltonianSchedule([(0.0, 1.0, [[0, 1], [0, 0]]),
+                                 (2.0, 1.0, SX)])
+
     def test_span(self):
         sched = HamiltonianSchedule([(0.0, 1.0, SX), (1.0, 2.5, SZ)])
         assert (sched.t_min, sched.t_max) == (0.0, 2.5)

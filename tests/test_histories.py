@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
                       record_state, transfer_chain, validate_family)
 from qcontour import dynamics, histories, linalg
 from qcontour.errors import DimensionMismatchError, EnumerationGuardError
-from qcontour.sampling import random_orthonormal_basis, rng_from_seed
+from qcontour.sampling import (random_model, random_orthonormal_basis,
+                               rng_from_seed)
 from toys import (E0, E1, FAMILY_SHAPES, MINUS, PLUS, computational_basis,
                   count_calls, family_variants, random_family_spec,
                   sx_schedule, zero_schedule)
@@ -722,6 +724,12 @@ class TestFamilySpec:
                        constraints=(FixedPoint(1.0, E0), FixedPoint(1.0, E1)))
 
 
+    def test_every_basis_is_judged_before_an_empty_one_is_refused(self):
+        # the empty set at the free time 0.0 used to be refused first
+        with pytest.raises(ValidationError,
+                           match=r"^basis at time 1\.0 is not orthonormal$"):
+            FamilySpec(times=(0.0, 1.0), bases=((), (E0, E0)))
+
     @pytest.mark.parametrize("constraints", [(), (FixedPoint(1.0, E0),)])
     def test_unnormalized_basis_vector_names_its_time(self, constraints):
         with pytest.raises(ValidationError, match=r"^basis at time 1\.0: "
@@ -856,7 +864,7 @@ class TestSlotTable:
         spec = FamilySpec(times=(0.0, 1.0, 2.0), bases=raw,
                           constraints=constraints)
         assert single == [] and per_set == [] and len(stacked) == 1
-        assert [len(sets) for sets, in stacked] == [len(raw)]
+        assert [len(sets) for sets, _ in stacked] == [len(raw)]
         assert all(a is b for a, b in zip(stacked[0][0], raw, strict=True))
         for basis in raw:
             assert sum(any(item is basis for item in args[0])
@@ -979,3 +987,46 @@ class TestFamilyIndex:
                                        QuantumHistory((a, b))))
         assert fam.slots == ((a,), (b, c))
         assert fam.index.tolist() == [[0, 0], [0, 1], [0, 0]]
+
+
+def _checked_arrays(obj) -> list:
+    """Every checked array a fixed point, recipe or family holds: states,
+    slot stacks, basis rows and, once read, a family's index and choices."""
+    if isinstance(obj, FixedPoint):
+        return [obj.state]
+    arrays = [*obj.slot_states,
+              *(fp.state for slot in obj.slots for fp in slot)]
+    if isinstance(obj, FamilySpec):
+        return arrays + [row for rows in obj.bases for row in rows]
+    return arrays + [obj.index, obj.choices]
+
+
+class TestPickledArraysStayReadOnly:
+    """A pickle keeps an array's bits but not its read-only flag; an
+    unpickled fixed point, model or family makes its arrays read-only
+    again, as ``HamiltonianSchedule`` does by being built again."""
+
+    def test_a_round_trip_keeps_bits_and_flags(self):
+        model = random_model(rng_from_seed(8), (0.0, 0.5, 1.0), 3, 1)
+        fam = enumerate_family(model)
+        fam.choices  # the index and choices are built, and pickled, too
+        for obj in (FixedPoint(0.5, PLUS, "p"), model, fam):
+            copy = pickle.loads(pickle.dumps(obj))
+            arrays = _checked_arrays(copy)
+            assert [a.tobytes() for a in arrays] == [
+                a.tobytes() for a in _checked_arrays(obj)]
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[0][0] = 0.0
+
+    def test_an_unpickled_family_measures_as_the_original(self):
+        model = random_model(rng_from_seed(9), (0.0, 0.4, 0.8, 1.2), 3, 2)
+        fam = enumerate_family(model)
+        want = measure_report(fam, model.schedule, steps_per_segment=2)
+        got = measure_report(pickle.loads(pickle.dumps(fam)),
+                             pickle.loads(pickle.dumps(model.schedule)),
+                             steps_per_segment=2)
+        for column in ("weights", "measures", "contour_weights"):
+            assert (getattr(got, column).tobytes()
+                    == getattr(want, column).tobytes())
+        assert got.normalization == want.normalization

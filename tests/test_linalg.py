@@ -12,8 +12,10 @@ from qcontour import (DimensionMismatchError, HamiltonianSchedule,
                       propagate, tensor)
 from qcontour.errors import QContourError, ZeroNormalizationError
 from qcontour.linalg import (DEFAULT_TOL, INPUT_TOL, STATE_MARGIN, as_basis,
-                             as_square, as_state, norm, normalize,
-                             require_count, require_dim, require_tolerance)
+                             as_square, as_state, hermitian_defect, norm,
+                             normalize, require_count, require_dim,
+                             require_hermitian, require_tolerance,
+                             unitary_defect)
 from qcontour.sampling import (haar_unitary, random_hermitian, random_state,
                                rng_from_seed)
 
@@ -146,6 +148,18 @@ class TestCheckUnitary:
 
 
 class TestValidationHelpers:
+    @pytest.mark.parametrize("check", [
+        hermitian_defect, unitary_defect, is_hermitian, is_projector,
+        check_unitary, require_hermitian, as_square,
+        lambda m: HamiltonianSchedule([(0.0, 1.0, m)])])
+    def test_an_empty_matrix_is_refused(self, check):
+        # numpy's bare ValueError ("zero-size array to reduction operation
+        # maximum which has no identity") leaked from the defects
+        with pytest.raises(ValidationError, match=r"^expected a square "
+                           r"matrix, got shape \(0, 0\)$") as info:
+            check(np.zeros((0, 0)))
+        assert type(info.value) is ValidationError
+
     def test_as_state_rejects_nan(self):
         with pytest.raises(ValidationError):
             as_state([np.nan, 0.0])
@@ -367,9 +381,11 @@ class TestAsBasis:
                            match=r"^basis at time 0\.5: .*norm = 2\.0"):
             as_basis([E0, [2.0, 0.0], [np.nan, 0.0]], "basis at time 0.5")
 
-    def test_refuses_what_is_not_a_sequence(self):
+    @pytest.mark.parametrize("vectors", [5, np.array(5.0)])
+    def test_refuses_what_is_not_a_sequence(self, vectors):
+        # a 0-d array leaked TypeError ("len() of unsized object")
         with pytest.raises(ValidationError, match="sequence of state"):
-            as_basis(5, "basis")
+            as_basis(vectors, "basis")
 
     def test_refuses_an_overflowing_squared_norm_without_a_warning(self):
         # the stacked pass must not warn "overflow encountered" before

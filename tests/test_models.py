@@ -201,11 +201,14 @@ class TestModelSpec:
     def test_each_basis_is_checked_once(self, monkeypatch, tmp_path):
         path = tmp_path / "model.json"
         save_model(TestToyBundle.model(0.5), path)
-        # one stacked check of all the bases, and none per basis
+        # one stacked check of all the bases, each named by its time, and
+        # none per basis
         checked = count_calls(monkeypatch, linalg, "_basis_stacks")
         per_set = count_calls(monkeypatch, linalg, "as_basis")
         model = load_model(path)
-        assert [len(sets) for sets, in checked] == [len(model.times)]
+        assert [whats for _, whats in checked] == [
+            [f"basis at time {t}" for t in model.times]]
+        assert [len(sets) for sets, _ in checked] == [len(model.times)]
         assert per_set == []
         checked.clear()
         enumerate_family(model)

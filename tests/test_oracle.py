@@ -158,9 +158,17 @@ class TestSequentialChain:
             sequential_chain(E0, [computational_basis(2)], [1.0],
                              zero_schedule(2), t_prep=t_prep)
 
+    def test_every_basis_is_judged_before_completeness(self):
+        # the incomplete basis at time 1.0 used to be refused first
+        with pytest.raises(ValidationError,
+                           match=r"^basis at time 2\.0 is not orthonormal$"):
+            sequential_chain(E0, [[E0], [E0, E0]], [1.0, 2.0],
+                             zero_schedule(2), 0.0)
+
     @pytest.mark.parametrize("bases, match", [
         (5, "one basis per measurement time"),
-        ([5], "must be a sequence of states"),
+        ([5], r"^basis at time 1\.0: expected a sequence of state vectors, "
+              "got 5$"),
     ])
     def test_bases_that_are_not_sequences_rejected(self, bases, match):
         # both used to raise TypeError

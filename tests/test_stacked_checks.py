@@ -4,10 +4,11 @@
 it with one finite-and-Hermitian defect and diagonalizes it with one
 stacked ``eigh``; ``FamilySpec`` checks its bases with one stacked Gram
 defect per group of equal row count.  The per-item rules
-(``require_hermitian``, ``as_basis``) judge what the stacks do not clear,
-so every input gets the verdict, and every refusal the class and message,
-of the per-item path.  Each property here compares the two paths: the
-per-item one is the same constructor with the stacked check switched off.
+(``require_hermitian``, the per-vector basis rule) judge what the stacks
+do not clear, inside ``linalg``, so every input gets the verdict, and
+every refusal the class and message, of the per-item path.  Each property
+here compares the two paths: the per-item one is the same constructor
+with every stacked defect forced to fail.
 """
 
 import math
@@ -126,9 +127,22 @@ def schedules_with_one_fault(draw):
     return segments
 
 
+def _per_item(defect, build):
+    """``outcome(build)`` with ``linalg.<defect>`` NaN wherever it is taken
+    of a stack (a 3-d array), so no stack clears and the per-item rule
+    judges every item; its 2-d value, which the per-item rule takes, is
+    the real one."""
+    real = getattr(linalg, defect)
+
+    def failing(m):
+        return np.full_like(real(m), math.nan) if m.ndim == 3 else real(m)
+    with mock.patch.object(linalg, defect, failing):
+        return outcome(build)
+
+
 def _per_item_schedule(segments):
-    with mock.patch.object(linalg, "_hermitian_stack", lambda hs: None):
-        return outcome(lambda: HamiltonianSchedule(segments))
+    return _per_item("_hermitian_defects",
+                     lambda: HamiltonianSchedule(segments))
 
 
 class TestScheduleRefusals:
@@ -232,7 +246,18 @@ class TestRecipeRefusals:
 
         def build():
             return FamilySpec(times=times, bases=bases, constraints=pins)
-        with mock.patch.object(linalg, "_basis_stacks",
-                               lambda sets: [None] * len(sets)):
-            want = _spec_view(outcome(build))
+        want = _spec_view(_per_item("_gram_defect", build))
         assert _spec_view(outcome(build)) == want
+
+    def test_each_threshold_case_gets_the_per_item_verdict(self):
+        # the property draws these cases among many; each is pinned here
+        rng = rng_from_seed(43)
+        basis = random_orthonormal_basis(rng, 3)
+        for kind, values in (("norm", SCALES), ("overlap", OVERLAPS)):
+            for value in values:
+                faulty = _faulty_basis(kind, basis, rng, lambda _: value)
+
+                def build():
+                    return FamilySpec(times=(0.0, 0.5), bases=(basis, faulty))
+                want = _spec_view(_per_item("_gram_defect", build))
+                assert _spec_view(outcome(build)) == want, (kind, value)

@@ -2,8 +2,9 @@
 written, ``linalg.require_dim`` the one place a dimension mismatch is
 raised, ``linalg.normalize`` the one place a zero normalization is,
 ``linalg.require_instance`` the one place an argument is refused by type,
-and ``linalg._as_numbers`` the one place an argument is read as complex
-numbers."""
+``linalg._as_numbers`` the one place an argument is read as complex
+numbers, and ``linalg`` the one module whose per-item rules word what a
+stacked check does not clear."""
 
 import ast
 import io
@@ -77,6 +78,13 @@ def _name(node):
 def _calls_outside(rule: str, matches):
     """(file, line) of each call that ``matches`` anywhere but in the body
     of ``linalg.<rule>``."""
+    return _nodes_outside(rule, lambda node: isinstance(node, ast.Call)
+                          and matches(node))
+
+
+def _nodes_outside(rule: str, matches):
+    """(file, line) of each syntax node that ``matches`` anywhere but in
+    the body of ``linalg.<rule>``."""
     offenders = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -85,8 +93,7 @@ def _calls_outside(rule: str, matches):
                  and path.name == "linalg.py" and node.name == rule]
         inside = {id(node) for r in rules for node in ast.walk(r)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and matches(node)
-                    and id(node) not in inside):
+            if matches(node) and id(node) not in inside:
                 offenders.append((path.name, node.lineno))
     return offenders
 
@@ -190,3 +197,26 @@ def test_arrays_read_only_by_the_rule():
     """Every array argument is read by ``linalg._as_numbers``: no other
     code converts a value it was given to a complex array."""
     assert _calls_outside("_as_numbers", _reads_as_complex) == []
+
+
+def test_per_item_rules_are_called_only_inside_linalg():
+    """A caller hands its generators or bases to the stacked checks
+    (``_hermitian_stack``, ``_basis_stacks``), which leave to the
+    per-item rules what they do not clear: no module but ``linalg`` calls
+    ``as_basis`` or ``require_hermitian``, so none grows its own
+    fallback."""
+    offenders = [
+        (path.name, node.lineno) for path in SOURCES
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and _name(node.func) in ("as_basis", "require_hermitian")]
+    assert offenders == []
+
+
+def test_state_margin_read_only_by_the_basis_verdict():
+    """``STATE_MARGIN``, the stacked state check's fast-path margin, is
+    read only by ``linalg._basis_stacks``, the one basis verdict."""
+    assert _nodes_outside("_basis_stacks", lambda node: (
+        _name(node) == "STATE_MARGIN"
+        and isinstance(getattr(node, "ctx", None), ast.Load))) == []
