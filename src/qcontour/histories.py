@@ -13,9 +13,12 @@ through, so the family paths compute what each slot fixed point determines
 once and read it through the index; member histories are built only on
 request.  An enumerated family is its slot shape: its members are the
 product of its slots, in C order, so the step products broadcast one table
-per step along the shape's axes, its histories come from that product, and
-its index is built only when read.  A hand-built family's step amplitudes
-are gathered per member: one inner product of its own two slot rows.
+per step along the shape's axes, its histories are a view of that product
+(``_Rows``, which also serves a report's entries, a distribution's
+outcomes and a table's rows: its length builds no row, and row i is built
+when read), and its index is built only when read.  A hand-built family's
+step amplitudes are gathered per member: one inner product of its own two
+slot rows.
 
 Overlap convention: when two histories are compared, the backward-branch
 factor of each fixed point enters conjugated relative to the forward one,
@@ -36,8 +39,9 @@ enumerated family).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -68,6 +72,49 @@ def _refrozen(self, state: dict) -> None:
             item.setflags(write=False)
         elif isinstance(item, tuple):
             items.extend(item)
+
+
+class _Rows(Sequence):
+    """A read-only sequence whose rows are built when read.
+
+    ``rows(lo, hi)`` returns an iterator over rows ``lo`` to ``hi - 1``; it
+    is a module-level function bound with ``functools.partial``, so the
+    view pickles and holds no reference to the object it is cached on
+    (which the cyclic garbage collector would then free late).  ``len``
+    builds no row, ``v[i]`` builds row i alone, iteration builds each row
+    when it is reached, and a slice, or ``v + tuple``, is a tuple.  A view
+    equals a tuple, or another view, with equal rows in the same order.
+    """
+
+    __slots__ = ("_n", "_rows")
+
+    def __init__(self, n: int, rows):
+        self._n = n
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self._n)[i]))
+        i = range(self._n)[i]  # IndexError past either end
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self):
+        return self._rows(0, self._n)
+
+    def __add__(self, other):
+        return tuple(self) + other
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Rows)):
+            return NotImplemented
+        return other is self or (len(self) == len(other)
+                                 and tuple(self) == tuple(other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +168,7 @@ class QuantumHistory:
     @classmethod
     def _from_points(cls, points) -> QuantumHistory:
         """Unchecked: the caller guarantees what ``__init__`` checks, as
-        ``HistoryFamily.histories`` does for the members of checked slots."""
+        ``_product_members`` does for the members of checked slots."""
         h = cls.__new__(cls)
         object.__setattr__(h, "points", tuple(points))
         return h
@@ -203,8 +250,9 @@ class HistoryFamily:
     A family is stored as its per-slot fixed points and an index:
     ``slots[k]`` holds the distinct fixed points at grid time k, and
     ``index`` is a read-only (H, N_t) integer array whose entry ``[h, k]``
-    says which of them member h passes through.  The members are built as
-    ``QuantumHistory`` objects only when ``histories`` is read.
+    says which of them member h passes through.  An enumerated family's
+    members are built as ``QuantumHistory`` objects only when read:
+    ``histories`` is a view whose member h is built when it is reached.
     ``slot_states[k]`` is slot k's states as one read-only (n_k, d) stack,
     row i the state of ``slots[k][i]``.  ``==`` is identity, as for fixed
     points.
@@ -213,7 +261,7 @@ class HistoryFamily:
     known, in time order; the remaining times are free slots.  An
     enumerated family (``enumerate_family``) has ``shape``, the slot sizes:
     its members are ``itertools.product(*slots)``, in C order, which
-    ``histories`` reads without the index; its ``index`` is
+    ``histories`` builds from the shape without the index; its ``index`` is
     ``np.indices(shape)`` flattened, built on first read.  It also has
     ``choices``, per history the basis index chosen at each free slot, in
     time order: the index's free columns, a read-only (H, N_t - S_t)
@@ -300,11 +348,12 @@ class HistoryFamily:
         return choices
 
     @cached_property
-    def histories(self) -> tuple[QuantumHistory, ...]:
+    def histories(self) -> Sequence[QuantumHistory]:
         """The members; an enumerated family's are the product of its
-        slots, in C order, built on first read without the index."""
-        return tuple(map(QuantumHistory._from_points,
-                         itertools.product(*self.slots)))
+        slots, in C order, as a view whose member h is built when read,
+        without the index."""
+        return _Rows(math.prod(self.shape),
+                     functools.partial(_product_members, self.slots))
 
     @property
     def slot_times(self) -> tuple[float, ...]:
@@ -317,6 +366,15 @@ class HistoryFamily:
     @property
     def dim(self) -> int:
         return self.slots[0][0].dim
+
+
+def _product_members(slots, lo: int, hi: int):
+    """Members ``lo`` to ``hi - 1`` of the product of ``slots``, in C
+    order, as histories."""
+    positions = np.unravel_index(np.arange(lo, hi), tuple(map(len, slots)))
+    return map(QuantumHistory._from_points,
+               zip(*(map(slot.__getitem__, column.tolist())
+                     for slot, column in zip(slots, positions))))
 
 
 def _steps(fam, sched: HamiltonianSchedule, pairs=None, sub: int = 1,
@@ -533,9 +591,12 @@ def validate_family(fam: HistoryFamily,
 
 @dataclass(frozen=True)
 class HistoryOperator:
-    """Time-ordered chain of Heisenberg-picture projectors."""
+    """Time-ordered chain of Heisenberg-picture projectors, each a checked,
+    read-only copy of the matrix given."""
 
     projectors: tuple[np.ndarray, ...]
+
+    __setstate__ = _refrozen
 
     def __post_init__(self):
         projectors = tuple(map(linalg.as_square, _members(
@@ -544,6 +605,8 @@ class HistoryOperator:
             raise ValidationError("chain entry is not a projector")
         if projectors:
             linalg.require_dim("projector", *[p.shape[0] for p in projectors])
+        for p in projectors:  # fresh copies: no caller's array is frozen
+            p.setflags(write=False)
         object.__setattr__(self, "projectors", projectors)
 
     @property

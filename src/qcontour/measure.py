@@ -41,7 +41,9 @@ the recipe's ``slot_times``.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,7 +55,7 @@ from .dynamics import (HamiltonianSchedule, evolve_state, propagate,
                        require_schedule)
 from .errors import ValidationError
 from .histories import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
-                        _members, _products, _steps)
+                        _members, _products, _Rows, _steps)
 
 
 def segment_amplitude(fp_a: FixedPoint, fp_b: FixedPoint,
@@ -179,8 +181,9 @@ class MeasureReport:
     when it was not run) belongs to member h of ``family``, whose index and
     choices give the member's labels and free-slot choices.  The columns
     are read-only float arrays.  ``rows()``, ``entries`` (one
-    ``HistoryMeasure`` per member, cached on first read) and
-    ``by_choices()`` are views derived from the columns.
+    ``HistoryMeasure`` per member, a view whose entry h is built when
+    read; the view itself is cached) and ``by_choices()`` are views derived
+    from the columns.
     """
 
     weights: np.ndarray
@@ -206,21 +209,20 @@ class MeasureReport:
         """Per member, in family order: labels, weight, measure, free-slot
         choices (or None) and contour weight (or None), as Python values in
         the field order of ``HistoryMeasure``."""
-        fam = self.family
-        choices = (itertools.repeat(None) if fam.choices is None
-                   else map(tuple, fam.choices.tolist()))
-        alts = (itertools.repeat(None) if self.contour_weights is None
-                else self.contour_weights.tolist())
-        labels = zip(*(map([p.label for p in slot].__getitem__, column)
-                       for slot, column in zip(fam.slots,
-                                               fam.index.T.tolist())))
-        return zip(labels, self.weights.tolist(), self.measures.tolist(),
-                   choices, alts)
+        return _measure_rows(*self._columns(), 0, len(self.weights))
+
+    def _columns(self) -> tuple:
+        """The arguments ``_measure_rows`` takes before its row range."""
+        return (self.family, self.weights, self.measures,
+                self.contour_weights)
 
     @cached_property
-    def entries(self) -> tuple[HistoryMeasure, ...]:
-        """One ``HistoryMeasure`` per member, in family order."""
-        return tuple(itertools.starmap(HistoryMeasure, self.rows()))
+    def entries(self) -> Sequence[HistoryMeasure]:
+        """One ``HistoryMeasure`` per member, in family order: a view
+        whose entry h is built when read, holding the columns and the
+        family but not the report."""
+        return _Rows(len(self.weights),
+                     functools.partial(_measure_entries, *self._columns()))
 
     def by_choices(self) -> dict[tuple[int, ...], float]:
         """Measures keyed by the basis indices chosen at free slots, in
@@ -231,6 +233,26 @@ class MeasureReport:
         return dict(zip(map(tuple, choices.tolist()), self.measures.tolist()))
 
 
+def _measure_rows(fam: HistoryFamily, weights: np.ndarray,
+                  measures: np.ndarray, contour: np.ndarray | None,
+                  lo: int, hi: int):
+    """``MeasureReport.rows()`` of members ``lo`` to ``hi - 1``."""
+    choices = (itertools.repeat(None) if fam.choices is None
+               else map(tuple, fam.choices[lo:hi].tolist()))
+    alts = (itertools.repeat(None) if contour is None
+            else contour[lo:hi].tolist())
+    labels = zip(*(map([p.label for p in slot].__getitem__, column)
+                   for slot, column in zip(fam.slots,
+                                           fam.index[lo:hi].T.tolist())))
+    return zip(labels, weights[lo:hi].tolist(), measures[lo:hi].tolist(),
+               choices, alts)
+
+
+def _measure_entries(*columns):
+    """``_measure_rows`` as ``HistoryMeasure`` objects."""
+    return itertools.starmap(HistoryMeasure, _measure_rows(*columns))
+
+
 def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
                    steps_per_segment: int | None = None) -> MeasureReport:
     """Measures of existence for every member of a family, as columns.
@@ -239,7 +261,8 @@ def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,
     ``steps_per_segment`` is given, the contour-walk route, which checks
     that count first, is run before the closed form, so a bad count weighs
     nothing.  No per-member object is built, and an enumerated family's
-    index is not read: the report's ``entries`` builds them on request.
+    index is not read: the report's ``entries`` builds each entry when it
+    is read.
     """
     linalg.require_instance(fam, HistoryFamily, "family")
     contour = (None if steps_per_segment is None

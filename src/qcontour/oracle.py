@@ -13,9 +13,11 @@ one-row stack, its constraint's state, on which the chain post-selects.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import reprlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +27,7 @@ from . import linalg
 from .contour import require_increasing, require_not_before, require_time
 from .dynamics import HamiltonianSchedule, propagate, require_schedule
 from .errors import ValidationError
+from .histories import _Rows
 from .sampling import rng_from_seed
 
 
@@ -35,12 +38,12 @@ class OutcomeDistribution:
     Held as columns: row k of ``keys``, an (n, L) integer array, is the
     index sequence of outcome k and entry k of ``probabilities`` its
     probability; both are read-only.  ``outcomes`` (one (key tuple, float)
-    pair per outcome, the form the constructor takes) is built on first
-    read, and ``from_columns`` takes the two columns as they are.  Either
-    way the keys are distinct, equal-length integer sequences and the
-    probabilities finite, at least ``-ROUNDING_TOL`` and summing to one
-    within ``DEFAULT_TOL``.  Distributions are equal when their keys and
-    probabilities are.
+    pair per outcome, the form the constructor takes) is a view whose pair
+    k is built when read, and ``from_columns`` takes the two columns as
+    they are.  Either way the keys are distinct, equal-length integer
+    sequences and the probabilities finite, at least ``-ROUNDING_TOL`` and
+    summing to one within ``DEFAULT_TOL``.  Distributions are equal when
+    their keys and probabilities are.
     """
 
     keys: np.ndarray
@@ -108,10 +111,11 @@ class OutcomeDistribution:
         object.__setattr__(self, "probabilities", probs)
 
     @cached_property
-    def outcomes(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        """(key tuple, probability) pairs of Python scalars, in row order."""
-        return tuple(zip(map(tuple, self.keys.tolist()),
-                         self.probabilities.tolist()))
+    def outcomes(self) -> Sequence[tuple[tuple[int, ...], float]]:
+        """(key tuple, probability) pairs of Python scalars, in row order,
+        each built when read."""
+        return _Rows(len(self.keys), functools.partial(
+            _outcome_rows, self.keys, self.probabilities))
 
     def __eq__(self, other):
         if not isinstance(other, OutcomeDistribution):
@@ -121,6 +125,14 @@ class OutcomeDistribution:
 
     def __hash__(self):
         return hash((self.keys.shape, self.keys.tobytes()))
+
+
+def _outcome_rows(keys: np.ndarray, probabilities: np.ndarray, lo: int,
+                  hi: int):
+    """Outcomes ``lo`` to ``hi - 1``: (key tuple, probability) pairs of
+    Python scalars."""
+    return zip(map(tuple, keys[lo:hi].tolist()),
+               probabilities[lo:hi].tolist())
 
 
 def _probability(p) -> float:
@@ -258,7 +270,8 @@ class FrequencyTable:
     ``max_sigma`` is the largest deviation of a frequency from its clipped
     probability in units of one binomial standard error: 0 where a
     zero-width band is hit, inf where one is missed.  ``rows`` (one
-    ``FrequencyRow`` of Python scalars per outcome) is built on first read.
+    ``FrequencyRow`` of Python scalars per outcome) is a view whose row k
+    is built when read.
     Tables are equal when their ``n``, ``seed``, keys, probabilities and
     counts are; every other column follows from those.
     """
@@ -291,12 +304,19 @@ class FrequencyTable:
         return hash((self.n, self.seed, self.keys.shape, self.keys.tobytes()))
 
     @cached_property
-    def rows(self) -> tuple[FrequencyRow, ...]:
-        """One ``FrequencyRow`` per outcome, in the distribution's order."""
-        return tuple(itertools.starmap(FrequencyRow, zip(
-            map(tuple, self.keys.tolist()), self.probabilities.tolist(),
-            self.counts.tolist(), self.frequency.tolist(),
-            self.band.tolist(), self.within.tolist())))
+    def rows(self) -> Sequence[FrequencyRow]:
+        """One ``FrequencyRow`` per outcome, in the distribution's order,
+        each built when read."""
+        return _Rows(len(self.keys), functools.partial(_frequency_rows, (
+            self.keys, self.probabilities, self.counts, self.frequency,
+            self.band, self.within)))
+
+
+def _frequency_rows(columns, lo: int, hi: int):
+    """Rows ``lo`` to ``hi - 1`` of a table's ``columns``, keys first, as
+    ``FrequencyRow`` objects of Python scalars."""
+    keys, *rest = (column[lo:hi].tolist() for column in columns)
+    return itertools.starmap(FrequencyRow, zip(map(tuple, keys), *rest))
 
 
 def require_sample_count(n) -> int:

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontour import (FamilySpec, FixedPoint, HistoryFamily, QuantumHistory,
-                      ValidationError, chain_probability, decoherence_functional,
+from qcontour import (FamilySpec, FixedPoint, HistoryFamily, HistoryOperator,
+                      OutcomeDistribution, QuantumHistory, ValidationError,
+                      chain_probability, decoherence_functional,
                       decoherence_report, enumerate_family, histories_equal,
                       history_inner, history_operator, measure_report,
-                      record_state, transfer_chain, validate_family)
+                      monte_carlo_sample, record_state, transfer_chain,
+                      validate_family)
 from qcontour import dynamics, histories, linalg
 from qcontour.errors import DimensionMismatchError, EnumerationGuardError
 from qcontour.sampling import (random_model, random_orthonormal_basis,
@@ -942,7 +944,12 @@ class TestFamilyIndex:
         assert np.array_equal(rebuilt.index, fam.index)
         assert all(a is b for sa, sb in zip(rebuilt.slots, fam.slots)
                    for a, b in zip(sa, sb, strict=True))
-        assert rebuilt.histories is fam.histories
+        # a hand-built family keeps its members as a tuple, whatever
+        # sequence they came in; histories compare by identity, and each
+        # read of an enumerated family's view builds its members afresh
+        assert type(rebuilt.histories) is tuple
+        assert [h.points for h in rebuilt.histories] == [
+            h.points for h in fam.histories]
         assert rebuilt.choices is None
 
     @given(FAMILY_SHAPES)
@@ -1004,7 +1011,8 @@ def _checked_arrays(obj) -> list:
 class TestPickledArraysStayReadOnly:
     """A pickle keeps an array's bits but not its read-only flag; an
     unpickled fixed point, model or family makes its arrays read-only
-    again, as ``HamiltonianSchedule`` does by being built again."""
+    again, as ``HamiltonianSchedule`` does by being built again; so does a
+    projector chain.  An object pickles with its per-row views read."""
 
     def test_a_round_trip_keeps_bits_and_flags(self):
         model = random_model(rng_from_seed(8), (0.0, 0.5, 1.0), 3, 1)
@@ -1030,3 +1038,35 @@ class TestPickledArraysStayReadOnly:
             assert (getattr(got, column).tobytes()
                     == getattr(want, column).tobytes())
         assert got.normalization == want.normalization
+
+    def test_objects_pickle_with_their_views_read(self):
+        # a view is cached on its owner, so it is pickled with it: its row
+        # builder is a module-level function bound with functools.partial
+        model = random_model(rng_from_seed(10), (0.0, 0.5, 1.0), 2, 1)
+        fam = enumerate_family(model)
+        report = measure_report(fam, model.schedule, steps_per_segment=2)
+        dist = OutcomeDistribution.from_columns(fam.index, report.measures)
+        table = monte_carlo_sample(dist, 100, 10)
+        for owner, name in ((fam, "histories"), (report, "entries"),
+                            (dist, "outcomes"), (table, "rows")):
+            view = getattr(owner, name)
+            rows = tuple(view)
+            copy = getattr(pickle.loads(pickle.dumps(owner)), name)
+            assert type(copy) is type(view) and len(copy) == len(rows)
+            if name == "histories":  # compared by identity
+                assert [[p.label for p in h.points] for h in copy] == [
+                    [p.label for p in h.points] for h in rows]
+            else:
+                assert repr(copy) == repr(rows) and copy == rows
+
+    def test_a_chain_is_read_only_and_stays_so(self):
+        given_matrix = np.diag([1.0, 0.0])
+        chain = HistoryOperator([given_matrix])
+        copy = pickle.loads(pickle.dumps(chain))
+        for op in (chain, copy):
+            assert not op.projectors[0].flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                op.projectors[0][1, 1] = 7.0
+            assert np.array_equal(op.matrix(), np.diag([1.0, 0.0]))
+        # the chain holds a checked copy: the caller's array stays writable
+        assert given_matrix.flags.writeable

@@ -591,6 +591,8 @@ class TestCountGuards:
         measure_report(fam, sched, steps_per_segment=2)
         assert built == []
         assert len(fam.histories) == 27
+        assert built == []
+        list(fam.histories)
         assert len(built) == 27
 
     def test_no_per_history_objects_until_entries_are_read(
@@ -612,6 +614,9 @@ class TestCountGuards:
         for report in reports:
             assert len(report.entries) == 27
             assert report.entries is report.entries
+        assert made == []
+        for report in reports:
+            list(report.entries)
         assert len(made) == 54
         assert built == [] and members == []
 

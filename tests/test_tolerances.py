@@ -3,8 +3,8 @@ written, ``linalg.require_dim`` the one place a dimension mismatch is
 raised, ``linalg.normalize`` the one place a zero normalization is,
 ``linalg.require_instance`` the one place an argument is refused by type,
 ``linalg._as_numbers`` the one place an argument is read as complex
-numbers, and ``linalg`` the one module whose per-item rules word what a
-stacked check does not clear."""
+numbers, ``linalg`` the one module whose per-item rules word what a
+stacked check does not clear, and no cached view a closure."""
 
 import ast
 import io
@@ -220,3 +220,31 @@ def test_state_margin_read_only_by_the_basis_verdict():
     assert _nodes_outside("_basis_stacks", lambda node: (
         _name(node) == "STATE_MARGIN"
         and isinstance(getattr(node, "ctx", None), ast.Load))) == []
+
+
+def _closures_in_cached_properties(tree):
+    """Line of each ``lambda`` or nested ``def`` in the body of a
+    ``cached_property``."""
+    return [node.lineno for prop in ast.walk(tree)
+            if isinstance(prop, ast.FunctionDef)
+            and any(_name(d) == "cached_property" for d in prop.decorator_list)
+            for stmt in prop.body for node in ast.walk(stmt)
+            if isinstance(node, (ast.Lambda, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+
+
+def test_cached_views_close_over_nothing():
+    """A cached view binds module-level row builders with
+    ``functools.partial``: a closure in a ``cached_property`` body would
+    refer to its owner, which the cyclic collector then frees late, and
+    would not pickle."""
+    closure = ast.parse(
+        "class Report:\n"
+        "    @cached_property\n"
+        "    def entries(self):\n"
+        "        return _Rows(len(self.weights), lambda lo, hi: map(\n"
+        "            self.entry, range(lo, hi)))\n")
+    assert _closures_in_cached_properties(closure) == [4]
+    assert [(path.name, line) for path in SOURCES
+            for line in _closures_in_cached_properties(
+                ast.parse(path.read_text()))] == []
