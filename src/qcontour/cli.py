@@ -83,25 +83,25 @@ def cmd_measure(args) -> int:
     fam = enumerate_family(model)
     report = measure_report(fam, model.schedule,
                             steps_per_segment=args.steps_per_segment)
-    rows = list(report.rows())
-    entries = [{"labels": labels, "choices": choice, "delta_psi": w,
-                "delta_psi_contour": alt, "measure": m}
-               for labels, w, m, choice, alt in rows]
+    entries = list(report.entries)
     doc = {
         "command": "measure",
         "constraint_times": list(report.constraint_times),
         "normalization": report.normalization,
-        "entries": entries,
+        "entries": [{"labels": e.labels, "choices": e.choices,
+                     "delta_psi": e.delta_psi,
+                     "delta_psi_contour": e.delta_psi_contour,
+                     "measure": e.measure} for e in entries],
         "route_max_discrepancy": report.route_max_discrepancy,
         "steps_per_segment": args.steps_per_segment,
     }
     lines = [f"{len(entries)} histories, "
              f"constraints at {list(report.constraint_times)}",
              f"normalization: {report.normalization:.15g}"]
-    for labels, w, m, _, _ in rows:
-        lines.append(f"  {'.'.join(labels):<24} "
-                     f"delta_psi={w:.15g}  "
-                     f"measure={m:.15g}")
+    for e in entries:
+        lines.append(f"  {'.'.join(e.labels):<24} "
+                     f"delta_psi={e.delta_psi:.15g}  "
+                     f"measure={e.measure:.15g}")
     lines.append(f"route max discrepancy: "
                  f"{report.route_max_discrepancy:.3e}")
     _emit(doc, lines, args.format)

@@ -78,8 +78,7 @@ class HamiltonianSchedule:
             if not same_time(end, start):
                 raise ValidationError(
                     f"segments are not contiguous at t = {end} vs {start}")
-        stack.setflags(write=False)
-        self._stack = stack
+        self._stack = linalg.freeze(stack)
         self._segments = tuple((t0, t1, h)
                                for (t0, t1), h in zip(spans, stack))
         self._dim = stack.shape[1]
@@ -148,8 +147,7 @@ class HamiltonianSchedule:
         if u is not None:
             with _MEMO_LOCK:
                 if (len(self._memo) + 1) * u.size <= MEMO_ENTRIES:
-                    u.setflags(write=False)
-                    self._memo[t_lo, t_hi] = u
+                    self._memo[t_lo, t_hi] = linalg.freeze(u)
         return u
 
 

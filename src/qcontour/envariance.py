@@ -19,9 +19,10 @@ from . import linalg
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class BipartiteState:
-    """Normalized state of an (A, B) pair, stored as one flat amplitude vector.
+@dataclass(frozen=True, eq=False)
+class BipartiteState(linalg.Frozen):
+    """Normalized state of an (A, B) pair, stored as one flat, read-only
+    amplitude vector (a checked copy of the one given); == is identity.
 
     Component (i, j) of the joint computational basis sits at index
     ``i * dim_b + j``.
@@ -36,8 +37,7 @@ class BipartiteState:
             object.__setattr__(self, name, linalg.require_count(
                 getattr(self, name), name, 1))
         amps = linalg.as_state(self.amplitudes, self.dim_a * self.dim_b)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", linalg.freeze(amps))
 
     @classmethod
     def from_matrix(cls, matrix) -> "BipartiteState":
@@ -55,17 +55,21 @@ class BipartiteState:
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
+@dataclass(frozen=True, eq=False)
+class SchmidtForm(linalg.Frozen):
     """Schmidt data: descending non-negative coefficients and the two bases.
 
     ``basis_a`` and ``basis_b`` are full orthonormal bases of their
-    subsystems; coefficients beyond ``len(coefficients)`` are zero.
+    subsystems, held as read-only views of the vectors given; coefficients
+    beyond ``len(coefficients)`` are zero.  ``==`` is identity.
     """
 
     coefficients: tuple[float, ...]
     basis_a: tuple[np.ndarray, ...]
     basis_b: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        self._hold_views("basis_a", "basis_b")
 
     @property
     def rank(self) -> int:
@@ -86,17 +90,20 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     u, s, vh = np.linalg.svd(psi.matrix, full_matrices=True)
     return SchmidtForm(
         coefficients=tuple(float(c) for c in s),
-        basis_a=tuple(u[:, k].copy() for k in range(psi.dim_a)),
-        basis_b=tuple(vh[k, :].copy() for k in range(psi.dim_b)))
+        basis_a=tuple(u.T), basis_b=tuple(vh))
 
 
-@dataclass(frozen=True)
-class EnvarianceResult:
-    """Verdict of an invariance search, with the counter-transformation."""
+@dataclass(frozen=True, eq=False)
+class EnvarianceResult(linalg.Frozen):
+    """Verdict of an invariance search, with the counter-transformation, a
+    read-only view of the matrix given; == is identity."""
 
     envariant: bool
     counter: np.ndarray | None = None
     residual: float | None = None
+
+    def __post_init__(self):
+        self._hold_views("counter")
 
 
 def check_envariance(psi: BipartiteState, u_a,

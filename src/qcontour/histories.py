@@ -60,20 +60,6 @@ from .errors import EnumerationGuardError, ValidationError
 _PAIR_BLOCK_ENTRIES = 2 ** 13
 
 
-def _refrozen(self, state: dict) -> None:
-    """``__setstate__`` of a class holding checked arrays: each array in
-    its attributes, or in their tuples, read-only again (a pickle keeps an
-    array's bits, not its flag)."""
-    self.__dict__.update(state)
-    items = list(state.values())
-    while items:
-        item = items.pop()
-        if isinstance(item, np.ndarray):
-            item.setflags(write=False)
-        elif isinstance(item, tuple):
-            items.extend(item)
-
-
 class _Rows(Sequence):
     """A read-only sequence whose rows are built when read.
 
@@ -118,18 +104,15 @@ class _Rows(Sequence):
 
 
 @dataclass(frozen=True, eq=False)
-class FixedPoint:
+class FixedPoint(linalg.Frozen):
     """A labeled state pinned at one time on both branches; == is identity."""
 
     time: float
     state: np.ndarray
     label: str = "fp"
 
-    __setstate__ = _refrozen
-
     def __post_init__(self):
-        state = linalg.as_state(self.state)
-        state.setflags(write=False)
+        state = linalg.freeze(linalg.as_state(self.state))
         object.__setattr__(self, "time",
                            require_time(self.time, "fixed-point time"))
         object.__setattr__(self, "state", state)
@@ -244,7 +227,7 @@ def _constraint_slots(times, constraint_times) -> list[int]:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class HistoryFamily:
+class HistoryFamily(linalg.Frozen):
     """Histories over one shared time grid, with the constrained times marked.
 
     A family is stored as its per-slot fixed points and an index:
@@ -276,8 +259,6 @@ class HistoryFamily:
     shape: tuple[int, ...] | None
     _free: tuple[int, ...] | None = field(repr=False)
 
-    __setstate__ = _refrozen
-
     def __init__(self, histories, constraint_times=()):
         histories = _members(histories, QuantumHistory, "a family",
                              "histories")
@@ -296,13 +277,12 @@ class HistoryFamily:
         index = np.array([[pos.setdefault(p, len(pos))
                            for pos, p in zip(positions, h.points)]
                           for h in histories], dtype=np.intp)
-        index.setflags(write=False)
         slots = tuple(map(tuple, positions))
         states = tuple(np.array([p.state for p in slot]) for slot in slots)
         self._assign(slots, states, constraint_times, None)
         # a hand-built family's views are given, not derived from a shape
         object.__setattr__(self, "histories", histories)
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "index", linalg.freeze(index))
         object.__setattr__(self, "choices", None)
 
     @classmethod
@@ -320,10 +300,8 @@ class HistoryFamily:
         return fam
 
     def _assign(self, slots, states, constraint_times, free):
-        for array in states:
-            array.setflags(write=False)
         object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "slot_states", states)
+        object.__setattr__(self, "slot_states", linalg.freeze(states))
         object.__setattr__(self, "constraint_times",
                            tuple(sorted(map(float, constraint_times))))
         object.__setattr__(self, "shape", None if free is None
@@ -334,18 +312,14 @@ class HistoryFamily:
     def index(self) -> np.ndarray:
         """Per member, the position of its fixed point in each slot; an
         enumerated family's is built here, on first read."""
-        index = np.indices(self.shape, dtype=np.intp).reshape(
-            len(self.shape), -1).T
-        index.setflags(write=False)
-        return index
+        return linalg.freeze(np.indices(self.shape, dtype=np.intp).reshape(
+            len(self.shape), -1).T)
 
     @cached_property
     def choices(self) -> np.ndarray:
         """Per member of an enumerated family, its free slots' positions:
         the index's free columns, built on first read."""
-        choices = self.index[:, list(self._free)]
-        choices.setflags(write=False)
-        return choices
+        return linalg.freeze(self.index[:, list(self._free)])
 
     @cached_property
     def histories(self) -> Sequence[QuantumHistory]:
@@ -589,14 +563,12 @@ def validate_family(fam: HistoryFamily,
     return FamilyReport(valid=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class HistoryOperator:
+@dataclass(frozen=True, eq=False)
+class HistoryOperator(linalg.Frozen):
     """Time-ordered chain of Heisenberg-picture projectors, each a checked,
-    read-only copy of the matrix given."""
+    read-only copy of the matrix given; == is identity."""
 
     projectors: tuple[np.ndarray, ...]
-
-    __setstate__ = _refrozen
 
     def __post_init__(self):
         projectors = tuple(map(linalg.as_square, _members(
@@ -605,9 +577,7 @@ class HistoryOperator:
             raise ValidationError("chain entry is not a projector")
         if projectors:
             linalg.require_dim("projector", *[p.shape[0] for p in projectors])
-        for p in projectors:  # fresh copies: no caller's array is frozen
-            p.setflags(write=False)
-        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "projectors", linalg.freeze(projectors))
 
     @property
     def dim(self) -> int:
@@ -764,7 +734,7 @@ def decoherence_report(fam: HistoryFamily, sched: HamiltonianSchedule, psi1,
 
 
 @dataclass(frozen=True, eq=False)
-class FamilySpec:
+class FamilySpec(linalg.Frozen):
     """Recipe for an enumerated family: grid, per-time bases, constraints.
 
     ``bases`` holds one orthonormal set per grid time (complete sets are
@@ -798,8 +768,6 @@ class FamilySpec:
     slots: tuple[tuple[FixedPoint, ...], ...] = field(init=False, repr=False)
     #: per grid time, the slot's states as one read-only (n, d) stack
     slot_states: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    __setstate__ = _refrozen
 
     def __post_init__(self):
         times = require_increasing(self.times, "grid times")

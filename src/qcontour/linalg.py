@@ -20,6 +20,12 @@ cannot read as numbers (``None``, text, a ragged nest, an integer beyond
 64 bits) is a ValidationError, and ``_as_matrix`` refuses what is not
 square, 2-d and non-empty.  Every ``tol`` argument is read by
 ``require_tolerance``, and every count by ``require_count``.
+
+``freeze`` is the one read-only rule: every checked array the package
+holds (a stack, a memo entry, a record's column) is marked read-only by
+it, and every class that holds such arrays derives from ``Frozen``, whose
+``__setstate__`` is the one unpickle hook: a pickle keeps an array's bits,
+not its flag, so the hook freezes the restored arrays again.
 """
 
 from __future__ import annotations
@@ -54,6 +60,44 @@ MAX_ENUMERATION = 10 ** 6
 #: ``as_state``: inside DEFAULT_TOL by far more than any norm formula's
 #: rounding, so no verdict can differ from ``as_state``'s
 STATE_MARGIN = 5e-11
+
+
+def freeze(*arrays):
+    """Mark each of ``arrays`` read-only in place, and each array inside a
+    given tuple (at any depth); anything else, None included, is passed
+    over.  Returns the first argument (None when there is none), so
+    ``freeze(a.view())`` is a read-only view of ``a`` that leaves ``a``
+    writable."""
+    for item in arrays:
+        if isinstance(item, np.ndarray):
+            item.setflags(False)  # write=False; a keyword costs 2.5x the call
+        elif isinstance(item, tuple):
+            freeze(*item)
+    return arrays[0] if arrays else None
+
+
+class Frozen:
+    """Base of every class that holds checked arrays: ``__setstate__``, the
+    one unpickle hook, restores the attributes and ``freeze``s every array
+    among them, directly or in a tuple."""
+
+    __slots__ = ()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        freeze(*state.values())
+
+    def _hold_views(self, *names: str) -> None:
+        """Set each named attribute, an array or a tuple of arrays (None is
+        kept), to read-only views of it: the caller's arrays stay
+        writable."""
+        for name in names:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = tuple(v.view() for v in value)
+            elif value is not None:
+                value = value.view()
+            object.__setattr__(self, name, freeze(value))
 
 
 def is_real(x) -> bool:
@@ -202,7 +246,7 @@ def _basis_stacks(sets, whats, dim: int | None = None) -> list[np.ndarray]:
         passed = ((np.maximum.reduce(defect.diagonal(0, 1, 2), axis=1)
                    <= STATE_MARGIN)
                   & (np.maximum.reduce(defect, axis=(1, 2)) <= INPUT_TOL))
-        stack.setflags(write=False)
+        freeze(stack)
         for i, rows, ok in zip(members, stack, passed.tolist()):
             if ok:
                 out[i] = rows
@@ -228,8 +272,7 @@ def _basis_stacks(sets, whats, dim: int | None = None) -> list[np.ndarray]:
         if not np.maximum.reduce(_gram_defect(stack), axis=None,
                                  initial=0.0) <= INPUT_TOL:
             raise ValidationError(f"{what} is not orthonormal")
-        stack.setflags(write=False)
-        out[i] = stack
+        out[i] = freeze(stack)
     return out
 
 

@@ -173,17 +173,17 @@ class HistoryMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasureReport:
+class MeasureReport(linalg.Frozen):
     """Weights and measures of a family's members, as columns.
 
     Row h of ``weights`` (closed form), ``measures`` (weight over
     ``normalization``) and ``contour_weights`` (the contour walk, or None
     when it was not run) belongs to member h of ``family``, whose index and
     choices give the member's labels and free-slot choices.  The columns
-    are read-only float arrays.  ``rows()``, ``entries`` (one
-    ``HistoryMeasure`` per member, a view whose entry h is built when
-    read; the view itself is cached) and ``by_choices()`` are views derived
-    from the columns.
+    are read-only views of the float arrays given, which stay writable.
+    ``entries`` (one ``HistoryMeasure`` per member, a view whose entry h is
+    built when read; the view itself is cached) and ``by_choices()`` are
+    views derived from the columns.
     """
 
     weights: np.ndarray
@@ -194,9 +194,7 @@ class MeasureReport:
     family: HistoryFamily = field(repr=False)
 
     def __post_init__(self):
-        for column in (self.weights, self.measures, self.contour_weights):
-            if column is not None:
-                column.setflags(write=False)
+        self._hold_views("weights", "measures", "contour_weights")
 
     @property
     def route_max_discrepancy(self) -> float | None:
@@ -205,24 +203,14 @@ class MeasureReport:
             return None
         return float(np.max(np.abs(self.weights - self.contour_weights)))
 
-    def rows(self):
-        """Per member, in family order: labels, weight, measure, free-slot
-        choices (or None) and contour weight (or None), as Python values in
-        the field order of ``HistoryMeasure``."""
-        return _measure_rows(*self._columns(), 0, len(self.weights))
-
-    def _columns(self) -> tuple:
-        """The arguments ``_measure_rows`` takes before its row range."""
-        return (self.family, self.weights, self.measures,
-                self.contour_weights)
-
     @cached_property
     def entries(self) -> Sequence[HistoryMeasure]:
         """One ``HistoryMeasure`` per member, in family order: a view
         whose entry h is built when read, holding the columns and the
         family but not the report."""
-        return _Rows(len(self.weights),
-                     functools.partial(_measure_entries, *self._columns()))
+        return _Rows(len(self.weights), functools.partial(
+            _measure_rows, self.family, self.weights, self.measures,
+            self.contour_weights))
 
     def by_choices(self) -> dict[tuple[int, ...], float]:
         """Measures keyed by the basis indices chosen at free slots, in
@@ -236,7 +224,8 @@ class MeasureReport:
 def _measure_rows(fam: HistoryFamily, weights: np.ndarray,
                   measures: np.ndarray, contour: np.ndarray | None,
                   lo: int, hi: int):
-    """``MeasureReport.rows()`` of members ``lo`` to ``hi - 1``."""
+    """``MeasureReport.entries`` of members ``lo`` to ``hi - 1``:
+    ``HistoryMeasure`` objects of Python values."""
     choices = (itertools.repeat(None) if fam.choices is None
                else map(tuple, fam.choices[lo:hi].tolist()))
     alts = (itertools.repeat(None) if contour is None
@@ -244,13 +233,9 @@ def _measure_rows(fam: HistoryFamily, weights: np.ndarray,
     labels = zip(*(map([p.label for p in slot].__getitem__, column)
                    for slot, column in zip(fam.slots,
                                            fam.index[lo:hi].T.tolist())))
-    return zip(labels, weights[lo:hi].tolist(), measures[lo:hi].tolist(),
-               choices, alts)
-
-
-def _measure_entries(*columns):
-    """``_measure_rows`` as ``HistoryMeasure`` objects."""
-    return itertools.starmap(HistoryMeasure, _measure_rows(*columns))
+    return itertools.starmap(HistoryMeasure, zip(
+        labels, weights[lo:hi].tolist(), measures[lo:hi].tolist(), choices,
+        alts))
 
 
 def measure_report(fam: HistoryFamily, sched: HamiltonianSchedule, *,

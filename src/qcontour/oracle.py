@@ -32,7 +32,7 @@ from .sampling import rng_from_seed
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class OutcomeDistribution:
+class OutcomeDistribution(linalg.Frozen):
     """Probabilities over outcome index sequences; sums to one.
 
     Held as columns: row k of ``keys``, an (n, L) integer array, is the
@@ -104,11 +104,8 @@ class OutcomeDistribution:
         if abs(total - 1.0) > linalg.DEFAULT_TOL:
             raise ValidationError(
                 f"probabilities sum to {total!r}, expected 1")
-        keys, probs = keys.view(), probs.view()
-        for column in (keys, probs):
-            column.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "keys", linalg.freeze(keys.view()))
+        object.__setattr__(self, "probabilities", linalg.freeze(probs.view()))
 
     @cached_property
     def outcomes(self) -> Sequence[tuple[tuple[int, ...], float]]:
@@ -259,14 +256,15 @@ class FrequencyRow:
 
 
 @dataclass(frozen=True, eq=False)
-class FrequencyTable:
+class FrequencyTable(linalg.Frozen):
     """Deterministic sampling result, as columns in the distribution's order.
 
     Entry k of ``probabilities`` (as given), ``counts``, ``frequency``
     (count over ``n``), ``band`` (five binomial standard errors of the
     probability clipped to [0, 1]) and ``within`` (the frequency inside its
     band) belongs to outcome ``keys[k]``, row k of the distribution's
-    (n, L) key array; the columns are read-only arrays.
+    (n, L) key array; the columns are read-only views of the arrays
+    given, which stay writable.
     ``max_sigma`` is the largest deviation of a frequency from its clipped
     probability in units of one binomial standard error: 0 where a
     zero-width band is hit, inf where one is missed.  ``rows`` (one
@@ -288,9 +286,8 @@ class FrequencyTable:
     all_within_band: bool
 
     def __post_init__(self):
-        for column in (self.keys, self.probabilities, self.counts,
-                       self.frequency, self.band, self.within):
-            column.setflags(write=False)
+        self._hold_views("keys", "probabilities", "counts", "frequency",
+                         "band", "within")
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):

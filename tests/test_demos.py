@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src``,
+with a numpy warning an error, as in the tests."""
 
 import os
 import pathlib
@@ -16,6 +17,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -18,7 +18,7 @@ from qcontour.measure import HistoryMeasure
 from toys import FAMILY_SHAPES, family_variants, random_family_spec
 
 #: each view's row builder, by module
-_BUILDERS = ((histories, "_product_members"), (measure, "_measure_entries"),
+_BUILDERS = ((histories, "_product_members"), (measure, "_measure_rows"),
              (oracle, "_outcome_rows"), (oracle, "_frequency_rows"))
 
 

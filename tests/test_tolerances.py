@@ -4,7 +4,9 @@ raised, ``linalg.normalize`` the one place a zero normalization is,
 ``linalg.require_instance`` the one place an argument is refused by type,
 ``linalg._as_numbers`` the one place an argument is read as complex
 numbers, ``linalg`` the one module whose per-item rules word what a
-stacked check does not clear, and no cached view a closure."""
+stacked check does not clear, ``linalg.freeze`` the one place an array is
+made read-only, ``linalg.Frozen`` the one unpickle hook, and no cached
+view a closure."""
 
 import ast
 import io
@@ -220,6 +222,42 @@ def test_state_margin_read_only_by_the_basis_verdict():
     assert _nodes_outside("_basis_stacks", lambda node: (
         _name(node) == "STATE_MARGIN"
         and isinstance(getattr(node, "ctx", None), ast.Load))) == []
+
+
+def test_arrays_made_read_only_only_by_the_rule():
+    """Every checked array is made read-only by ``linalg.freeze``: no
+    other code calls ``setflags``."""
+    assert _calls_outside("freeze",
+                          lambda call: _name(call.func) == "setflags") == []
+
+
+#: the names through which pickle restores or rebuilds an object
+_PICKLE_HOOKS = ("__setstate__", "__getstate__", "__reduce__",
+                 "__reduce_ex__")
+
+
+def _class_members(stmt) -> list:
+    """The names a class-body statement defines: a method's, or an
+    assignment's targets."""
+    if isinstance(stmt, ast.FunctionDef):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [_name(target) for target in stmt.targets]
+    return []
+
+
+def test_one_unpickle_hook():
+    """An object holding checked arrays is restored by the one hook,
+    ``linalg.Frozen.__setstate__``, which freezes them again; a schedule
+    alone is rebuilt, by its ``__reduce__``, from its segments."""
+    hooks = [(path.name, cls.name, name) for path in SOURCES
+             for cls in ast.walk(ast.parse(path.read_text()))
+             if isinstance(cls, ast.ClassDef)
+             for stmt in cls.body for name in _class_members(stmt)
+             if name in _PICKLE_HOOKS]
+    assert sorted(hooks) == [
+        ("dynamics.py", "HamiltonianSchedule", "__reduce__"),
+        ("linalg.py", "Frozen", "__setstate__")]
 
 
 def _closures_in_cached_properties(tree):
