@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import MAX_ENUMERATION, TIME_EPS, is_real, require_count
+from .linalg import (MAX_ENUMERATION, TIME_EPS, is_real, require_count,
+                     require_sequence)
 
 
 def same_time(a: float, b: float) -> bool:
@@ -53,13 +54,9 @@ def require_time(t, what: str) -> float:
 def require_increasing(times, what: str) -> tuple[float, ...]:
     """The one time-order rule: ``times`` as floats, each a time
     (``require_time``) after the one before and not ``same_time`` as it;
-    ValidationError also when ``times`` is not a sequence."""
-    try:
-        times = iter(times)
-    except TypeError:
-        raise ValidationError(f"{what} must be a sequence of times, got "
-                              f"{type(times).__name__}") from None
-    values = tuple(require_time(t, what) for t in times)
+    ValidationError also when ``require_sequence`` refuses ``times``."""
+    values = tuple(require_time(t, what)
+                   for t in require_sequence(times, what, "times"))
     if any(not b > a or same_time(a, b) for a, b in zip(values, values[1:])):
         raise ValidationError(
             f"{what} must increase and be distinct, got {values}")

@@ -44,8 +44,8 @@ _MEMO_LOCK = threading.Lock()
 class HamiltonianSchedule:
     """Piecewise-constant Hermitian generator over a contiguous time span.
 
-    ``segments`` is a sequence of ``(t_start, t_end, H)`` triples that must
-    be contiguous, non-overlapping and share one dimension; they may be
+    ``segments`` is a ``linalg.require_sequence`` of ``(t_start, t_end, H)``
+    triples, contiguous, non-overlapping and of one dimension; they may be
     listed in any order.  The schedule's ``segments`` are in time order,
     each H a read-only slice of one stack of the generators, read once
     (a copy: the caller's arrays are not held).  Every triple's times are
@@ -59,14 +59,16 @@ class HamiltonianSchedule:
     """
 
     def __init__(self, segments):
+        kind = "(t_start, t_end, H) triples"
+        segments = linalg.require_sequence(segments, "schedule segments", kind)
         if not segments:
             raise ValidationError("schedule needs at least one segment")
         try:
             triples = [(t0, t1, h) for t0, t1, h in segments]
-        except (TypeError, ValueError):  # not a sequence of triples
+        except (TypeError, ValueError):  # an entry that is not a triple
             raise ValidationError(
-                "schedule segments must be a sequence of (t_start, t_end, H) "
-                f"triples, got {reprlib.repr(segments)}") from None
+                f"schedule segments must be a sequence of {kind}, "
+                f"got {reprlib.repr(segments)}") from None
         spans = [require_increasing((t0, t1), "segment times")
                  for t0, t1, _ in triples]
         stack = linalg._hermitian_stack([h for _, _, h in triples])
@@ -127,7 +129,8 @@ class HamiltonianSchedule:
         eigs = self._eigs
         if eigs is None:  # every segment at once, each slice the 2-d call's
             w, v = np.linalg.eigh(self._stack)
-            eigs = self._eigs = list(zip(w, v, v.conj().swapaxes(1, 2)))
+            v_dag = v.conj().swapaxes(1, 2)
+            eigs = self._eigs = list(zip(*linalg.freeze((w, v, v_dag))))
         w, v, v_dag = eigs[index]
         return (v * np.exp(-1j * dt * w)) @ v_dag
 
@@ -218,9 +221,10 @@ def substep_propagators(sched: HamiltonianSchedule, steps,
     sub = linalg.require_count(sub, "sub-step count", 1,
                                linalg.MAX_ENUMERATION)
     require_schedule(sched)
+    steps = linalg.require_sequence(steps, "steps", "(t_a, t_b) pairs")
     try:
         steps = [(t_a, t_b) for t_a, t_b in steps]
-    except (TypeError, ValueError):  # not a sequence of pairs
+    except (TypeError, ValueError):  # an entry that is not a pair
         raise ValidationError("steps must be a sequence of (t_a, t_b) "
                               f"pairs, got {reprlib.repr(steps)}") from None
     if sub == 1:

@@ -174,14 +174,8 @@ class QuantumHistory:
 
 
 def _members(items, kind, whole: str, what: str) -> tuple:
-    """``items`` as a tuple; raises ValidationError unless it is an iterable
-    of ``kind`` instances."""
-    try:
-        iter(items)
-    except TypeError:
-        raise ValidationError(f"{whole} must be a sequence of {what}, "
-                              f"got {type(items).__name__}") from None
-    members = tuple(items)  # a tuple is kept, not copied
+    """``linalg.require_sequence`` of ``items``, each a ``kind`` instance."""
+    members = linalg.require_sequence(items, whole, what)
     for member in members:
         if not isinstance(member, kind):
             raise ValidationError(f"{whole} must be a sequence of {what}, "
@@ -206,23 +200,20 @@ def histories_equal(a: QuantumHistory, b: QuantumHistory,
                for p, q in zip(a.points, b.points))
 
 
-def _constraint_slots(times, constraint_times) -> list[int]:
-    """The grid index of each constraint time; raises ValidationError unless
-    ``constraint_times`` is a list, tuple or 1-d array of real, finite grid
-    times, no grid time constrained twice."""
-    if not (isinstance(constraint_times, (list, tuple))
-            or getattr(constraint_times, "ndim", None) == 1):
-        raise ValidationError("constraint times must be a sequence of "
-                              f"times, got {constraint_times!r}")
-    slots = []
-    for t in constraint_times:
+def _constraint_slots(times, constraint_times) -> dict:
+    """Each constraint time's grid index, in order, mapped to the time;
+    ValidationError unless ``constraint_times`` is a ``require_sequence``
+    of real, finite grid times, no grid time constrained twice."""
+    slots = {}
+    for t in linalg.require_sequence(constraint_times, "constraint times",
+                                     "times"):
         index = grid_index(times, require_time(t, "constraint time"))
         if index is None:
             raise ValidationError(f"constraint time {t} is not a grid time")
         if index in slots:
             raise ValidationError(
                 f"duplicate constraint at time {times[index]}")
-        slots.append(index)
+        slots[index] = t
     return slots
 
 
@@ -271,7 +262,7 @@ class HistoryFamily(linalg.Frozen):
                     "all histories in a family must share one time grid")
         linalg.require_dim("history", *[h.dim for h in histories])
         times = first.times
-        _constraint_slots(times, constraint_times)
+        constraint_times = _constraint_slots(times, constraint_times).values()
         # each slot's distinct fixed points, by identity, in order of first use
         positions = [{} for _ in times]
         index = np.array([[pos.setdefault(p, len(pos))
@@ -584,13 +575,14 @@ class HistoryOperator(linalg.Frozen):
         return self.projectors[0].shape[0] if self.projectors else 0
 
     def matrix(self, dim: int | None = None) -> np.ndarray:
-        """Chain product with the latest projector leftmost."""
-        if not self.projectors:
-            if dim is None:
-                raise ValidationError("empty chain needs an explicit dim")
-            return np.eye(linalg.require_count(dim, "dimension", 1),
-                          dtype=complex)
-        out = np.eye(self.dim, dtype=complex)
+        """Chain product, latest projector leftmost, of size ``dim`` if given
+        (the chain's own; an empty chain, of dimension 0, needs one)."""
+        if dim is None and not self.projectors:
+            raise ValidationError("empty chain needs an explicit dim")
+        size = (self.dim if dim is None
+                else linalg.require_count(dim, "dimension", 1))
+        out = np.eye(linalg.require_dim("chain", self.dim or size, size),
+                     dtype=complex)
         for p in self.projectors:
             out = p @ out
         return out
@@ -658,6 +650,7 @@ def chain_probability(fps, sched: HamiltonianSchedule, rho1) -> float:
     fps = _members(fps, FixedPoint, "a chain", "fixed points")
     if not fps:
         raise ValidationError("chain probability needs at least one fixed point")
+    linalg.require_dim("fixed point", fps[0].dim, require_schedule(sched).dim)
     rho1 = _require_density_matrix(rho1, fps[0].dim)
     chain = history_operator(fps, sched, fps[0].time).matrix(fps[0].dim)
     value = np.trace(chain @ rho1 @ chain.conj().T)
@@ -773,7 +766,8 @@ class FamilySpec(linalg.Frozen):
         times = require_increasing(self.times, "grid times")
         if len(times) < 2:
             raise ValidationError("family spec needs at least two grid times")
-        if not hasattr(self.bases, "__len__") or len(self.bases) != len(times):
+        sets = linalg.require_sequence(self.bases, "bases", "orthonormal sets")
+        if len(sets) != len(times):
             raise ValidationError("need exactly one basis per grid time")
         constraints = _members(self.constraints, FixedPoint, "constraints",
                                "fixed points")
@@ -785,7 +779,7 @@ class FamilySpec(linalg.Frozen):
             [pinned[i].time if i in pinned else t
              for i, t in enumerate(times)], "slot times")
         stacks = linalg._basis_stacks(
-            list(self.bases), [f"basis at time {t}" for t in times])
+            sets, [f"basis at time {t}" for t in times])
         slots, bases, states = [], [], []
         for i, (t, stack) in enumerate(zip(times, stacks)):
             rows = tuple(stack)

@@ -18,8 +18,8 @@ total, refused when it is 0.0, and the column divided by it.
 ``_as_numbers`` the one reading of every array argument: what numpy
 cannot read as numbers (``None``, text, a ragged nest, an integer beyond
 64 bits) is a ValidationError, and ``_as_matrix`` refuses what is not
-square, 2-d and non-empty.  Every ``tol`` argument is read by
-``require_tolerance``, and every count by ``require_count``.
+square, 2-d and non-empty.  ``require_tolerance`` reads every ``tol``,
+``require_count`` every count, ``require_sequence`` every ordered argument.
 
 ``freeze`` is the one read-only rule: every checked array the package
 holds (a stack, a memo entry, a record's column) is marked read-only by
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
+from collections.abc import Mapping, Set
 
 import numpy as np
 
@@ -151,6 +152,23 @@ def require_instance(value, kind: type, what: str):
     return value
 
 
+def require_sequence(value, what: str, items: str) -> tuple:
+    """``value``, an ordered sequence of ``items``, as a tuple read once (a
+    tuple as it is, a generator used up); ValidationError naming ``what``
+    for what is not iterable (a 0-d array), for text, a set or a mapping."""
+    if type(value) is tuple:
+        return value
+    try:
+        items_of = iter(value)
+    except TypeError:  # not iterable: a number, None, a 0-d array
+        items_of = None
+    if items_of is None or (type(value) is not list and isinstance(
+            value, (str, bytes, Set, Mapping))):  # text, or unordered
+        raise ValidationError(f"{what} must be a sequence of {items}, "
+                              f"got {type(value).__name__}")
+    return tuple(items_of)  # an error while iterating is the item's
+
+
 def require_integer(value, what: str) -> int:
     """Return ``value`` as an int: a Python or numpy integer, not a bool;
     otherwise raise ValidationError naming ``what``."""
@@ -253,12 +271,7 @@ def _basis_stacks(sets, whats, dim: int | None = None) -> list[np.ndarray]:
     for i, (vectors, what) in enumerate(zip(sets, whats)):
         if out[i] is not None:
             continue
-        try:
-            vectors = list(vectors)
-        except TypeError:
-            raise ValidationError(
-                f"{what}: expected a sequence of state vectors, "
-                f"got {reprlib.repr(vectors)}") from None
+        vectors = require_sequence(vectors, what, "state vectors")
         try:
             rows = [as_state(v, dim) for v in vectors]
         except DimensionMismatchError:
@@ -447,14 +460,11 @@ def is_orthonormal(vectors, tol: float = DEFAULT_TOL) -> bool:
     """True iff the given vectors form an orthonormal set (the empty set
     does): no entry of their Gram defect above ``tol``, a tolerance
     ``require_tolerance`` accepts.  Vectors of different dimensions raise
-    DimensionMismatchError, and what is not a sequence of vectors of
-    numbers, or a bad ``tol``, ValidationError."""
+    DimensionMismatchError, and what is not a sequence (``require_sequence``)
+    of vectors of numbers, or a bad ``tol``, ValidationError."""
     tol = require_tolerance(tol)
-    try:
-        vecs = [_as_numbers(v, "vector").reshape(-1) for v in vectors]
-    except TypeError:  # not a sequence
-        raise ValidationError("expected a sequence of vectors of numbers, "
-                              f"got {reprlib.repr(vectors)}") from None
+    vecs = [_as_numbers(v, "vector").reshape(-1)
+            for v in require_sequence(vectors, "vectors", "vectors")]
     if not vecs:
         return True
     require_dim("vector", *[v.size for v in vecs])

@@ -50,12 +50,13 @@ class OutcomeDistribution(linalg.Frozen):
     probabilities: np.ndarray
 
     def __init__(self, outcomes):
+        kind = "(key sequence, probability) pairs"
+        outcomes = linalg.require_sequence(outcomes, "outcomes", kind)
         try:
             pairs = [(tuple(seq), p) for seq, p in outcomes]
         except (TypeError, ValueError):  # not pairs, or a key not a sequence
-            raise ValidationError(
-                "outcomes must be (key sequence, probability) pairs, got "
-                f"{reprlib.repr(outcomes)}") from None
+            raise ValidationError(f"outcomes must be {kind}, got "
+                                  f"{reprlib.repr(outcomes)}") from None
         self._fill([seq for seq, _ in pairs],
                    np.array([_probability(p) for _, p in pairs]),
                    distinct=False)
@@ -175,12 +176,13 @@ def sequential_chain(psi1, bases, times, sched: HamiltonianSchedule,
     psi1 = linalg.as_state(psi1, require_schedule(sched).dim)
     times = require_increasing(times, "measurement times")
     t_prep = require_time(t_prep, "preparation time")
-    if not hasattr(bases, "__len__") or len(bases) != len(times):
+    bases = linalg.require_sequence(bases, "bases", "orthonormal sets")
+    if len(bases) != len(times):
         raise ValidationError("need exactly one basis per measurement time")
     if times:
         require_not_before(times[0], t_prep, "first measurement time")
     checked = linalg._basis_stacks(
-        list(bases), [f"basis at time {t}" for t in times], sched.dim)
+        bases, [f"basis at time {t}" for t in times], sched.dim)
     for t, stack in zip(times, checked):
         if len(stack) != sched.dim:
             raise ValidationError(f"basis at time {t} must be complete")

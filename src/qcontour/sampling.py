@@ -10,7 +10,6 @@ import numpy as np
 
 from . import linalg
 from .dynamics import HamiltonianSchedule
-from .errors import ValidationError
 from .histories import FixedPoint
 from .models import ModelSpec
 
@@ -63,10 +62,9 @@ def random_model(rng: np.random.Generator, times, dim: int,
     """A random model over the grid ``times``: draws, in this order, the
     schedule, one basis per time and a preparation ``"prep"`` pinned at the
     first time; ``s_t = 2`` also pins a ``"final"`` state at the last."""
-    if s_t not in (1, 2):
-        raise ValidationError(f"s_t must be 1 or 2, got {s_t!r}")
+    s_t = linalg.require_count(s_t, "s_t", 1, 2)
     dim = linalg.require_count(dim, "dimension", 1)
-    times = tuple(times)
+    times = linalg.require_sequence(times, "grid times", "times")
     schedule = random_schedule(rng, times, dim)
     bases = tuple(tuple(random_orthonormal_basis(rng, dim)) for _ in times)
     constraints = [FixedPoint(times[0], random_state(rng, dim), label="prep")]

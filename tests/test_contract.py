@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import qcontour
 from qcontour import (BipartiteState, FamilySpec, FixedPoint,
-                      HamiltonianSchedule, HistoryOperator, ModelFormatError,
-                      ModelSpec, OutcomeDistribution, QContourError,
-                      QuantumHistory, ValidationError, born_probability,
+                      HamiltonianSchedule, HistoryFamily, HistoryOperator,
+                      ModelFormatError, ModelSpec, OutcomeDistribution,
+                      QContourError, QuantumHistory, ToyBundle,
+                      ValidationError, born_probability,
                       chain_probability, check_envariance, check_unitary,
                       complete_basis, condition_on_final, contour_path,
                       decoherence_functional, decoherence_report,
@@ -478,3 +479,122 @@ def test_a_nan_or_negative_tolerance_is_refused(call, tol):
     with pytest.raises(ValidationError,
                        match="^tolerance must be a non-negative number"):
         call(tol)
+
+
+#: public records whose sequence fields the package fills from checked
+#: values; their constructors take no outside input
+SEQUENCE_RECORDS = {"MeasureReport"}
+#: parameter names that take an ordered sequence
+SEQUENCE_PARAMETERS = {"times", "bases", "constraints", "segments",
+                       "histories", "constraint_times", "projectors",
+                       "outcomes", "points", "past", "future", "fps",
+                       "vectors", "steps"}
+
+# hashable items, so that a set or a dict of them can be formed
+_T_BASIS = ((1.0, 0.0), (0.0, 1.0))
+_T_SWAPPED = ((0.0, 1.0), (1.0, 0.0))
+_T_SX = ((0.0, 1.0), (1.0, 0.0))
+_PAST = (FixedPoint(0.0, E0), FixedPoint(0.0, E1))
+_FUTURE = (FixedPoint(1.0, E0), FixedPoint(1.0, E1))
+_PIVOT = FixedPoint(0.5, PLUS)
+
+#: per public entry point and ordered parameter, by (name, parameter), a
+#: call that passes a sequence there and items it accepts in that place;
+#: "bases[k]" is one basis within ``bases``
+SEQUENCE_CALLS = {
+    ("FamilySpec", "times"): (lambda seq: FamilySpec(
+        times=seq, bases=(_BASIS, _BASIS)), (0.0, 1.0)),
+    ("FamilySpec", "bases"): (lambda seq: FamilySpec(
+        times=(0.0, 1.0), bases=seq), (_T_BASIS, _T_SWAPPED)),
+    ("FamilySpec", "bases[k]"): (lambda seq: FamilySpec(
+        times=(0.0, 1.0), bases=(_BASIS, seq)), _T_BASIS),
+    ("FamilySpec", "constraints"): (lambda seq: FamilySpec(
+        times=(0.0, 1.0), bases=(_BASIS, _BASIS), constraints=seq),
+        (_FP0, _FP1)),
+    ("ModelSpec", "times"): (lambda seq: ModelSpec(
+        times=seq, bases=(_BASIS, _BASIS), schedule=_SCHED), (0.0, 1.0)),
+    ("ModelSpec", "bases"): (lambda seq: ModelSpec(
+        times=(0.0, 1.0), bases=seq, schedule=_SCHED),
+        (_T_BASIS, _T_SWAPPED)),
+    ("ModelSpec", "constraints"): (lambda seq: ModelSpec(
+        times=(0.0, 1.0), bases=(_BASIS, _BASIS), constraints=seq,
+        schedule=_SCHED), (_FP0,)),
+    ("HamiltonianSchedule", "segments"): (HamiltonianSchedule, (
+        (0.0, 0.5, _T_SX), (0.5, 1.0, _T_SX))),
+    ("HistoryFamily", "histories"): (HistoryFamily, (
+        _HISTORY, QuantumHistory((_FP0, FixedPoint(1.0, E1))))),
+    ("HistoryFamily", "constraint_times"): (lambda seq: HistoryFamily(
+        (_HISTORY,), seq), (0.0, 1.0)),
+    ("HistoryOperator", "projectors"): (HistoryOperator, (
+        ((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))),
+    ("OutcomeDistribution", "outcomes"): (OutcomeDistribution, (
+        ((0, 0), 0.5), ((0, 1), 0.5))),
+    ("QuantumHistory", "points"): (QuantumHistory, (_FP0, _FP1)),
+    ("ToyBundle", "past"): (lambda seq: ToyBundle(seq, _PIVOT, _FUTURE),
+                            _PAST),
+    ("ToyBundle", "future"): (lambda seq: ToyBundle(_PAST, _PIVOT, seq),
+                              _FUTURE),
+    ("chain_probability", "fps"): (lambda seq: chain_probability(
+        seq, _SCHED, _RHO), (_FP0, _FP1)),
+    ("history_operator", "fps"): (lambda seq: history_operator(
+        seq, _SCHED, 0.0), (_FP0, _FP1)),
+    ("is_orthonormal", "vectors"): (is_orthonormal, _T_BASIS),
+    ("sequential_chain", "bases"): (lambda seq: sequential_chain(
+        E0, seq, [0.5, 1.0], _SCHED, 0.0), (_T_BASIS, _T_SWAPPED)),
+    ("sequential_chain", "bases[k]"): (lambda seq: sequential_chain(
+        E0, [seq], [1.0], _SCHED, 0.0), _T_BASIS),
+    ("sequential_chain", "times"): (lambda seq: sequential_chain(
+        E0, [_BASIS, _BASIS], seq, _SCHED, 0.0), (0.5, 1.0)),
+    ("substep_propagators", "steps"): (lambda seq: substep_propagators(
+        _SCHED, seq, 2), ((0.0, 1.0), (1.0, 0.5))),
+}
+
+
+def test_the_sequence_sweep_covers_every_public_entry_point():
+    named = {(name, param) for name in _public_callables()
+             if name not in SEQUENCE_RECORDS
+             for param in inspect.signature(getattr(qcontour, name)).parameters
+             if param in SEQUENCE_PARAMETERS}
+    assert named <= set(SEQUENCE_CALLS)
+
+
+def _zero_d(items):
+    """A 0-d object array holding ``items``."""
+    array = np.empty((), dtype=object)
+    array[()] = items
+    return array
+
+
+#: what no ordered argument may be read as: unordered containers of
+#: accepted items, text and a 0-d array
+NOT_SEQUENCES = {"set": set, "dict": dict.fromkeys, "str": lambda _: "ab",
+                 "bytes": lambda _: b"ab", "0-d array": _zero_d}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_SEQUENCES))
+@pytest.mark.parametrize("call, items", SEQUENCE_CALLS.values(),
+                         ids=[f"{n}-{p}" for n, p in SEQUENCE_CALLS])
+def test_every_sequence_argument_refuses_what_is_not_a_sequence(
+        call, items, kind):
+    # a set or a dict was read in its own iteration order by most of these
+    # (a set of times passed or failed by hash order, a family's rows
+    # followed object ids), text was read character by character, and a
+    # 0-d array was refused in words of its own at each entry point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match="must be a sequence of") as info:
+            call(NOT_SEQUENCES[kind](items))
+    assert type(info.value) is ValidationError
+
+
+@pytest.mark.parametrize("read", [tuple, list, iter,
+                                  lambda items: (x for x in items)],
+                         ids=["tuple", "list", "iterator", "generator"])
+@pytest.mark.parametrize("call, items", SEQUENCE_CALLS.values(),
+                         ids=[f"{n}-{p}" for n, p in SEQUENCE_CALLS])
+def test_every_sequence_argument_reads_an_ordered_iterable(call, items, read):
+    # bases and constraint times were refused as a generator or iterator
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(read(items))

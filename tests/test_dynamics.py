@@ -53,6 +53,37 @@ class TestScheduleConstruction:
             sched.segments[0][2][0, 1] = 5.0
         np.testing.assert_array_equal(sched.segments[0][2], SX)
 
+    def test_an_array_of_segment_rows_is_read(self):
+        # numpy's "truth value ... is ambiguous" ValueError leaked
+        segments = [(0.0, 1.0, SX), (1.0, 2.0, SZ)]
+        sched = HamiltonianSchedule(np.array(segments, dtype=object))
+        for (a, b, h), (c, d, g) in zip(sched.segments, segments,
+                                        strict=True):
+            assert (a, b) == (c, d) and np.array_equal(h, g)
+
+    def test_a_number_is_not_a_sequence_of_segments(self):
+        # 0 read as "schedule needs at least one segment"
+        with pytest.raises(ValidationError,
+                           match=r"^schedule segments must be a sequence of "
+                                 r"\(t_start, t_end, H\) triples, got int$"):
+            HamiltonianSchedule(0)
+
+    def test_the_eigen_cache_cannot_be_written(self):
+        # every cached w, V and V^H was writable, so a write changed every
+        # later propagator of the schedule without a check
+        sched = HamiltonianSchedule([(0.0, 1.0, SX), (1.0, 2.0, SZ)])
+        want = propagate(sched, 0.0, 0.5)
+        arrays = [a for segment in sched._eigs for a in segment]
+        assert len(arrays) == 6
+        assert [a.flags.writeable for a in arrays] == [False] * 6
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        np.testing.assert_array_equal(
+            HamiltonianSchedule(sched.segments)._segment_exp(0, 0.25),
+            sched._segment_exp(0, 0.25))
+        np.testing.assert_array_equal(propagate(sched, 0.0, 0.5), want)
+
 
 class TestNonContiguousInput:
     def test_transposed_hermitian_generator(self):

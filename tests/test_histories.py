@@ -73,23 +73,23 @@ class TestHistoryTypes:
             HistoryFamily((two_point(E0, E1),), constraint_times=(t,))
 
     @pytest.mark.parametrize("times", [0.0, None, "0.0", b"\x00",
-                                       iter([0.0]), np.array(0.0)],
+                                       np.array(0.0)],
                              ids=["float", "None", "text", "bytes",
-                                  "iterator", "0-d array"])
+                                  "0-d array"])
     def test_family_refuses_constraint_times_that_are_not_a_sequence(
             self, times):
         # a float or None used to leak TypeError, text was refused time by
-        # time, bytes were read as integer times and an iterator was used
-        # up by the check, leaving no constraint time
+        # time and bytes were read as integer times
         with pytest.raises(ValidationError,
                            match="^constraint times must be a sequence"):
             HistoryFamily((two_point(E0, E1),), constraint_times=times)
 
     @pytest.mark.parametrize("times", [(1.0, 0.0), [1.0, 0.0],
-                                       np.array([1.0, 0.0])])
+                                       np.array([1.0, 0.0]), iter([1.0, 0.0]),
+                                       (t for t in (1.0, 0.0))])
     def test_family_keeps_constraint_times_in_time_order(self, times):
         # enumerate_family sorted them; a hand-built family kept the order
-        # it was given
+        # it was given.  An iterator was refused: the check used it up
         fam = HistoryFamily((two_point(E0, E1),), constraint_times=times)
         assert fam.constraint_times == (0.0, 1.0)
 
@@ -580,6 +580,15 @@ class TestHistoryOperator:
         with pytest.raises(ValidationError, match="dimension must be"):
             histories.HistoryOperator(()).matrix(dim)
 
+    def test_a_given_dimension_must_be_the_chain_s(self):
+        # a 2x2 chain ignored matrix(5) and gave its 2x2 product
+        chain = histories.HistoryOperator((np.diag([1.0, 0.0]),))
+        with pytest.raises(DimensionMismatchError,
+                           match="^chain dimension 2 does not match "
+                                 "dimension 5"):
+            chain.matrix(5)
+        np.testing.assert_array_equal(chain.matrix(2), chain.matrix())
+
     def test_empty_chain_is_the_identity(self):
         np.testing.assert_array_equal(
             histories.HistoryOperator(()).matrix(np.int64(3)), np.eye(3))
@@ -671,6 +680,16 @@ class TestChainProbability:
                                FixedPoint(spec.times[1], v)], sched, rho)
             for v in spec.bases[1])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2,), (3, 2)])
+    def test_points_must_share_the_schedule_s_dimension(self, dims):
+        # a qubit point then a qutrit point on a qutrit schedule leaked
+        # numpy's matmul ValueError, and a qubit point alone gave 1.0
+        points = [FixedPoint(float(t), np.eye(d)[0]) for t, d in
+                  enumerate(dims)]
+        rho = np.outer(points[0].state, points[0].state.conj())
+        with pytest.raises(DimensionMismatchError):
+            chain_probability(points, zero_schedule(3, 0.0, 2.0), rho)
 
     def test_rejects_invalid_density_matrix(self):
         fps = [FixedPoint(0.0, E0), FixedPoint(1.0, E0)]

@@ -14,8 +14,8 @@ from qcontour.errors import QContourError, ZeroNormalizationError
 from qcontour.linalg import (DEFAULT_TOL, INPUT_TOL, STATE_MARGIN, as_basis,
                              as_square, as_state, hermitian_defect, norm,
                              normalize, require_count, require_dim,
-                             require_hermitian, require_tolerance,
-                             unitary_defect)
+                             require_hermitian, require_sequence,
+                             require_tolerance, unitary_defect)
 from qcontour.sampling import (haar_unitary, random_hermitian, random_state,
                                rng_from_seed)
 
@@ -482,6 +482,39 @@ class TestRequireCount:
         with pytest.raises(ValidationError,
                            match=f"^seed must be at most 4, got {value}$"):
             require_count(value, "seed", 1, 4)
+
+
+class TestRequireSequence:
+    """The one reading of an ordered argument: a tuple read once."""
+
+    def test_a_tuple_is_returned_as_it_is(self):
+        given = (1, 2)
+        assert require_sequence(given, "times", "times") is given
+
+    @pytest.mark.parametrize("read", [list, iter, np.array,
+                                      lambda items: (x for x in items),
+                                      lambda items: {0: 1, 1: 2}.values()])
+    def test_an_ordered_iterable_is_read_in_order(self, read):
+        assert require_sequence(read([1, 2]), "times", "times") == (1, 2)
+
+    @pytest.mark.parametrize("value, kind", [
+        (None, "NoneType"), (3, "int"), (1.5, "float"), ("ab", "str"),
+        (b"ab", "bytes"), ({1, 2}, "set"), (frozenset({1}), "frozenset"),
+        ({1: 2}, "dict"), ({1: 2}.keys(), "dict_keys"),
+        (np.array(1.0), "ndarray")])
+    def test_refuses_what_is_not_an_ordered_sequence(self, value, kind):
+        with pytest.raises(ValidationError,
+                           match=f"^times must be a sequence of numbers, "
+                                 f"got {kind}$") as info:
+            require_sequence(value, "times", "numbers")
+        assert type(info.value) is ValidationError
+
+    def test_an_error_while_iterating_is_not_a_verdict(self):
+        def broken():
+            yield 1
+            raise TypeError("an item's own error")
+        with pytest.raises(TypeError, match="an item's own error"):
+            require_sequence(broken(), "times", "times")
 
 
 class TestNormalize:

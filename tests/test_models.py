@@ -261,13 +261,14 @@ _FUTURE = (FixedPoint(1.0, E0),)
     (lambda: sequential_chain(E0, _BASES[:1], None, zero_schedule(2), 0.0),
      "^measurement times must be a sequence of times, got NoneType"),
     (lambda: FamilySpec(times=(0.0, 1.0), bases=None),
-     "^need exactly one basis per grid time"),
-    (lambda: FamilySpec(times=(0.0, 1.0), bases=(b for b in _BASES)),
-     "^need exactly one basis per grid time"),
+     "^bases must be a sequence of orthonormal sets, got NoneType$"),
+    (lambda: FamilySpec(times=(0.0, 1.0), bases={0: _BASES[0], 1: _BASES[1]}),
+     "^bases must be a sequence of orthonormal sets, got dict$"),
     (lambda: FamilySpec(times=(0.0, 1.0), bases=(_BASES[0], None)),
-     r"^basis at time 1\.0: expected a sequence of state vectors, got None"),
+     r"^basis at time 1\.0 must be a sequence of state vectors, "
+     "got NoneType$"),
     (lambda: FamilySpec(times=(0.0, 1.0), bases=(_BASES[0], 3)),
-     r"^basis at time 1\.0: expected a sequence of state vectors, got 3"),
+     r"^basis at time 1\.0 must be a sequence of state vectors, got int$"),
     (lambda: FamilySpec(times=(0.0, 1.0), bases=_BASES, constraints=None),
      "^constraints must be a sequence of fixed points, got NoneType"),
     (lambda: FamilySpec(times=(0.0, 1.0), bases=_BASES,
@@ -285,11 +286,11 @@ _FUTURE = (FixedPoint(1.0, E0),)
      "^bundle pivot must be a FixedPoint, got NoneType$"),
     (lambda: HamiltonianSchedule(3),
      r"^schedule segments must be a sequence of \(t_start, t_end, H\) "
-     "triples, got 3"),
+     "triples, got int$"),
     (lambda: HamiltonianSchedule([(0, 1)]),
      r"^schedule segments must be a sequence of \(t_start, t_end, H\)"),
     (lambda: is_orthonormal(None),
-     "^expected a sequence of vectors of numbers, got None"),
+     "^vectors must be a sequence of vectors, got NoneType$"),
     (lambda: is_orthonormal([[1, 0], [0, "a"]]),
      r"^vector must be an array of numbers, got \[0, 'a'\]$"),
     (lambda: enumerate_family(None),
@@ -316,6 +317,15 @@ def test_model_inputs_that_used_to_leak(build, match):
     with pytest.raises(ValidationError, match=match) as info:
         build()
     assert type(info.value) is ValidationError
+
+
+def test_a_generator_of_bases_is_read():
+    # refused as "need exactly one basis per grid time": a generator has
+    # no length
+    spec = FamilySpec(times=(0.0, 1.0), bases=(b for b in _BASES))
+    assert spec.history_count() == 4
+    for got, want in zip(spec.bases, _BASES, strict=True):
+        assert all(map(np.array_equal, got, want))
 
 
 class TestRandomModel:

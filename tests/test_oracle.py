@@ -166,9 +166,9 @@ class TestSequentialChain:
                              zero_schedule(2), 0.0)
 
     @pytest.mark.parametrize("bases, match", [
-        (5, "one basis per measurement time"),
-        ([5], r"^basis at time 1\.0: expected a sequence of state vectors, "
-              "got 5$"),
+        (5, "^bases must be a sequence of orthonormal sets, got int$"),
+        ([5], r"^basis at time 1\.0 must be a sequence of state vectors, "
+              "got int$"),
     ])
     def test_bases_that_are_not_sequences_rejected(self, bases, match):
         # both used to raise TypeError

@@ -105,6 +105,18 @@ class TestRequireIncreasing:
         with pytest.raises(ValidationError, match="^grid times must be real"):
             FamilySpec(times=times, bases=())
 
+    @pytest.mark.parametrize("times", [{1.0, 0.5, 2.0}, {1.0: 0, 0.0: 1},
+                                       {0.0: 0, 1.0: 1}.keys()])
+    def test_rejects_an_unordered_container(self, times):
+        # a set passed or failed by hash order, and a dict's keys were read
+        # as times, so a recipe over a set of times built
+        with pytest.raises(ValidationError,
+                           match="^grid times must be a sequence of times"):
+            require_increasing(times, "grid times")
+        with pytest.raises(ValidationError,
+                           match="^grid times must be a sequence of times"):
+            FamilySpec(times=times, bases=(computational_basis(2),) * 3)
+
     def test_message_names_the_times_as_written(self):
         with pytest.raises(ValidationError) as exc:
             require_increasing((0, 1, 1 + 1e-13), "grid times")

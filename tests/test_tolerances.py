@@ -5,8 +5,9 @@ raised, ``linalg.normalize`` the one place a zero normalization is,
 ``linalg._as_numbers`` the one place an argument is read as complex
 numbers, ``linalg`` the one module whose per-item rules word what a
 stacked check does not clear, ``linalg.freeze`` the one place an array is
-made read-only, ``linalg.Frozen`` the one unpickle hook, and no cached
-view a closure."""
+made read-only, ``linalg.Frozen`` the one unpickle hook,
+``linalg.require_sequence`` the one reading of an ordered argument, and
+no cached view a closure."""
 
 import ast
 import io
@@ -286,3 +287,24 @@ def test_cached_views_close_over_nothing():
     assert [(path.name, line) for path in SOURCES
             for line in _closures_in_cached_properties(
                 ast.parse(path.read_text()))] == []
+
+
+def _probes_for_a_sequence(node) -> bool:
+    """True iff ``node`` is a ``hasattr(x, "__len__")`` call, or a ``try``
+    whose body calls ``iter``: the two hand-written sequence checks."""
+    if isinstance(node, ast.Call) and _name(node.func) == "hasattr":
+        return getattr(node.args[-1], "value", None) == "__len__"
+    return isinstance(node, ast.Try) and any(
+        isinstance(n, ast.Call) and _name(n.func) == "iter"
+        for stmt in node.body for n in ast.walk(stmt))
+
+
+def test_sequences_read_only_by_the_rule():
+    """Every ordered argument is read by ``linalg.require_sequence``: no
+    other code asks for a length or probes with ``iter`` to decide what
+    counts as a sequence."""
+    probe = ast.parse("try:\n    iter(x)\nexcept TypeError:\n    pass\n"
+                      "ok = hasattr(y, '__len__')\n")
+    assert [type(node).__name__ for node in ast.walk(probe)
+            if _probes_for_a_sequence(node)] == ["Try", "Call"]
+    assert _nodes_outside("require_sequence", _probes_for_a_sequence) == []
